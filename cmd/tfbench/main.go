@@ -1,19 +1,14 @@
 // tfbench regenerates the paper's evaluation tables and figures on the
-// virtual platform and runs the real-mode engine sweeps on this host.
+// virtual platform. Host measurements are benchmark/'s job:
+// bash benchmark/run.sh --workload <name> --trace 1.
 //
 // Usage:
 //
-//	tfbench                                   # everything: figures + host sweeps
-//	tfbench -exp figures                      # the paper tables/figures only
-//	tfbench -exp fig8                         # one experiment
-//	tfbench -exp gemm,fft,collective          # several, in order
-//	tfbench -exp collective -json out.json    # also write machine-readable results
-//	tfbench -exp serving                      # micro-batching throughput/latency sweep
-//	tfbench -exp rollout                      # canary rollout under open-loop load
-//	tfbench -exp generate                     # continuous batching vs flush-and-refill
+//	tfbench                    # every table and figure
+//	tfbench -exp fig8          # one experiment
+//	tfbench -exp table1,fig7   # several, in order
 //
-// Experiments: table1 fig7 fig8 fig9 fig10 fig11 gemm fft collective serving
-// rollout generate.
+// Experiments: table1 fig7 fig8 fig9 fig10 fig11 (all = figures = every one).
 package main
 
 import (
@@ -26,30 +21,18 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "comma-separated experiments: all|figures|table1|fig7|fig8|fig9|fig10|fig11|gemm|fft|collective|serving|rollout|generate")
-	jsonPath := flag.String("json", "", "also write a machine-readable report (tfhpc-bench/v1) to this path")
+	exp := flag.String("exp", "all", "comma-separated experiments: all|figures|"+strings.Join(bench.ExperimentNames, "|"))
 	flag.Parse()
 
 	exps := strings.Split(*exp, ",")
 	for i := range exps {
 		exps[i] = strings.TrimSpace(exps[i])
 	}
-	report, text, err := bench.Run(exps)
+	text, err := bench.Run(exps)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tfbench: %v\n", err)
+		fmt.Fprintln(os.Stderr, "tfbench: host measurements: bash benchmark/run.sh --workload <name> --trace 1")
 		os.Exit(2)
 	}
 	fmt.Print(text)
-	if *jsonPath != "" {
-		data, err := report.JSON()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tfbench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*jsonPath, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "tfbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "tfbench: wrote %s\n", *jsonPath)
-	}
 }

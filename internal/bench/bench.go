@@ -1,22 +1,19 @@
 // Package bench regenerates every table and figure of the paper's
 // evaluation section on the virtual platform and renders them as the same
 // rows/series the paper reports. cmd/tfbench and the repository-level
-// benchmarks are thin wrappers around these functions.
+// benchmarks are thin wrappers around these functions. Nothing here times
+// the host: that is benchmark/'s job.
 package bench
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"tfhpc/apps/cg"
 	appfft "tfhpc/apps/fft"
 	"tfhpc/apps/matmul"
 	"tfhpc/apps/stream"
-	"tfhpc/internal/core"
-	"tfhpc/internal/fft"
-	"tfhpc/internal/gemm"
 	"tfhpc/internal/hw"
 )
 
@@ -155,185 +152,6 @@ func Fig11() (string, error) {
 		sb.WriteString("\n")
 	}
 	return sb.String(), nil
-}
-
-// GemmRow is one measured GEMM size.
-type GemmRow struct {
-	N         int     `json:"n"`
-	F32Gflops float64 `json:"f32_gflops"`
-	F64Gflops float64 `json:"f64_gflops"`
-}
-
-// GemmRows benchmarks the real GEMM engine on this host — not the virtual
-// platform: single node, real numerics, parallelism bounded by the current
-// GOMAXPROCS. This is the kernel the MatMul op, the tiled-matmul pipeline
-// and the CG solver all bottom out in.
-func GemmRows() []GemmRow {
-	var rows []GemmRow
-	for _, n := range []int{256, 512, 1024} {
-		a32 := make([]float32, n*n)
-		b32 := make([]float32, n*n)
-		c32 := make([]float32, n*n)
-		fillSeq32(a32)
-		fillSeq32(b32)
-		f32 := timeGemm(n, func() {
-			gemm.Gemm32(false, false, n, n, n, a32, n, b32, n, c32, n)
-		})
-		a64 := make([]float64, n*n)
-		b64 := make([]float64, n*n)
-		c64 := make([]float64, n*n)
-		fillSeq64(a64)
-		fillSeq64(b64)
-		f64 := timeGemm(n, func() {
-			gemm.Gemm64(false, false, n, n, n, a64, n, b64, n, c64, n)
-		})
-		rows = append(rows, GemmRow{N: n, F32Gflops: f32, F64Gflops: f64})
-	}
-	return rows
-}
-
-// Gemm renders the GEMM engine sweep.
-func Gemm() string { return renderGemm(GemmRows()) }
-
-func renderGemm(rows []GemmRow) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "GEMM engine on this host (micro-kernel %s, %d workers) [Gflop/s]\n",
-		gemm.KernelName(), gemm.Workers())
-	sb.WriteString(fmt.Sprintf("%-8s %10s %10s\n", "size", "float32", "float64"))
-	for _, r := range rows {
-		sb.WriteString(fmt.Sprintf("%-8d %10.1f %10.1f\n", r.N, r.F32Gflops, r.F64Gflops))
-	}
-	return sb.String()
-}
-
-// FftRow is one measured 1-D FFT size.
-type FftRow struct {
-	LogN       int     `json:"log_n"`
-	C128Gflops float64 `json:"c128_gflops"`
-	RfftGflops float64 `json:"rfft_gflops"`
-}
-
-// FftResult is the FFT engine sweep: 1-D sizes plus the 1024² 2-D transform.
-type FftResult struct {
-	Rows        []FftRow `json:"rows"`
-	Fft2DGflops float64  `json:"fft2d_gflops"`
-}
-
-// FftRows benchmarks the real FFT engine in internal/fft on this host — not
-// the virtual platform: single node, real numerics, parallelism bounded by
-// the current GOMAXPROCS. Each timed rep is a forward+inverse pair, so the
-// data stays bounded; throughput uses the paper's 5·n·log₂(n) flop
-// convention per transform (rfft counted as half, since it runs an
-// n/2-point complex transform plus an O(n) unpack).
-func FftRows() FftResult {
-	var out FftResult
-	for _, logn := range []int{16, 18, 20} {
-		n := 1 << logn
-		a := make([]complex128, n)
-		x := make([]float64, n)
-		for i := range a {
-			v := float64(i%251)*0.013 - 1.6
-			a[i] = complex(v, -v)
-			x[i] = v
-		}
-		c128 := timeFlops(2*core.FFTFlops(n), func() {
-			if err := fft.Forward(a); err != nil {
-				panic(err)
-			}
-			if err := fft.Inverse(a); err != nil {
-				panic(err)
-			}
-		})
-		rp, err := fft.RPlanFor(n)
-		if err != nil {
-			panic(err)
-		}
-		spec := make([]complex128, rp.SpectrumLen())
-		rfft := timeFlops(core.FFTFlops(n), func() {
-			if err := rp.Transform(spec, x); err != nil {
-				panic(err)
-			}
-			if err := rp.Inverse(x, spec); err != nil {
-				panic(err)
-			}
-		})
-		out.Rows = append(out.Rows, FftRow{LogN: logn, C128Gflops: c128, RfftGflops: rfft})
-	}
-	const m = 1024
-	b2 := make([]complex128, m*m)
-	for i := range b2 {
-		b2[i] = complex(float64(i%251)*0.013, 0)
-	}
-	out.Fft2DGflops = timeFlops(2*2*float64(m)*core.FFTFlops(m), func() {
-		if err := fft.FFT2D(b2, m, m, false); err != nil {
-			panic(err)
-		}
-		if err := fft.FFT2D(b2, m, m, true); err != nil {
-			panic(err)
-		}
-	})
-	return out
-}
-
-// Fft renders the FFT engine sweep.
-func Fft() string { return renderFft(FftRows()) }
-
-func renderFft(res FftResult) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "FFT engine on this host (cached plans, radix-4/8 + four-step, %d workers) [Gflop/s]\n",
-		gemm.Workers())
-	sb.WriteString(fmt.Sprintf("%-8s %12s %12s\n", "size", "complex128", "rfft"))
-	for _, r := range res.Rows {
-		sb.WriteString(fmt.Sprintf("2^%-6d %12.2f %12.2f\n", r.LogN, r.C128Gflops, r.RfftGflops))
-	}
-	sb.WriteString(fmt.Sprintf("2-D 1024x1024: %.2f Gflop/s\n", res.Fft2DGflops))
-	return sb.String()
-}
-
-// timeFlops runs fn repeatedly (at least 3 times, at least ~200ms) and
-// returns the best-rep throughput in Gflop/s for the given flop count.
-func timeFlops(flops float64, fn func()) float64 {
-	best := 0.0
-	deadline := time.Now().Add(200 * time.Millisecond)
-	for rep := 0; rep < 3 || time.Now().Before(deadline); rep++ {
-		start := time.Now()
-		fn()
-		if s := time.Since(start).Seconds(); s > 0 {
-			if g := flops / s / 1e9; g > best {
-				best = g
-			}
-		}
-	}
-	return best
-}
-
-// timeGemm runs fn repeatedly (at least 3 times, at least ~200ms) and
-// returns the best-rep throughput in Gflop/s for an n³ product.
-func timeGemm(n int, fn func()) float64 {
-	best := 0.0
-	deadline := time.Now().Add(200 * time.Millisecond)
-	for rep := 0; rep < 3 || time.Now().Before(deadline); rep++ {
-		start := time.Now()
-		fn()
-		if s := time.Since(start).Seconds(); s > 0 {
-			if g := gemm.Flops(n, n, n) / s / 1e9; g > best {
-				best = g
-			}
-		}
-	}
-	return best
-}
-
-func fillSeq32(s []float32) {
-	for i := range s {
-		s[i] = float32(i%251) * 0.013
-	}
-}
-
-func fillSeq64(s []float64) {
-	for i := range s {
-		s[i] = float64(i%251) * 0.013
-	}
 }
 
 func sizeLabel(n int) string {

@@ -90,17 +90,8 @@ func TestFig11Output(t *testing.T) {
 	}
 }
 
-func TestGemmReportRendersAllSizes(t *testing.T) {
-	out := Gemm()
-	for _, want := range []string{"GEMM engine", "micro-kernel", "float32", "float64", "256", "512", "1024"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("GEMM report missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestFiguresStitchEverything(t *testing.T) {
-	_, out, err := Run([]string{"figures"})
+	out, err := Run([]string{"figures"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,5 +99,8 @@ func TestFiguresStitchEverything(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("figures output missing %q", want)
 		}
+	}
+	if all, err := Run([]string{"all"}); err != nil || all != out {
+		t.Errorf("-exp all is not -exp figures (err %v)", err)
 	}
 }

@@ -1,136 +1,48 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"runtime"
 	"strings"
-	"time"
-
-	"tfhpc/internal/gemm"
 )
 
-// Report is the machine-readable result of a tfbench invocation — the
-// artifact CI uploads on every push so the performance trajectory accrues.
-type Report struct {
-	Schema      string   `json:"schema"` // "tfhpc-bench/v1"
-	GeneratedAt string   `json:"generated_at"`
-	GoVersion   string   `json:"go_version"`
-	GoMaxProcs  int      `json:"gomaxprocs"`
-	GemmKernel  string   `json:"gemm_kernel"`
-	Experiments []string `json:"experiments"`
+// ExperimentNames are the experiments Run knows, in the paper's order; "all"
+// and "figures" both expand to the whole list. Everything here runs on the
+// virtual platform — host measurements live in benchmark/.
+var ExperimentNames = []string{"table1", "fig7", "fig8", "fig9", "fig10", "fig11"}
 
-	Gemm       []GemmRow         `json:"gemm,omitempty"`
-	Fft        *FftResult        `json:"fft,omitempty"`
-	Collective *CollectiveResult `json:"collective,omitempty"`
-	Serving    []ServingRow      `json:"serving,omitempty"`
-	Rollout    *RolloutResult    `json:"rollout,omitempty"`
-	Generate   []GenerateRow     `json:"generate,omitempty"`
-	// Figures holds the rendered text of the paper-figure experiments,
-	// which have no natural tabular schema beyond their printed form.
-	Figures map[string]string `json:"figures,omitempty"`
-}
-
-// FigureNames are the paper-figure experiments (virtual platform, no
-// host timing); ExperimentNames additionally includes the real-mode host
-// sweeps. "figures" and "all" expand to them respectively.
-var (
-	FigureNames     = []string{"table1", "fig7", "fig8", "fig9", "fig10", "fig11"}
-	ExperimentNames = append(append([]string{}, FigureNames...), "gemm", "fft", "collective", "serving", "rollout", "generate")
-)
-
-// Run executes the named experiments in order and returns the combined
-// machine-readable report plus the rendered text.
-func Run(exps []string) (*Report, string, error) {
-	var expanded []string
-	for _, e := range exps {
-		switch e {
-		case "all":
-			expanded = append(expanded, ExperimentNames...)
-		case "figures":
-			expanded = append(expanded, FigureNames...)
-		default:
-			expanded = append(expanded, e)
-		}
-	}
-	rep := &Report{
-		Schema:      "tfhpc-bench/v1",
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		GoVersion:   runtime.Version(),
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		GemmKernel:  gemm.KernelName(),
-		Experiments: expanded,
-	}
+// Run renders the named experiments in order.
+func Run(exps []string) (string, error) {
 	var texts []string
-	for _, exp := range expanded {
-		var text string
-		var err error
-		switch exp {
-		case "table1":
-			text = TableI()
-			rep.figure("table1", text)
-		case "fig7":
-			if text, err = Fig7(); err == nil {
-				rep.figure("fig7", text)
-			}
-		case "fig8":
-			if text, err = Fig8(); err == nil {
-				rep.figure("fig8", text)
-			}
-		case "fig9":
-			text = Fig9()
-			rep.figure("fig9", text)
-		case "fig10":
-			if text, err = Fig10(); err == nil {
-				rep.figure("fig10", text)
-			}
-		case "fig11":
-			if text, err = Fig11(); err == nil {
-				rep.figure("fig11", text)
-			}
-		case "gemm":
-			rep.Gemm = GemmRows()
-			text = renderGemm(rep.Gemm)
-		case "fft":
-			res := FftRows()
-			rep.Fft = &res
-			text = renderFft(res)
-		case "collective":
-			if rep.Collective, err = CollectiveRows(); err == nil {
-				text = renderCollective(rep.Collective)
-			}
-		case "serving":
-			if rep.Serving, err = ServingRows(); err == nil {
-				text = renderServing(rep.Serving)
-			}
-		case "rollout":
-			if rep.Rollout, err = RolloutRun(); err == nil {
-				text = renderRollout(rep.Rollout)
-			}
-		case "generate":
-			if rep.Generate, err = GenerateRows(); err == nil {
-				text = renderGenerate(rep.Generate)
-			}
-		default:
-			err = fmt.Errorf("bench: unknown experiment %q (want all|figures|%s)",
-				exp, strings.Join(ExperimentNames, "|"))
+	for _, exp := range exps {
+		names := []string{exp}
+		if exp == "all" || exp == "figures" {
+			names = ExperimentNames
 		}
-		if err != nil {
-			return nil, "", err
+		for _, name := range names {
+			var text string
+			var err error
+			switch name {
+			case "table1":
+				text = TableI()
+			case "fig7":
+				text, err = Fig7()
+			case "fig8":
+				text, err = Fig8()
+			case "fig9":
+				text = Fig9()
+			case "fig10":
+				text, err = Fig10()
+			case "fig11":
+				text, err = Fig11()
+			default:
+				err = fmt.Errorf("bench: unknown experiment %q (want all|figures|%s)",
+					name, strings.Join(ExperimentNames, "|"))
+			}
+			if err != nil {
+				return "", err
+			}
+			texts = append(texts, text)
 		}
-		texts = append(texts, text)
 	}
-	return rep, strings.Join(texts, "\n"), nil
-}
-
-func (r *Report) figure(name, text string) {
-	if r.Figures == nil {
-		r.Figures = make(map[string]string)
-	}
-	r.Figures[name] = text
-}
-
-// JSON marshals the report with stable indentation.
-func (r *Report) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
+	return strings.Join(texts, "\n"), nil
 }

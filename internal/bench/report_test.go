@@ -1,114 +1,20 @@
 package bench
 
 import (
-	"encoding/json"
-	"fmt"
 	"strings"
 	"testing"
 )
 
-// TestRunReportCheapExperiments exercises the report builder on the
-// zero-timing experiments and checks the JSON round-trips.
-func TestRunReportCheapExperiments(t *testing.T) {
-	rep, text, err := Run([]string{"table1", "fig9"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if text == "" {
-		t.Fatal("no rendered text")
-	}
-	if rep.Schema != "tfhpc-bench/v1" {
-		t.Fatalf("schema = %q", rep.Schema)
-	}
-	if len(rep.Figures) != 2 {
-		t.Fatalf("figures = %d, want 2", len(rep.Figures))
-	}
-	data, err := rep.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Report
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.GoVersion == "" || back.GoMaxProcs <= 0 {
-		t.Fatalf("host fields missing: %+v", back)
-	}
-}
-
+// An unknown name — a typo, or one of the host sweeps that moved to
+// benchmark/ — is refused with the list of valid names.
 func TestRunRejectsUnknownExperiment(t *testing.T) {
-	if _, _, err := Run([]string{"fig99"}); err == nil {
-		t.Fatal("unknown experiment accepted")
-	}
-}
-
-// TestCollectiveBenchSmall verifies the allreduce sweep machinery (full
-// sweeps run in tfbench, not the test suite).
-func TestCollectiveBenchSmall(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing test")
-	}
-	res, err := CollectiveRows()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) == 0 {
-		t.Fatal("no rows")
-	}
-	times := map[string]map[string]float64{} // case key -> algo -> seconds
-	caseKey := func(r CollectiveRow) string {
-		return fmt.Sprintf("%s/p%d/e%d/t%d", r.Fabric, r.Tasks, r.Elems, r.Tensors)
-	}
-	for _, r := range res.Rows {
-		if r.Seconds <= 0 || r.BusMBps <= 0 {
-			t.Fatalf("non-positive timing: %+v", r)
+	for _, name := range []string{"fig99", "gemm", "serving"} {
+		_, err := Run([]string{"table1", name})
+		if err == nil {
+			t.Fatalf("experiment %q accepted", name)
 		}
-		if times[caseKey(r)] == nil {
-			times[caseKey(r)] = map[string]float64{}
+		if want := strings.Join(ExperimentNames, "|"); !strings.Contains(err.Error(), want) {
+			t.Errorf("%q: error %q does not list %q", name, err, want)
 		}
-		times[caseKey(r)][r.Algo] = r.Seconds
-	}
-	// On the modelled fabrics a balanced algorithm must beat gather-to-root
-	// at p >= 4 regardless of host core count; the raw host rows
-	// additionally need real cores.
-	balancedWins := 0
-	pickerSane := 0
-	for key, algos := range times {
-		naive, hasNaive := algos["naive"]
-		if hasNaive && !strings.HasPrefix(key, "host/") {
-			if ring, ok := algos["ring"]; ok && ring < naive {
-				balancedWins++
-			}
-			if dbl, ok := algos["doubling"]; ok && dbl < naive {
-				balancedWins++
-			}
-		}
-		// The picker must never be far worse than the better of its two
-		// choices (it IS one of them, modulo run-to-run jitter).
-		if auto, ok := algos["auto"]; ok {
-			ring, okR := algos["ring"]
-			dbl, okD := algos["doubling"]
-			if okR && okD && auto <= 2*min(ring, dbl) {
-				pickerSane++
-			}
-		}
-	}
-	if balancedWins == 0 {
-		t.Fatal("no balanced algorithm ever beat the gather-to-root baseline on a modelled fabric")
-	}
-	if pickerSane == 0 {
-		t.Fatal("auto picker never landed near the better algorithm")
-	}
-	if res.CrossoverBytes <= 0 {
-		t.Fatalf("crossover not measured: %d", res.CrossoverBytes)
-	}
-	fusedRows := 0
-	for _, r := range res.Rows {
-		if r.Algo == "fused" && r.Tensors > 1 {
-			fusedRows++
-		}
-	}
-	if fusedRows == 0 {
-		t.Fatal("fusion rows missing from the sweep")
 	}
 }

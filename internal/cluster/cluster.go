@@ -88,7 +88,6 @@ func NewServer(job string, task int) *Server {
 	s := &Server{Job: job, Task: task, Res: session.NewResources(), Hub: collective.NewHub(), inbox: collective.NewShmInbox()}
 	s.srv = rpc.NewServer()
 	s.srv.Handle("RunOp", s.handleRunOp)
-	s.srv.Handle("CollSend", s.Hub.HandleSend)
 	s.srv.HandleStream(collective.StreamMethod, s.Hub.HandleStream)
 	s.srv.Handle("CollInit", s.handleCollInit)
 	s.srv.Handle("CollClose", s.handleCollClose)

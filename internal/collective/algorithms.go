@@ -18,14 +18,12 @@ const (
 
 // DefaultSwitchBytes is the picker threshold when Options leaves it 0: calls
 // whose per-rank payload (bytes/p) is strictly below it run recursive
-// doubling, the rest run the ring. The value is data-derived: bench.Collective()
-// sweeps algorithm × payload on loopback and records the measured
-// ring/doubling crossover in the committed baseline (the "crossover_bytes"
-// field under "collective" in scripts/bench_baseline.json, 16 KiB/rank on
-// the reference container — i.e. the threshold sits at the measured
-// crossover, with doubling winning ~1.4–3× through the swept payloads
-// below it). Jitter on small hosts moves the measured point between runs;
-// the baseline records what the committed numbers were taken under.
+// doubling, the rest run the ring. The value is data-derived — 16 KiB/rank is
+// where the ring caught up with doubling on the reference container, with
+// doubling winning ~1.4–3× below it. Re-measure either side of it with
+// BenchmarkDoublingAllReduceSmall and BenchmarkRingAllReduce, or end to end
+// with the benchmark's allreduce workload, whose two regimes (1 KiB calls,
+// 2 MiB calls) sit one on each side of the threshold.
 const DefaultSwitchBytes = 16 << 10
 
 // pickAlgorithm is the per-call picker: explicit Options.Algorithm wins,

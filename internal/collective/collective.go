@@ -610,7 +610,7 @@ func (g *Group) Barrier(key string) error {
 // formulation amounts to: every rank ships its whole tensor to rank 0, which
 // reduces serially in rank order and broadcasts the result back. It is both
 // the semantic reference for the ring (left-fold in rank order) and the
-// bandwidth strawman tfbench compares against.
+// bandwidth strawman BenchmarkNaiveAllReduce measures.
 func (g *Group) NaiveAllReduce(key string, t *tensor.Tensor, op string) (*tensor.Tensor, error) {
 	start := time.Now()
 	span := telemetry.StartRoot("collective_allreduce")

@@ -55,7 +55,6 @@ func tcpGroups(t *testing.T, p int, opts collective.Options, timeout time.Durati
 	for i := 0; i < p; i++ {
 		hubs[i] = collective.NewHub()
 		servers[i] = rpc.NewServer()
-		servers[i].Handle("CollSend", hubs[i].HandleSend)
 		servers[i].HandleStream(collective.StreamMethod, hubs[i].HandleStream)
 		addr, err := servers[i].Listen("127.0.0.1:0")
 		if err != nil {

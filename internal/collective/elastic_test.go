@@ -94,7 +94,6 @@ func newEpochHarness(t *testing.T, p int, shm bool) *epochHarness {
 	for i := 0; i < p; i++ {
 		h.hubs[i] = collective.NewHub()
 		h.servers[i] = rpc.NewServer()
-		h.servers[i].Handle("CollSend", h.hubs[i].HandleSend)
 		h.servers[i].HandleStream(collective.StreamMethod, h.hubs[i].HandleStream)
 		addr, err := h.servers[i].Listen("127.0.0.1:0")
 		if err != nil {
@@ -118,9 +117,9 @@ func newEpochHarness(t *testing.T, p int, shm bool) *epochHarness {
 	return h
 }
 
-func (h *epochHarness) transport(t *testing.T, rank int, epoch uint64, cfg collective.TransportConfig) *collective.TCPTransport {
+func (h *epochHarness) transport(t *testing.T, rank int, epoch uint64) *collective.TCPTransport {
 	t.Helper()
-	tr, err := collective.NewNetTransport("elastic", rank, h.addrs, h.hubs[rank], 3*time.Second, epoch, cfg)
+	tr, err := collective.NewTCPTransport("elastic", rank, h.addrs, h.hubs[rank], 3*time.Second, epoch)
 	if err != nil {
 		t.Fatalf("rank %d epoch %d: %v", rank, epoch, err)
 	}
@@ -151,10 +150,8 @@ func TestEpochSupersede(t *testing.T) {
 	variants := []struct {
 		name string
 		shm  bool
-		cfg  collective.TransportConfig
 	}{
 		{name: "stream"},
-		{name: "call", cfg: collective.TransportConfig{Mode: collective.ModeCall}},
 		{name: "shm", shm: true},
 	}
 	for _, v := range variants {
@@ -163,13 +160,13 @@ func TestEpochSupersede(t *testing.T) {
 				skipIfNoShm(t)
 			}
 			h := newEpochHarness(t, 2, v.shm)
-			old0 := h.transport(t, 0, 1, v.cfg)
-			old1 := h.transport(t, 1, 1, v.cfg)
+			old0 := h.transport(t, 0, 1)
+			old1 := h.transport(t, 1, 1)
 			relay(t, old0, old1, "gen1", 1)
 
 			// The group re-forms at epoch 2 on both tasks.
-			new0 := h.transport(t, 0, 2, v.cfg)
-			new1 := h.transport(t, 1, 2, v.cfg)
+			new0 := h.transport(t, 0, 2)
+			new1 := h.transport(t, 1, 2)
 			defer new0.Close()
 			defer new1.Close()
 
@@ -197,7 +194,7 @@ func TestEpochSupersede(t *testing.T) {
 			}
 
 			// Re-initialising at the dead epoch is refused at construction.
-			if _, err := collective.NewNetTransport("elastic", 1, h.addrs, h.hubs[1], time.Second, 1, v.cfg); !collective.IsStaleEpoch(err) {
+			if _, err := collective.NewTCPTransport("elastic", 1, h.addrs, h.hubs[1], time.Second, 1); !collective.IsStaleEpoch(err) {
 				t.Fatalf("stale re-init: %v, want stale-epoch", err)
 			}
 
@@ -216,7 +213,7 @@ func TestEpochSupersede(t *testing.T) {
 func TestShmFencePoisonsStaleRing(t *testing.T) {
 	skipIfNoShm(t)
 	h := newEpochHarness(t, 2, true)
-	old0 := h.transport(t, 0, 1, collective.TransportConfig{})
+	old0 := h.transport(t, 0, 1)
 	defer old0.Close()
 
 	// Rank 1's transport is never constructed, so nothing drains its inbound
@@ -247,7 +244,7 @@ func TestShmFencePoisonsStaleRing(t *testing.T) {
 		t.Fatalf("send on poisoned ring: %v, want stale-epoch", err)
 	}
 	// ...and cannot be re-created at the fenced-out epoch.
-	if _, err := collective.NewNetTransport("elastic", 0, h.addrs, h.hubs[0], time.Second, 1, collective.TransportConfig{}); !collective.IsStaleEpoch(err) {
+	if _, err := collective.NewTCPTransport("elastic", 0, h.addrs, h.hubs[0], time.Second, 1); !collective.IsStaleEpoch(err) {
 		t.Fatalf("stale ring re-creation: %v, want stale-epoch", err)
 	}
 }

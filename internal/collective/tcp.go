@@ -14,7 +14,6 @@ import (
 	"tfhpc/internal/rpc"
 	"tfhpc/internal/telemetry"
 	"tfhpc/internal/tensor"
-	"tfhpc/internal/wire"
 )
 
 // DefaultRecvTimeout bounds how long a TCP Recv waits for a peer before
@@ -23,7 +22,7 @@ import (
 const DefaultRecvTimeout = 2 * time.Minute
 
 // Hub is the server side of the TCP transport: the inbox a task exposes over
-// internal/rpc. Register HandleSend under the "CollSend" method; every
+// internal/rpc. Register HandleStream under StreamMethod; every
 // TCPTransport on the task then drains its group's lanes from here.
 type Hub struct {
 	mu     sync.Mutex
@@ -134,70 +133,6 @@ func (h *Hub) Close() {
 	}
 }
 
-// HandleSend is the rpc.Handler for incoming chunks. Request encoding:
-//
-//	1 group, 2 from rank, 3 key, 4 tag, 5 tensor bytes, 6 epoch
-//
-// A chunk carrying an older epoch than the group's current incarnation is
-// rejected with a StaleEpochError; its text crosses the wire as the rpc
-// remote error, so the zombie sender sees the typed rejection.
-func (h *Hub) HandleSend(req []byte) ([]byte, error) {
-	var group, key string
-	var from int
-	var tg, epoch uint64
-	var t *tensor.Tensor
-	d := wire.NewDecoder(req)
-	for {
-		f, wt, err := d.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		switch f {
-		case 1:
-			if group, err = d.StringVal(); err != nil {
-				return nil, err
-			}
-		case 2:
-			v, err := d.Int()
-			if err != nil {
-				return nil, err
-			}
-			from = int(v)
-		case 3:
-			if key, err = d.StringVal(); err != nil {
-				return nil, err
-			}
-		case 4:
-			if tg, err = d.Uint(); err != nil {
-				return nil, err
-			}
-		case 5:
-			tb, err := d.Bytes()
-			if err != nil {
-				return nil, err
-			}
-			if t, _, err = tensor.Decode(tb); err != nil {
-				return nil, err
-			}
-		case 6:
-			if epoch, err = d.Uint(); err != nil {
-				return nil, err
-			}
-		default:
-			if err := d.Skip(wt); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if group == "" || t == nil {
-		return nil, fmt.Errorf("collective: malformed CollSend")
-	}
-	return nil, h.deliver(group, epoch, from, message{key: key, tag: tg, t: t})
-}
-
 // deliver lands one message in the group's epoch incarnation: the lookup
 // runs per message because a CollInit replacement swaps the group object
 // out, and a lane cached at edge setup would feed the poisoned old one.
@@ -222,23 +157,8 @@ func (h *Hub) failLane(group string, epoch uint64, from int, err error) {
 	g.lane(from).fail(err)
 }
 
-func encodeSend(group string, epoch uint64, from int, key string, tg uint64, t *tensor.Tensor) ([]byte, error) {
-	tb, err := t.Encode(nil)
-	if err != nil {
-		return nil, err
-	}
-	e := wire.NewEncoder()
-	e.String(1, group)
-	e.Int(2, int64(from))
-	e.String(3, key)
-	e.Uint(4, tg)
-	e.BytesField(5, tb)
-	e.Uint(6, epoch)
-	return e.Bytes(), nil
-}
-
 // StreamMethod is the rpc stream method name for persistent collective
-// edges; register Hub.HandleStream under it next to "CollSend".
+// edges; register Hub.HandleStream under it.
 const StreamMethod = "CollStream"
 
 // parseChunk decodes one relay record — the unit both stream edges and
@@ -281,7 +201,7 @@ func appendChunk(b []byte, key string, tg uint64, t *tensor.Tensor) ([]byte, err
 // inbound edge from a peer rank. The first frame identifies the edge
 // (uvarint group length | group | uvarint sender rank | uvarint epoch);
 // every later frame is one chunk record. Chunks land in the same lanes
-// CollSend fills, so receivers are transport-agnostic. An edge that ends
+// the shm drainers fill, so receivers are transport-agnostic. An edge that ends
 // abnormally poisons the sender's lane, cascading the failure to blocked
 // receivers instead of leaving them to wait out the receive timeout. An edge
 // whose epoch has been superseded gets a StaleEpochError back instead: the
@@ -370,25 +290,8 @@ func clonePooled(t *tensor.Tensor) *tensor.Tensor {
 	return c
 }
 
-// TransportMode selects how chunks leave a task over the network.
-type TransportMode int
-
-const (
-	// ModeStream ships chunks over one persistent rpc stream per edge — the
-	// default. The connection is dialed once at construction, frames flow
-	// under credit-based flow control, and the per-chunk cost is one framed
-	// write with no response round-trip.
-	ModeStream TransportMode = iota
-	// ModeCall round-trips one "CollSend" rpc per chunk — the legacy
-	// transport, kept as the baseline the streaming path is benchmarked
-	// against.
-	ModeCall
-)
-
 // TransportConfig tunes NewNetTransport beyond the defaults.
 type TransportConfig struct {
-	// Mode picks the network edge flavor (default ModeStream).
-	Mode TransportMode
 	// DisableShm forces network edges even to co-located peers. Set it for
 	// apples-to-apples network benchmarks; it must be uniform across the
 	// group (a mixed group would stream into rings nobody drains). The
@@ -474,28 +377,6 @@ func (e *streamEdge) close() {
 	e.c.Close()
 }
 
-// callEdge round-trips one rpc per chunk (ModeCall).
-type callEdge struct {
-	c     *rpc.Client
-	addr  string
-	group string
-	from  int
-	epoch uint64
-}
-
-func (e *callEdge) send(key string, tg uint64, t *tensor.Tensor) error {
-	req, err := encodeSend(e.group, e.epoch, e.from, key, tg, t)
-	if err != nil {
-		return err
-	}
-	if _, err := e.c.Call("CollSend", req); err != nil {
-		return fmt.Errorf("collective: send to %s: %w", e.addr, err)
-	}
-	return nil
-}
-
-func (e *callEdge) close() { e.c.Close() }
-
 // selfEdge hands chunks straight to the local hub.
 type selfEdge struct {
 	hub   *Hub
@@ -519,9 +400,9 @@ func (e *selfEdge) close() {}
 // is established eagerly and concurrently at construction — there is no
 // lazy dial under a lock on the send path — and each edge picks the fastest
 // available fabric: in-process shared memory when the peer's address is
-// registered in this process, a persistent rpc stream otherwise (or one rpc
-// call per chunk in ModeCall). Inbound traffic from all fabrics drains into
-// the task Hub's lanes, so Recv never cares how a chunk arrived.
+// registered in this process, a persistent rpc stream otherwise. Inbound
+// traffic from all fabrics drains into the task Hub's lanes, so Recv never
+// cares how a chunk arrived.
 type TCPTransport struct {
 	group   string
 	rank    int
@@ -619,10 +500,6 @@ func NewNetTransport(group string, rank int, addrs []string, hub *Hub, timeout t
 		wg.Add(1)
 		go func(to int) {
 			defer wg.Done()
-			if cfg.Mode == ModeCall {
-				t.edges[to] = &callEdge{c: rpc.Dial(t.addrs[to]), addr: t.addrs[to], group: group, from: rank, epoch: epoch}
-				return
-			}
 			t.edges[to], errs[to] = newStreamEdge(t.addrs[to], group, rank, epoch)
 		}(to)
 	}

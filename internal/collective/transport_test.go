@@ -25,7 +25,6 @@ func netGroups(t *testing.T, p int, opts collective.Options, cfg collective.Tran
 	for i := 0; i < p; i++ {
 		hubs[i] = collective.NewHub()
 		servers[i] = rpc.NewServer()
-		servers[i].Handle("CollSend", hubs[i].HandleSend)
 		servers[i].HandleStream(collective.StreamMethod, hubs[i].HandleStream)
 		addr, err := servers[i].Listen("127.0.0.1:0")
 		if err != nil {
@@ -77,7 +76,7 @@ func transportVariants(t *testing.T, opts collective.Options, fn func(t *testing
 		cfg      collective.TransportConfig
 	}{
 		{name: "stream"},
-		{name: "call", cfg: collective.TransportConfig{Mode: collective.ModeCall}},
+		{name: "stream_noshm", register: true, cfg: collective.TransportConfig{DisableShm: true}},
 		{name: "shm", register: true},
 		{name: "mixed", register: true, netOnly: map[int]bool{1: true, 3: true}},
 	}
@@ -269,69 +268,5 @@ func TestShmRelayAllocs(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(300, relay); avg != 0 {
 		t.Fatalf("shm relay allocates %.2f allocs/op, want 0", avg)
-	}
-}
-
-// BenchmarkChunkRelay measures the one-chunk round trip per fabric.
-func BenchmarkChunkRelay(b *testing.B) {
-	for _, mode := range []string{"stream", "call", "shm"} {
-		b.Run(mode, func(b *testing.B) {
-			p := 2
-			hubs := make([]*collective.Hub, p)
-			servers := make([]*rpc.Server, p)
-			inboxes := make([]*collective.ShmInbox, p)
-			addrs := make([]string, p)
-			for i := 0; i < p; i++ {
-				hubs[i] = collective.NewHub()
-				servers[i] = rpc.NewServer()
-				servers[i].Handle("CollSend", hubs[i].HandleSend)
-				servers[i].HandleStream(collective.StreamMethod, hubs[i].HandleStream)
-				addr, err := servers[i].Listen("127.0.0.1:0")
-				if err != nil {
-					b.Fatal(err)
-				}
-				addrs[i] = addr
-				if mode == "shm" {
-					inboxes[i] = collective.NewShmInbox()
-					collective.RegisterShm(addr, inboxes[i])
-				}
-			}
-			cfg := collective.TransportConfig{DisableShm: mode != "shm"}
-			if mode == "call" {
-				cfg.Mode = collective.ModeCall
-			}
-			trs := make([]*collective.TCPTransport, p)
-			for i := 0; i < p; i++ {
-				tr, err := collective.NewNetTransport("bench", i, addrs, hubs[i], 10*time.Second, 1, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				trs[i] = tr
-			}
-			defer func() {
-				for i := 0; i < p; i++ {
-					trs[i].Close()
-					if inboxes[i] != nil {
-						collective.UnregisterShm(addrs[i], inboxes[i])
-						inboxes[i].Close()
-					}
-					servers[i].Close()
-				}
-			}()
-			payload := randVec(3, 4096/8)
-			b.SetBytes(4096)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := trs[0].Send(1, "k", uint64(i), payload); err != nil {
-					b.Fatal(err)
-				}
-				got, err := trs[1].Recv(0, "k", uint64(i))
-				if err != nil {
-					b.Fatal(err)
-				}
-				tensor.Recycle(got)
-			}
-		})
 	}
 }

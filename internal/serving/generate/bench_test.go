@@ -8,8 +8,8 @@ import (
 
 // BenchmarkGenerateDecode drives the steady-state decode hot path: a
 // saturated batch with consumers keeping every window open, one token
-// consumed per iteration. CI runs it with -benchmem and gates allocs/op at
-// exactly zero (scripts/alloc_baseline.json).
+// consumed per iteration. TestSteadyStateDecodeAllocsZero pins its allocs/op
+// at exactly zero.
 func BenchmarkGenerateDecode(b *testing.B) {
 	const d = 64
 	w := make([]float64, d)

@@ -391,34 +391,40 @@ func TestRandomScheduleNeverLeaksOrContaminates(t *testing.T) {
 }
 
 // The steady-state token hot path — step, emit, window bookkeeping, consume
-// — allocates nothing. CI additionally gates BenchmarkGenerateDecode's
-// allocs/op at exactly zero.
+// — allocates nothing, with one sequence in a half-empty batch and with the
+// saturated batch BenchmarkGenerateDecode drives.
 func TestSteadyStateDecodeAllocsZero(t *testing.T) {
 	const d = 32
-	m := testModel(t, d)
-	eng := NewEngine(m, Options{MaxSlots: 2, TokenWindow: 256, MaxTokens: 1 << 30, DefaultDeadline: time.Hour})
-	defer eng.Close()
-	rng := rand.New(rand.NewSource(6))
-	s, err := eng.Submit(Request{Prompt: randPrompt(rng, d), MaxTokens: 1 << 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm the window and the runtime's channel/timer caches.
-	for i := 0; i < 1024; i++ {
-		if _, ok := s.Next(); !ok {
-			t.Fatal("sequence ended during warmup")
+	for _, tc := range []struct{ slots, seqs int }{{2, 1}, {4, 4}} {
+		m := testModel(t, d)
+		eng := NewEngine(m, Options{MaxSlots: tc.slots, TokenWindow: 256, MaxTokens: 1 << 30, DefaultDeadline: time.Hour})
+		rng := rand.New(rand.NewSource(6))
+		seqs := make([]*Sequence, tc.seqs)
+		for i := range seqs {
+			s, err := eng.Submit(Request{Prompt: randPrompt(rng, d), MaxTokens: 1 << 30})
+			if err != nil {
+				t.Fatal(err)
+			}
+			seqs[i] = s
 		}
-	}
-	avg := testing.AllocsPerRun(200, func() {
-		for i := 0; i < 32; i++ {
-			if _, ok := s.Next(); !ok {
-				t.Fatal("sequence ended mid-measurement")
+		next := func(n int) {
+			for i := 0; i < n; i++ {
+				for _, s := range seqs {
+					if _, ok := s.Next(); !ok {
+						t.Fatal("sequence ended early")
+					}
+				}
 			}
 		}
-	})
-	if avg != 0 {
-		t.Fatalf("steady-state decode allocates: %v allocs/run", avg)
+		// Warm the windows and the runtime's channel/timer caches.
+		next(1024)
+		if avg := testing.AllocsPerRun(200, func() { next(32) }); avg != 0 {
+			t.Fatalf("%d of %d slots: steady-state decode allocates %v allocs/run", tc.seqs, tc.slots, avg)
+		}
+		for _, s := range seqs {
+			s.Cancel()
+			drain(s)
+		}
+		eng.Close()
 	}
-	s.Cancel()
-	drain(s)
 }

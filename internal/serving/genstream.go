@@ -166,9 +166,7 @@ func parseGenerateReq(b []byte) (req generate.Request, model string, tsc telemet
 		Prompt:    prompt,
 		MaxTokens: int(maxTok),
 		StopBelow: math.Float64frombits(stopBits),
-	}
-	if budget > 0 {
-		req.Deadline = time.Now().Add(time.Duration(budget) * time.Microsecond)
+		Deadline:  budgetDeadline(budget),
 	}
 	return req, model, tsc, nil
 }

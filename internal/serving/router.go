@@ -31,11 +31,6 @@ type RouterOptions struct {
 	// MaxAttempts bounds the replicas tried per request (default: all
 	// replicas present at pick time).
 	MaxAttempts int
-	// DisableStreaming forces the per-call predict path. By default the
-	// router keeps a small pool of persistent predict streams per replica
-	// and falls back to calls only for replicas without the streaming
-	// endpoint.
-	DisableStreaming bool
 	// StreamsPerReplica caps the pooled predict streams kept per replica
 	// (default 8). Bursts beyond it open short-lived extra streams.
 	StreamsPerReplica int
@@ -71,10 +66,8 @@ type replica struct {
 	failUntil   atomic.Int64 // unixnano; 0 = healthy, benchForever = until Unbench
 	draining    atomic.Bool  // excluded from picks; RemoveReplica is waiting it out
 
-	// streams pools idle predict streams; noStream marks a replica whose
-	// server lacks the streaming endpoint, pinning it to the call path.
-	streams  chan *PredictStream
-	noStream atomic.Bool
+	// streams pools idle predict streams.
+	streams chan *PredictStream
 }
 
 // getStream reuses a pooled predict stream or opens a new one.
@@ -479,7 +472,8 @@ func (r *Router) route(model string, in *tensor.Tensor, deadline time.Time) (*te
 		r.bench(rep)
 		span.Arg("benched", rep.addr)
 		if ctx.Err() != nil {
-			return nil, mapRemoteErr(ctx.Err())
+			// The budget is spent: failover cannot help.
+			return nil, fmt.Errorf("%w: %v", ErrDeadline, ctx.Err())
 		}
 	}
 	if lastErr == nil {
@@ -488,26 +482,15 @@ func (r *Router) route(model string, in *tensor.Tensor, deadline time.Time) (*te
 	return nil, fmt.Errorf("serving: all replicas failed: %w", lastErr)
 }
 
-// predictOn sends one request to one replica, over a pooled predict stream
-// when possible, else over the call path. A replica without the streaming
-// endpoint is remembered and served by calls from then on.
+// predictOn sends one request to one replica over a pooled predict stream.
 func (r *Router) predictOn(ctx context.Context, rep *replica, model string, in *tensor.Tensor, deadline time.Time) (*tensor.Tensor, error) {
-	if !r.opts.DisableStreaming && !rep.noStream.Load() {
-		ps, err := rep.getStream()
-		if err == nil {
-			out, perr := ps.PredictTraced(telemetry.SpanFromContext(ctx).Context(), model, in, deadline)
-			if isNoStreamHandlerErr(perr) {
-				rep.noStream.Store(true)
-				rep.putStream(ps)
-				return PredictRemote(ctx, rep.client, model, in)
-			}
-			rep.putStream(ps)
-			return out, perr
-		}
-		// Opening the stream failed (dial-level): the call path shares the
-		// transport, so let it produce the canonical failure.
+	ps, err := rep.getStream()
+	if err != nil {
+		return nil, err
 	}
-	return PredictRemote(ctx, rep.client, model, in)
+	out, err := ps.PredictTraced(telemetry.SpanFromContext(ctx).Context(), model, in, deadline)
+	rep.putStream(ps)
+	return out, err
 }
 
 // Models implements Predictor by asking the first answering replica — the

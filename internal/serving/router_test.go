@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"tfhpc/internal/cluster"
+	"tfhpc/internal/rpc"
 	"tfhpc/internal/tensor"
 )
 
@@ -142,6 +143,17 @@ func TestRouterFailover(t *testing.T) {
 	}
 }
 
+// cannedPredictor is a replica whose outcomes the test dictates: every
+// predict fails with the (wrapped) error registered under the model name.
+type cannedPredictor map[string]error
+
+func (p cannedPredictor) Predict(model string, _ *tensor.Tensor, _ time.Time) (*tensor.Tensor, error) {
+	return nil, fmt.Errorf("replica says: %w", p[model])
+}
+func (cannedPredictor) Models() []ModelStatus      { return nil }
+func (cannedPredictor) Ready() bool                { return true }
+func (cannedPredictor) StatsJSON() ([]byte, error) { return []byte("{}"), nil }
+
 func TestRouterApplicationErrorsDoNotFailover(t *testing.T) {
 	const replicas, d = 2, 8
 	l, svcs := startReplicaFleet(t, replicas, d)
@@ -180,6 +192,34 @@ func TestRouterApplicationErrorsDoNotFailover(t *testing.T) {
 		t.Fatalf("replica dead after malformed request: %v", err)
 	}
 	_ = svcs
+
+	// The full error contract: each canonical outcome a replica can answer
+	// with crosses replica → router as its status byte and comes back as the
+	// errors.Is-equal value, without a failover.
+	canned := cannedPredictor{
+		"notfound": ErrNotFound, "overloaded": ErrOverloaded, "deadline": ErrDeadline,
+		"badinput": ErrBadInput, "closed": ErrClosed,
+	}
+	srv := rpc.NewServer()
+	Attach(srv, canned)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cr, err := NewRouter([]string{addr}, RouterOptions{DefaultDeadline: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cr.Close()
+	for model, want := range canned {
+		if _, err := cr.Predict(model, tensor.New(tensor.Float64, d), time.Time{}); !errors.Is(err, want) {
+			t.Fatalf("%s through the router: %v, want %v", model, err, want)
+		}
+	}
+	if n := cr.failovers.Load(); n != 0 {
+		t.Fatalf("canonical outcomes triggered %d failovers", n)
+	}
 }
 
 func TestRouterModelsAndReady(t *testing.T) {

@@ -3,14 +3,8 @@ package serving
 import (
 	"context"
 	"errors"
-	"fmt"
-	"io"
-	"strings"
-	"time"
 
 	"tfhpc/internal/rpc"
-	"tfhpc/internal/tensor"
-	"tfhpc/internal/wire"
 )
 
 // RPCMux is anything serving methods can be registered on: an rpc.Server,
@@ -19,139 +13,32 @@ import (
 // collectives.
 type RPCMux interface {
 	HandleCtx(method string, h rpc.CtxHandler)
+	HandleStream(method string, h rpc.StreamHandler)
 }
 
-// Attach registers the framed binary serving endpoint on mux:
+// Attach registers the framed binary serving endpoint on mux. Tensors ride
+// persistent streams; the unary call path carries control messages only:
 //
-//	ServingPredict  req: 1=model, 2=tensor bytes ([d] row or [n,d] batch)
-//	                resp: tensor bytes. Deadline rides the rpc frame.
-//	ServingModels   resp: JSON []ModelStatus
-//	ServingStats    resp: the same JSON payload as /statsz
-//
-// The per-call deadline arrives through the handler context (rpc
-// CallContext budget), so a serving timeout set by a router propagates to
-// the replica's admission queue instead of blocking forever.
+//	ServingPredictStream   stream: see PredictStreamMethod
+//	ServingGenerateStream  stream: see GenerateStreamMethod (Generators only)
+//	ServingModels          call, resp: JSON []ModelStatus
+//	ServingStats           call, resp: the same JSON payload as /statsz
 func Attach(mux RPCMux, p Predictor) {
-	mux.HandleCtx("ServingPredict", func(ctx context.Context, req []byte) ([]byte, error) {
-		model, in, err := decodePredict(req)
-		if err != nil {
-			return nil, err
-		}
-		var deadline time.Time
-		if dl, ok := ctx.Deadline(); ok {
-			deadline = dl
-		}
-		out, err := p.Predict(model, in, deadline)
-		if err != nil {
-			return nil, err
-		}
-		return out.Encode(nil)
-	})
 	mux.HandleCtx("ServingModels", func(context.Context, []byte) ([]byte, error) {
 		return marshalModels(p.Models())
 	})
 	mux.HandleCtx("ServingStats", func(context.Context, []byte) ([]byte, error) {
 		return p.StatsJSON()
 	})
-	// Muxes that can host streams also get the persistent streaming predict
-	// endpoint (ServingPredictStream); call-only muxes keep working without.
-	if sm, ok := mux.(StreamRPCMux); ok {
-		sm.HandleStream(PredictStreamMethod, func(st *rpc.Stream) error {
-			return servePredictStream(p, st)
+	mux.HandleStream(PredictStreamMethod, func(st *rpc.Stream) error {
+		return servePredictStream(p, st)
+	})
+	// Predictors that also generate get the sequence-streaming endpoint.
+	if g, ok := p.(Generator); ok {
+		mux.HandleStream(GenerateStreamMethod, func(st *rpc.Stream) error {
+			return serveGenerateStream(g, st)
 		})
-		// Predictors that also generate get the sequence-streaming endpoint.
-		if g, ok := p.(Generator); ok {
-			sm.HandleStream(GenerateStreamMethod, func(st *rpc.Stream) error {
-				return serveGenerateStream(g, st)
-			})
-		}
 	}
-}
-
-// EncodePredict builds a ServingPredict request frame.
-func EncodePredict(model string, in *tensor.Tensor) ([]byte, error) {
-	tb, err := in.Encode(nil)
-	if err != nil {
-		return nil, err
-	}
-	e := wire.NewEncoder()
-	e.String(1, model)
-	e.BytesField(2, tb)
-	return e.Bytes(), nil
-}
-
-func decodePredict(req []byte) (model string, in *tensor.Tensor, err error) {
-	d := wire.NewDecoder(req)
-	for {
-		f, wt, err := d.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return "", nil, err
-		}
-		switch f {
-		case 1:
-			if model, err = d.StringVal(); err != nil {
-				return "", nil, err
-			}
-		case 2:
-			tb, err := d.Bytes()
-			if err != nil {
-				return "", nil, err
-			}
-			if in, _, err = tensor.Decode(tb); err != nil {
-				return "", nil, err
-			}
-		default:
-			if err := d.Skip(wt); err != nil {
-				return "", nil, err
-			}
-		}
-	}
-	if model == "" || in == nil {
-		return "", nil, fmt.Errorf("%w: malformed ServingPredict request", ErrBadInput)
-	}
-	return model, in, nil
-}
-
-// PredictRemote issues one binary predict against a replica. The ctx
-// deadline propagates in the frame; remote serving errors are mapped back
-// to their canonical values so callers can classify outcomes as if local.
-func PredictRemote(ctx context.Context, c *rpc.Client, model string, in *tensor.Tensor) (*tensor.Tensor, error) {
-	req, err := EncodePredict(model, in)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.CallContext(ctx, "ServingPredict", req)
-	if err != nil {
-		return nil, mapRemoteErr(err)
-	}
-	out, _, err := tensor.Decode(resp)
-	return out, err
-}
-
-// mapRemoteErr recovers the canonical serving error from a remote error's
-// message, so ErrOverloaded/ErrDeadline/... survive the wire round-trip.
-func mapRemoteErr(err error) error {
-	if !rpc.IsRemote(err) {
-		// A client-side deadline while waiting on the replica is a deadline
-		// outcome: the budget is spent, failover cannot help.
-		if errors.Is(err, context.DeadlineExceeded) {
-			return fmt.Errorf("%w: %v", ErrDeadline, err)
-		}
-		return err
-	}
-	msg := err.Error()
-	for _, canon := range []error{ErrNotFound, ErrOverloaded, ErrDeadline, ErrBadInput, ErrClosed} {
-		if strings.Contains(msg, canon.Error()) {
-			return fmt.Errorf("%w (remote)", canon)
-		}
-	}
-	if strings.Contains(msg, context.DeadlineExceeded.Error()) {
-		return fmt.Errorf("%w (remote)", ErrDeadline)
-	}
-	return err
 }
 
 // isTransportErr reports whether err means the replica itself failed (dial

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"sync"
 	"time"
@@ -16,10 +17,10 @@ import (
 )
 
 // Streaming predict: one persistent rpc stream carries many predict
-// request/response pairs, replacing the per-request call round-trip (frame,
-// dispatch, handler goroutine, response frame) with two data frames on an
-// already-open channel. Requests on one stream are served in order; routers
-// keep a small pool of streams per replica for concurrency.
+// request/response pairs — two data frames on an already-open channel per
+// request, where a unary call would pay frame, dispatch, handler goroutine
+// and response frame each time. Requests on one stream are served in order;
+// routers keep a small pool of streams per replica for concurrency.
 //
 // Request frame:
 //
@@ -93,14 +94,6 @@ func errOfStatus(status byte, text []byte) error {
 	}
 }
 
-// StreamRPCMux is an RPCMux that can also host streaming methods — an
-// rpc.Server or cluster.Server. Attach registers the streaming predict
-// endpoint when the mux supports it, so plain-call-only muxes keep working.
-type StreamRPCMux interface {
-	RPCMux
-	HandleStream(method string, h rpc.StreamHandler)
-}
-
 // servePredictStream serves one client's predict stream until it closes.
 // Everything per-request is reused across the loop: the receive buffer, the
 // response scratch, the interned model name, and the fast-path output
@@ -133,10 +126,7 @@ func servePredictStream(p Predictor, st *rpc.Stream) error {
 			model = string(mb)
 			scratch, scratchOK = nil, false
 		}
-		var deadline time.Time
-		if budget > 0 {
-			deadline = time.Now().Add(time.Duration(budget) * time.Microsecond)
-		}
+		deadline := budgetDeadline(budget)
 		var span *telemetry.Span
 		if tsc.Valid() {
 			span = telemetry.StartChild(tsc, "stream_predict_serve")
@@ -242,6 +232,21 @@ func parseStreamPredict(b []byte) (reqID, budget uint64, tsc telemetry.SpanConte
 	}
 	b = b[n:]
 	return id, bud, tsc, b[:ml], b[ml:], nil
+}
+
+// budgetDeadline turns a request frame's budget (µs, 0 = none) into an
+// absolute deadline. The budget is untrusted: past math.MaxInt64 ns the
+// Duration multiply wraps negative and a "very long" deadline would expire
+// at once, so it saturates there.
+func budgetDeadline(budget uint64) time.Time {
+	const maxBudget = math.MaxInt64 / uint64(time.Microsecond)
+	if budget == 0 {
+		return time.Time{}
+	}
+	if budget > maxBudget {
+		budget = maxBudget
+	}
+	return time.Now().Add(time.Duration(budget) * time.Microsecond)
 }
 
 // appendStatus appends an error's status byte plus, for non-canonical
@@ -384,9 +389,9 @@ func (ps *PredictStream) PredictTraced(tsc telemetry.SpanContext, model string, 
 	}
 }
 
-// isNoStreamHandlerErr detects a replica that does not serve the streaming
-// method (an older build): the router falls back to the call path for it
-// rather than benching a healthy replica.
+// isNoStreamHandlerErr detects a replica that does not serve a streaming
+// method — Router.Generate meets one when a replica's predictor is not a
+// Generator, and moves the request on.
 func isNoStreamHandlerErr(err error) bool {
 	return err != nil && strings.Contains(err.Error(), "no stream handler")
 }

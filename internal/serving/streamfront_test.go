@@ -1,9 +1,9 @@
 package serving
 
 import (
-	"context"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -11,8 +11,8 @@ import (
 	"tfhpc/internal/tensor"
 )
 
-// startStreamServer hosts one Service behind a plain rpc.Server with both
-// the call and streaming predict endpoints attached.
+// startStreamServer hosts one Service behind a plain rpc.Server with the
+// serving endpoints attached.
 func startStreamServer(t testing.TB, d int, scale float64) (string, *Service) {
 	t.Helper()
 	srv := rpc.NewServer()
@@ -198,43 +198,39 @@ func TestStreamPredictHotSwap(t *testing.T) {
 	}
 }
 
-// TestRouterStreamingMatchesCalls runs the same traffic through a streaming
-// router and a call-only router: identical results, and the streaming one
-// must actually have pooled streams afterwards.
-func TestRouterStreamingMatchesCalls(t *testing.T) {
+// TestRouterStreamingMatchesLocal routes traffic over pooled predict
+// streams and checks every answer bit-for-bit against the in-process
+// Service.Predict of the same fleet; the router must actually have pooled
+// streams afterwards.
+func TestRouterStreamingMatchesLocal(t *testing.T) {
 	const replicas, d = 2, 24
-	l, _ := startReplicaFleet(t, replicas, d)
-	stream, err := NewRouter(l.Spec()["worker"], RouterOptions{DefaultDeadline: 5 * time.Second})
+	l, svcs := startReplicaFleet(t, replicas, d)
+	r, err := NewRouter(l.Spec()["worker"], RouterOptions{DefaultDeadline: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer stream.Close()
-	calls, err := NewRouter(l.Spec()["worker"], RouterOptions{DefaultDeadline: 5 * time.Second, DisableStreaming: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer calls.Close()
+	defer r.Close()
 
 	for k := 0; k < 30; k++ {
 		row := sliceRow(randRows(1, d, uint64(900+k)), 0)
-		a, err := stream.Predict("lin", row, time.Time{})
+		got, err := r.Predict("lin", row, time.Time{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := calls.Predict("lin", row, time.Time{})
+		want, err := svcs[k%replicas].Predict("lin", row, time.Time{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.F64()[0] != b.F64()[0] {
-			t.Fatalf("row %d: streaming %v != calls %v", k, a.F64()[0], b.F64()[0])
+		if math.Float64bits(got.F64()[0]) != math.Float64bits(want.F64()[0]) {
+			t.Fatalf("row %d: routed %v != in-process %v", k, got.F64()[0], want.F64()[0])
 		}
 	}
 	pooled := 0
-	for _, rep := range stream.replicas {
+	for _, rep := range r.replicas {
 		pooled += len(rep.streams)
 	}
 	if pooled == 0 {
-		t.Fatal("streaming router pooled no predict streams")
+		t.Fatal("router pooled no predict streams")
 	}
 }
 
@@ -267,40 +263,4 @@ func TestStreamPredictAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(300, predict); avg != 0 {
 		t.Fatalf("streaming predict allocates %.2f allocs/op, want 0", avg)
 	}
-}
-
-// BenchmarkPredictTransport compares the per-call and streaming predict
-// paths over real TCP loopback.
-func BenchmarkPredictTransport(b *testing.B) {
-	const d = 64
-	addr, _ := startStreamServer(b, d, 1)
-	row := sliceRow(randRows(1, d, 6), 0)
-
-	b.Run("call", func(b *testing.B) {
-		c := rpc.Dial(addr)
-		defer c.Close()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := PredictRemote(context.Background(), c, "lin", row); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("stream", func(b *testing.B) {
-		c := rpc.Dial(addr)
-		defer c.Close()
-		ps, err := OpenPredictStream(c)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer ps.Close()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			out, err := ps.Predict("lin", row, time.Time{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			tensor.Recycle(out)
-		}
-	})
 }

@@ -113,18 +113,12 @@ func decode(src []byte, pooled bool) (*Tensor, []byte, error) {
 	if rank > 32 {
 		return nil, src, fmt.Errorf("tensor: implausible rank %d", rank)
 	}
-	var t *Tensor
-	var elems int
-	if rank == 0 {
-		// Scalars are the streaming-predict per-row result shape; pool them
-		// like flat chunks so that decode path stays allocation-free too.
-		elems = 1
-		if pooled {
-			t = GetPooledScalar(dt)
-		} else {
-			t = New(dt)
-		}
-	} else if rank == 1 {
+	// Read the shape and check the payload is all there before allocating:
+	// the header is untrusted, and a dozen bytes must not be able to demand
+	// gigabytes (or, through an overflowed dimension, a panic).
+	var shape Shape
+	elems := 1
+	if rank == 1 {
 		// Flat tensors skip the Shape allocation entirely and may come from
 		// the pool: this is the chunk-relay fast path.
 		d, n := binary.Uvarint(src)
@@ -136,33 +130,38 @@ func decode(src []byte, pooled bool) (*Tensor, []byte, error) {
 			return nil, src, ErrTooLarge
 		}
 		elems = int(d)
-		if pooled {
-			t = GetPooled(dt, elems)
-		} else {
-			t = New(dt, elems)
-		}
-	} else {
-		shape := make(Shape, rank)
+	} else if rank > 1 {
+		shape = make(Shape, rank)
+		limit := uint64(MaxEncodedBytes) / uint64(dt.Size())
 		for i := range shape {
 			d, n := binary.Uvarint(src)
 			if n <= 0 {
 				return nil, src, fmt.Errorf("tensor: truncated shape")
 			}
-			shape[i] = int(d)
 			src = src[n:]
+			if d > limit || uint64(elems)*d > limit {
+				return nil, src, ErrTooLarge
+			}
+			shape[i] = int(d)
+			elems *= int(d)
 		}
-		elems = shape.NumElements()
-		if int64(elems)*int64(dt.Size()) > MaxEncodedBytes {
-			return nil, src, ErrTooLarge
-		}
-		t = New(dt, shape...)
 	}
 	need := elems * dt.Size()
 	if len(src) < need {
-		if pooled {
-			Recycle(t)
-		}
 		return nil, src, fmt.Errorf("tensor: payload truncated: need %d bytes, have %d", need, len(src))
+	}
+	var t *Tensor
+	switch {
+	case rank == 0 && pooled:
+		// Scalars are the streaming-predict per-row result shape; pool them
+		// like flat chunks so that decode path stays allocation-free too.
+		t = GetPooledScalar(dt)
+	case rank == 1 && pooled:
+		t = GetPooled(dt, elems)
+	case rank == 1:
+		t = New(dt, elems)
+	default:
+		t = New(dt, shape...)
 	}
 	buf := src[:need]
 	switch dt {

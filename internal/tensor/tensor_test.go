@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
@@ -309,6 +310,13 @@ func TestDecodeErrors(t *testing.T) {
 	good, _ := FromF64(Shape{4}, []float64{1, 2, 3, 4}).Encode(nil)
 	if _, _, err := Decode(good[:len(good)-3]); err == nil {
 		t.Fatal("truncated payload should error")
+	}
+	// A rank-2 header whose dimension overflows int used to reach make()
+	// with a negative length and panic.
+	huge := binary.AppendUvarint([]byte{good[0], 2}, math.MaxUint64)
+	huge = binary.AppendUvarint(huge, 2)
+	if _, _, err := Decode(huge); err == nil {
+		t.Fatal("overflowing dimension should error")
 	}
 }
 
