@@ -77,8 +77,7 @@ func main() {
 	autoscale := flag.String("autoscale", "", `run the serving control plane over an in-process replica fleet: "min=1,max=4,target=8[,tick=250ms,up-cooldown=...,down-cooldown=...,p99-ceiling=...,hysteresis=...,ewma=...]"`)
 	canary := flag.String("canary", "", `canary rollout pacing (needs -autoscale): "steps=10;50;100[,hold=2s,maxp99=250ms,maxerr=0.01,min-samples=20,grace=...,remove-grace=...]"`)
 	sloWindow := flag.Duration("slo-window", 30*time.Second, "SLO monitor window for autoscale/canary decisions")
-	maxBatch := flag.Int("max-batch", 32, "micro-batcher flush threshold (1 disables batching)")
-	batchTimeout := flag.Duration("batch-timeout", 2*time.Millisecond, "micro-batcher coalescing window")
+	maxBatch := flag.Int("max-batch", 32, "micro-batcher largest batch (1 disables batching)")
 	queueDepth := flag.Int("queue", 1024, "per-model admission queue depth")
 	deadline := flag.Duration("deadline", time.Second, "default per-request deadline")
 	runners := flag.Int("runners", 2, "concurrent batch executors per model")
@@ -100,7 +99,6 @@ func main() {
 
 	batch := serving.BatchOptions{
 		MaxBatch:        *maxBatch,
-		Timeout:         *batchTimeout,
 		QueueDepth:      *queueDepth,
 		DefaultDeadline: *deadline,
 		Runners:         *runners,

@@ -2,6 +2,8 @@ package serving
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -12,18 +14,14 @@ import (
 
 // BatchOptions tune one model's micro-batcher and admission control.
 type BatchOptions struct {
-	// MaxBatch is the flush threshold: a forming batch is dispatched as
-	// soon as it holds this many rows (default 32). 1 disables coalescing.
+	// MaxBatch is the largest batch one session run serves (default 32).
+	// 1 disables coalescing.
 	MaxBatch int
-	// Timeout is the longest a first row waits for company before the
-	// partial batch flushes anyway (default 2ms) — the latency the batcher
-	// is allowed to spend buying arithmetic intensity.
-	Timeout time.Duration
 	// QueueDepth bounds the admission queue; enqueues beyond it are
 	// rejected immediately with ErrOverloaded (default 1024).
 	QueueDepth int
 	// Runners is the number of concurrent batch executors (default 2):
-	// while one batch runs the session, the next one forms.
+	// rows queue, and so coalesce, only while all of them are busy.
 	Runners int
 	// DefaultDeadline applies to requests that carry none (default 1s).
 	DefaultDeadline time.Duration
@@ -32,9 +30,6 @@ type BatchOptions struct {
 func (o BatchOptions) withDefaults() BatchOptions {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 32
-	}
-	if o.Timeout <= 0 {
-		o.Timeout = 2 * time.Millisecond
 	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 1024
@@ -48,58 +43,72 @@ func (o BatchOptions) withDefaults() BatchOptions {
 	return o
 }
 
-type result struct {
-	out *tensor.Tensor
-	err error
-}
-
+// request is one row's envelope.
 type request struct {
 	row      *tensor.Tensor // [features]
 	deadline time.Time
-	enq      time.Time   // when the row entered the admission queue
-	resp     chan result // buffered(1): a late runner response never blocks
+	enq      time.Time     // when the row was admitted
+	resp     chan *request // its call's channel
+	lead     bool          // this delivery on resp is a runner slot, not an answer: lead a batch from this row
+	out      *tensor.Tensor
+	err      error
 }
 
-// reqPool recycles request envelopes (struct + its buffered channel).
-// A request may be recycled only when no runner can still answer it: after
-// its response was received, or when it was never enqueued. On a deadline
-// expiry it is NOT recycled — the runner may yet send into resp — and is
-// left for the GC, which is exactly the old per-request cost, paid only on
-// the timeout edge.
-var reqPool = sync.Pool{New: func() any {
-	return &request{resp: make(chan result, 1)}
-}}
+// answer resolves r and wakes its caller.
+func (r *request) answer(out *tensor.Tensor, err error) {
+	r.out, r.err = out, err
+	r.resp <- r
+}
+
+// call is one Predict in flight — its rows' envelopes, the channel they come
+// back on, the deadline timer — recycled once every row is resolved.
+type call struct {
+	reqs  []request
+	resp  chan *request // cap >= len(reqs): a row is delivered at most once at a time, so no send blocks
+	timer *time.Timer
+}
+
+var callPool = sync.Pool{New: func() any { return new(call) }}
+
+func newCall(n int) *call {
+	c := callPool.Get().(*call)
+	if cap(c.reqs) < n {
+		c.reqs, c.resp = make([]request, n), make(chan *request, n)
+	}
+	c.reqs = c.reqs[:n]
+	return c
+}
+
+func (c *call) recycle() {
+	clear(c.reqs) // drop the tensor refs
+	callPool.Put(c)
+}
 
 // Batcher coalesces single-row predictions for one model into batched
-// session runs. Admission is a bounded queue (reject > queue > time out):
-// a full queue rejects instantly, queued rows carry deadlines, and expired
-// rows are dropped at flush time instead of wasting a session run.
+// session runs on its callers' goroutines — it owns none. A Predict that
+// finds a runner slot free leads: it runs a batch of itself plus whatever is
+// queued, then hands the slot to the head of the queue or frees it; one that
+// finds every slot taken queues. Batches so form only while every runner is
+// busy, and an idle service answers a lone row at once. Admission is reject
+// > queue > time out: a full queue rejects instantly, and a row whose
+// deadline passes in the queue is never run.
 type Batcher struct {
 	reg   *Registry
 	model string
 	opts  BatchOptions
 	stats *Stats
 
-	ch     chan *request
-	mu     sync.Mutex
-	closed bool
-	wg     sync.WaitGroup
+	mu      sync.Mutex
+	queue   []*request // admitted rows waiting for a leader, FIFO, at most QueueDepth
+	running int        // runner slots held by leaders, at most Runners
+	closed  bool
+	idle    *sync.Cond // Close waits here for running == 0
 }
 
-// NewBatcher starts a batcher (and its runner goroutines) over the
-// registry's named model.
+// NewBatcher returns a batcher over the registry's named model.
 func NewBatcher(reg *Registry, model string, opts BatchOptions) *Batcher {
-	b := &Batcher{
-		reg:   reg,
-		model: model,
-		opts:  opts.withDefaults(),
-		stats: &Stats{},
-		ch:    make(chan *request, opts.withDefaults().QueueDepth),
-	}
-	for i := 0; i < b.opts.Runners; i++ {
-		b.wg.Add(1)
-		go b.runner()
-	}
+	b := &Batcher{reg: reg, model: model, opts: opts.withDefaults(), stats: &Stats{}}
+	b.idle = sync.NewCond(&b.mu)
 	return b
 }
 
@@ -107,145 +116,205 @@ func NewBatcher(reg *Registry, model string, opts BatchOptions) *Batcher {
 func (b *Batcher) Stats() *Stats { return b.stats }
 
 // Pending is the current admission-queue depth.
-func (b *Batcher) Pending() int { return len(b.ch) }
+func (b *Batcher) Pending() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.queue)
+}
 
-// Close stops the runners after the queue drains; queued requests are
-// still answered.
+// Close refuses new rows and returns once every admitted one is answered.
 func (b *Batcher) Close() {
 	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return
-	}
 	b.closed = true
-	close(b.ch)
+	for b.running > 0 {
+		b.idle.Wait()
+	}
 	b.mu.Unlock()
-	b.wg.Wait()
 }
 
 // Predict serves one row (shape [features]) through the batcher, blocking
 // until the prediction, the deadline (zero = DefaultDeadline from now), or
-// rejection. The outcome is counted exactly once, here at the resolution
-// point: rejected at admission, expired at deadline, errored, or ok.
+// rejection.
 func (b *Batcher) Predict(row *tensor.Tensor, deadline time.Time) (*tensor.Tensor, error) {
-	if deadline.IsZero() {
-		deadline = time.Now().Add(b.opts.DefaultDeadline)
-	}
-	r := reqPool.Get().(*request)
-	r.row, r.deadline = row, deadline
+	c := newCall(1)
+	defer c.recycle()
+	c.reqs[0].row = row
+	b.serve(c, deadline)
+	return c.reqs[0].out, c.reqs[0].err
+}
 
+// serve admits c's rows in order under one lock acquisition and returns
+// when each is resolved. Every outcome is counted exactly once: rejected at
+// admission, expired at the deadline, errored, or ok.
+func (b *Batcher) serve(c *call, deadline time.Time) {
+	now := time.Now()
+	if deadline.IsZero() {
+		deadline = now.Add(b.opts.DefaultDeadline)
+	}
+	for i := range c.reqs {
+		r := &c.reqs[i]
+		r.deadline, r.enq, r.resp = deadline, now, c.resp
+	}
+
+	var own *request
+	rest := c.reqs
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
-		r.row = nil
-		reqPool.Put(r)
-		return nil, ErrClosed
-	}
-	r.enq = time.Now()
-	select {
-	case b.ch <- r:
-		b.mu.Unlock()
-		mBatchQueueDepth.Add(1)
-	default:
-		b.mu.Unlock()
-		b.stats.rejected.Add(1)
-		mBatchRejected.Inc()
-		r.row = nil
-		reqPool.Put(r)
-		return nil, ErrOverloaded
-	}
-
-	timer := time.NewTimer(time.Until(deadline))
-	defer timer.Stop()
-	select {
-	case res := <-r.resp:
-		r.row = nil
-		reqPool.Put(r) // answered: no runner holds it anymore
-		switch {
-		case res.err == nil:
-			return res.out, nil
-		case res.err == ErrDeadline:
-			b.stats.expired.Add(1)
-			mBatchExpired.Inc()
-		default:
-			b.stats.errs.Add(1)
-			mBatchErrors.Inc()
-		}
-		return nil, res.err
-	case <-timer.C:
-		// The runner may still answer into the buffered chan; the compute
-		// is wasted but nothing leaks or blocks. The request is NOT pooled.
-		b.stats.expired.Add(1)
-		mBatchExpired.Inc()
-		return nil, ErrDeadline
-	}
-}
-
-func (b *Batcher) runner() {
-	defer b.wg.Done()
-	var scratch []*request // reused batch backing across flushes
-	for first := range b.ch {
-		scratch = b.collect(scratch[:0], first)
-		b.flush(scratch)
-		for i := range scratch {
-			scratch[i] = nil // drop request refs until the next batch
-		}
-	}
-}
-
-// collect forms one batch in the caller's scratch slice: it has the first
-// row and keeps pulling until the batch is full or the coalescing window
-// closes.
-func (b *Batcher) collect(batch []*request, first *request) []*request {
-	batch = append(batch, first)
-	mBatchQueueDepth.Add(-1)
-	if b.opts.MaxBatch <= 1 {
-		return batch
-	}
-	timer := time.NewTimer(b.opts.Timeout)
-	defer timer.Stop()
-	for len(batch) < b.opts.MaxBatch {
-		select {
-		case r, ok := <-b.ch:
-			if !ok {
-				return batch
-			}
-			batch = append(batch, r)
-			mBatchQueueDepth.Add(-1)
-		case <-timer.C:
-			return batch
-		}
-	}
-	return batch
-}
-
-// flush runs one coalesced batch: expired and malformed rows are answered
-// individually (they never poison their batch-mates), the remainder is
-// stacked along the leading dimension and run as a single session run.
-func (b *Batcher) flush(batch []*request) {
-	span := telemetry.StartRoot("batcher_flush").Arg("model", b.model)
-	defer span.End()
-
-	mv, release, err := b.reg.Acquire(b.model)
-	if err != nil {
-		for _, r := range batch {
-			r.resp <- result{err: err}
+		for i := range rest {
+			rest[i].err = ErrClosed
 		}
 		return
 	}
-	defer release()
+	if b.running < b.opts.Runners { // a free slot means an empty queue: lead
+		b.running++
+		own, rest = &rest[0], rest[1:]
+	}
+	queued := min(len(rest), b.opts.QueueDepth-len(b.queue))
+	for i := range rest[:queued] {
+		b.queue = append(b.queue, &rest[i])
+	}
+	b.mu.Unlock()
+	mBatchQueueDepth.Add(int64(queued))
+	if rejected := rest[queued:]; len(rejected) > 0 {
+		for i := range rejected {
+			rejected[i].err = ErrOverloaded
+		}
+		b.stats.rejected.Add(int64(len(rejected)))
+		mBatchRejected.Add(int64(len(rejected)))
+	}
 
-	sig := mv.Signature()
+	unresolved := queued
+	var expire <-chan time.Time // a leader that queued nothing arms no timer
+	if own != nil {
+		unresolved++
+		b.lead(own)
+	}
+	if queued > 0 {
+		if d := time.Until(deadline); c.timer == nil {
+			c.timer = time.NewTimer(d)
+		} else {
+			c.timer.Reset(d)
+		}
+		defer c.timer.Stop() // go >= 1.23 timers: nothing stale is left in C for the next Reset
+		expire = c.timer.C
+	}
+	for unresolved > 0 {
+		select {
+		case r := <-c.resp:
+			if r.lead {
+				r.lead = false
+				b.lead(r)
+				continue
+			}
+			unresolved--
+			switch r.err {
+			case nil:
+			case ErrDeadline:
+				b.stats.expired.Add(1)
+				mBatchExpired.Inc()
+			default:
+				b.stats.errs.Add(1)
+				mBatchErrors.Inc()
+			}
+		case <-expire:
+			unresolved -= b.expire(c)
+			expire = nil
+		}
+	}
+}
+
+// expire removes c's rows that are still queued — they are never run — and
+// returns how many. A row already sealed or promoted is on its way back and
+// must still be received: a promoted row has to lead, or its slot is lost.
+func (b *Batcher) expire(c *call) int {
+	b.mu.Lock()
+	admitted := len(b.queue)
+	b.queue = slices.DeleteFunc(b.queue, func(r *request) bool {
+		if r.resp != c.resp {
+			return false
+		}
+		r.err = ErrDeadline
+		return true
+	})
+	n := admitted - len(b.queue)
+	b.mu.Unlock()
+	mBatchQueueDepth.Add(int64(-n))
+	b.stats.expired.Add(int64(n))
+	mBatchExpired.Add(int64(n))
+	wait := time.Since(c.reqs[0].enq).Seconds()
+	for range n {
+		mBatchQueueWait.Observe(wait)
+	}
+	return n
+}
+
+// lead runs one batch on the caller's goroutine — own, then up to
+// MaxBatch-1 rows off the head of the queue — and passes the slot on.
+func (b *Batcher) lead(own *request) {
+	mv, err := b.reg.acquireRef(b.model)
+
+	b.mu.Lock()
+	if 1+len(b.queue) < b.opts.MaxBatch {
+		// Whoever runs first after a flush — the promoted leader, or the
+		// first client back — would otherwise seal before any other runnable
+		// client has had the processor, and under load batches collapse to
+		// one row. One yield lets goroutines already runnable with a row in
+		// hand queue it; on an idle service it returns at once.
+		b.mu.Unlock()
+		runtime.Gosched()
+		b.mu.Lock()
+	}
+	k := min(len(b.queue), b.opts.MaxBatch-1)
+	batch := append(append(make([]*request, 0, 1+k), own), b.queue[:k]...)
+	b.queue = slices.Delete(b.queue, 0, k)
+	b.mu.Unlock()
+	mBatchQueueDepth.Add(int64(-k))
 	now := time.Now()
-	live := batch[:0]
 	for _, r := range batch {
 		mBatchQueueWait.Observe(now.Sub(r.enq).Seconds())
+	}
+
+	if err != nil {
+		fail(batch, err)
+	} else {
+		b.flush(mv, batch, now)
+		mv.release()
+	}
+
+	var next *request
+	b.mu.Lock()
+	if len(b.queue) > 0 {
+		next = b.queue[0]
+		b.queue = slices.Delete(b.queue, 0, 1)
+	} else if b.running--; b.running == 0 {
+		b.idle.Broadcast()
+	}
+	b.mu.Unlock()
+	if next != nil {
+		mBatchQueueDepth.Add(-1)
+		next.lead = true
+		next.resp <- next
+	}
+}
+
+// flush runs one sealed batch: expired and malformed rows are answered
+// individually (they never poison their batch-mates); a lone row goes to
+// the version's row kernel when it has one, anything else is stacked along
+// the leading dimension and run as a single session run.
+func (b *Batcher) flush(mv *ModelVersion, batch []*request, now time.Time) {
+	span := telemetry.StartRoot("batcher_flush").Arg("model", b.model)
+	defer span.End()
+
+	sig := mv.sig
+	live := batch[:0]
+	for _, r := range batch {
 		switch {
 		case now.After(r.deadline):
-			r.resp <- result{err: ErrDeadline}
+			r.answer(nil, ErrDeadline)
 		case r.row == nil || r.row.Rank() != 1 || r.row.Shape()[0] != sig.Features || !r.row.DType().IsFloat():
-			r.resp <- result{err: fmt.Errorf("%w: want [%d] %v row, got %v %v",
-				ErrBadInput, sig.Features, sig.DType, shapeOf(r.row), dtypeOf(r.row))}
+			r.answer(nil, fmt.Errorf("%w: want [%d] %v row, got %v %v",
+				ErrBadInput, sig.Features, sig.DType, shapeOf(r.row), dtypeOf(r.row)))
 		default:
 			live = append(live, r)
 		}
@@ -253,32 +322,45 @@ func (b *Batcher) flush(batch []*request) {
 	if len(live) == 0 {
 		return
 	}
+	if r := live[0]; len(live) == 1 && mv.rowKernel != nil && r.row.DType() == sig.DType {
+		out := tensor.New(sig.DType, mv.rowOutShape...)
+		mv.rowKernel(r.row, out)
+		b.recordBatch(1)
+		r.answer(out, nil)
+		return
+	}
 
 	in := stackRows(live, sig)
 	runSpan := span.Child("session_run").Arg("rows", strconv.Itoa(len(live)))
 	out, err := mv.Predict(in)
 	runSpan.End()
-	if err != nil {
-		for _, r := range live {
-			r.resp <- result{err: err}
-		}
-		return
-	}
-	if out.Rank() < 1 || out.Shape()[0] != len(live) {
-		err := fmt.Errorf("serving: model %s v%d returned %v for a %d-row batch",
+	if err == nil && (out.Rank() < 1 || out.Shape()[0] != len(live)) {
+		err = fmt.Errorf("serving: model %s v%d returned %v for a %d-row batch",
 			mv.model, mv.version, out.Shape(), len(live))
-		for _, r := range live {
-			r.resp <- result{err: err}
-		}
+	}
+	if err != nil {
+		fail(live, err)
 		return
 	}
-	b.stats.recordBatch(len(live))
-	mBatchBatches.Inc()
-	mBatchRows.Add(int64(len(live)))
-	mBatchSizeRows.Observe(float64(len(live)))
+	b.recordBatch(len(live))
 	for i, r := range live {
-		r.resp <- result{out: sliceRow(out, i)}
+		r.answer(sliceRow(out, i), nil)
 	}
+}
+
+// fail answers every row of batch with err.
+func fail(batch []*request, err error) {
+	for _, r := range batch {
+		r.answer(nil, err)
+	}
+}
+
+// recordBatch counts one executed batch of n rows.
+func (b *Batcher) recordBatch(n int) {
+	b.stats.recordBatch(n)
+	mBatchBatches.Inc()
+	mBatchRows.Add(int64(n))
+	mBatchSizeRows.Observe(float64(n))
 }
 
 func dtypeOf(t *tensor.Tensor) tensor.DType {
@@ -322,6 +404,16 @@ func stackRows(live []*request, sig Signature) *tensor.Tensor {
 		}
 		return tensor.FromF64(tensor.Shape{n, d}, buf)
 	}
+}
+
+// rowView is row i of a [n, features] float tensor as a [features] tensor
+// sharing its storage.
+func rowView(in *tensor.Tensor, i int) *tensor.Tensor {
+	d := in.Shape()[1]
+	if in.DType() == tensor.Float32 {
+		return tensor.FromF32(tensor.Shape{d}, in.F32()[i*d:(i+1)*d])
+	}
+	return tensor.FromF64(tensor.Shape{d}, in.F64()[i*d:(i+1)*d])
 }
 
 // sliceRow extracts row i of a batched output (shape = out.Shape()[1:], so

@@ -16,7 +16,7 @@ func testFleet(t *testing.T, n int) (*Fleet, *serving.Router) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fleet := NewFleet(router, &ClusterSpawner{Batch: serving.BatchOptions{Timeout: 200 * time.Microsecond}},
+	fleet := NewFleet(router, &ClusterSpawner{Batch: serving.BatchOptions{}},
 		FleetOptions{Warmup: WarmupConfig{Rounds: 1, MaxBatch: 4}, DrainTimeout: 2 * time.Second})
 	if err := fleet.SetModel("m", 1, LinearSource(testWeights(16, 1))); err != nil {
 		t.Fatal(err)
@@ -144,7 +144,7 @@ func TestFleetUnbenchRecovered(t *testing.T) {
 		t.Fatalf("restart on %s: %v", addr, err)
 	}
 	defer srv2.Close()
-	svc2 := serving.NewService(serving.NewRegistry(), serving.BatchOptions{Timeout: 200 * time.Microsecond})
+	svc2 := serving.NewService(serving.NewRegistry(), serving.BatchOptions{})
 	serving.Attach(srv2, svc2)
 	mv, err := serving.NewLinear("m", 1, testWeights(16, 1))
 	if err != nil {

@@ -109,7 +109,7 @@ func (ld *loadDriver) halt() (sent, ok, failed int64) {
 func testControlPlane(t *testing.T, replicas int) *ControlPlane {
 	t.Helper()
 	cp, err := New(Config{
-		Batch:  serving.BatchOptions{Timeout: 200 * time.Microsecond},
+		Batch:  serving.BatchOptions{},
 		Warmup: WarmupConfig{Rounds: 1, MaxBatch: 4},
 		Autoscaler: AutoscalerConfig{
 			Min: replicas, Max: replicas, Tick: 50 * time.Millisecond,
@@ -268,7 +268,10 @@ func TestRolloutRollsBackOnLatencyBreach(t *testing.T) {
 	ro, err := cp.StartRollout("m", 2, faultySource(testWeights(16, 2)), RolloutConfig{
 		Steps: []int{40}, Hold: 400 * time.Millisecond, MinSamples: 8,
 		MaxP99: 60 * time.Millisecond, MaxErrorRate: 0.99,
-		RemoveGrace: 150 * time.Millisecond, Poll: 20 * time.Millisecond,
+		// The grace must outlast the slowest request the split already sent
+		// to the canary: with both of its runners inside a 150ms run, a
+		// queued row waits one run out and then pays its own.
+		RemoveGrace: 400 * time.Millisecond, Poll: 20 * time.Millisecond,
 		SampleGrace: 10 * time.Second,
 	})
 	if err != nil {

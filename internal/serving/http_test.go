@@ -63,7 +63,7 @@ func TestHTTPPredict(t *testing.T) {
 // in their JSON rendering (same float64 bits → same marshalled text).
 func TestHTTPBatchedMatchesSingle(t *testing.T) {
 	const d, n = 12, 8
-	ts, _ := newHTTPServer(t, d, BatchOptions{MaxBatch: n, Timeout: 5 * time.Millisecond})
+	ts, _ := newHTTPServer(t, d, BatchOptions{MaxBatch: n})
 
 	rows := make([][]float64, n)
 	in := randRows(n, d, 99)

@@ -30,7 +30,7 @@ func TestHotSwapUnderLoad(t *testing.T) {
 		clients  = 8
 		versions = 12
 	)
-	svc := NewService(NewRegistry(), BatchOptions{MaxBatch: 8, Timeout: 500 * time.Microsecond})
+	svc := NewService(NewRegistry(), BatchOptions{MaxBatch: 8})
 	defer svc.Close()
 	mv, err := NewLinear("m", 1, constWeights(d, 1))
 	if err != nil {

@@ -27,7 +27,7 @@ func startReplicaFleet(t *testing.T, replicas, d int) (*cluster.Local, []*Servic
 	t.Cleanup(l.Close)
 	svcs := make([]*Service, replicas)
 	for i := 0; i < replicas; i++ {
-		svc := NewService(NewRegistry(), BatchOptions{MaxBatch: 8, Timeout: time.Millisecond})
+		svc := NewService(NewRegistry(), BatchOptions{MaxBatch: 8})
 		mv, err := NewLinear("lin", 1, linearWeights(d, 1))
 		if err != nil {
 			t.Fatal(err)
@@ -435,7 +435,7 @@ func TestRouterBenchUntilHealthyAndUnbench(t *testing.T) {
 		t.Fatalf("restart: %v", err)
 	}
 	defer srv.Close()
-	svc := NewService(NewRegistry(), BatchOptions{MaxBatch: 8, Timeout: time.Millisecond})
+	svc := NewService(NewRegistry(), BatchOptions{MaxBatch: 8})
 	defer svc.Close()
 	mv, err := NewLinear("lin", 1, linearWeights(d, 1))
 	if err != nil {

@@ -98,7 +98,7 @@ func (s *Service) Predict(model string, in *tensor.Tensor, deadline time.Time) (
 		return nil, fmt.Errorf("%w: nil input", ErrBadInput)
 	}
 	// Validate dtype before any row slicing: request tensors arrive from
-	// the wire, and sliceRow on a non-float tensor would panic.
+	// the wire, and rowView on a non-float tensor would panic.
 	if !in.DType().IsFloat() {
 		return nil, fmt.Errorf("%w: want a float tensor, got %v", ErrBadInput, in.DType())
 	}
@@ -106,60 +106,47 @@ func (s *Service) Predict(model string, in *tensor.Tensor, deadline time.Time) (
 	case 1:
 		return b.Predict(in, deadline)
 	case 2:
-		n := in.Shape()[0]
-		if n == 0 {
+		if in.Shape()[0] == 0 {
 			return nil, fmt.Errorf("%w: empty batch", ErrBadInput)
 		}
-		rows := make([]*tensor.Tensor, n)
-		for i := 0; i < n; i++ {
-			rows[i] = sliceRow(in, i)
+		// One admission for the n rows, as views: they keep their order in
+		// the queue and coalesce with concurrent traffic like single rows.
+		c := newCall(in.Shape()[0])
+		defer c.recycle()
+		for i := range c.reqs {
+			c.reqs[i].row = rowView(in, i)
 		}
-		outs := make([]rowOut, n)
-		var wg sync.WaitGroup
-		for i := range rows {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				out, err := b.Predict(rows[i], deadline)
-				outs[i] = rowOut{out, err}
-			}(i)
-		}
-		wg.Wait()
-		for _, o := range outs {
-			if o.err != nil {
-				return nil, o.err
+		b.serve(c, deadline)
+		for i := range c.reqs {
+			if err := c.reqs[i].err; err != nil {
+				return nil, err
 			}
 		}
-		return stackOutputs(outs, n)
+		return stackOutputs(c.reqs), nil
 	default:
 		return nil, fmt.Errorf("%w: want rank-1 row or rank-2 batch, got %v", ErrBadInput, in.Shape())
 	}
 }
 
-type rowOut struct {
-	out *tensor.Tensor
-	err error
-}
-
-// stackOutputs reassembles per-row outputs into one tensor with leading
-// dimension n.
-func stackOutputs(outs []rowOut, n int) (*tensor.Tensor, error) {
-	rest := outs[0].out.Shape()
+// stackOutputs reassembles answered rows into one tensor whose leading
+// dimension is their count.
+func stackOutputs(rows []request) *tensor.Tensor {
+	n, rest := len(rows), rows[0].out.Shape()
 	stride := rest.NumElements()
 	shape := append(tensor.Shape{n}, rest...)
-	switch outs[0].out.DType() {
+	switch rows[0].out.DType() {
 	case tensor.Float32:
 		buf := make([]float32, n*stride)
-		for i, o := range outs {
-			copy(buf[i*stride:(i+1)*stride], o.out.F32())
+		for i := range rows {
+			copy(buf[i*stride:(i+1)*stride], rows[i].out.F32())
 		}
-		return tensor.FromF32(shape, buf), nil
+		return tensor.FromF32(shape, buf)
 	default:
 		buf := make([]float64, n*stride)
-		for i, o := range outs {
-			copy(buf[i*stride:(i+1)*stride], o.out.F64())
+		for i := range rows {
+			copy(buf[i*stride:(i+1)*stride], rows[i].out.F64())
 		}
-		return tensor.FromF64(shape, buf), nil
+		return tensor.FromF64(shape, buf)
 	}
 }
 

@@ -9,7 +9,8 @@
 //   - Batcher: a dynamic micro-batcher that coalesces concurrent single-row
 //     Predict requests into one batched session run along the leading
 //     dimension, so the packed GEMM engine runs at matrix — not vector —
-//     arithmetic intensity. Flushes on max-batch-size or a small timeout.
+//     arithmetic intensity. No flush timer: callers lead batches themselves,
+//     and rows coalesce only while every runner is busy.
 //   - Admission control: bounded per-model queues with backpressure and
 //     per-request deadlines. The precedence is reject > queue > time out,
 //     and all three outcomes are counted.

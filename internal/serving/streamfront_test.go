@@ -16,7 +16,7 @@ import (
 func startStreamServer(t testing.TB, d int, scale float64) (string, *Service) {
 	t.Helper()
 	srv := rpc.NewServer()
-	svc := NewService(NewRegistry(), BatchOptions{MaxBatch: 8, Timeout: time.Millisecond})
+	svc := NewService(NewRegistry(), BatchOptions{MaxBatch: 8})
 	mv, err := NewLinear("lin", 1, linearWeights(d, scale))
 	if err != nil {
 		t.Fatal(err)

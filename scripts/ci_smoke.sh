@@ -157,7 +157,7 @@ run_core() {
   "$BIN/tfsgd" -mode real -features 64 -rows 256 -workers 2 -steps 30 -checkpoint "$CKPT"
 
   echo "smoke: booting tfserve on $SERVE_ADDR"
-  "$BIN/tfserve" -listen "$SERVE_ADDR" -model "smoke=$CKPT" -max-batch 32 -batch-timeout 5ms \
+  "$BIN/tfserve" -listen "$SERVE_ADDR" -model "smoke=$CKPT" -max-batch 32 \
     >"$LOGDIR/tfserve.log" 2>&1 &
   pids+=($!)
 
@@ -275,7 +275,7 @@ run_rollout() {
   "$BIN/tfsgd" -mode real -features 64 -rows 256 -workers 2 -steps 60 -checkpoint "$CKPT_V2"
 
   echo "smoke: booting tfserve control plane on $RADDR"
-  "$BIN/tfserve" -listen "$RADDR" -model "smoke=$CKPT_V1" -batch-timeout 1ms \
+  "$BIN/tfserve" -listen "$RADDR" -model "smoke=$CKPT_V1" \
     -autoscale "min=1,max=3,target=3,tick=100ms,down-cooldown=1500ms" \
     -canary "steps=25;100,hold=1200ms,maxp99=500ms,maxerr=0.02,min-samples=10" \
     -slo-window 10s \

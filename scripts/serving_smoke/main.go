@@ -95,7 +95,9 @@ func main() {
 	}
 	fmt.Printf("serving_smoke: %d batched answers bit-identical to single-request answers\n", n)
 
-	// The stats endpoint must prove the micro-batcher actually coalesced.
+	// The stats endpoint must prove the micro-batcher actually coalesced:
+	// the one n-row request above is admitted as a unit, so at least its
+	// rows shared session runs.
 	st, err := stats(*addr, *model)
 	if err != nil {
 		fatal(err)
