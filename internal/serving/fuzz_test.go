@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"testing"
@@ -113,6 +114,97 @@ func FuzzParseGenerateReq(f *testing.F) {
 		}
 		if !req.Deadline.IsZero() && req.Deadline.Before(start) {
 			t.Fatalf("deadline %v in the past", start.Sub(req.Deadline))
+		}
+	})
+}
+
+// serverFrames sends req — encoded by the real client — to the real server
+// on a raw stream and returns every response frame. With wait set it reads
+// nothing until the engine has stalled the sequence, so the frames after the
+// next credit grant carry a full token window.
+func serverFrames(f *testing.F, c *rpc.Client, svc *Service, model string, req generate.Request, wait bool) [][]byte {
+	f.Helper()
+	reqFrame := captureFrame(f, GenerateStreamMethod, func(c *rpc.Client) {
+		if gs, err := OpenGenerateStream(c, telemetry.SpanContext{}, model, req); err == nil {
+			gs.Next()
+		}
+	})
+	st, err := c.OpenStream(GenerateStreamMethod)
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.Send(reqFrame); err != nil {
+		f.Fatal(err)
+	}
+	if wait {
+		waitGenStats(f, svc, "a stalled sequence", func(s generate.Stats) bool { return s.Stalls > 0 })
+	}
+	var frames [][]byte
+	for {
+		b, err := st.Recv(nil)
+		if err != nil {
+			return frames
+		}
+		frames = append(frames, b)
+	}
+}
+
+// FuzzParseGenerateFrame: arbitrary bytes through the token-frame parser
+// must never panic, and a frame it accepts must be whole — exactly n tokens
+// with consecutive indexes — and re-encode to the very same bytes.
+func FuzzParseGenerateFrame(f *testing.F) {
+	addr, svc := startGenServer(f, 4)
+	c := rpc.Dial(addr)
+	defer c.Close()
+	prompt := []float64{0.5, -1, 2, 0.25}
+	one := serverFrames(f, c, svc, "gen", generate.Request{Prompt: prompt, MaxTokens: 1}, false)
+	if len(one) != 2 || one[0][0] != gfToken || one[1][0] != gfDone {
+		f.Fatalf("one-token sequence: want a token and a done frame, got %q", one)
+	}
+	var full []byte // the largest token frame of a stalled sequence
+	for _, b := range serverFrames(f, c, svc, "gen", generate.Request{Prompt: prompt, MaxTokens: 4096}, true) {
+		if b[0] == gfToken && len(b) > len(full) {
+			full = b
+		}
+	}
+	// A stalled slot holds a full window (TokenWindow = 32); the first frame
+	// drained after the stall takes one token plus a snapshot of ≥ 31 more.
+	if toks, err := parseTokenFrame(nil, full); err != nil || len(toks) < 32 {
+		f.Fatalf("stalled sequence sent no window-full frame (%d tokens, %v)", len(toks), err)
+	}
+	notFound := serverFrames(f, c, svc, "nope", generate.Request{Prompt: prompt, MaxTokens: 1}, false)
+	if len(notFound) != 1 || notFound[0][0] != gfError {
+		f.Fatalf("unknown model: want one error frame, got %q", notFound)
+	}
+	for _, frame := range [][]byte{one[0], full, one[1], notFound[0]} {
+		f.Add(frame)
+	}
+	f.Add(full[:len(full)-3])                                              // last value truncated
+	f.Add(append(full, 0))                                                 // trailing byte
+	f.Add([]byte{gfToken, 0x80, 0x00, 0x01, 0x00, 0, 0, 0, 0, 0, 0, 0, 0}) // padded index uvarint
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		toks, err := parseTokenFrame(nil, data)
+		if err != nil {
+			if len(toks) != 0 {
+				t.Fatalf("rejected frame still yielded %d tokens", len(toks))
+			}
+			return
+		}
+		first, k := binary.Uvarint(data[1:])
+		n, _ := binary.Uvarint(data[1+k:])
+		if uint64(len(toks)) != n || n == 0 {
+			t.Fatalf("accepted frame announces %d tokens, yielded %d", n, len(toks))
+		}
+		for i, tok := range toks {
+			if uint64(tok.Index) != first+uint64(i) {
+				t.Fatalf("token %d has index %d, want %d", i, tok.Index, first+uint64(i))
+			}
+		}
+		if re := appendTokenFrame(nil, toks); !bytes.Equal(re, data) {
+			t.Fatalf("re-encoding differs:\n got %x\nwant %x", re, data)
 		}
 	})
 }

@@ -97,6 +97,9 @@ func (s *Sequence) Next() (Token, bool) {
 	return t, ok
 }
 
+// Buffered reports how many tokens Next can return without blocking.
+func (s *Sequence) Buffered() int { return len(s.tokens) }
+
 // Finish reports why the sequence ended; valid once Next returned false.
 func (s *Sequence) Finish() (FinishReason, error) { return s.finish, s.err }
 

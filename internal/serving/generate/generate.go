@@ -82,10 +82,12 @@ type Token struct {
 // the next token and returns false once the sequence finished; Finish is
 // valid after that and reports why (with the error for abnormal ends).
 // Cancel may be called from any goroutine, at any time; the slot is
-// reclaimed at the next decode step. Both a local Sequence and a remote
-// relay implement it.
+// reclaimed at the next decode step. Buffered is the number of tokens Next
+// can return without blocking — what a relay drains into one frame. Both a
+// local Sequence and a remote relay implement it.
 type Stream interface {
 	Next() (Token, bool)
+	Buffered() int
 	Finish() (FinishReason, error)
 	Cancel()
 }

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -318,7 +319,24 @@ func TestGenerateStreamCancelFreesRemoteSlot(t *testing.T) {
 			t.Fatal("stream ended early")
 		}
 	}
+	// Cancel mid-frame: once the slot has stalled, the frames after the next
+	// credit grant carry a full window, so reading on reaches one quickly.
+	waitGenStats(t, svc, "a stalled slot", func(s generate.Stats) bool { return s.Stalls > 0 })
+	for i := 0; gs.Buffered() == 0; i++ {
+		if _, ok := gs.Next(); !ok || i > 1<<16 {
+			t.Fatalf("no multi-token frame after %d tokens (ok=%v)", i, ok)
+		}
+	}
 	gs.Cancel()
+	if n := gs.Buffered(); n != 0 {
+		t.Fatalf("Buffered() = %d after Cancel, want 0", n)
+	}
+	if tok, ok := gs.Next(); ok {
+		t.Fatalf("token %d returned after Cancel", tok.Index)
+	}
+	if reason, ferr := gs.Finish(); reason != generate.FinishCancelled || ferr != nil {
+		t.Fatalf("finish after Cancel (%s, %v), want (cancelled, nil)", reason, ferr)
+	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		var stats struct {
@@ -338,6 +356,199 @@ func TestGenerateStreamCancelFreesRemoteSlot(t *testing.T) {
 			t.Fatalf("remote cancel did not free the slot: %+v", stats.Generate)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// waitGenStats polls the service's one generative engine until cond holds.
+func waitGenStats(t testing.TB, svc *Service, what string, cond func(generate.Stats) bool) generate.Stats {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		s := svc.genStats()[0]
+		if cond(s) {
+			return s
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s: %+v", what, s)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestGenerateStreamSlowConsumerBound: a remote consumer that stops reading
+// stalls its own slot, and the server's lead over it stays within what the
+// credit window and one Buffered snapshot per frame allow (genstream.go).
+func TestGenerateStreamSlowConsumerBound(t *testing.T) {
+	const d = 16
+	// rpc's streamWindow frames in flight plus one blocked in Send, each at
+	// most TokenWindow+1 tokens, plus a full token window (engine default).
+	const streamWindow, tokenWindow = 64, 32
+	const bound = (streamWindow+1)*(tokenWindow+1) + tokenWindow
+	addr, svc := startGenServer(t, d)
+	c := rpc.Dial(addr)
+	defer c.Close()
+
+	prompt := genPrompt(rand.New(rand.NewSource(11)), d)
+	gs, err := OpenGenerateStream(c, telemetry.SpanContext{}, "gen", generate.Request{Prompt: prompt, MaxTokens: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gs.Cancel()
+	tok, ok := gs.Next()
+	if !ok {
+		t.Fatal("no first token")
+	}
+	got := []float64{tok.Value}
+
+	// The consumer stops reading. No fixed sleep: poll until the slot has
+	// stalled and the token count has held still for 50 polls in a row,
+	// checking the bound at every poll on the way.
+	last, held := int64(-1), 0
+	st := waitGenStats(t, svc, "the producer to stop", func(s generate.Stats) bool {
+		if s.Tokens > bound {
+			t.Fatalf("server emitted %d tokens to a consumer that read 1, bound %d", s.Tokens, bound)
+		}
+		if s.Tokens == last {
+			held++
+		} else {
+			last, held = s.Tokens, 0
+		}
+		return s.Stalls > 0 && held >= 50
+	})
+	t.Logf("lead over a stalled remote consumer: %d tokens (bound %d)", st.Tokens-1, bound)
+
+	// Read on: the resumed tokens are the sequential reference's, bit for bit.
+	total := int(st.Tokens) + 1000
+	for len(got) < total {
+		tok, ok := gs.Next()
+		if !ok {
+			t.Fatalf("stream ended after %d tokens", len(got))
+		}
+		if tok.Index != len(got) {
+			t.Fatalf("token index %d, want %d", tok.Index, len(got))
+		}
+		got = append(got, tok.Value)
+	}
+	for i, want := range genReference(d, prompt, total) {
+		if math.Float64bits(got[i]) != math.Float64bits(want) {
+			t.Fatalf("token %d diverged after the stall", i)
+		}
+	}
+}
+
+// TestGenerateStreamAllocs gates remote token streaming — client decode,
+// server encode, the engine step and the frames both ways — at 0 allocs.
+func TestGenerateStreamAllocs(t *testing.T) {
+	const d = 16
+	addr, _ := startGenServer(t, d)
+	c := rpc.Dial(addr)
+	defer c.Close()
+	gs, err := OpenGenerateStream(c, telemetry.SpanContext{}, "gen", generate.Request{
+		Prompt: genPrompt(rand.New(rand.NewSource(13)), d), MaxTokens: 1 << 20,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gs.Cancel()
+	next := func() {
+		if _, ok := gs.Next(); !ok {
+			t.Fatal("stream ended early")
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		next()
+	}
+	if avg := testing.AllocsPerRun(5000, next); avg != 0 {
+		t.Fatalf("remote token streaming allocates %.3f allocs/token, want 0", avg)
+	}
+}
+
+// TestRouterGenerateMultiTokenFrames: a router relays two concurrent
+// sequences whose frames carry many tokens each, exactly, and releases the
+// replica after both finish and after a mid-stream cancel.
+func TestRouterGenerateMultiTokenFrames(t *testing.T) {
+	const d, budget = 16, 3000
+	addr, svc := startGenServer(t, d)
+	r, err := NewRouter([]string{addr}, RouterOptions{DefaultDeadline: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	rng := rand.New(rand.NewSource(12))
+	prompts := [][]float64{genPrompt(rng, d), genPrompt(rng, d)}
+	streams := make([]generate.Stream, len(prompts))
+	for i, p := range prompts {
+		st, err := r.Generate("gen", generate.Request{Prompt: p, MaxTokens: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Cancel()
+		if n := st.Buffered(); n < 1 {
+			t.Fatalf("Buffered() = %d with the prefetched first token unread", n)
+		}
+		streams[i] = st
+	}
+	// Nobody reads until a window has filled: the frames relayed after that
+	// carry up to TokenWindow+1 tokens.
+	waitGenStats(t, svc, "a stalled slot", func(s generate.Stats) bool { return s.Stalls > 0 })
+
+	maxBuffered := make([]int, len(streams))
+	var wg sync.WaitGroup
+	for i, st := range streams {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			want := genReference(d, prompts[i], budget)
+			n := 0
+			for ; ; n++ {
+				tok, ok := st.Next()
+				if !ok {
+					break
+				}
+				if tok.Index != n || n >= budget || math.Float64bits(tok.Value) != math.Float64bits(want[n]) {
+					t.Errorf("sequence %d: token %d (index %d) diverged through the router", i, n, tok.Index)
+					return
+				}
+				maxBuffered[i] = max(maxBuffered[i], st.Buffered())
+			}
+			if reason, ferr := st.Finish(); reason != generate.FinishLength || ferr != nil || n != budget {
+				t.Errorf("sequence %d: finish (%s, %v) after %d tokens", i, reason, ferr, n)
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if max(maxBuffered[0], maxBuffered[1]) < 2 {
+		t.Fatalf("no multi-token frame relayed (max Buffered %v)", maxBuffered)
+	}
+	if n := r.Outstanding(); n != 0 {
+		t.Fatalf("outstanding %d after both sequences finished", n)
+	}
+
+	st, err := r.Generate("gen", generate.Request{Prompt: prompts[0], MaxTokens: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if _, ok := st.Next(); !ok {
+			t.Fatal("stream ended early")
+		}
+	}
+	st.Cancel()
+	if n := r.Outstanding(); n != 0 {
+		t.Fatalf("outstanding %d after a mid-stream cancel", n)
+	}
+	if tok, ok := st.Next(); ok {
+		t.Fatalf("token %d after Cancel", tok.Index)
+	}
+	s := waitGenStats(t, svc, "the cancelled slot to free", func(s generate.Stats) bool {
+		return s.Active == 0 && s.Cancelled > 0
+	})
+	if s.SlotLeaks != 0 {
+		t.Fatalf("slot leaks: %d", s.SlotLeaks)
 	}
 }
 

@@ -82,21 +82,22 @@ func serveGenerate(w http.ResponseWriter, r *http.Request, g Generator, model st
 
 	buf := make([]byte, 0, 128)
 	tokens := 0
-	for {
-		tok, ok := st.Next()
-		if !ok {
-			break
+	// One Flush per drained window, as the rpc front-end sends one frame.
+	for toks, ok := nextWindow(st, nil); ok; toks, ok = nextWindow(st, toks) {
+		buf = buf[:0]
+		for _, tok := range toks {
+			// Hand-rolled event body: FormatFloat 'g'/-1 round-trips the
+			// exact float64 bits, which the smoke client asserts token for
+			// token.
+			buf = append(buf, `data: {"index":`...)
+			buf = strconv.AppendInt(buf, int64(tok.Index), 10)
+			buf = append(buf, `,"token":`...)
+			buf = strconv.AppendFloat(buf, tok.Value, 'g', -1, 64)
+			buf = append(buf, `,"step":`...)
+			buf = strconv.AppendUint(buf, tok.Step, 10)
+			buf = append(buf, "}\n\n"...)
 		}
-		tokens++
-		// Hand-rolled event body: FormatFloat 'g'/-1 round-trips the exact
-		// float64 bits, which the smoke client asserts token for token.
-		buf = append(buf[:0], `data: {"index":`...)
-		buf = strconv.AppendInt(buf, int64(tok.Index), 10)
-		buf = append(buf, `,"token":`...)
-		buf = strconv.AppendFloat(buf, tok.Value, 'g', -1, 64)
-		buf = append(buf, `,"step":`...)
-		buf = strconv.AppendUint(buf, tok.Step, 10)
-		buf = append(buf, "}\n\n"...)
+		tokens += len(toks)
 		if _, err := w.Write(buf); err != nil {
 			return // client gone; the deferred Cancel frees the slot
 		}

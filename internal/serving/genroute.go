@@ -45,17 +45,14 @@ func (r *Router) Generate(model string, req generate.Request) (generate.Stream, 
 		rep.outstanding.Add(1)
 		mRouterOutstanding.Add(1)
 		gs, err := OpenGenerateStream(rep.client, span.Context(), model, req)
-		var first generate.Token
-		var hasFirst bool
 		if err == nil {
 			// Prefetch: the open itself rarely fails (streams ride a lazy
 			// mux), so the first token — or the finish — is the admission
 			// answer that decides failover.
-			first, hasFirst = gs.Next()
-			if !hasFirst {
-				if _, ferr := gs.Finish(); ferr != nil {
-					err = ferr
-				}
+			if _, ok := gs.Next(); ok {
+				gs.next-- // unread: the consumer's first Next returns it
+			} else if _, ferr := gs.Finish(); ferr != nil {
+				err = ferr
 			}
 		}
 		if err != nil {
@@ -78,7 +75,7 @@ func (r *Router) Generate(model string, req generate.Request) (generate.Stream, 
 		}
 		r.routed.Add(1)
 		mRouted.Inc()
-		return &routedGenStream{inner: gs, first: first, hasFirst: hasFirst, rep: rep, span: span}, nil
+		return &routedGenStream{GenerateStream: gs, rep: rep, span: span}, nil
 	}
 	span.End()
 	if lastErr == nil {
@@ -87,34 +84,26 @@ func (r *Router) Generate(model string, req generate.Request) (generate.Stream, 
 	return nil, fmt.Errorf("serving: all replicas failed: %w", lastErr)
 }
 
-// routedGenStream hands the prefetched first token back, then relays, and
-// releases the replica's outstanding slot exactly once when the sequence
-// ends (or is cancelled).
+// routedGenStream relays the replica's stream (whose Buffered counts the
+// unread prefetched token) and releases the replica's outstanding slot
+// exactly once when the sequence ends (or is cancelled).
 type routedGenStream struct {
-	inner    *GenerateStream
-	first    generate.Token
-	hasFirst bool
+	*GenerateStream
 	rep      *replica
 	span     *telemetry.Span
 	released atomic.Bool
 }
 
 func (s *routedGenStream) Next() (generate.Token, bool) {
-	if s.hasFirst {
-		s.hasFirst = false
-		return s.first, true
-	}
-	tok, ok := s.inner.Next()
+	tok, ok := s.GenerateStream.Next()
 	if !ok {
 		s.release()
 	}
 	return tok, ok
 }
 
-func (s *routedGenStream) Finish() (generate.FinishReason, error) { return s.inner.Finish() }
-
 func (s *routedGenStream) Cancel() {
-	s.inner.Cancel()
+	s.GenerateStream.Cancel()
 	s.release()
 }
 

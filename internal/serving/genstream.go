@@ -2,8 +2,8 @@ package serving
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"io"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -31,9 +31,18 @@ import (
 //
 // Response frames (server → client):
 //
-//	0x00 | uvarint index | uvarint step | 8-byte LE float64   one token
-//	0x01 | finish reason text                                 clean finish
-//	0x02 | status byte | error text                           error finish
+//	0x00 | uvarint firstIndex | uvarint n | n × (uvarint step | 8-byte LE float64)
+//	0x01 | finish reason text             clean finish
+//	0x02 | status byte | error text       error finish
+//
+// A token frame carries every token the sequence had buffered when the
+// handler woke (nextWindow: one Buffered snapshot), so it holds at most
+// TokenWindow+1 and a new sequence's first token does not queue behind
+// hundreds of one-token frames. The snapshot also bounds a stalled remote
+// consumer's lag: streamWindow frames in flight plus one blocked in Send,
+// each ≤ TokenWindow+1 tokens, plus a full token window —
+// (streamWindow+1)×(TokenWindow+1)+TokenWindow = 2177 tokens by default,
+// where one token per frame gave streamWindow+1+TokenWindow = 97.
 //
 // The finish frame, not the stream close, carries the outcome; a stream that
 // ends without one is a transport loss (ErrClosed), which is what lets the
@@ -86,15 +95,8 @@ func serveGenerateStream(g Generator, st *rpc.Stream) error {
 		}
 	}()
 	resp := make([]byte, 0, 32)
-	for {
-		tok, ok := seq.Next()
-		if !ok {
-			break
-		}
-		resp = append(resp[:0], gfToken)
-		resp = binary.AppendUvarint(resp, uint64(tok.Index))
-		resp = binary.AppendUvarint(resp, tok.Step)
-		resp = binary.LittleEndian.AppendUint64(resp, math.Float64bits(tok.Value))
+	for toks, ok := nextWindow(seq, nil); ok; toks, ok = nextWindow(seq, toks) {
+		resp = appendTokenFrame(resp[:0], toks)
 		if serr := st.Send(resp); serr != nil {
 			seq.Cancel()
 			for {
@@ -171,12 +173,90 @@ func parseGenerateReq(b []byte) (req generate.Request, model string, tsc telemet
 	return req, model, tsc, nil
 }
 
+// nextWindow blocks for a token, then drains the tokens one Buffered snapshot
+// reports: one rpc frame or SSE flush. False: the stream finished.
+func nextWindow(st generate.Stream, dst []generate.Token) ([]generate.Token, bool) {
+	tok, ok := st.Next()
+	if !ok {
+		return dst[:0], false
+	}
+	dst = append(dst[:0], tok)
+	for n := st.Buffered(); n > 0; n-- {
+		if tok, ok = st.Next(); !ok {
+			break
+		}
+		dst = append(dst, tok)
+	}
+	return dst, true
+}
+
+// appendTokenFrame encodes toks (n ≥ 1, consecutive indexes) as one frame.
+func appendTokenFrame(b []byte, toks []generate.Token) []byte {
+	b = append(b, gfToken)
+	b = binary.AppendUvarint(b, uint64(toks[0].Index))
+	b = binary.AppendUvarint(b, uint64(len(toks)))
+	for _, t := range toks {
+		b = binary.AppendUvarint(b, t.Step)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(t.Value))
+	}
+	return b
+}
+
+// parseTokenFrame decodes a token frame into dst[:0], validating all of it
+// (kind, n ≥ 1, entries, no tail, no index overflow, minimal uvarints) before
+// returning any token; an accepted frame re-encodes to the same bytes.
+func parseTokenFrame(dst []generate.Token, b []byte) ([]generate.Token, error) {
+	fail := func(what string) ([]generate.Token, error) {
+		return dst[:0], fmt.Errorf("malformed generate %s", what)
+	}
+	if len(b) == 0 || b[0] != gfToken {
+		return fail("token frame kind")
+	}
+	p := b[1:]
+	first, k := canonicalUvarint(p)
+	if k <= 0 {
+		return fail("token index")
+	}
+	p = p[k:]
+	n, k := canonicalUvarint(p)
+	// An entry is at least 9 bytes: n is bounded before dst grows.
+	if k <= 0 || n == 0 || n > uint64(len(p)-k)/9 || first > math.MaxInt-(n-1) {
+		return fail("token count")
+	}
+	p, dst = p[k:], dst[:0]
+	for i := uint64(0); i < n; i++ {
+		step, k := canonicalUvarint(p)
+		if k <= 0 || len(p)-k < 8 {
+			return fail("token entry")
+		}
+		v := math.Float64frombits(binary.LittleEndian.Uint64(p[k:]))
+		dst = append(dst, generate.Token{Index: int(first + i), Value: v, Step: step})
+		p = p[k+8:]
+	}
+	if len(p) != 0 {
+		return fail("token frame tail")
+	}
+	return dst, nil
+}
+
+// canonicalUvarint is binary.Uvarint refusing padded (non-minimal) encodings.
+func canonicalUvarint(b []byte) (uint64, int) {
+	v, n := binary.Uvarint(b)
+	if n > 1 && b[n-1] == 0 {
+		return 0, -1
+	}
+	return v, n
+}
+
 // GenerateStream is the client endpoint of one remote generated sequence.
 // It implements generate.Stream, so a relayed sequence consumes exactly like
 // a local one.
 type GenerateStream struct {
 	st   *rpc.Stream
 	rbuf []byte
+	// pend[next:]: decoded, not yet returned; consumer-owned, unlike cancelled.
+	pend []generate.Token
+	next int
 
 	cancelled atomic.Bool
 
@@ -220,12 +300,18 @@ func OpenGenerateStream(c *rpc.Client, tsc telemetry.SpanContext, model string, 
 	return &GenerateStream{st: st}, nil
 }
 
-// Next implements generate.Stream: it blocks for the next token frame.
+// Next implements generate.Stream: it serves the last decoded frame, then
+// blocks for the next one. After Cancel the rest of a frame is discarded.
 func (gs *GenerateStream) Next() (generate.Token, bool) {
+	if gs.Buffered() > 0 {
+		gs.next++
+		return gs.pend[gs.next-1], true
+	}
+	gs.pend, gs.next = gs.pend[:0], 0
 	for {
 		b, err := gs.st.Recv(gs.rbuf)
 		if err != nil {
-			if err == io.EOF && gs.cancelled.Load() {
+			if gs.cancelled.Load() {
 				// We reset the stream; the missing finish frame is ours.
 				gs.setFinish(generate.FinishCancelled, nil)
 			} else {
@@ -238,36 +324,26 @@ func (gs *GenerateStream) Next() (generate.Token, bool) {
 			continue
 		}
 		switch b[0] {
-		case gfToken:
-			p := b[1:]
-			idx, n := binary.Uvarint(p)
-			if n <= 0 {
-				gs.fail("token index")
-				return generate.Token{}, false
-			}
-			p = p[n:]
-			step, n := binary.Uvarint(p)
-			if n <= 0 || len(p[n:]) != 8 {
-				gs.fail("token frame")
-				return generate.Token{}, false
-			}
-			v := math.Float64frombits(binary.LittleEndian.Uint64(p[n:]))
-			return generate.Token{Index: int(idx), Value: v, Step: step}, true
 		case gfDone:
 			gs.setFinish(generate.FinishReason(b[1:]), nil)
 			gs.st.Close()
 			return generate.Token{}, false
 		case gfError:
 			if len(b) < 2 {
-				gs.fail("error frame")
+				gs.fail(errors.New("malformed generate error frame"))
 				return generate.Token{}, false
 			}
 			gs.setFinish(generate.FinishClosed, errOfStatus(b[1], b[2:]))
 			gs.st.Close()
 			return generate.Token{}, false
-		default:
-			gs.fail("frame kind")
-			return generate.Token{}, false
+		default: // a token frame, or rejected by the parser as an unknown kind
+			toks, perr := parseTokenFrame(gs.pend, b)
+			if perr != nil {
+				gs.fail(perr)
+				return generate.Token{}, false
+			}
+			gs.pend, gs.next = toks, 1
+			return toks[0], true
 		}
 	}
 }
@@ -277,6 +353,14 @@ func (gs *GenerateStream) Finish() (generate.FinishReason, error) {
 	gs.mu.Lock()
 	defer gs.mu.Unlock()
 	return gs.finish, gs.err
+}
+
+// Buffered implements generate.Stream: the decoded tokens Next has left.
+func (gs *GenerateStream) Buffered() int {
+	if gs.cancelled.Load() {
+		return 0
+	}
+	return len(gs.pend) - gs.next
 }
 
 // Cancel implements generate.Stream: tearing the stream down resets it on
@@ -294,8 +378,8 @@ func (gs *GenerateStream) setFinish(reason generate.FinishReason, err error) {
 	gs.mu.Unlock()
 }
 
-func (gs *GenerateStream) fail(what string) {
-	gs.setFinish(generate.FinishClosed, fmt.Errorf("%w: malformed generate %s", ErrClosed, what))
+func (gs *GenerateStream) fail(err error) {
+	gs.setFinish(generate.FinishClosed, fmt.Errorf("%w: %v", ErrClosed, err))
 	gs.st.Close()
 }
 
