@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -54,8 +57,10 @@ func hugeBudget(frame []byte, skip int) []byte {
 }
 
 // FuzzParseStreamPredict: arbitrary bytes through the predict request
-// parser must error or split cleanly — never panic — and any budget it
-// yields, however large, must become a deadline that has not already passed.
+// parser must error or split cleanly — never panic — any budget it yields,
+// however large, must become a deadline that has not already passed, and an
+// accepted frame must re-encode through the client's encoder (reqID, then
+// appendHeader, as PredictTraced builds it) to the very same bytes.
 func FuzzParseStreamPredict(f *testing.F) {
 	for _, in := range []*tensor.Tensor{sliceRow(randRows(1, 16, 1), 0), randRows(3, 4, 2)} {
 		frame := captureFrame(f, PredictStreamMethod, func(c *rpc.Client) {
@@ -74,20 +79,22 @@ func FuzzParseStreamPredict(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		start := time.Now()
-		_, budget, _, model, tb, err := parseStreamPredict(data)
+		reqID, budget, tsc, model, tb, err := parseStreamPredict(data)
 		if err != nil {
 			return
 		}
-		if len(model)+len(tb) > len(data) {
-			t.Fatalf("model+tensor %d bytes out of a %d-byte frame", len(model)+len(tb), len(data))
-		}
-		if dl := budgetDeadline(budget); budget > 0 && dl.Before(start) {
+		if dl := budgetDeadline(budget, time.Microsecond); budget > 0 && dl.Before(start) {
 			t.Fatalf("budget %dµs became a deadline %v in the past", budget, start.Sub(dl))
+		}
+		re := appendHeader(binary.AppendUvarint(nil, reqID), budget, tsc, string(model))
+		if re = append(re, tb...); !bytes.Equal(re, data) {
+			t.Fatalf("re-encoding differs:\n got %x\nwant %x", re, data)
 		}
 	})
 }
 
-// FuzzParseGenerateReq is the same contract for the generate request frame.
+// FuzzParseGenerateReq is the same contract for the generate request frame,
+// whose client encoder is appendGenerateReq.
 func FuzzParseGenerateReq(f *testing.F) {
 	frame := captureFrame(f, GenerateStreamMethod, func(c *rpc.Client) {
 		gs, err := OpenGenerateStream(c, telemetry.SpanContext{Trace: 3, Span: 4}, "gen", generate.Request{
@@ -99,21 +106,79 @@ func FuzzParseGenerateReq(f *testing.F) {
 		gs.Next() // returns once the capturing handler has read the frame and closed
 	})
 	f.Add(frame)
-	f.Add(hugeBudget(frame, 0))
+	f.Add(hugeBudget(frame, 0)) // the shared header comes first
 	f.Add(frame[:len(frame)-3]) // prompt no longer a whole number of float64s
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		start := time.Now()
-		req, _, _, err := parseGenerateReq(data)
+		budget, tsc, model, req, err := parseGenerateReq(data)
 		if err != nil {
 			return
 		}
 		if len(req.Prompt) == 0 {
 			t.Fatal("accepted a request with no prompt")
 		}
-		if !req.Deadline.IsZero() && req.Deadline.Before(start) {
-			t.Fatalf("deadline %v in the past", start.Sub(req.Deadline))
+		if dl := budgetDeadline(budget, time.Microsecond); budget > 0 && dl.Before(start) {
+			t.Fatalf("budget %dµs became a deadline %v in the past", budget, start.Sub(dl))
+		}
+		if re := appendGenerateReq(nil, budget, tsc, model, req); !bytes.Equal(re, data) {
+			t.Fatalf("re-encoding differs:\n got %x\nwant %x", re, data)
+		}
+	})
+}
+
+// FuzzHTTPRequest drives the HTTP front-end's request decoding — the shared
+// preamble (body, JSON, X-Deadline-Ms), then instancesTensor for :predict
+// and decodeGenerate for :generate — with arbitrary bodies and deadline
+// headers. It must never panic; an accepted deadline has not already
+// passed, an accepted predict body is an [n, d] float64 tensor with n, d ≥ 1,
+// and an accepted generate body has a prompt.
+func FuzzHTTPRequest(f *testing.F) {
+	smokeRow := strings.Repeat("0.1,", 31) + "0.1"
+	for _, body := range []string{
+		// http_test.go
+		`{"instances": [[1,1,1,1,1,1],[0,0,0,0,0,0]]}`,
+		`{"instances": [0,0,0,0,0,0]}`,
+		`{"instances": [[1,2,3]]}`,
+		`{"instances": []}`,
+		`not json`,
+		`{}`,
+		// ci_smoke.sh's bit-identity body; the smoke clients marshal the
+		// same shapes.
+		`{"instances": [[` + smokeRow + `]]}`,
+		// generative_test.go and generate_smoke
+		`{"prompt": [0.5, -1, 2, 0.25], "max_tokens": 25}`,
+		`{"prompt": [0.5], "max_tokens": 1048576, "stop_below": 0.001}`,
+		`{"prompt": [], "max_tokens": 5}`,
+	} {
+		for _, deadline := range []string{"", "250", "9223372036854775807", "99999999999999999999", "0", "-1", "+5", "soon"} {
+			f.Add([]byte(body), deadline)
+		}
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte, deadlineHdr string) {
+		request := func() *http.Request {
+			r := httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body))
+			if deadlineHdr != "" {
+				r.Header.Set("X-Deadline-Ms", deadlineHdr)
+			}
+			return r
+		}
+		start := time.Now()
+		var pr predictRequest
+		if deadline, err := decodeRequest(request(), &pr); err == nil {
+			if !deadline.IsZero() && deadline.Before(start) {
+				t.Fatalf("X-Deadline-Ms %q became a deadline %v in the past", deadlineHdr, start.Sub(deadline))
+			}
+			if in, err := instancesTensor(pr.Instances); err == nil {
+				if s := in.Shape(); in.DType() != tensor.Float64 || len(s) != 2 || s[0] < 1 || s[1] < 1 {
+					t.Fatalf("accepted predict body became a %v %v tensor", in.DType(), s)
+				}
+			}
+		}
+		if req, err := decodeGenerate(request()); err == nil && len(req.Prompt) == 0 {
+			t.Fatal("accepted a generate body with no prompt")
 		}
 	})
 }

@@ -16,17 +16,6 @@ import (
 // train → checkpoint → serve loop to token streaming.
 const GenerativeGraphID = "tfhpc/serving/generative"
 
-// Generator is the generative front-end contract, the sequence-streaming
-// sibling of Predictor: both a local Service (engine per model) and a Router
-// (remote relay with failover) implement it, so the HTTP and binary
-// front-ends serve either interchangeably.
-type Generator interface {
-	// Generate admits one request and returns its token stream. The request
-	// deadline bounds time-to-first-token; errors are the canonical serving
-	// set (ErrNotFound/ErrOverloaded/ErrDeadline/ErrBadInput/ErrClosed).
-	Generate(model string, req generate.Request) (generate.Stream, error)
-}
-
 // mapGenErr maps the generate package's sentinels onto the serving canonical
 // set, so HTTP codes and wire status bytes stay exact for generative
 // outcomes too.
@@ -106,7 +95,7 @@ func (s *Service) ServeGenerative(name string, version int, w *tensor.Tensor, op
 	return nil
 }
 
-// Generate implements Generator on the local service.
+// Generate implements Predictor on the local service: one engine per model.
 func (s *Service) Generate(model string, req generate.Request) (generate.Stream, error) {
 	s.mu.Lock()
 	if s.closed {

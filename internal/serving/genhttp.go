@@ -2,12 +2,9 @@ package serving
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
-	"time"
 
 	"tfhpc/internal/serving/generate"
 )
@@ -23,46 +20,36 @@ type generateRequest struct {
 	StopBelow float64 `json:"stop_below"`
 }
 
+// decodeGenerate reads a :generate request through the shared preamble.
+func decodeGenerate(r *http.Request) (generate.Request, error) {
+	var body generateRequest
+	deadline, err := decodeRequest(r, &body)
+	if err != nil {
+		return generate.Request{}, err
+	}
+	if len(body.Prompt) == 0 {
+		return generate.Request{}, fmt.Errorf("%w: missing prompt", ErrBadInput)
+	}
+	return generate.Request{
+		Prompt:    body.Prompt,
+		MaxTokens: body.MaxTokens,
+		StopBelow: body.StopBelow,
+		Deadline:  deadline,
+	}, nil
+}
+
 // serveGenerate streams one generation as server-sent events. Each token is
 // one `data:` event; a final event carries the finish reason. Errors before
 // the first byte map to the usual JSON error + status; once streaming, an
 // `event: error` frame ends the stream instead (the status line is spent).
 // A client disconnect cancels the sequence, freeing its decode slot.
-func serveGenerate(w http.ResponseWriter, r *http.Request, g Generator, model string) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
+func serveGenerate(w http.ResponseWriter, r *http.Request, p Predictor, model string) {
+	req, err := decodeGenerate(r)
 	if err != nil {
-		writeError(w, fmt.Errorf("%w: %v", ErrBadInput, err))
+		writeError(w, err)
 		return
 	}
-	if len(body) > maxBodyBytes {
-		writeError(w, fmt.Errorf("%w: body over %d bytes", ErrOverloaded, maxBodyBytes))
-		return
-	}
-	var req generateRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, fmt.Errorf("%w: %v", ErrBadInput, err))
-		return
-	}
-	if len(req.Prompt) == 0 {
-		writeError(w, fmt.Errorf("%w: missing prompt", ErrBadInput))
-		return
-	}
-	var deadline time.Time
-	if h := r.Header.Get("X-Deadline-Ms"); h != "" {
-		ms, err := strconv.Atoi(h)
-		if err != nil || ms <= 0 {
-			writeError(w, fmt.Errorf("%w: bad X-Deadline-Ms %q", ErrBadInput, h))
-			return
-		}
-		deadline = time.Now().Add(time.Duration(ms) * time.Millisecond)
-	}
-
-	st, err := g.Generate(model, generate.Request{
-		Prompt:    req.Prompt,
-		MaxTokens: req.MaxTokens,
-		StopBelow: req.StopBelow,
-		Deadline:  deadline,
-	})
+	st, err := p.Generate(model, req)
 	if err != nil {
 		writeError(w, err)
 		return

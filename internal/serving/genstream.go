@@ -21,13 +21,12 @@ import (
 //
 // Request frame (client → server, exactly one):
 //
-//	uvarint budget µs (0 = none) | uvarint trace | uvarint span |
-//	uvarint maxTokens | uvarint stopBelowBits (Float64bits) |
-//	uvarint len(model) | model | prompt (8-byte LE float64 each)
+//	header | uvarint maxTokens | uvarint stopBelowBits (Float64bits) | prompt (8-byte LE float64 each)
 //
-// budget bounds time-to-first-token (the admission deadline); trace/span are
-// the caller's telemetry ids as in streaming predict. Any later frame from
-// the client — or tearing the stream down (reset) — cancels the sequence.
+// where header is the request header streaming predict also carries
+// (parseHeader); its budget bounds time-to-first-token (the admission
+// deadline). Any later frame from the client — or tearing the stream down
+// (reset) — cancels the sequence.
 //
 // Response frames (server → client):
 //
@@ -57,22 +56,23 @@ const (
 )
 
 // serveGenerateStream serves one generated sequence over one rpc stream.
-func serveGenerateStream(g Generator, st *rpc.Stream) error {
+func serveGenerateStream(p Predictor, st *rpc.Stream) error {
 	buf, err := st.Recv(nil)
 	if err != nil {
 		return err
 	}
-	req, model, tsc, perr := parseGenerateReq(buf)
+	budget, tsc, model, req, perr := parseGenerateReq(buf)
 	if perr != nil {
 		return perr // protocol violation: reset the stream
 	}
+	req.Deadline = budgetDeadline(budget, time.Microsecond)
 	var span *telemetry.Span
 	if tsc.Valid() {
 		span = telemetry.StartChild(tsc, "stream_generate_serve").Arg("model", model)
 	}
 	defer span.End()
 
-	seq, gerr := g.Generate(model, req)
+	seq, gerr := p.Generate(model, req)
 	if gerr != nil {
 		resp := appendStatus([]byte{gfError}, gerr)
 		st.Send(resp)
@@ -120,57 +120,43 @@ func serveGenerateStream(g Generator, st *rpc.Stream) error {
 	return nil
 }
 
-// parseGenerateReq splits the single request frame; model aliases b.
-func parseGenerateReq(b []byte) (req generate.Request, model string, tsc telemetry.SpanContext, err error) {
-	fail := func(what string) (generate.Request, string, telemetry.SpanContext, error) {
-		return generate.Request{}, "", telemetry.SpanContext{}, fmt.Errorf("serving: malformed generate %s", what)
+// parseGenerateReq splits the single request frame. The request's Deadline
+// is left zero: the caller turns budget into it.
+func parseGenerateReq(b []byte) (budget uint64, tsc telemetry.SpanContext, model string, req generate.Request, err error) {
+	budget, tsc, mb, b, err := parseHeader(b)
+	if err != nil {
+		return 0, tsc, "", req, err
 	}
-	budget, n := binary.Uvarint(b)
+	maxTok, n := canonicalUvarint(b)
 	if n <= 0 {
-		return fail("budget")
+		return 0, tsc, "", req, errors.New("serving: malformed generate max tokens")
 	}
 	b = b[n:]
-	tsc.Trace, n = binary.Uvarint(b)
+	stopBits, n := canonicalUvarint(b)
 	if n <= 0 {
-		return fail("trace id")
+		return 0, tsc, "", req, errors.New("serving: malformed generate stop threshold")
 	}
 	b = b[n:]
-	tsc.Span, n = binary.Uvarint(b)
-	if n <= 0 {
-		return fail("span id")
-	}
-	b = b[n:]
-	maxTok, n := binary.Uvarint(b)
-	if n <= 0 {
-		return fail("max tokens")
-	}
-	b = b[n:]
-	stopBits, n := binary.Uvarint(b)
-	if n <= 0 {
-		return fail("stop threshold")
-	}
-	b = b[n:]
-	ml, n := binary.Uvarint(b)
-	if n <= 0 || ml > uint64(len(b)-n) {
-		return fail("model name")
-	}
-	b = b[n:]
-	model = string(b[:ml])
-	b = b[ml:]
 	if len(b)%8 != 0 || len(b) == 0 {
-		return fail("prompt")
+		return 0, tsc, "", req, errors.New("serving: malformed generate prompt")
 	}
 	prompt := make([]float64, len(b)/8)
 	for i := range prompt {
 		prompt[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
 	}
-	req = generate.Request{
-		Prompt:    prompt,
-		MaxTokens: int(maxTok),
-		StopBelow: math.Float64frombits(stopBits),
-		Deadline:  budgetDeadline(budget),
+	req = generate.Request{Prompt: prompt, MaxTokens: int(maxTok), StopBelow: math.Float64frombits(stopBits)}
+	return budget, tsc, string(mb), req, nil
+}
+
+// appendGenerateReq is the client half of parseGenerateReq.
+func appendGenerateReq(b []byte, budget uint64, tsc telemetry.SpanContext, model string, req generate.Request) []byte {
+	b = appendHeader(b, budget, tsc, model)
+	b = binary.AppendUvarint(b, uint64(req.MaxTokens))
+	b = binary.AppendUvarint(b, math.Float64bits(req.StopBelow))
+	for _, v := range req.Prompt {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 	}
-	return req, model, tsc, nil
+	return b
 }
 
 // nextWindow blocks for a token, then drains the tokens one Buffered snapshot
@@ -270,30 +256,15 @@ type GenerateStream struct {
 // time-to-first-token and rides the request frame; tsc joins the server-side
 // span to the caller's trace.
 func OpenGenerateStream(c *rpc.Client, tsc telemetry.SpanContext, model string, req generate.Request) (*GenerateStream, error) {
+	budget, ok := budgetOf(req.Deadline)
+	if !ok {
+		return nil, ErrDeadline
+	}
 	st, err := c.OpenStream(GenerateStreamMethod)
 	if err != nil {
 		return nil, err
 	}
-	var budget uint64
-	if !req.Deadline.IsZero() {
-		us := time.Until(req.Deadline).Microseconds()
-		if us <= 0 {
-			st.Close()
-			return nil, ErrDeadline
-		}
-		budget = uint64(us)
-	}
-	b := binary.AppendUvarint(nil, budget)
-	b = binary.AppendUvarint(b, tsc.Trace)
-	b = binary.AppendUvarint(b, tsc.Span)
-	b = binary.AppendUvarint(b, uint64(req.MaxTokens))
-	b = binary.AppendUvarint(b, math.Float64bits(req.StopBelow))
-	b = binary.AppendUvarint(b, uint64(len(model)))
-	b = append(b, model...)
-	for _, v := range req.Prompt {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-	}
-	if err := st.Send(b); err != nil {
+	if err := st.Send(appendGenerateReq(nil, budget, tsc, model, req)); err != nil {
 		st.Close()
 		return nil, err
 	}

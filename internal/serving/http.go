@@ -24,7 +24,6 @@ const maxBodyBytes = 64 << 20
 //	POST /v1/models/<name>:predict   {"instances": [[f, ...], ...]}
 //	POST /v1/models/<name>:generate  {"prompt": [f, ...], "max_tokens": n, "stop_below": s}
 //	                                 → server-sent events, one token per event
-//	                                 (requires a Predictor that is also a Generator)
 //	GET  /v1/models                  list served models
 //	GET  /v1/models/<name>           one model's status
 //	GET  /healthz                    process liveness
@@ -32,8 +31,8 @@ const maxBodyBytes = 64 << 20
 //	GET  /statsz                     batching/admission counters
 //	GET  /metricz                    Prometheus text exposition (process-wide)
 //
-// A predict request may carry X-Deadline-Ms; otherwise the predictor's
-// default applies. Outcomes map to 200/400/404/429/503/504.
+// A predict or generate request may carry X-Deadline-Ms; otherwise the
+// predictor's default applies. Outcomes map to 200/400/404/429/503/504.
 func NewHTTPHandler(p Predictor) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -74,12 +73,7 @@ func NewHTTPHandler(p Predictor) http.Handler {
 				http.Error(w, "generate wants POST", http.StatusMethodNotAllowed)
 				return
 			}
-			g, ok := p.(Generator)
-			if !ok {
-				writeError(w, fmt.Errorf("%w: %q (no generative serving)", ErrNotFound, name))
-				return
-			}
-			serveGenerate(w, r, g, name)
+			serveGenerate(w, r, p, name)
 			return
 		}
 		for _, m := range p.Models() {
@@ -99,19 +93,39 @@ type predictRequest struct {
 	Instances json.RawMessage `json:"instances"`
 }
 
-func servePredict(w http.ResponseWriter, r *http.Request, p Predictor, model string) {
+// decodeRequest is the preamble :predict and :generate share: read the body
+// (at most maxBodyBytes), decode its JSON into v, and resolve X-Deadline-Ms
+// into a deadline (zero when absent). Errors are canonical.
+func decodeRequest(r *http.Request, v any) (time.Time, error) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
 	if err != nil {
-		writeError(w, fmt.Errorf("%w: %v", ErrBadInput, err))
-		return
+		return time.Time{}, fmt.Errorf("%w: %v", ErrBadInput, err)
 	}
 	if len(body) > maxBodyBytes {
-		writeError(w, fmt.Errorf("%w: body over %d bytes", ErrOverloaded, maxBodyBytes))
-		return
+		return time.Time{}, fmt.Errorf("%w: body over %d bytes", ErrOverloaded, maxBodyBytes)
 	}
+	if err := json.Unmarshal(body, v); err != nil {
+		return time.Time{}, fmt.Errorf("%w: %v", ErrBadInput, err)
+	}
+	h := r.Header.Get("X-Deadline-Ms")
+	if h == "" {
+		return time.Time{}, nil
+	}
+	// A number past int64 is still a (very long) deadline: ParseInt reports
+	// it as ErrRange with the value saturated, as budgetDeadline saturates
+	// the rest.
+	ms, err := strconv.ParseInt(h, 10, 64)
+	if (err != nil && !errors.Is(err, strconv.ErrRange)) || ms <= 0 {
+		return time.Time{}, fmt.Errorf("%w: bad X-Deadline-Ms %q", ErrBadInput, h)
+	}
+	return budgetDeadline(uint64(ms), time.Millisecond), nil
+}
+
+func servePredict(w http.ResponseWriter, r *http.Request, p Predictor, model string) {
 	var req predictRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, fmt.Errorf("%w: %v", ErrBadInput, err))
+	deadline, err := decodeRequest(r, &req)
+	if err != nil {
+		writeError(w, err)
 		return
 	}
 	in, err := instancesTensor(req.Instances)
@@ -119,17 +133,6 @@ func servePredict(w http.ResponseWriter, r *http.Request, p Predictor, model str
 		writeError(w, err)
 		return
 	}
-
-	var deadline time.Time
-	if h := r.Header.Get("X-Deadline-Ms"); h != "" {
-		ms, err := strconv.Atoi(h)
-		if err != nil || ms <= 0 {
-			writeError(w, fmt.Errorf("%w: bad X-Deadline-Ms %q", ErrBadInput, h))
-			return
-		}
-		deadline = time.Now().Add(time.Duration(ms) * time.Millisecond)
-	}
-
 	out, err := p.Predict(model, in, deadline)
 	if err != nil {
 		writeError(w, err)
@@ -200,25 +203,15 @@ func predictions(out *tensor.Tensor) []any {
 	return preds
 }
 
-// HTTPStatus maps a serving error onto its HTTP status code.
-func HTTPStatus(err error) int {
-	switch {
-	case err == nil:
-		return http.StatusOK
-	case errors.Is(err, ErrNotFound):
-		return http.StatusNotFound
-	case errors.Is(err, ErrBadInput):
-		return http.StatusBadRequest
-	case errors.Is(err, ErrOverloaded):
-		return http.StatusTooManyRequests
-	case errors.Is(err, ErrDeadline):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, ErrClosed):
-		return http.StatusServiceUnavailable
-	default:
-		return http.StatusInternalServerError
-	}
+// httpStatuses maps each wire status byte onto its HTTP status code.
+var httpStatuses = [...]int{
+	stOK: http.StatusOK, stNotFound: http.StatusNotFound, stOverloaded: http.StatusTooManyRequests,
+	stDeadline: http.StatusGatewayTimeout, stBadInput: http.StatusBadRequest,
+	stClosed: http.StatusServiceUnavailable, stError: http.StatusInternalServerError,
 }
+
+// HTTPStatus maps a serving error onto its HTTP status code.
+func HTTPStatus(err error) int { return httpStatuses[statusOf(err)] }
 
 func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, HTTPStatus(err), map[string]string{"error": err.Error()})

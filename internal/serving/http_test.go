@@ -1,14 +1,18 @@
 package serving
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
+
+	"tfhpc/internal/serving/generate"
 )
 
 func newHTTPServer(t *testing.T, d int, opts BatchOptions) (*httptest.Server, *Service) {
@@ -188,6 +192,48 @@ func TestHTTPErrorMapping(t *testing.T) {
 	resp.Body.Close()
 	if len(stats.Models) != 1 {
 		t.Fatalf("statsz: %+v", stats)
+	}
+}
+
+// TestHTTPHugeDeadlineHeader: a very large X-Deadline-Ms is a long deadline
+// on both POST endpoints — it saturates like a stream frame's budget rather
+// than wrapping negative into an instant 504.
+func TestHTTPHugeDeadlineHeader(t *testing.T) {
+	const d = 16
+	svc := genService(t, d)
+	mv, err := NewLinear("lin", 1, linearWeights(d, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.ServeModel(mv); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewHTTPHandler(svc))
+	defer ts.Close()
+
+	instances, _ := json.Marshal(map[string]any{"instances": [][]float64{make([]float64, d)}})
+	prompt, _ := json.Marshal(map[string]any{"prompt": genPrompt(rand.New(rand.NewSource(9)), d), "max_tokens": 4})
+	for _, ms := range []string{"9223372036854775807", "10000000000000"} {
+		for path, body := range map[string][]byte{"lin:predict": instances, "gen:generate": prompt} {
+			req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/models/"+path, bytes.NewReader(body))
+			req.Header.Set("X-Deadline-Ms", ms)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusOK {
+				resp.Body.Close()
+				t.Fatalf("%s with X-Deadline-Ms %s: status %d, want 200", path, ms, resp.StatusCode)
+			}
+			if path == "gen:generate" {
+				// The sequence itself must not expire either: every token,
+				// then a clean finish.
+				if vals, _, final := sseTokens(t, bufio.NewReader(resp.Body)); len(vals) != 4 || final["finish_reason"] != string(generate.FinishLength) {
+					t.Fatalf("X-Deadline-Ms %s: %d tokens, finish %v", ms, len(vals), final["finish_reason"])
+				}
+			}
+			resp.Body.Close()
+		}
 	}
 }
 

@@ -94,6 +94,23 @@ func (rep *replica) putStream(ps *PredictStream) {
 	}
 }
 
+// predict sends one request to the replica over a pooled predict stream.
+func (rep *replica) predict(tsc telemetry.SpanContext, model string, in *tensor.Tensor, deadline time.Time) (*tensor.Tensor, error) {
+	ps, err := rep.getStream()
+	if err != nil {
+		return nil, err
+	}
+	out, err := ps.PredictTraced(tsc, model, in, deadline)
+	rep.putStream(ps)
+	return out, err
+}
+
+// track moves the replica's outstanding count and the router-wide gauge.
+func (rep *replica) track(delta int64) {
+	rep.outstanding.Add(delta)
+	mRouterOutstanding.Add(delta)
+}
+
 func (r *replica) healthyAt(now time.Time) bool {
 	return r.failUntil.Load() <= now.UnixNano()
 }
@@ -406,34 +423,22 @@ func (r *Router) pick(reps []*replica, tried map[*replica]bool) *replica {
 	return bestBenched
 }
 
-// Predict implements Predictor: resolve the model's traffic-split arm,
-// route, and on transport failure bench the replica and retry the request
-// on another one while deadline budget remains.
-func (r *Router) Predict(model string, in *tensor.Tensor, deadline time.Time) (*tensor.Tensor, error) {
-	name, canary := model, false
+// arm resolves model's traffic-split arm: the name to route, and whether it
+// is the canary.
+func (r *Router) arm(model string) (string, bool) {
 	if sp := r.splitFor(model); sp != nil && sp.take() {
-		name, canary = sp.target, true
+		return sp.target, true
 	}
-	start := time.Now()
-	out, err := r.route(name, in, deadline)
-	if r.opts.Observer != nil {
-		r.opts.Observer(model, canary, time.Since(start), err)
-	}
-	return out, err
+	return model, false
 }
 
-func (r *Router) route(model string, in *tensor.Tensor, deadline time.Time) (*tensor.Tensor, error) {
-	if deadline.IsZero() {
-		deadline = time.Now().Add(r.opts.DefaultDeadline)
-	}
-	// The Predictor interface carries no context, so a routed predict is a
-	// trace root: every hop below (pick, stream send, remote serve span)
-	// hangs off this span via the ids on the wire.
-	span := telemetry.StartRoot("router_predict").Arg("model", model)
-	defer span.End()
-	ctx, cancel := context.WithDeadline(telemetry.ContextWith(context.Background(), span), deadline)
-	defer cancel()
-
+// attempt is the failover loop predict and generate share. It picks the
+// least-loaded untried replica, takes an outstanding slot on it and calls
+// try there; a transport failure benches the replica and moves on while the
+// deadline allows, any other outcome ends the loop. On success the chosen
+// replica comes back still holding its slot: the caller releases it
+// (track(-1)) when the request is done.
+func (r *Router) attempt(span *telemetry.Span, deadline time.Time, try func(rep *replica) error) (*replica, error) {
 	reps := r.snapshot()
 	maxAttempts := r.opts.MaxAttempts
 	if maxAttempts <= 0 || maxAttempts > len(reps) {
@@ -451,18 +456,14 @@ func (r *Router) route(model string, in *tensor.Tensor, deadline time.Time) (*te
 			r.retries.Add(1)
 			mRetries.Inc()
 		}
-		rep.outstanding.Add(1)
-		mRouterOutstanding.Add(1)
-		attemptSpan := span.Child("router_attempt").Arg("replica", rep.addr)
-		out, err := r.predictOn(telemetry.ContextWith(ctx, attemptSpan), rep, model, in, deadline)
-		attemptSpan.End()
-		rep.outstanding.Add(-1)
-		mRouterOutstanding.Add(-1)
+		rep.track(1)
+		err := try(rep)
 		if err == nil {
 			r.routed.Add(1)
 			mRouted.Inc()
-			return out, nil
+			return rep, nil
 		}
+		rep.track(-1)
 		lastErr = err
 		if !isTransportErr(err) {
 			return nil, err // deterministic application outcome: no failover
@@ -471,9 +472,9 @@ func (r *Router) route(model string, in *tensor.Tensor, deadline time.Time) (*te
 		mFailovers.Inc()
 		r.bench(rep)
 		span.Arg("benched", rep.addr)
-		if ctx.Err() != nil {
+		if !time.Now().Before(deadline) {
 			// The budget is spent: failover cannot help.
-			return nil, fmt.Errorf("%w: %v", ErrDeadline, ctx.Err())
+			return nil, fmt.Errorf("%w: %v", ErrDeadline, err)
 		}
 	}
 	if lastErr == nil {
@@ -482,15 +483,45 @@ func (r *Router) route(model string, in *tensor.Tensor, deadline time.Time) (*te
 	return nil, fmt.Errorf("serving: all replicas failed: %w", lastErr)
 }
 
-// predictOn sends one request to one replica over a pooled predict stream.
-func (r *Router) predictOn(ctx context.Context, rep *replica, model string, in *tensor.Tensor, deadline time.Time) (*tensor.Tensor, error) {
-	ps, err := rep.getStream()
+// withDefault applies DefaultDeadline to a request carrying none.
+func (r *Router) withDefault(deadline time.Time) time.Time {
+	if deadline.IsZero() {
+		return time.Now().Add(r.opts.DefaultDeadline)
+	}
+	return deadline
+}
+
+// Predict implements Predictor: resolve the model's traffic-split arm,
+// route, and on transport failure bench the replica and retry the request
+// on another one while deadline budget remains.
+func (r *Router) Predict(model string, in *tensor.Tensor, deadline time.Time) (*tensor.Tensor, error) {
+	name, canary := r.arm(model)
+	start := time.Now()
+	out, err := r.route(name, in, r.withDefault(deadline))
+	if r.opts.Observer != nil {
+		r.opts.Observer(model, canary, time.Since(start), err)
+	}
+	return out, err
+}
+
+func (r *Router) route(model string, in *tensor.Tensor, deadline time.Time) (*tensor.Tensor, error) {
+	// The Predictor interface carries no context, so a routed predict is a
+	// trace root: every hop below (pick, stream send, remote serve span)
+	// hangs off this span via the ids on the wire.
+	span := telemetry.StartRoot("router_predict").Arg("model", model)
+	defer span.End()
+	var out *tensor.Tensor
+	rep, err := r.attempt(span, deadline, func(rep *replica) (err error) {
+		attemptSpan := span.Child("router_attempt").Arg("replica", rep.addr)
+		out, err = rep.predict(attemptSpan.Context(), model, in, deadline)
+		attemptSpan.End()
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	out, err := ps.PredictTraced(telemetry.SpanFromContext(ctx).Context(), model, in, deadline)
-	rep.putStream(ps)
-	return out, err
+	rep.track(-1)
+	return out, nil
 }
 
 // Models implements Predictor by asking the first answering replica — the
@@ -592,9 +623,4 @@ func (r *Router) StatsJSON() ([]byte, error) {
 		st.Replicas = append(st.Replicas, rs)
 	}
 	return json.Marshal(map[string]any{"router": st})
-}
-
-// marshalModels renders the ServingModels RPC payload.
-func marshalModels(ms []ModelStatus) ([]byte, error) {
-	return json.Marshal(ms)
 }

@@ -11,6 +11,7 @@ import (
 
 	"tfhpc/internal/cluster"
 	"tfhpc/internal/rpc"
+	"tfhpc/internal/serving/generate"
 	"tfhpc/internal/tensor"
 )
 
@@ -144,10 +145,14 @@ func TestRouterFailover(t *testing.T) {
 }
 
 // cannedPredictor is a replica whose outcomes the test dictates: every
-// predict fails with the (wrapped) error registered under the model name.
+// predict and generate fails with the (wrapped) error registered under the
+// model name.
 type cannedPredictor map[string]error
 
 func (p cannedPredictor) Predict(model string, _ *tensor.Tensor, _ time.Time) (*tensor.Tensor, error) {
+	return nil, fmt.Errorf("replica says: %w", p[model])
+}
+func (p cannedPredictor) Generate(model string, _ generate.Request) (generate.Stream, error) {
 	return nil, fmt.Errorf("replica says: %w", p[model])
 }
 func (cannedPredictor) Models() []ModelStatus      { return nil }
@@ -215,6 +220,10 @@ func TestRouterApplicationErrorsDoNotFailover(t *testing.T) {
 	for model, want := range canned {
 		if _, err := cr.Predict(model, tensor.New(tensor.Float64, d), time.Time{}); !errors.Is(err, want) {
 			t.Fatalf("%s through the router: %v, want %v", model, err, want)
+		}
+		// The same outcome crosses the generate wire as its error frame.
+		if _, err := cr.Generate(model, generate.Request{Prompt: []float64{1}}); !errors.Is(err, want) {
+			t.Fatalf("%s generate through the router: %v, want %v", model, err, want)
 		}
 	}
 	if n := cr.failovers.Load(); n != 0 {

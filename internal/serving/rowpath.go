@@ -12,25 +12,16 @@ import (
 // not a request outcome, so it never crosses the wire.
 var errNoFastPath = errors.New("serving: no row fast path")
 
-// RowPredictor is the streaming front-end's allocation-free fast path: a
-// predictor that can answer one row synchronously into a caller-owned output
-// tensor, bypassing the batcher queue. Results must be bit-identical to the
-// same row served through Predict. A local Service implements it; a Router
-// does not (its rows cross the wire anyway).
-type RowPredictor interface {
-	// NewRowOutput returns a fresh tensor shaped and typed like one row's
-	// output, for reuse across PredictRowInto calls. errNoFastPath (an
-	// unexported sentinel — treat any error as "use Predict") means the
-	// model's current version cannot serve rows directly.
-	NewRowOutput(model string) (*tensor.Tensor, error)
-	// PredictRowInto serves one [features] row into out. The row and out
-	// tensors stay caller-owned. Deadline semantics match Predict except
-	// that a zero deadline means "no deadline" (the caller is already
-	// synchronous, there is no queue to bound).
-	PredictRowInto(model string, row, out *tensor.Tensor, deadline time.Time) error
-}
+// The row path is the streaming front-end's allocation-free fast path on a
+// local Service: one row answered synchronously into a caller-owned output
+// tensor, bypassing the batcher queue. Results are bit-identical to the same
+// row served through Predict. A Router has no row path (its rows cross the
+// wire anyway).
 
-// NewRowOutput implements RowPredictor.
+// NewRowOutput returns a fresh tensor shaped and typed like one row's output,
+// for reuse across PredictRowInto calls. errNoFastPath (an unexported
+// sentinel — treat any error as "use Predict") means the model's current
+// version cannot serve rows directly.
 func (s *Service) NewRowOutput(model string) (*tensor.Tensor, error) {
 	mv := s.reg.Active(model)
 	if mv == nil {
@@ -42,10 +33,13 @@ func (s *Service) NewRowOutput(model string) (*tensor.Tensor, error) {
 	return tensor.New(mv.sig.DType, mv.rowOutShape...), nil
 }
 
-// PredictRowInto implements RowPredictor: validate, pin the version, run its
-// row kernel. The whole path is allocation-free — acquireRef instead of
-// Acquire's release closure, no goroutines, no channels — which is what lets
-// the streaming front-end's steady state stay at zero allocs per request.
+// PredictRowInto serves one [features] row into out: validate, pin the
+// version, run its row kernel. The row and out tensors stay caller-owned.
+// Deadline semantics match Predict except that a zero deadline means "no
+// deadline" (the caller is already synchronous, there is no queue to bound).
+// The whole path is allocation-free — acquireRef instead of Acquire's release
+// closure, no goroutines, no channels — which is what lets the streaming
+// front-end's steady state stay at zero allocs per request.
 func (s *Service) PredictRowInto(model string, row, out *tensor.Tensor, deadline time.Time) error {
 	b, err := s.batcher(model)
 	if err != nil {

@@ -2,7 +2,7 @@ package serving
 
 import (
 	"context"
-	"errors"
+	"encoding/json"
 
 	"tfhpc/internal/rpc"
 )
@@ -20,12 +20,12 @@ type RPCMux interface {
 // persistent streams; the unary call path carries control messages only:
 //
 //	ServingPredictStream   stream: see PredictStreamMethod
-//	ServingGenerateStream  stream: see GenerateStreamMethod (Generators only)
+//	ServingGenerateStream  stream: see GenerateStreamMethod
 //	ServingModels          call, resp: JSON []ModelStatus
 //	ServingStats           call, resp: the same JSON payload as /statsz
 func Attach(mux RPCMux, p Predictor) {
 	mux.HandleCtx("ServingModels", func(context.Context, []byte) ([]byte, error) {
-		return marshalModels(p.Models())
+		return json.Marshal(p.Models())
 	})
 	mux.HandleCtx("ServingStats", func(context.Context, []byte) ([]byte, error) {
 		return p.StatsJSON()
@@ -33,27 +33,16 @@ func Attach(mux RPCMux, p Predictor) {
 	mux.HandleStream(PredictStreamMethod, func(st *rpc.Stream) error {
 		return servePredictStream(p, st)
 	})
-	// Predictors that also generate get the sequence-streaming endpoint.
-	if g, ok := p.(Generator); ok {
-		mux.HandleStream(GenerateStreamMethod, func(st *rpc.Stream) error {
-			return serveGenerateStream(g, st)
-		})
-	}
+	mux.HandleStream(GenerateStreamMethod, func(st *rpc.Stream) error {
+		return serveGenerateStream(p, st)
+	})
 }
 
 // isTransportErr reports whether err means the replica itself failed (dial
 // refused, conn reset, local deadline while waiting) rather than answering
-// with an application error — the failover-worthy class.
+// with an application error — the failover-worthy class. Canonical serving
+// errors mapped back from the remote side are application outcomes, not
+// replica failures.
 func isTransportErr(err error) bool {
-	if err == nil || rpc.IsRemote(err) {
-		return false
-	}
-	// Canonical serving errors mapped back from the remote side are
-	// application outcomes, not replica failures.
-	for _, canon := range []error{ErrNotFound, ErrOverloaded, ErrDeadline, ErrBadInput, ErrClosed} {
-		if errors.Is(err, canon) {
-			return false
-		}
-	}
-	return true
+	return err != nil && !rpc.IsRemote(err) && statusOf(err) == stError
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"tfhpc/internal/serving/generate"
 	"tfhpc/internal/tensor"
 )
 
@@ -16,6 +17,10 @@ type Predictor interface {
 	// Predict serves a [features] row or [n, features] batch; a zero
 	// deadline applies the implementation's default.
 	Predict(model string, in *tensor.Tensor, deadline time.Time) (*tensor.Tensor, error)
+	// Generate admits one generation request and returns its token stream.
+	// The request deadline bounds time-to-first-token; errors are the
+	// canonical serving set, as for Predict.
+	Generate(model string, req generate.Request) (generate.Stream, error)
 	// Models lists the served models for the status/readiness endpoints.
 	Models() []ModelStatus
 	// Ready reports whether prediction traffic can be admitted.

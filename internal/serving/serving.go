@@ -37,8 +37,9 @@ import (
 )
 
 // Canonical request-outcome errors. Front-ends map them onto protocol
-// status codes (HTTP 404/429/504, rpc error strings) and the router maps
-// them back after a remote hop, so the classification survives the wire.
+// status codes (HTTP 404/429/504, stream status bytes) and the stream
+// clients map the bytes back to these values after a remote hop, so the
+// classification survives the wire.
 var (
 	// ErrNotFound: no model (or no active version) under that name.
 	ErrNotFound = errors.New("serving: model not found")

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strings"
 	"sync"
 	"time"
 
@@ -24,10 +23,9 @@ import (
 //
 // Request frame:
 //
-//	uvarint reqID | uvarint budget µs (0 = none) | uvarint trace | uvarint span | uvarint len(model) | model | tensor
+//	uvarint reqID | header | tensor
 //
-// trace/span are the caller's telemetry ids (0 when untraced — one zero byte
-// each, so the untraced hot path stays allocation-free and cheap).
+// where header is the request header both stream methods share (parseHeader).
 //
 // Response frame:
 //
@@ -51,56 +49,46 @@ const (
 	stError      = 6 // payload = error text
 )
 
-// statusOf maps a predict outcome onto its wire status byte.
+// canonicalErrs indexes the canonical errors by their status byte: the one
+// classification statusOf, errOfStatus, HTTPStatus and isTransportErr share.
+var canonicalErrs = [...]error{
+	stNotFound: ErrNotFound, stOverloaded: ErrOverloaded, stDeadline: ErrDeadline,
+	stBadInput: ErrBadInput, stClosed: ErrClosed,
+}
+
+// statusOf maps a request outcome onto its wire status byte.
 func statusOf(err error) byte {
-	switch {
-	case err == nil:
+	if err == nil {
 		return stOK
-	case errors.Is(err, ErrNotFound):
-		return stNotFound
-	case errors.Is(err, ErrOverloaded):
-		return stOverloaded
-	case errors.Is(err, ErrDeadline):
-		return stDeadline
-	case errors.Is(err, ErrBadInput):
-		return stBadInput
-	case errors.Is(err, ErrClosed):
-		return stClosed
-	default:
-		return stError
 	}
+	for s, canon := range canonicalErrs {
+		if canon != nil && errors.Is(err, canon) {
+			return byte(s)
+		}
+	}
+	return stError
 }
 
 // errOfStatus is the client-side inverse: canonical statuses return the
 // canonical error values themselves (no allocation), stError rebuilds a
 // remote-tagged error from the payload text.
 func errOfStatus(status byte, text []byte) error {
-	switch status {
-	case stNotFound:
-		return ErrNotFound
-	case stOverloaded:
-		return ErrOverloaded
-	case stDeadline:
-		return ErrDeadline
-	case stBadInput:
-		return ErrBadInput
-	case stClosed:
-		return ErrClosed
-	default:
-		if len(text) > 0 {
-			return fmt.Errorf("serving: remote predict error: %s", text)
-		}
-		return errors.New("serving: remote predict error")
+	if int(status) < len(canonicalErrs) && canonicalErrs[status] != nil {
+		return canonicalErrs[status]
 	}
+	if len(text) > 0 {
+		return fmt.Errorf("serving: remote predict error: %s", text)
+	}
+	return errors.New("serving: remote predict error")
 }
 
 // servePredictStream serves one client's predict stream until it closes.
 // Everything per-request is reused across the loop: the receive buffer, the
 // response scratch, the interned model name, and the fast-path output
-// tensor — with a RowPredictor behind it, the steady state allocates
-// nothing.
+// tensor — with a local Service's row path behind it, the steady state
+// allocates nothing.
 func servePredictStream(p Predictor, st *rpc.Stream) error {
-	rows, _ := p.(RowPredictor)
+	svc, _ := p.(*Service)
 	var (
 		buf, resp []byte
 		modelBuf  []byte
@@ -126,7 +114,7 @@ func servePredictStream(p Predictor, st *rpc.Stream) error {
 			model = string(mb)
 			scratch, scratchOK = nil, false
 		}
-		deadline := budgetDeadline(budget)
+		deadline := budgetDeadline(budget, time.Microsecond)
 		var span *telemetry.Span
 		if tsc.Valid() {
 			span = telemetry.StartChild(tsc, "stream_predict_serve")
@@ -135,33 +123,27 @@ func servePredictStream(p Predictor, st *rpc.Stream) error {
 
 		resp = binary.AppendUvarint(resp[:0], reqID)
 		idLen := len(resp)
-		in, rest, derr := tensor.DecodePooled(tb)
-		if derr != nil || len(rest) != 0 {
-			resp = appendStatus(resp, ErrBadInput)
-		} else if out, fastErr, fast := rowFastPath(rows, model, in, deadline, &scratch, &scratchOK); fast {
+		var out *tensor.Tensor
+		in, rest, err := tensor.DecodePooled(tb)
+		if err != nil || len(rest) != 0 {
+			err = ErrBadInput
+		} else if row, rowErr, fast := rowFastPath(svc, model, in, deadline, &scratch, &scratchOK); fast {
 			// Fast path took it (ok or a definite outcome); the input row is
 			// ours again.
 			tensor.Recycle(in)
-			if fastErr != nil {
-				resp = appendStatus(resp, fastErr)
-			} else {
-				resp = append(resp, stOK)
-				if resp, err = out.Encode(resp); err != nil {
-					resp = appendStatus(resp[:idLen], err)
-				}
-			}
+			out, err = row, rowErr
 		} else {
 			// Batcher / general path. The input is NOT recycled: on a
 			// deadline the batcher's runner may still hold the row.
-			out, perr := p.Predict(model, in, deadline)
-			if perr != nil {
-				resp = appendStatus(resp, perr)
-			} else {
-				resp = append(resp, stOK)
-				if resp, err = out.Encode(resp); err != nil {
-					resp = appendStatus(resp[:idLen], err)
-				}
+			out, err = p.Predict(model, in, deadline)
+		}
+		if err == nil {
+			if resp, err = out.Encode(append(resp, stOK)); err != nil {
+				resp = resp[:idLen]
 			}
+		}
+		if err != nil {
+			resp = appendStatus(resp, err)
 		}
 		err = st.Send(resp)
 		span.End()
@@ -171,13 +153,14 @@ func servePredictStream(p Predictor, st *rpc.Stream) error {
 	}
 }
 
-// rowFastPath tries the RowPredictor route for a rank-1 request. fast=false
-// means "not handled here, use Predict"; fast=true means the outcome (out or
-// err) is final. The caller's scratch output is (re)built on model change or
-// after a hot-swap invalidates its shape.
-func rowFastPath(rows RowPredictor, model string, in *tensor.Tensor, deadline time.Time,
+// rowFastPath tries a local Service's row path (rowpath.go) for a rank-1
+// request; svc is nil behind a Router. fast=false means "not handled here,
+// use Predict"; fast=true means the outcome (out or err) is final. The
+// caller's scratch output is (re)built on model change or after a hot-swap
+// invalidates its shape.
+func rowFastPath(svc *Service, model string, in *tensor.Tensor, deadline time.Time,
 	scratch **tensor.Tensor, scratchOK *bool) (*tensor.Tensor, error, bool) {
-	if rows == nil || in == nil || in.Rank() != 1 {
+	if svc == nil || in == nil || in.Rank() != 1 {
 		return nil, nil, false
 	}
 	for attempt := 0; attempt < 2; attempt++ {
@@ -185,14 +168,14 @@ func rowFastPath(rows RowPredictor, model string, in *tensor.Tensor, deadline ti
 			if *scratchOK {
 				return nil, nil, false // memoized: model has no fast path
 			}
-			sc, err := rows.NewRowOutput(model)
+			sc, err := svc.NewRowOutput(model)
 			*scratchOK = true
 			if err != nil {
 				return nil, nil, false
 			}
 			*scratch = sc
 		}
-		err := rows.PredictRowInto(model, in, *scratch, deadline)
+		err := svc.PredictRowInto(model, in, *scratch, deadline)
 		if errors.Is(err, errNoFastPath) {
 			// Hot-swap made the scratch stale (or removed the kernel):
 			// rebuild once, then give up to the general path.
@@ -204,49 +187,75 @@ func rowFastPath(rows RowPredictor, model string, in *tensor.Tensor, deadline ti
 	return nil, nil, false
 }
 
-// parseStreamPredict splits one request frame; all byte slices alias b.
+// parseStreamPredict splits one predict request frame; all byte slices
+// alias b.
 func parseStreamPredict(b []byte) (reqID, budget uint64, tsc telemetry.SpanContext, model, tb []byte, err error) {
-	id, n := binary.Uvarint(b)
+	reqID, n := canonicalUvarint(b)
 	if n <= 0 {
 		return 0, 0, tsc, nil, nil, errors.New("serving: malformed stream predict id")
 	}
-	b = b[n:]
-	bud, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, 0, tsc, nil, nil, errors.New("serving: malformed stream predict budget")
-	}
-	b = b[n:]
-	tsc.Trace, n = binary.Uvarint(b)
-	if n <= 0 {
-		return 0, 0, tsc, nil, nil, errors.New("serving: malformed stream predict trace id")
-	}
-	b = b[n:]
-	tsc.Span, n = binary.Uvarint(b)
-	if n <= 0 {
-		return 0, 0, tsc, nil, nil, errors.New("serving: malformed stream predict span id")
-	}
-	b = b[n:]
-	ml, n := binary.Uvarint(b)
-	if n <= 0 || ml > uint64(len(b)-n) {
-		return 0, 0, tsc, nil, nil, errors.New("serving: malformed stream predict model")
-	}
-	b = b[n:]
-	return id, bud, tsc, b[:ml], b[ml:], nil
+	budget, tsc, model, tb, err = parseHeader(b[n:])
+	return reqID, budget, tsc, model, tb, err
 }
 
-// budgetDeadline turns a request frame's budget (µs, 0 = none) into an
-// absolute deadline. The budget is untrusted: past math.MaxInt64 ns the
-// Duration multiply wraps negative and a "very long" deadline would expire
-// at once, so it saturates there.
-func budgetDeadline(budget uint64) time.Time {
-	const maxBudget = math.MaxInt64 / uint64(time.Microsecond)
-	if budget == 0 {
+// errMalformedHeader is a protocol violation: the server resets the stream.
+var errMalformedHeader = errors.New("serving: malformed request header")
+
+// parseHeader splits off the request header both stream methods' request
+// frames carry (predict after its reqID, generate first):
+//
+//	uvarint budget µs (0 = none) | uvarint trace | uvarint span | uvarint len(model) | model
+//
+// budget is the time the caller had left when it sent the frame
+// (budgetDeadline turns it back into a deadline); trace/span are the
+// caller's telemetry ids (0 when untraced — one zero byte each, so the
+// untraced hot path stays allocation-free and cheap). Every uvarint must be
+// minimal, so an accepted header re-encodes through appendHeader to the same
+// bytes. model and rest alias b.
+func parseHeader(b []byte) (budget uint64, tsc telemetry.SpanContext, model, rest []byte, err error) {
+	var v [4]uint64 // budget, trace, span, len(model)
+	for i := range v {
+		var n int
+		if v[i], n = canonicalUvarint(b); n <= 0 {
+			return 0, tsc, nil, nil, errMalformedHeader
+		}
+		b = b[n:]
+	}
+	if v[3] > uint64(len(b)) {
+		return 0, tsc, nil, nil, errMalformedHeader
+	}
+	return v[0], telemetry.SpanContext{Trace: v[1], Span: v[2]}, b[:v[3]], b[v[3]:], nil
+}
+
+// appendHeader is the client half of parseHeader.
+func appendHeader(b []byte, budget uint64, tsc telemetry.SpanContext, model string) []byte {
+	b = binary.AppendUvarint(b, budget)
+	b = binary.AppendUvarint(b, tsc.Trace)
+	b = binary.AppendUvarint(b, tsc.Span)
+	b = binary.AppendUvarint(b, uint64(len(model)))
+	return append(b, model...)
+}
+
+// budgetOf is the client half of budgetDeadline: the µs left until deadline
+// (0 = none). ok is false once the deadline has passed.
+func budgetOf(deadline time.Time) (budget uint64, ok bool) {
+	if deadline.IsZero() {
+		return 0, true
+	}
+	us := time.Until(deadline).Microseconds()
+	return uint64(us), us > 0
+}
+
+// budgetDeadline turns a budget of n units (0 = none) — a request header's
+// µs, HTTP's X-Deadline-Ms — into an absolute deadline. The budget is
+// untrusted: past math.MaxInt64 ns the Duration multiply wraps negative and
+// a "very long" deadline would expire at once, so it saturates there.
+func budgetDeadline(n uint64, unit time.Duration) time.Time {
+	if n == 0 {
 		return time.Time{}
 	}
-	if budget > maxBudget {
-		budget = maxBudget
-	}
-	return time.Now().Add(time.Duration(budget) * time.Microsecond)
+	n = min(n, uint64(math.MaxInt64/unit))
+	return time.Now().Add(time.Duration(n) * unit)
 }
 
 // appendStatus appends an error's status byte plus, for non-canonical
@@ -324,21 +333,11 @@ func (ps *PredictStream) PredictTraced(tsc telemetry.SpanContext, model string, 
 	tsc = span.Context()
 	ps.nextID++
 	id := ps.nextID
-	b := binary.AppendUvarint(ps.wbuf[:0], id)
-	var budget uint64
-	if !deadline.IsZero() {
-		us := time.Until(deadline).Microseconds()
-		if us <= 0 {
-			return nil, ErrDeadline
-		}
-		budget = uint64(us)
+	budget, ok := budgetOf(deadline)
+	if !ok {
+		return nil, ErrDeadline
 	}
-	b = binary.AppendUvarint(b, budget)
-	b = binary.AppendUvarint(b, tsc.Trace)
-	b = binary.AppendUvarint(b, tsc.Span)
-	b = binary.AppendUvarint(b, uint64(len(model)))
-	b = append(b, model...)
-	b, err := in.Encode(b)
+	b, err := in.Encode(appendHeader(binary.AppendUvarint(ps.wbuf[:0], id), budget, tsc, model))
 	ps.wbuf = b
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
@@ -387,11 +386,4 @@ func (ps *PredictStream) PredictTraced(tsc telemetry.SpanContext, model string, 
 		}
 		return out, nil
 	}
-}
-
-// isNoStreamHandlerErr detects a replica that does not serve a streaming
-// method — Router.Generate meets one when a replica's predictor is not a
-// Generator, and moves the request on.
-func isNoStreamHandlerErr(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "no stream handler")
 }
