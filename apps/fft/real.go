@@ -92,7 +92,8 @@ func RunReal(dir string, cfg Config, signal []complex128) (*RealResult, error) {
 	}
 	collectSeconds := time.Since(start).Seconds()
 
-	// Scatter rank 0's gathered tiles into index order for the merge.
+	// Label rank 0's gathered tiles by index for the merge, which then
+	// overwrites the gathered buffer with the transform.
 	collected := make([][]complex128, cfg.Tiles)
 	idx := gathered[0].idx.I64()
 	flat := gathered[0].tiles.C128()
@@ -116,12 +117,11 @@ func RunReal(dir string, cfg Config, signal []complex128) (*RealResult, error) {
 	}
 
 	mergeStart := time.Now()
-	x, err := MergeInterleaved(collected)
-	if err != nil {
+	if err := MergeInterleaved(flat, collected); err != nil {
 		return nil, err
 	}
 	return &RealResult{
-		X:              x,
+		X:              flat,
 		CollectSeconds: collectSeconds,
 		MergeSeconds:   time.Since(mergeStart).Seconds(),
 		Gflops:         core.Gflops(core.FFTFlops(cfg.N), collectSeconds),
@@ -141,8 +141,11 @@ func runWorker(cfg Config, res *session.Resources, shared dataset.Dataset, w int
 	if err != nil {
 		return nil, nil, err
 	}
-	var myIdx []int64
-	var myTiles []complex128
+	// The round-robin shard gives worker w every Workers-th tile from w on:
+	// ⌈(Tiles−w)/Workers⌉ of them, zero when w ≥ Tiles.
+	owned := (cfg.Tiles - w + cfg.Workers - 1) / cfg.Workers
+	myIdx := make([]int64, 0, owned)
+	myTiles := make([]complex128, 0, owned*cfg.TileLen())
 	it := dataset.Prefetch(dataset.Shard(shared, cfg.Workers, w), 2).Iterator()
 	for {
 		elem, err := it.Next()

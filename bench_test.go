@@ -232,14 +232,14 @@ func BenchmarkMatVecKernel2048(b *testing.B) {
 // kernel rather than silently mixing trajectories.
 func BenchmarkFFT(b *testing.B) {
 	const n = 1 << 20
-	gflops := func(b *testing.B) {
+	gflops := func(b *testing.B, n int) {
 		b.ReportMetric(2*core.FFTFlops(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gflop/s")
 	}
 	singleThread := func() func() {
 		old := runtime.GOMAXPROCS(1)
 		return func() { runtime.GOMAXPROCS(old) }
 	}
-	signal := func() []complex128 {
+	signal := func(n int) []complex128 {
 		a := make([]complex128, n)
 		for i := range a {
 			v := float64(i%251)*0.013 - 1.6
@@ -259,29 +259,30 @@ func BenchmarkFFT(b *testing.B) {
 	}
 	b.Run("engine-c128-2^20-1thread-"+fft.KernelName(), func(b *testing.B) {
 		defer singleThread()()
-		a := signal()
+		a := signal(n)
 		b.ResetTimer()
 		pair(b, a)
-		gflops(b)
+		gflops(b, n)
 	})
-	// Multi-threaded: above fourStepMin with >1 workers the engine takes
-	// the four-step path, whose sub-FFT sweeps and transposes spread over
-	// the shared worker pool.
-	b.Run("engine-c128-2^20-parallel-"+fft.KernelName(), func(b *testing.B) {
-		a := signal()
+	// Multi-threaded: at 2^22, above the engine's 2^21 four-step threshold,
+	// with >1 workers the engine takes the four-step path, whose sub-FFT
+	// sweeps and transposes spread over the shared worker pool; below it a
+	// lone transform stays on one core.
+	b.Run("engine-c128-2^22-parallel-"+fft.KernelName(), func(b *testing.B) {
+		a := signal(1 << 22)
 		b.ResetTimer()
 		pair(b, a)
-		gflops(b)
+		gflops(b, 1<<22)
 	})
 	b.Run("seed-radix2-2^20-1thread", func(b *testing.B) {
 		defer singleThread()()
-		a := signal()
+		a := signal(n)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			seedRadix2FFT(a, false)
 			seedRadix2FFT(a, true)
 		}
-		gflops(b)
+		gflops(b, n)
 	})
 }
 

@@ -66,27 +66,36 @@ func TestInverseMatchesNaiveDFT(t *testing.T) {
 	}
 }
 
-// TestRoundTrip checks ifft(fft(x)) ≈ x through the production paths,
-// including a four-step-sized transform, with an accuracy bound that grows
-// only logarithmically with n.
+// paths drives both transform paths through the export hooks, at sizes
+// that stay cheap under -race: the four-step path engages on its own only
+// from fft.FourStepMin.
+var paths = []struct {
+	name string
+	run  func(*fft.Plan, []complex128, bool)
+}{{"direct", (*fft.Plan).Direct}, {"four-step", (*fft.Plan).FourStep}}
+
+// TestRoundTrip checks ifft(fft(x)) ≈ x on both transform paths, with an
+// accuracy bound that grows only logarithmically with n.
 func TestRoundTrip(t *testing.T) {
-	for _, n := range []int{2, 64, 4096, fft.FourStepMin, 1 << 18} {
+	for _, n := range []int{2, 64, 4096, 1 << 15, 1 << 16} {
+		p, err := fft.PlanFor(n)
+		if err != nil {
+			t.Fatal(err)
+		}
 		x := randComplex(uint64(n)+3, n)
-		a := append([]complex128(nil), x...)
-		if err := fft.Forward(a); err != nil {
-			t.Fatal(err)
-		}
-		if err := fft.Inverse(a); err != nil {
-			t.Fatal(err)
-		}
 		logn := 0
 		for v := n; v > 1; v >>= 1 {
 			logn++
 		}
 		tol := 1e-13 * float64(logn+1)
-		for i := range x {
-			if cmplx.Abs(a[i]-x[i]) > tol {
-				t.Fatalf("n=%d: round trip off at %d: |Δ|=%g > %g", n, i, cmplx.Abs(a[i]-x[i]), tol)
+		for _, path := range paths {
+			a := append([]complex128(nil), x...)
+			path.run(p, a, false)
+			path.run(p, a, true)
+			for i := range x {
+				if cmplx.Abs(a[i]-x[i]) > tol {
+					t.Fatalf("%s n=%d: round trip off at %d: |Δ|=%g > %g", path.name, n, i, cmplx.Abs(a[i]-x[i]), tol)
+				}
 			}
 		}
 	}
@@ -222,18 +231,20 @@ func TestFFT2DRoundTrip(t *testing.T) {
 	}
 }
 
-// TestConcurrentTransforms hammers one shared plan (and the pooled
-// four-step path) from many goroutines; `go test -race` turns this into
-// the engine's data-race check.
+// TestConcurrentTransforms hammers one shared plan from many goroutines on
+// both paths, the four-step one fanning out over the shared worker pool
+// from every goroutine at once; `go test -race` turns this into the
+// engine's data-race check.
 func TestConcurrentTransforms(t *testing.T) {
-	p, err := fft.PlanFor(fft.FourStepMin)
+	p, err := fft.PlanFor(1 << 14)
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := randComplex(10, p.Len())
-	want := append([]complex128(nil), x...)
-	if err := p.Transform(want, false); err != nil {
-		t.Fatal(err)
+	want := make([][]complex128, len(paths))
+	for i, path := range paths {
+		want[i] = append([]complex128(nil), x...)
+		path.run(p, want[i], false)
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
@@ -241,15 +252,14 @@ func TestConcurrentTransforms(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			a := append([]complex128(nil), x...)
-			if err := p.Transform(a, false); err != nil {
-				errs <- err
-				return
-			}
-			for i := range a {
-				if a[i] != want[i] {
-					errs <- &mismatchError{i}
-					return
+			for pi, path := range paths {
+				a := append([]complex128(nil), x...)
+				path.run(p, a, false)
+				for i := range a {
+					if a[i] != want[pi][i] {
+						errs <- &mismatchError{i}
+						return
+					}
 				}
 			}
 		}()

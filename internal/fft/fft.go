@@ -2,15 +2,19 @@
 // kernels, mirroring the internal/gemm architecture: cached per-size plans
 // (bit-reversal permutation + twiddle tables, computed once and shared
 // through a concurrent plan cache) feed fused radix-4/radix-8 butterfly
-// passes with a radix-2 cleanup stage, and large transforms switch to a
-// four-step (Bailey) decomposition — √n×√n sub-FFTs, a twiddle multiply and
-// blocked transposes — whose row passes fan out across the shared
-// internal/gemm worker pool.
+// passes with a radix-2 cleanup stage. Transforms of 2^21 points and up
+// (fourStepMin, the measured crossover) switch to a four-step (Bailey)
+// decomposition — √n×√n sub-FFTs, a twiddle multiply and blocked transposes
+// — whose row passes fan out across the shared internal/gemm worker pool;
+// below it a transform runs on one core, and callers with many run them
+// side by side.
 //
 // On top of the core complex transform the package offers batched
-// transforms (many rows in one call), 2-D transforms, and real-input
+// transforms (many rows in one call), 2-D transforms, real-input
 // RFFT/IRFFT via the packed-complex trick (~2× over a complex FFT of the
-// same real signal).
+// same real signal), and per-size twiddle tables for consumers that combine
+// sub-transforms (ForwardTwiddles; the distributed FFT's one-pass tile
+// merge).
 //
 // All lengths are powers of two, matching the paper's FFT workload.
 package fft
@@ -24,11 +28,30 @@ import (
 )
 
 // fourStepMin is the transform length at which the engine switches from the
-// in-cache butterfly passes to the four-step decomposition: 2^17 complex128
-// values (2 MB) is where the working set outgrows typical L2 caches and
-// where splitting into √n-sized cache-resident sub-transforms (which also
-// parallelise across the worker pool) starts to win.
-const fourStepMin = 1 << 17
+// in-cache butterfly passes to the four-step decomposition, set where the
+// four-step path on the whole worker pool stops losing to the direct path
+// on one core. BenchmarkFourStepCrossover, forward+inverse pairs in Gflop/s
+// over three runs (2 vCPU Xeon, AVX2+FMA kernel; direct at GOMAXPROCS=1,
+// four-step on 2):
+//
+//	size   direct, 1 core   four-step, 2 cores
+//	2^17   5.7–6.8          2.0–2.7
+//	2^18   3.4–4.8          2.0–2.4
+//	2^19   3.6–5.5          1.8–2.9
+//	2^20   2.6–5.1          1.7–3.2
+//	2^21   2.4–3.6          2.2–3.0
+//	2^22   2.5–3.2          2.0–3.4
+//
+// Up to 2^20 one core wins in every run, by 1.3–3.1×: the transposes are
+// 47% of four-step's CPU time and cost more than a second core gives back.
+// From 2^21 — 32 MiB, sixteen times the L2 — the direct passes run at DRAM
+// speed and the two paths are level within the runs' spread. So a lone
+// transform below 2^21 stays on one core, and a caller with many (the
+// distributed FFT's workers) runs them side by side. The crossover is a
+// constant, not a timed trial at plan time: the two paths round
+// differently, and a per-process pick would give one input different bits
+// from run to run.
+const fourStepMin = 1 << 21
 
 // Plan holds everything precomputed for one transform size: the
 // bit-reversal permutation, forward and inverse twiddle tables, and the
@@ -118,24 +141,31 @@ func newPlan(n int) *Plan {
 // Len reports the transform size the plan was built for.
 func (p *Plan) Len() int { return p.n }
 
+// twiddles caches ForwardTwiddles tables for sizes no plan exists for.
+var twiddles sync.Map // int -> []complex128
+
 // ForwardTwiddles returns the table w[k] = exp(-2πi·k/n) for k < n/2, for
 // any n ≥ 2. Consumers that combine sub-transforms (the distributed-FFT
 // tile merge) index it instead of recomputing trigonometry per element.
-// The table is shared from the plan cache when a plan for n already exists
-// and built standalone otherwise — twiddle-only consumers must not force
-// full plans (inverse tables, packed kernel stage tables) into the
-// process-wide cache for sizes nothing ever transforms. The returned slice
-// may be shared and must not be modified.
+// The table is shared from the plan cache when a plan for n already exists,
+// and otherwise built once per size into a twiddle cache beside it —
+// twiddle-only consumers must not force full plans (inverse tables, packed
+// kernel stage tables) into the process-wide cache for sizes nothing ever
+// transforms. The returned slice is shared and must not be modified.
 func ForwardTwiddles(n int) []complex128 {
 	if p, ok := plans.Load(n); ok {
 		return p.(*Plan).roots
+	}
+	if tw, ok := twiddles.Load(n); ok {
+		return tw.([]complex128)
 	}
 	tw := make([]complex128, n/2)
 	for k := range tw {
 		s, c := math.Sincos(-2 * math.Pi * float64(k) / float64(n))
 		tw[k] = complex(c, s)
 	}
-	return tw
+	prev, _ := twiddles.LoadOrStore(n, tw)
+	return prev.([]complex128)
 }
 
 // bitrev builds (once) and returns the bit-reversal permutation.

@@ -3,7 +3,10 @@ package fft
 import (
 	"math"
 	"math/cmplx"
+	"runtime"
 	"testing"
+
+	"tfhpc/internal/gemm"
 )
 
 // naiveDFT is a local O(n²) reference (ops.NaiveDFT cannot be imported from
@@ -91,6 +94,35 @@ func TestFourStepMatchesDirectLarge(t *testing.T) {
 	for i := range viaFour {
 		if cmplx.Abs(viaFour[i]-viaDirect[i]) > 1e-8*float64(n) {
 			t.Fatalf("paths diverge at %d: %v vs %v", i, viaFour[i], viaDirect[i])
+		}
+	}
+}
+
+// TestTransformPicksPath pins the path picker: with more than one worker in
+// the pool (raised to two on a one-core host), Transform is bit for bit the
+// direct path just below fourStepMin and the four-step path at it.
+func TestTransformPicksPath(t *testing.T) {
+	if gemm.Workers() < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	for _, tc := range []struct {
+		n    int
+		path func(*Plan, []complex128, bool)
+	}{
+		{fourStepMin / 2, (*Plan).direct},
+		{fourStepMin, (*Plan).fourStep},
+	} {
+		p := mustPlan(tc.n)
+		x := randSignal(uint64(tc.n), tc.n)
+		got := append([]complex128(nil), x...)
+		if err := p.Transform(got, false); err != nil {
+			t.Fatal(err)
+		}
+		tc.path(p, x, false)
+		for i := range x {
+			if got[i] != x[i] {
+				t.Fatalf("n=%d: Transform[%d] = %v, want the picked path's %v", tc.n, i, got[i], x[i])
+			}
 		}
 	}
 }

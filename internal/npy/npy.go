@@ -86,29 +86,84 @@ func Write(w io.Writer, t *tensor.Tensor) error {
 	return writePayload(w, t)
 }
 
+// chunkBytes is the staging buffer payloads stream through, in both
+// directions, instead of a payload-sized copy. It is a multiple of every
+// supported element size, so no element straddles two chunks.
+const chunkBytes = 64 << 10
+
+// chunkElems returns the staging buffer for t's payload and the number of
+// elements one chunk holds.
+func chunkElems(t *tensor.Tensor) ([]byte, int) {
+	size := t.DType().Size()
+	return make([]byte, min(chunkBytes, t.ByteSize())), chunkBytes / size
+}
+
 func writePayload(w io.Writer, t *tensor.Tensor) error {
-	buf := make([]byte, 0, t.ByteSize())
-	switch t.DType() {
-	case tensor.Float32:
-		for _, v := range t.F32() {
-			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
+	buf, per := chunkElems(t)
+	for lo, n := 0, t.NumElements(); lo < n; lo += per {
+		hi := min(n, lo+per)
+		b := buf[:0]
+		switch t.DType() {
+		case tensor.Float32:
+			for _, v := range t.F32()[lo:hi] {
+				b = binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
+			}
+		case tensor.Float64:
+			for _, v := range t.F64()[lo:hi] {
+				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+			}
+		case tensor.Int64:
+			for _, v := range t.I64()[lo:hi] {
+				b = binary.LittleEndian.AppendUint64(b, uint64(v))
+			}
+		case tensor.Complex128:
+			for _, v := range t.C128()[lo:hi] {
+				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(real(v)))
+				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(imag(v)))
+			}
 		}
-	case tensor.Float64:
-		for _, v := range t.F64() {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-		}
-	case tensor.Int64:
-		for _, v := range t.I64() {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
-		}
-	case tensor.Complex128:
-		for _, v := range t.C128() {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(real(v)))
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(imag(v)))
+		if _, err := w.Write(b); err != nil {
+			return err
 		}
 	}
-	_, err := w.Write(buf)
-	return err
+	return nil
+}
+
+// readPayload fills t from r one chunk at a time.
+func readPayload(r io.Reader, t *tensor.Tensor) error {
+	buf, per := chunkElems(t)
+	for lo, n := 0, t.NumElements(); lo < n; lo += per {
+		hi := min(n, lo+per)
+		b := buf[:(hi-lo)*t.DType().Size()]
+		if _, err := io.ReadFull(r, b); err != nil {
+			return fmt.Errorf("npy: short payload: %w", err)
+		}
+		switch t.DType() {
+		case tensor.Float32:
+			d := t.F32()[lo:hi]
+			for i := range d {
+				d[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[i*4:]))
+			}
+		case tensor.Float64:
+			d := t.F64()[lo:hi]
+			for i := range d {
+				d[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
+			}
+		case tensor.Int64:
+			d := t.I64()[lo:hi]
+			for i := range d {
+				d[i] = int64(binary.LittleEndian.Uint64(b[i*8:]))
+			}
+		case tensor.Complex128:
+			d := t.C128()[lo:hi]
+			for i := range d {
+				re := math.Float64frombits(binary.LittleEndian.Uint64(b[i*16:]))
+				im := math.Float64frombits(binary.LittleEndian.Uint64(b[i*16+8:]))
+				d[i] = complex(re, im)
+			}
+		}
+	}
+	return nil
 }
 
 // Read parses one .npy v1.x file from r.
@@ -138,9 +193,12 @@ func Read(r io.Reader) (*tensor.Tensor, error) {
 	default:
 		return nil, fmt.Errorf("npy: unsupported version %d.%d", head[6], head[7])
 	}
+	if hlen > maxHeaderBytes {
+		return nil, fmt.Errorf("npy: header of %d bytes exceeds %d", hlen, maxHeaderBytes)
+	}
 	hdr := make([]byte, hlen)
 	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("npy: short header: %w", err)
 	}
 	descr, fortran, shape, err := parseHeader(string(hdr))
 	if err != nil {
@@ -153,36 +211,61 @@ func Read(r io.Reader) (*tensor.Tensor, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := tensor.New(dt, shape...)
-	payload := make([]byte, t.ByteSize())
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("npy: short payload: %w", err)
+	// The header is untrusted: check the payload it declares can exist
+	// before allocating it, so a hundred bytes cannot demand a terabyte.
+	need, err := payloadBytes(shape, dt.Size())
+	if err != nil {
+		return nil, err
 	}
-	switch dt {
-	case tensor.Float32:
-		d := t.F32()
-		for i := range d {
-			d[i] = math.Float32frombits(binary.LittleEndian.Uint32(payload[i*4:]))
-		}
-	case tensor.Float64:
-		d := t.F64()
-		for i := range d {
-			d[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[i*8:]))
-		}
-	case tensor.Int64:
-		d := t.I64()
-		for i := range d {
-			d[i] = int64(binary.LittleEndian.Uint64(payload[i*8:]))
-		}
-	case tensor.Complex128:
-		d := t.C128()
-		for i := range d {
-			re := math.Float64frombits(binary.LittleEndian.Uint64(payload[i*16:]))
-			im := math.Float64frombits(binary.LittleEndian.Uint64(payload[i*16+8:]))
-			d[i] = complex(re, im)
-		}
+	if left, ok := remaining(r); ok && left < need {
+		return nil, fmt.Errorf("npy: header declares a %d-byte payload, %d bytes follow", need, left)
+	}
+	t := tensor.New(dt, shape...)
+	if err := readPayload(r, t); err != nil {
+		return nil, err
 	}
 	return t, nil
+}
+
+// maxHeaderBytes bounds the header length a file may declare (NumPy's own
+// reader refuses longer headers by default too).
+const maxHeaderBytes = 10000
+
+// maxRank bounds the dimensions a header may declare, as tensor.Decode does.
+const maxRank = 32
+
+// payloadBytes is the byte size of a shape's payload, or an error when the
+// element count times the element size overflows an int.
+func payloadBytes(shape tensor.Shape, size int) (int64, error) {
+	limit := math.MaxInt / size
+	elems := 1
+	for _, d := range shape {
+		if d != 0 && elems > limit/d {
+			return 0, fmt.Errorf("npy: shape %v overflows", shape)
+		}
+		elems *= d
+	}
+	return int64(elems) * int64(size), nil
+}
+
+// remaining reports how many bytes r still holds, when r can tell: an
+// in-memory reader, or a regular file (its size less the read offset).
+func remaining(r io.Reader) (int64, bool) {
+	switch r := r.(type) {
+	case interface{ Len() int }:
+		return int64(r.Len()), true
+	case *os.File:
+		fi, err := r.Stat()
+		if err != nil || !fi.Mode().IsRegular() {
+			return 0, false
+		}
+		off, err := r.Seek(0, io.SeekCurrent)
+		if err != nil {
+			return 0, false
+		}
+		return fi.Size() - off, true
+	}
+	return 0, false
 }
 
 // parseHeader extracts the three fields from the Python dict literal NumPy
@@ -234,6 +317,9 @@ func parseHeader(h string) (descr string, fortran bool, shape tensor.Shape, err 
 		d, err := strconv.Atoi(part)
 		if err != nil || d < 0 {
 			return "", false, nil, fmt.Errorf("npy: bad shape dim %q", part)
+		}
+		if len(shape) == maxRank {
+			return "", false, nil, fmt.Errorf("npy: shape has more than %d dims", maxRank)
 		}
 		shape = append(shape, d)
 	}

@@ -125,7 +125,9 @@ func FFTInPlace(a []complex128, inverse bool) error {
 }
 
 // NaiveDFT computes the O(n²) discrete Fourier transform, used as the
-// reference in tests and for the merger's correctness checks.
+// reference in tests and for the merger's correctness checks. Each phase
+// k·j is reduced mod n before it indexes one table of n roots, so the
+// reference's own error does not grow with k·j.
 func NaiveDFT(x []complex128, inverse bool) []complex128 {
 	n := len(x)
 	out := make([]complex128, n)
@@ -133,11 +135,18 @@ func NaiveDFT(x []complex128, inverse bool) []complex128 {
 	if inverse {
 		sign = 1.0
 	}
+	w := make([]complex128, n)
+	for j := range w {
+		s, c := math.Sincos(sign * 2 * math.Pi * float64(j) / float64(n))
+		w[j] = complex(c, s)
+	}
 	for k := 0; k < n; k++ {
 		var s complex128
-		for j := 0; j < n; j++ {
-			ang := sign * 2 * math.Pi * float64(k) * float64(j) / float64(n)
-			s += x[j] * complex(math.Cos(ang), math.Sin(ang))
+		for j, ph := 0, 0; j < n; j++ {
+			s += x[j] * w[ph]
+			if ph += k; ph >= n {
+				ph -= n
+			}
 		}
 		if inverse {
 			s /= complex(float64(n), 0)
