@@ -26,9 +26,10 @@ type ClusterOptions struct {
 }
 
 // RunCluster solves A·x = b on an already-running cluster: worker w's graph
-// is placed on /job:<job>/task:<w>, every op executes on that task over TCP,
+// is placed on /job:<job>/task:<w> and runs there as a registered partition,
 // and the allgather/allreduce collectives run ring steps directly between
-// the task servers — the driver only moves scalars and the final solution.
+// the task servers — the driver only moves the initial blocks, scalars and
+// the final solution.
 func RunCluster(cfg Config, a, b *tensor.Tensor, peers *cluster.Peers, opts ClusterOptions) (*RealResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -58,37 +59,37 @@ func RunCluster(cfg Config, a, b *tensor.Tensor, peers *cluster.Peers, opts Clus
 		return nil, err
 	}
 
+	// Worker w's graph is one partition on task w, plus an init/<v>
+	// placeholder feeding an assign/<v> node per variable: the first Run
+	// loads the task's A block, x=0 and r=p=b slice as feeds over the
+	// task's partition stream.
 	rows := cfg.RowsPerWorker()
+	vars := []string{"A", "x", "r", "p"}
 	sessions := make([]*session.Session, cfg.Workers)
 	for w := range sessions {
-		g := buildWorker(cfg, w, group, fmt.Sprintf("/job:%s/task:%d", job, w))
+		dev := fmt.Sprintf("/job:%s/task:%d", job, w)
+		g := buildWorker(cfg, w, group, dev)
+		g.WithDevice(dev, func() {
+			for _, v := range vars {
+				g.AddNamedOp("assign/"+v, "Assign", graph.Attrs{"var_name": fmt.Sprintf("w%d/%s", w, v)},
+					g.Placeholder("init/"+v, tensor.Float64, nil))
+			}
+		})
 		sess, err := session.New(g, nil, session.Options{LocalJob: "client", Remote: peers})
 		if err != nil {
 			return nil, err
 		}
+		defer sess.Close()
 		sessions[w] = sess
-	}
 
-	// Initialise remote state: each task gets its A block, x=0, r=p=b slice.
-	for w := 0; w < cfg.Workers; w++ {
-		pre := fmt.Sprintf("w%d/", w)
-		dev := graph.DeviceSpec{Job: job, Task: w}
-		blockRows := a.F64()[w*rows*cfg.N : (w+1)*rows*cfg.N]
 		bSlice := tensor.FromF64(tensor.Shape{rows}, b.F64()[w*rows:(w+1)*rows])
-		for _, init := range []struct {
-			name string
-			val  *tensor.Tensor
-		}{
-			{pre + "A", tensor.FromF64(tensor.Shape{rows, cfg.N}, blockRows)},
-			{pre + "x", tensor.New(tensor.Float64, rows)},
-			{pre + "r", bSlice},
-			{pre + "p", bSlice},
-		} {
-			if _, err := peers.RunRemoteOp(dev, "Assign", "init/"+init.name,
-				graph.Attrs{"var_name": init.name}, []string{"value"},
-				[]*tensor.Tensor{init.val}); err != nil {
-				return nil, fmt.Errorf("cg: init %s: %w", init.name, err)
-			}
+		if _, err := sess.Run(map[string]*tensor.Tensor{
+			"init/A": tensor.FromF64(tensor.Shape{rows, cfg.N}, a.F64()[w*rows*cfg.N:(w+1)*rows*cfg.N]),
+			"init/x": tensor.New(tensor.Float64, rows),
+			"init/r": bSlice,
+			"init/p": bSlice,
+		}, nil, []string{"assign/A", "assign/x", "assign/r", "assign/p"}); err != nil {
+			return nil, fmt.Errorf("cg: init worker %d: %w", w, err)
 		}
 	}
 	rr := gemm.Dot64(b.F64(), b.F64())
@@ -123,14 +124,12 @@ func RunCluster(cfg Config, a, b *tensor.Tensor, peers *cluster.Peers, opts Clus
 
 	// Fetch and assemble the solution from the tasks.
 	x := tensor.New(tensor.Float64, cfg.N)
-	for w := 0; w < cfg.Workers; w++ {
-		dev := graph.DeviceSpec{Job: job, Task: w}
-		xw, err := peers.RunRemoteOp(dev, "Variable", "read/x",
-			graph.Attrs{"var_name": fmt.Sprintf("w%d/x", w)}, nil, nil)
+	for w, sess := range sessions {
+		xw, err := sess.Run(nil, []string{"x"}, nil)
 		if err != nil {
 			return nil, err
 		}
-		copy(x.F64()[w*rows:(w+1)*rows], xw.F64())
+		copy(x.F64()[w*rows:(w+1)*rows], xw[0].F64())
 	}
 	return &RealResult{
 		X:            x,

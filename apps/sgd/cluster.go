@@ -5,9 +5,7 @@ import (
 	"time"
 
 	"tfhpc/internal/cluster"
-	"tfhpc/internal/graph"
 	"tfhpc/internal/session"
-	"tfhpc/internal/tensor"
 )
 
 // ClusterOptions tune a distributed run over running task servers.
@@ -53,6 +51,8 @@ func RunCluster(cfg Config, peers *cluster.Peers, opts ClusterOptions) (*Result,
 		return nil, err
 	}
 
+	// Replica w's whole graph is one partition on task w: each step is one
+	// run message there, and the variables load as feeds of the first Run.
 	sessions := make([]*session.Session, cfg.Workers)
 	for w := range sessions {
 		g := buildWorker(cfg, w, group, fmt.Sprintf("/job:%s/task:%d", job, w))
@@ -60,27 +60,19 @@ func RunCluster(cfg Config, peers *cluster.Peers, opts ClusterOptions) (*Result,
 		if err != nil {
 			return nil, err
 		}
+		defer sess.Close()
 		sessions[w] = sess
 	}
-	for w := 0; w < cfg.Workers; w++ {
-		dev := graph.DeviceSpec{Job: job, Task: w}
-		for _, init := range workerInit(cfg, w) {
-			if _, err := peers.RunRemoteOp(dev, "Assign", "init/"+init.Name,
-				graph.Attrs{"var_name": init.Name}, []string{"value"},
-				[]*tensor.Tensor{init.Val}); err != nil {
-				return nil, fmt.Errorf("sgd: init %s: %w", init.Name, err)
-			}
+	if err := eachSlot(cfg.Workers, func(w int) error {
+		if err := initVars(sessions[w], workerInit(cfg, w)); err != nil {
+			return fmt.Errorf("sgd: init worker %d: %w", w, err)
 		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 
-	return runReplicas(cfg, sessions,
-		// Poison the ring on the servers so the other ranks cascade the
-		// failure instead of blocking until the receive timeout.
-		func(int) { peers.AbortCollective(job, group) },
-		func(w int) (*tensor.Tensor, error) {
-			return concatWeights(cfg, func(name string) (*tensor.Tensor, error) {
-				return peers.RunRemoteOp(graph.DeviceSpec{Job: job, Task: w},
-					"Variable", "read/w", graph.Attrs{"var_name": name}, nil, nil)
-			}, w)
-		})
+	// Poison the ring on the servers so the other ranks cascade the failure
+	// instead of blocking until the receive timeout.
+	return runReplicas(cfg, sessions, func(int) { peers.AbortCollective(job, group) })
 }

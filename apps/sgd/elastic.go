@@ -97,12 +97,11 @@ type ElasticResult struct {
 }
 
 // elasticBackend is what the generation loop needs from a deployment: build
-// a membership, move variables, probe liveness, crash on demand. active[i]
-// is the task hosting rank/slot i.
+// a membership (one session per slot, through which variables load and
+// weights read back), probe liveness, crash on demand. active[i] is the
+// task hosting rank/slot i.
 type elasticBackend interface {
 	setup(active []int, gen int) ([]*session.Session, error)
-	assign(active []int, slot int, name string, val *tensor.Tensor) error
-	read(active []int, slot int, name string) (*tensor.Tensor, error)
 	abort(gen int)
 	probe(task int) error
 	announced(task int) bool
@@ -131,16 +130,16 @@ func globalData(cfg Config) (x, y *tensor.Tensor) {
 		tensor.FromF64(tensor.Shape{cfg.TotalRows()}, yv)
 }
 
-// varInit is one (variable, value) assignment.
+// varInit is one Variable node's initial value.
 type varInit struct {
-	Name string
+	Node string
 	Val  *tensor.Tensor
 }
 
 // elasticInit lists slot's variables for a p-member generation: its segment
 // of the global dataset (rows SegBounds(M, p, slot)), the packed transpose,
 // and the carried weight vector.
-func elasticInit(cfg Config, gx, gy *tensor.Tensor, p, slot int, pre string, w *tensor.Tensor) []varInit {
+func elasticInit(cfg Config, gx, gy *tensor.Tensor, p, slot int, w *tensor.Tensor) []varInit {
 	d := cfg.Features
 	lo, hi := collective.SegBounds(cfg.TotalRows(), p, slot)
 	m := hi - lo
@@ -149,11 +148,11 @@ func elasticInit(cfg Config, gx, gy *tensor.Tensor, p, slot int, pre string, w *
 	xtv := make([]float64, d*m)
 	gemm.Transpose64(m, d, x.F64(), xtv)
 
-	out := []varInit{{pre + "X", x}, {pre + "y", y}}
+	out := []varInit{{"X", x}, {"y", y}}
 	if !cfg.multiTensor() {
 		out = append(out,
-			varInit{pre + "Xt", tensor.FromF64(tensor.Shape{d, m}, xtv)},
-			varInit{pre + "w", w.Clone()})
+			varInit{"Xt", tensor.FromF64(tensor.Shape{d, m}, xtv)},
+			varInit{"w", w.Clone()})
 		return out
 	}
 	T := cfg.paramTensors()
@@ -161,8 +160,8 @@ func elasticInit(cfg Config, gx, gy *tensor.Tensor, p, slot int, pre string, w *
 	for t := 0; t < T; t++ {
 		tlo, thi := chunkBounds(d, T, t)
 		out = append(out,
-			varInit{fmt.Sprintf("%sXt%d", pre, t), tensor.FromF64(tensor.Shape{thi - tlo, m}, xtv[tlo*m:thi*m])},
-			varInit{weightVarName(pre, t), tensor.FromF64(tensor.Shape{thi - tlo}, append([]float64(nil), wv[tlo:thi]...))})
+			varInit{fmt.Sprintf("Xt%d", t), tensor.FromF64(tensor.Shape{thi - tlo, m}, xtv[tlo*m:thi*m])},
+			varInit{fmt.Sprintf("w%d", t), tensor.FromF64(tensor.Shape{thi - tlo}, append([]float64(nil), wv[tlo:thi]...))})
 	}
 	return out
 }
@@ -309,12 +308,7 @@ func runElastic(cfg Config, be elasticBackend, opts ElasticOptions) (*ElasticRes
 		sessions, err := be.setup(active, gen)
 		if err == nil {
 			err = eachSlot(p, func(slot int) error {
-				for _, init := range elasticInit(cfg, gx, gy, p, slot, elasticPre(gen, slot), ckptW) {
-					if aerr := be.assign(active, slot, init.Name, init.Val); aerr != nil {
-						return aerr
-					}
-				}
-				return nil
+				return initVars(sessions[slot], elasticInit(cfg, gx, gy, p, slot, ckptW))
 			})
 		}
 		if err != nil {
@@ -378,9 +372,7 @@ func runElastic(cfg Config, be elasticBackend, opts ElasticOptions) (*ElasticRes
 			})
 			var w *tensor.Tensor
 			if err == nil {
-				w, err = concatWeightsPre(cfg, func(name string) (*tensor.Tensor, error) {
-					return be.read(active, 0, name)
-				}, elasticPre(gen, 0))
+				w, err = readWeights(cfg, sessions[0])
 			}
 			if err != nil {
 				if ferr := shrink(gen, err); ferr != nil {
@@ -421,11 +413,8 @@ func runElastic(cfg Config, be elasticBackend, opts ElasticOptions) (*ElasticRes
 			// Training finished: verify the replica invariant on the final
 			// membership before tearing it down.
 			weights := make([]*tensor.Tensor, p)
-			err := eachSlot(p, func(slot int) error {
-				w, rerr := concatWeightsPre(cfg, func(name string) (*tensor.Tensor, error) {
-					return be.read(active, slot, name)
-				}, elasticPre(gen, slot))
-				weights[slot] = w
+			err := eachSlot(p, func(slot int) (rerr error) {
+				weights[slot], rerr = readWeights(cfg, sessions[slot])
 				return rerr
 			})
 			if err != nil {

@@ -6,9 +6,7 @@ import (
 	"time"
 
 	"tfhpc/internal/cluster"
-	"tfhpc/internal/graph"
 	"tfhpc/internal/session"
-	"tfhpc/internal/tensor"
 )
 
 // Cluster elastic deployment: one collective group name ("sgd") across all
@@ -28,8 +26,9 @@ type clusterElastic struct {
 	job   string
 	coord *cluster.Coordinator
 
-	mu   sync.Mutex
-	down map[int]bool // tasks the driver killed itself (simulated crash)
+	mu       sync.Mutex
+	down     map[int]bool // tasks the driver killed itself (simulated crash)
+	sessions []*session.Session
 }
 
 func newClusterElastic(cfg Config, peers *cluster.Peers, copts ClusterOptions, eopts ElasticOptions) *clusterElastic {
@@ -55,6 +54,8 @@ func (b *clusterElastic) setup(active []int, gen int) ([]*session.Session, error
 	}); err != nil {
 		return nil, err
 	}
+	// The previous generation's partitions go with its sessions.
+	b.closeSessions()
 	sessions := make([]*session.Session, len(active))
 	for slot, task := range active {
 		g := buildWorkerPre(b.cfg, elasticPre(gen, slot), elasticClusterGroup,
@@ -65,19 +66,20 @@ func (b *clusterElastic) setup(active []int, gen int) ([]*session.Session, error
 		}
 		sessions[slot] = sess
 	}
+	b.mu.Lock()
+	b.sessions = sessions
+	b.mu.Unlock()
 	return sessions, nil
 }
 
-func (b *clusterElastic) assign(active []int, slot int, name string, val *tensor.Tensor) error {
-	dev := graph.DeviceSpec{Job: b.job, Task: active[slot]}
-	_, err := b.peers.RunRemoteOp(dev, "Assign", "init/"+name,
-		graph.Attrs{"var_name": name}, []string{"value"}, []*tensor.Tensor{val})
-	return err
-}
-
-func (b *clusterElastic) read(active []int, slot int, name string) (*tensor.Tensor, error) {
-	return b.peers.RunRemoteOp(graph.DeviceSpec{Job: b.job, Task: active[slot]},
-		"Variable", "read/w", graph.Attrs{"var_name": name}, nil, nil)
+func (b *clusterElastic) closeSessions() {
+	b.mu.Lock()
+	sessions := b.sessions
+	b.sessions = nil
+	b.mu.Unlock()
+	for _, s := range sessions {
+		s.Close()
+	}
 }
 
 func (b *clusterElastic) abort(int) { b.coord.Abort(elasticClusterGroup) }
@@ -114,7 +116,7 @@ func (b *clusterElastic) kill(task int) {
 	b.eopts.Kill(task)
 }
 
-func (b *clusterElastic) close() {}
+func (b *clusterElastic) close() { b.closeSessions() }
 
 // RunElasticCluster trains elastically over an already-running cluster. The
 // task count of the job is the full width; the run starts over every task
@@ -138,5 +140,6 @@ func RunElasticCluster(cfg Config, peers *cluster.Peers, copts ClusterOptions, e
 		return nil, err
 	}
 	be := newClusterElastic(cfg, peers, copts, eopts)
+	defer be.close()
 	return runElastic(cfg, be, eopts)
 }

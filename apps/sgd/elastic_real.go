@@ -6,7 +6,6 @@ import (
 
 	"tfhpc/internal/collective"
 	"tfhpc/internal/session"
-	"tfhpc/internal/tensor"
 )
 
 // In-process elastic deployment: replicas share one Resources store and talk
@@ -65,15 +64,6 @@ func (b *loopbackElastic) setup(active []int, gen int) ([]*session.Session, erro
 		sessions[slot] = sess
 	}
 	return sessions, nil
-}
-
-func (b *loopbackElastic) assign(_ []int, _ int, name string, val *tensor.Tensor) error {
-	b.res.Vars.Get(name).Assign(val)
-	return nil
-}
-
-func (b *loopbackElastic) read(_ []int, _ int, name string) (*tensor.Tensor, error) {
-	return b.res.Vars.Get(name).Read()
 }
 
 func (b *loopbackElastic) abort(int) { b.closeGroups() }

@@ -26,32 +26,24 @@ func shardTensors(cfg Config, w int) (x, xt, y, w0 *tensor.Tensor) {
 	return
 }
 
-// workerInit lists worker w's (variable name, value) pairs for either graph
-// shape: the multi-tensor graph splits Xt and w into per-parameter-tensor
-// chunks (rows of Xt align with weight indices, so chunk t of Xt feeds
-// gradient tensor t).
-func workerInit(cfg Config, w int) []struct {
-	Name string
-	Val  *tensor.Tensor
-} {
-	type nv = struct {
-		Name string
-		Val  *tensor.Tensor
-	}
-	pre := fmt.Sprintf("w%d/", w)
+// workerInit lists worker w's variables for either graph shape: the
+// multi-tensor graph splits Xt and w into per-parameter-tensor chunks (rows
+// of Xt align with weight indices, so chunk t of Xt feeds gradient tensor
+// t).
+func workerInit(cfg Config, w int) []varInit {
 	x, xt, y, w0 := shardTensors(cfg, w)
 	if !cfg.multiTensor() {
-		return []nv{{pre + "X", x}, {pre + "Xt", xt}, {pre + "y", y}, {pre + "w", w0}}
+		return []varInit{{"X", x}, {"Xt", xt}, {"y", y}, {"w", w0}}
 	}
 	T := cfg.paramTensors()
 	m, d := cfg.RowsPerWorker, cfg.Features
-	out := []nv{{pre + "X", x}, {pre + "y", y}}
+	out := []varInit{{"X", x}, {"y", y}}
 	xtv := xt.F64()
 	for t := 0; t < T; t++ {
 		lo, hi := chunkBounds(d, T, t)
 		out = append(out,
-			nv{fmt.Sprintf("%sXt%d", pre, t), tensor.FromF64(tensor.Shape{hi - lo, m}, xtv[lo*m:hi*m])},
-			nv{weightVarName(pre, t), tensor.New(tensor.Float64, hi-lo)})
+			varInit{fmt.Sprintf("Xt%d", t), tensor.FromF64(tensor.Shape{hi - lo, m}, xtv[lo*m:hi*m])},
+			varInit{fmt.Sprintf("w%d", t), tensor.New(tensor.Float64, hi-lo)})
 	}
 	return out
 }
@@ -66,26 +58,34 @@ func (c Config) fusionOptions() collective.FusionOptions {
 	return collective.FusionOptions{FlushTensors: c.paramTensors()}
 }
 
-// concatWeights reassembles the flat weight vector from per-tensor reads.
-func concatWeights(cfg Config, read func(name string) (*tensor.Tensor, error), w int) (*tensor.Tensor, error) {
-	return concatWeightsPre(cfg, read, fmt.Sprintf("w%d/", w))
+// initVars loads one replica's variables in one Run: each value feeds the
+// graph's init/<v> placeholder and its assign/<v> node stores it.
+func initVars(sess *session.Session, inits []varInit) error {
+	feeds := make(map[string]*tensor.Tensor, len(inits))
+	targets := make([]string, len(inits))
+	for i, v := range inits {
+		feeds["init/"+v.Node] = v.Val
+		targets[i] = "assign/" + v.Node
+	}
+	_, err := sess.Run(feeds, nil, targets)
+	return err
 }
 
-// concatWeightsPre is concatWeights under an explicit variable prefix.
-func concatWeightsPre(cfg Config, read func(name string) (*tensor.Tensor, error), pre string) (*tensor.Tensor, error) {
-	if !cfg.multiTensor() {
-		return read(pre + "w")
+// readWeights fetches one replica's weight vector, reassembled across
+// parameter tensors.
+func readWeights(cfg Config, sess *session.Session) (*tensor.Tensor, error) {
+	chunks, err := sess.Run(nil, weightNodes(cfg), nil)
+	if err != nil {
+		return nil, err
+	}
+	if len(chunks) == 1 {
+		return chunks[0], nil
 	}
 	out := tensor.New(tensor.Float64, cfg.Features)
 	dst := out.F64()
 	off := 0
-	for t := 0; t < cfg.paramTensors(); t++ {
-		chunk, err := read(weightVarName(pre, t))
-		if err != nil {
-			return nil, err
-		}
-		copy(dst[off:off+chunk.NumElements()], chunk.F64())
-		off += chunk.NumElements()
+	for _, c := range chunks {
+		off += copy(dst[off:], c.F64())
 	}
 	return out, nil
 }
@@ -168,20 +168,11 @@ func RunReal(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		sessions[w] = sess
-	}
-	for w := 0; w < cfg.Workers; w++ {
-		for _, init := range workerInit(cfg, w) {
-			res.Vars.Get(init.Name).Assign(init.Val)
+		if err := initVars(sess, workerInit(cfg, w)); err != nil {
+			return nil, err
 		}
 	}
-
-	return runReplicas(cfg, sessions,
-		func(w int) { groups[w].Close() }, // cascade failure to blocked peers
-		func(w int) (*tensor.Tensor, error) {
-			return concatWeights(cfg, func(name string) (*tensor.Tensor, error) {
-				return res.Vars.Get(name).Read()
-			}, w)
-		})
+	return runReplicas(cfg, sessions, func(w int) { groups[w].Close() }) // cascade failure to blocked peers
 }
 
 // runReplicas fans the per-replica training loops out, aggregates their
@@ -189,8 +180,7 @@ func RunReal(cfg Config) (*Result, error) {
 // collective cascade instead of hanging), reads every replica's final
 // weights back and assembles the Result — including the synchronous
 // allreduce invariant that all replicas ended bit-for-bit equal.
-func runReplicas(cfg Config, sessions []*session.Session,
-	abort func(w int), readWeights func(w int) (*tensor.Tensor, error)) (*Result, error) {
+func runReplicas(cfg Config, sessions []*session.Session, abort func(w int)) (*Result, error) {
 	type out struct {
 		first, last float64
 		err         error
@@ -218,12 +208,11 @@ func runReplicas(cfg Config, sessions []*session.Session,
 	}
 
 	weights := make([]*tensor.Tensor, cfg.Workers)
-	for w := range weights {
-		wt, err := readWeights(w)
-		if err != nil {
-			return nil, err
-		}
-		weights[w] = wt
+	if err := eachSlot(cfg.Workers, func(w int) (err error) {
+		weights[w], err = readWeights(cfg, sessions[w])
+		return err
+	}); err != nil {
+		return nil, err
 	}
 	equal := true
 	for w := 1; w < cfg.Workers; w++ {

@@ -144,6 +144,10 @@ func buildWorker(cfg Config, w int, group, device string) *graph.Graph {
 // driver targets in its own Run to bracket checkpoints: when it completes on
 // rank 0, every rank has finished the step, so the weights read for the
 // checkpoint are the group-wide consistent state. Unfetched it is pruned.
+// Likewise an init/<v> placeholder feeding an assign/<v> Assign for every
+// Variable node v: drivers load a replica's variables by feeding them
+// (initVars), which on a cluster moves them over the task's partition
+// stream.
 func buildWorkerPre(cfg Config, pre, group, device string) *graph.Graph {
 	g := graph.New()
 	build := func() {
@@ -188,10 +192,19 @@ func buildWorkerPre(cfg Config, pre, group, device string) *graph.Graph {
 		wNew := g.AddNamedOp("w_new", "Axpy", nil, negLR, gAvg, wVar)
 		g.AddNamedOp("save_w", "Assign", graph.Attrs{"var_name": pre + "w"}, wNew)
 	}
-	if device != "" {
-		g.WithDevice(device, build)
-	} else {
+	withLoaders := func() {
 		build()
+		for _, v := range g.Nodes() {
+			if v.Op() == "Variable" {
+				g.AddNamedOp("assign/"+v.Name(), "Assign", graph.Attrs{"var_name": v.Attr("var_name")},
+					g.Placeholder("init/"+v.Name(), tensor.Float64, nil))
+			}
+		}
+	}
+	if device != "" {
+		g.WithDevice(device, withLoaders)
+	} else {
+		withLoaders()
 	}
 	return g
 }
@@ -268,6 +281,18 @@ func buildMultiTensor(cfg Config, g *graph.Graph, pre, group string) {
 // weightVarName is parameter tensor t's variable name under worker prefix
 // pre (single-tensor mode keeps the historic bare "w").
 func weightVarName(pre string, t int) string { return fmt.Sprintf("%sw%d", pre, t) }
+
+// weightNodes are the graph's weight Variable nodes, in vector order.
+func weightNodes(cfg Config) []string {
+	if !cfg.multiTensor() {
+		return []string{"w"}
+	}
+	names := make([]string, cfg.paramTensors())
+	for t := range names {
+		names[t] = fmt.Sprintf("w%d", t)
+	}
+	return names
+}
 
 // saveTarget names the per-tensor assign node the driver targets each step.
 func saveTarget(t int) string { return fmt.Sprintf("save_w%d", t) }

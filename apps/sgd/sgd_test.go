@@ -7,6 +7,7 @@ import (
 	"tfhpc/internal/cluster"
 	"tfhpc/internal/hw"
 	"tfhpc/internal/simnet"
+	"tfhpc/internal/telemetry"
 )
 
 func baseConfig() Config {
@@ -168,11 +169,66 @@ func TestClusterTrainingMatchesInProcess(t *testing.T) {
 	if diff := dist.FinalLoss - local.FinalLoss; diff > 1e-12 || diff < -1e-12 {
 		t.Fatalf("cluster loss %g != in-process loss %g", dist.FinalLoss, local.FinalLoss)
 	}
+
+	// Steady state: a step is one run message per task. Two runs that
+	// differ only in step count price a step free of the init and read-back
+	// they share. It must issue at most 4 rpc calls and move no variable:
+	// each worker's X and Xᵀ are 256 KiB here, and per-op remote execution
+	// shipped both out and back every step.
+	big := cfg
+	big.Features, big.RowsPerWorker, big.LR = 2048, 16, 1e-4
+	varBytes := int64(2 * big.Features * big.RowsPerWorker * 8 * big.Workers)
+	// Fresh tasks: variables keep their shape for a task's lifetime.
+	blc, err := cluster.StartLocal(map[string]int{"worker": big.Workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer blc.Close()
+	bpeers := cluster.NewPeers(blc.Spec())
+	defer bpeers.Close()
+	calls := counter(t, "tfhpc_rpc_calls_total")
+	moved := counter(t, "tfhpc_session_stream_bytes_total")
+	measure := func(steps int) (int64, int64) {
+		big.Steps = steps
+		c0, b0 := calls.Value(), moved.Value()
+		res, err := RunCluster(big, bpeers, ClusterOptions{HealthWait: 5 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.ReplicasEqual {
+			t.Fatal("cluster replicas diverged")
+		}
+		return calls.Value() - c0, moved.Value() - b0
+	}
+	c5, b5 := measure(5)
+	c25, b25 := measure(25)
+	t.Logf("per steady-state step: %.2f rpc calls, %.0f bytes over partition streams", float64(c25-c5)/20, float64(b25-b5)/20)
+	if b5 < varBytes {
+		t.Fatalf("a run moved %d bytes over its streams, less than its %d bytes of X and Xᵀ: the counter misses the init", b5, varBytes)
+	}
+	if perStep := float64(c25-c5) / 20; perStep > 4 {
+		t.Fatalf("%.2f rpc calls per steady-state step, want ≤ 4", perStep)
+	}
+	if perStep := float64(b25-b5) / 20; perStep >= 64<<10 {
+		t.Fatalf("%.0f bytes cross per steady-state step, want < 64 KiB", perStep)
+	}
+}
+
+// counter fetches a registered telemetry counter by name.
+func counter(t *testing.T, name string) *telemetry.Counter {
+	t.Helper()
+	for _, m := range telemetry.Metrics() {
+		if m.Name == name {
+			return telemetry.NewCounter(name, m.Help)
+		}
+	}
+	t.Fatalf("no metric %q registered", name)
+	return nil
 }
 
 // TestClusterFusedMultiTensor drives the fused multi-tensor graph over real
 // task servers: AllReduceFused ops coalesce on each server's fusion buffer,
-// the async loss handles span RunRemoteOp calls, and the result must match
+// the async loss handles span partition runs, and the result must match
 // the in-process fused run bit-for-bit.
 func TestClusterFusedMultiTensor(t *testing.T) {
 	cfg := baseConfig()

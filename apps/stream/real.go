@@ -64,6 +64,7 @@ func RunReal(cfg RealConfig) (*RealResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer sess.Close()
 	if _, err := sess.Run(nil, nil, []string{init.Name()}); err != nil {
 		return nil, err
 	}

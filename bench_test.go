@@ -450,7 +450,8 @@ func BenchmarkFFTRealPipeline(b *testing.B) {
 	}
 }
 
-// --- ablations: the design choices DESIGN.md calls out ---
+// --- ablations: the paper's design choices (transport, reducer count, tile
+// size, CG per-iteration overhead), priced on the virtual platform ---
 
 // BenchmarkAblationTransports quantifies the protocol gap the paper's
 // STREAM experiment measures, at matmul's tile size.

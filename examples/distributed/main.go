@@ -63,6 +63,7 @@ func main() {
 		if err != nil {
 			return err
 		}
+		defer sess.Close()
 		if task == 0 {
 			if _, err := sess.Run(nil, nil, []string{init.Name()}); err != nil {
 				return err

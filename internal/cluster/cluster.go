@@ -66,15 +66,17 @@ func (s Spec) String() string {
 }
 
 // Server is one TensorFlow-server analogue: a task that owns local
-// resources and executes ops on request. Create with NewServer, then Start.
-// Every server also hosts a collective Hub, so tasks can run ring
-// collectives among themselves once a client (or peer) calls CollInit.
+// resources and runs the graph partitions sessions register on it. Create
+// with NewServer, then Start. Every server also hosts a collective Hub, so
+// tasks can run ring collectives among themselves once a client (or peer)
+// calls CollInit.
 type Server struct {
 	Job  string
 	Task int
 	Res  *session.Resources
 	Hub  *collective.Hub
 
+	host      *session.Host
 	srv       *rpc.Server
 	inbox     *collective.ShmInbox
 	addr      string
@@ -86,7 +88,9 @@ type Server struct {
 // NewServer creates a task server with fresh resources.
 func NewServer(job string, task int) *Server {
 	s := &Server{Job: job, Task: task, Res: session.NewResources(), Hub: collective.NewHub(), inbox: collective.NewShmInbox()}
+	s.host = session.NewHost(s.Res)
 	s.srv = rpc.NewServer()
+	s.srv.HandleStream(session.PartitionMethod, s.host.Serve)
 	s.srv.Handle("RunOp", s.handleRunOp)
 	s.srv.HandleStream(collective.StreamMethod, s.Hub.HandleStream)
 	s.srv.Handle("CollInit", s.handleCollInit)
@@ -94,6 +98,10 @@ func NewServer(job string, task int) *Server {
 	s.srv.Handle("Health", func([]byte) ([]byte, error) { return []byte("ok"), nil })
 	return s
 }
+
+// Partitions reports how many graph partitions sessions hold registered on
+// this task.
+func (s *Server) Partitions() int { return s.host.Partitions() }
 
 // HandleCtx registers an additional RPC method on this task's server — the
 // hook other subsystems use to co-host endpoints on cluster worker tasks
@@ -331,25 +339,36 @@ func (s *Server) handleCollClose(req []byte) ([]byte, error) {
 	return []byte("ok"), nil
 }
 
-// RunOp request encoding:
+// RunOp runs one op per call, its inputs in the request and its output in
+// the reply: a debugging path, and what the benchmark's remote-op latency
+// probe times. Sessions run remote work as registered partitions instead.
+//
+// Request encoding:
 //
 //	1 op, 2 nodeName, 3 attr bytes, 4 repeated input name,
 //	5 repeated input tensor bytes
 //
 // Response: tensor bytes.
-func encodeRunOp(op, nodeName string, attrs graph.Attrs, inputNames []string, inputs []*tensor.Tensor) ([]byte, error) {
-	ab, err := graph.MarshalAttrs(attrs)
+type runOpRequest struct {
+	op, nodeName string
+	attrs        graph.Attrs
+	inputNames   []string
+	inputs       []*tensor.Tensor
+}
+
+func encodeRunOp(r *runOpRequest) ([]byte, error) {
+	ab, err := graph.MarshalAttrs(r.attrs)
 	if err != nil {
 		return nil, err
 	}
 	e := wire.NewEncoder()
-	e.String(1, op)
-	e.String(2, nodeName)
+	e.String(1, r.op)
+	e.String(2, r.nodeName)
 	e.BytesField(3, ab)
-	for _, n := range inputNames {
+	for _, n := range r.inputNames {
 		e.String(4, n)
 	}
-	for _, t := range inputs {
+	for _, t := range r.inputs {
 		tb, err := t.Encode(nil)
 		if err != nil {
 			return nil, err
@@ -359,11 +378,8 @@ func encodeRunOp(op, nodeName string, attrs graph.Attrs, inputNames []string, in
 	return e.Bytes(), nil
 }
 
-func (s *Server) handleRunOp(req []byte) ([]byte, error) {
-	var op, nodeName string
-	var attrs graph.Attrs
-	var inputNames []string
-	var inputs []*tensor.Tensor
+func decodeRunOp(req []byte) (*runOpRequest, error) {
+	r := &runOpRequest{}
 	d := wire.NewDecoder(req)
 	for d.More() {
 		f, wt, err := d.Next()
@@ -372,11 +388,11 @@ func (s *Server) handleRunOp(req []byte) ([]byte, error) {
 		}
 		switch f {
 		case 1:
-			if op, err = d.StringVal(); err != nil {
+			if r.op, err = d.StringVal(); err != nil {
 				return nil, err
 			}
 		case 2:
-			if nodeName, err = d.StringVal(); err != nil {
+			if r.nodeName, err = d.StringVal(); err != nil {
 				return nil, err
 			}
 		case 3:
@@ -384,7 +400,7 @@ func (s *Server) handleRunOp(req []byte) ([]byte, error) {
 			if err != nil {
 				return nil, err
 			}
-			if attrs, err = graph.UnmarshalAttrs(ab); err != nil {
+			if r.attrs, err = graph.UnmarshalAttrs(ab); err != nil {
 				return nil, err
 			}
 		case 4:
@@ -392,7 +408,7 @@ func (s *Server) handleRunOp(req []byte) ([]byte, error) {
 			if err != nil {
 				return nil, err
 			}
-			inputNames = append(inputNames, n)
+			r.inputNames = append(r.inputNames, n)
 		case 5:
 			tb, err := d.Bytes()
 			if err != nil {
@@ -402,29 +418,38 @@ func (s *Server) handleRunOp(req []byte) ([]byte, error) {
 			if err != nil {
 				return nil, err
 			}
-			inputs = append(inputs, t)
+			r.inputs = append(r.inputs, t)
 		default:
 			if err := d.Skip(wt); err != nil {
 				return nil, err
 			}
 		}
 	}
+	return r, nil
+}
+
+func (s *Server) handleRunOp(req []byte) ([]byte, error) {
+	r, err := decodeRunOp(req)
+	if err != nil {
+		return nil, err
+	}
 	ctx := &ops.Context{
-		NodeName:   nodeName,
-		Attrs:      attrs,
-		InputNames: inputNames,
+		NodeName:   r.nodeName,
+		Attrs:      r.attrs,
+		InputNames: r.inputNames,
 		Resources:  s.Res,
 		Scratch:    ops.NewScratch(),
 	}
-	out, err := ops.Run(op, ctx, inputs)
+	out, err := ops.Run(r.op, ctx, r.inputs)
 	if err != nil {
 		return nil, err
 	}
 	return out.Encode(nil)
 }
 
-// Peers is the client side of a cluster: it forwards ops to remote tasks
-// and implements session.RemoteRunner.
+// Peers is the client side of a cluster: it dials the tasks' partition
+// streams for sessions (session.Dialer) and drives the control calls —
+// health, collective membership — itself.
 type Peers struct {
 	spec Spec
 
@@ -455,8 +480,18 @@ func (p *Peers) client(job string, task int) (*rpc.Client, error) {
 	return c, nil
 }
 
-// RunRemoteOp implements session.RemoteRunner by forwarding the op to the
-// task named in the device spec.
+// DialTask implements session.Dialer: a fresh partition stream to the
+// task, multiplexed over the peer's stream connection.
+func (p *Peers) DialTask(job string, task int) (*rpc.Stream, error) {
+	c, err := p.client(job, task)
+	if err != nil {
+		return nil, err
+	}
+	return c.OpenStream(session.PartitionMethod)
+}
+
+// RunRemoteOp runs one op on the task named in the device spec through the
+// RunOp debugging path; sessions never call it.
 func (p *Peers) RunRemoteOp(device graph.DeviceSpec, op, nodeName string, attrs graph.Attrs,
 	inputNames []string, inputs []*tensor.Tensor) (*tensor.Tensor, error) {
 	task := device.Task
@@ -467,7 +502,7 @@ func (p *Peers) RunRemoteOp(device graph.DeviceSpec, op, nodeName string, attrs 
 	if err != nil {
 		return nil, err
 	}
-	req, err := encodeRunOp(op, nodeName, attrs, inputNames, inputs)
+	req, err := encodeRunOp(&runOpRequest{op: op, nodeName: nodeName, attrs: attrs, inputNames: inputNames, inputs: inputs})
 	if err != nil {
 		return nil, err
 	}

@@ -393,6 +393,10 @@ func decodeAttr(buf []byte) (string, any, error) {
 	if key == "" || kind == 0 {
 		return "", nil, fmt.Errorf("graph: attr missing key or kind")
 	}
+	if val == nil {
+		// Nothing encodes one, and it could not be re-encoded.
+		return "", nil, fmt.Errorf("graph: attr %q has no value", key)
+	}
 	return key, val, nil
 }
 

@@ -7,8 +7,9 @@
 // bytes/MemBW); transfers are charged latency + bytes/bandwidth along every
 // hop of the path (GPU→PCIe→host→NIC→wire). Values are calibrated against
 // the paper's measured results (Figs. 7, 8, 10, 11) and public spec sheets;
-// see DESIGN.md §5. We reproduce shapes — orderings, scaling ratios,
-// saturation points — not silicon-exact numbers.
+// the apps' sim tests pin the calibrated scaling-ratio windows. We reproduce
+// shapes — orderings, scaling ratios, saturation points — not silicon-exact
+// numbers.
 package hw
 
 import "fmt"

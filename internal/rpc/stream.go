@@ -15,8 +15,10 @@
 // Buffer ownership: frames are read into pooled buffers (wire.GetBuf) owned
 // by the mux until delivery; Stream.Recv copies the payload into the
 // caller's buffer and recycles the frame immediately, so callers own what
-// Recv returns and must not retain transport buffers. Send fully writes the
-// payload before returning, so callers may reuse their buffer at once.
+// Recv returns and must not retain transport buffers; RecvFunc instead lends
+// the pooled payload to a callback and recycles it when the callback
+// returns. Send fully writes the payload before returning, so callers may
+// reuse their buffer at once.
 package rpc
 
 import (
@@ -463,21 +465,48 @@ func (s *Stream) Send(p []byte) error {
 // its frame buffer before returning. io.EOF reports a graceful close by the
 // peer.
 func (s *Stream) Recv(buf []byte) ([]byte, error) {
+	f, grant, err := s.next()
+	if err != nil {
+		return nil, err
+	}
+	out := append(buf[:0], f.payload...)
+	s.release(f, grant)
+	return out, nil
+}
+
+// RecvFunc waits for the next data frame like Recv but lends its payload to
+// fn instead of copying it: p aliases the transport's pooled frame buffer,
+// valid only until fn returns, after which the frame is recycled. Receivers
+// that decode a frame straight into their own values (partition tensors)
+// skip Recv's copy this way. fn's error is returned as is.
+func (s *Stream) RecvFunc(fn func(p []byte) error) error {
+	f, grant, err := s.next()
+	if err != nil {
+		return err
+	}
+	ferr := fn(f.payload)
+	s.release(f, grant)
+	return ferr
+}
+
+// next dequeues the next data frame, waiting for one, and reports how much
+// credit consuming it re-grants to the peer.
+func (s *Stream) next() (rframe, int, error) {
 	s.mu.Lock()
 	for s.rhead == len(s.rq) {
 		if s.recvErr != nil {
 			err := s.recvErr
 			s.mu.Unlock()
-			return nil, err
+			return rframe{}, 0, err
 		}
 		if s.recvEOF {
 			s.mu.Unlock()
-			return nil, io.EOF
+			return rframe{}, 0, io.EOF
 		}
 		if !s.deadline.IsZero() {
 			if !time.Now().Before(s.deadline) {
 				s.mu.Unlock()
-				return nil, ErrStreamTimeout
+				return rframe{}, 0, ErrStreamTimeout
 			}
 			s.armTimerLocked()
 		}
@@ -496,15 +525,17 @@ func (s *Stream) Recv(buf []byte) ([]byte, error) {
 		grant, s.consumed = s.consumed, 0
 	}
 	s.mu.Unlock()
+	return f, grant, nil
+}
 
-	out := append(buf[:0], f.payload...)
+// release recycles a consumed frame and sends the credit it re-grants.
+func (s *Stream) release(f rframe, grant int) {
 	wire.PutBuf(f.buf)
 	if grant > 0 {
 		if err := s.m.writeCredit(s.id, grant); err != nil {
 			s.m.fail(err)
 		}
 	}
-	return out, nil
 }
 
 // SetRecvDeadline bounds subsequent Recv calls; the zero time clears the

@@ -4,9 +4,16 @@
 // dispatches independent ops concurrently — the property the paper
 // highlights as a core advantage of dataflow computing.
 //
-// Ops placed on remote jobs/tasks are forwarded through a RemoteRunner
-// (implemented over TCP RPC by internal/cluster), so the same session code
-// drives single-process and distributed executions.
+// A graph whose nodes all run here takes that executor directly. When some
+// nodes are placed on other tasks, the first Run of each (feeds, fetches,
+// targets) signature splits the needed subgraph by task, turns every edge
+// that crosses a partition boundary into a _Send/_Recv pair, and registers
+// each remote partition once on its task (partition.go, host.go). Later
+// Runs of that signature send one small run message per task over one
+// stream per (session, task) and receive only the tensors that leave the
+// partition — the TensorFlow white paper's per-device partitioning with
+// cached, register-then-run subgraphs — so the same session code drives
+// single-process and distributed executions.
 package session
 
 import (
@@ -17,6 +24,7 @@ import (
 	"tfhpc/internal/graph"
 	"tfhpc/internal/ops"
 	"tfhpc/internal/queue"
+	"tfhpc/internal/rpc"
 	"tfhpc/internal/tensor"
 	"tfhpc/internal/timeline"
 	"tfhpc/internal/vars"
@@ -115,23 +123,24 @@ func (s *CollStore) CloseAll() {
 	}
 }
 
-// RemoteRunner executes a single op on a remote task. inputs are already
-// evaluated; the remote side applies the kernel against its own resources.
-type RemoteRunner interface {
-	RunRemoteOp(device graph.DeviceSpec, op, nodeName string, attrs graph.Attrs,
-		inputNames []string, inputs []*tensor.Tensor) (*tensor.Tensor, error)
+// Dialer opens the stream a session registers and runs one task's
+// partitions over. The task serves it with a Host; internal/cluster's Peers
+// implements Dialer over each task server's rpc connection.
+type Dialer interface {
+	DialTask(job string, task int) (*rpc.Stream, error)
 }
 
 // Options configures a session.
 type Options struct {
 	// LocalJob/LocalTask identify this process within a cluster; ops whose
-	// device spec names another job/task are forwarded to Remote. An empty
-	// LocalJob treats every op as local.
+	// device spec names another job/task run in that task's partition. An
+	// empty LocalJob treats every op as local.
 	LocalJob  string
 	LocalTask int
-	// Remote forwards non-local ops; required only in distributed runs.
-	Remote RemoteRunner
-	// Trace, when non-nil, records per-op spans (TensorFlow Timeline).
+	// Remote reaches the tasks; required only in distributed runs.
+	Remote Dialer
+	// Trace, when non-nil, records per-op spans (TensorFlow Timeline) for
+	// the ops run here, and one span per remote partition run.
 	Trace *timeline.Trace
 	// Parallelism bounds concurrent op dispatch; 0 = unlimited (the executor
 	// is already throttled by dependencies; kernels self-limit to NumCPU).
@@ -147,11 +156,22 @@ type Options struct {
 	Parallelism int
 }
 
-// Session executes a fixed graph repeatedly.
+// Session executes a fixed graph repeatedly. Run is safe for concurrent
+// use.
 type Session struct {
 	g    *graph.Graph
 	res  *Resources
 	opts Options
+	// remote: some node is placed off this process, so Runs go through
+	// partition plans; false keeps every Run on the plain executor.
+	remote bool
+
+	mu         sync.Mutex
+	plans      map[string]*plan // by Run signature; nil plan = all local
+	conns      map[taskKey]*taskConn
+	nextHandle uint64
+	nextRun    uint64
+	closed     bool
 }
 
 // New validates the graph and binds it to resources. A nil res allocates
@@ -163,7 +183,35 @@ func New(g *graph.Graph, res *Resources, opts Options) (*Session, error) {
 	if res == nil {
 		res = NewResources()
 	}
-	return &Session{g: g, res: res, opts: opts}, nil
+	s := &Session{g: g, res: res, opts: opts}
+	if opts.LocalJob != "" {
+		for _, n := range g.Nodes() {
+			if !n.Device().IsLocalTo(opts.LocalJob, opts.LocalTask) {
+				s.remote = true
+				break
+			}
+		}
+	}
+	return s, nil
+}
+
+// Close releases the session's task streams and waits for their readers
+// to exit; each task drops the partitions registered over its stream,
+// aborting any still running. Runs that need a task fail after Close;
+// all-local Runs are unaffected.
+func (s *Session) Close() error {
+	s.mu.Lock()
+	s.closed = true
+	conns := s.conns
+	s.conns = nil
+	s.mu.Unlock()
+	for _, c := range conns {
+		c.st.Close()
+	}
+	for _, c := range conns {
+		<-c.done
+	}
+	return nil
 }
 
 // Resources exposes the session's stateful backing (for checkpointing).
@@ -210,9 +258,20 @@ func (s *Session) Run(feeds map[string]*tensor.Tensor, fetches, targets []string
 			return nil, err
 		}
 	}
+	if s.remote {
+		p, err := s.plan(feeds, fetchNodes, targets, roots)
+		if err != nil {
+			return nil, err
+		}
+		if p != nil {
+			return s.runPlan(p, feeds)
+		}
+	}
 
 	exec := &execution{
-		sess:    s,
+		g:       s.g,
+		res:     s.res,
+		opts:    &s.opts,
 		needed:  s.g.Subgraph(roots),
 		feeds:   feeds,
 		results: make(map[int]*tensor.Tensor),
@@ -232,12 +291,19 @@ func (s *Session) Run(feeds map[string]*tensor.Tensor, fetches, targets []string
 	return out, nil
 }
 
-// execution is the per-Run state of the parallel topological executor.
+// execution is the per-Run state of the parallel topological executor: the
+// whole Run of an all-local graph, or one partition of a partitioned Run.
 type execution struct {
-	sess    *Session
+	g       *graph.Graph
+	res     *Resources
+	opts    *Options
 	needed  map[int]bool
 	feeds   map[string]*tensor.Tensor
 	scratch *ops.Scratch
+	// Partition runs only: rv holds the values arriving over partition
+	// edges for _Recv nodes, and send ships a _Send node's value out.
+	rv   *rendezvous
+	send func(key uint64, t *tensor.Tensor) error
 
 	mu      sync.Mutex
 	results map[int]*tensor.Tensor
@@ -253,7 +319,7 @@ func (e *execution) setErr(err error) {
 }
 
 func (e *execution) run() error {
-	g := e.sess.g
+	g := e.g
 	// Build dependency counts restricted to the needed subgraph.
 	indeg := make(map[int]int, len(e.needed))
 	succs := make(map[int][]*graph.Node, len(e.needed))
@@ -283,13 +349,15 @@ func (e *execution) run() error {
 
 	var wg sync.WaitGroup
 	var sem chan struct{}
-	if p := e.sess.opts.Parallelism; p > 0 {
+	if p := e.opts.Parallelism; p > 0 {
 		sem = make(chan struct{}, p)
 	}
 	var schedule func(n *graph.Node)
 	dispatch := func(n *graph.Node) {
 		defer wg.Done()
-		if sem != nil {
+		// A _Recv only waits for a value; holding a dispatch slot while it
+		// waits could starve the nodes that produce that value.
+		if sem != nil && n.Op() != opRecv {
 			sem <- struct{}{}
 			defer func() { <-sem }()
 		}
@@ -350,7 +418,7 @@ func (e *execution) run() error {
 	return e.err
 }
 
-// evalNode runs one node locally or remotely.
+// evalNode runs one node.
 func (e *execution) evalNode(n *graph.Node) (*tensor.Tensor, error) {
 	inputs := make([]*tensor.Tensor, len(n.Inputs()))
 	inputNames := make([]string, len(n.Inputs()))
@@ -361,34 +429,30 @@ func (e *execution) evalNode(n *graph.Node) (*tensor.Tensor, error) {
 	}
 	e.mu.Unlock()
 
-	opts := &e.sess.opts
-	dev := n.Device()
-	local := opts.LocalJob == "" || dev.IsLocalTo(opts.LocalJob, opts.LocalTask)
+	if e.rv != nil {
+		switch n.Op() {
+		case opRecv:
+			return e.rv.get(edgeKey(n))
+		case opSend:
+			return nil, e.sendValue(n, inputs[0])
+		}
+	}
 
+	opts := e.opts
 	var start float64
 	if opts.Trace != nil {
 		start = opts.Trace.Now()
 	}
-	var out *tensor.Tensor
-	var err error
-	if local {
-		ctx := &ops.Context{
-			NodeName:   n.Name(),
-			Attrs:      n.Attrs(),
-			InputNames: inputNames,
-			Resources:  e.sess.res,
-			Scratch:    e.scratch,
-		}
-		out, err = ops.Run(n.Op(), ctx, inputs)
-	} else {
-		if opts.Remote == nil {
-			return nil, fmt.Errorf("session: node %q placed on %v but no remote runner configured",
-				n.Name(), dev)
-		}
-		out, err = opts.Remote.RunRemoteOp(dev, n.Op(), n.Name(), n.Attrs(), inputNames, inputs)
+	ctx := &ops.Context{
+		NodeName:   n.Name(),
+		Attrs:      n.Attrs(),
+		InputNames: inputNames,
+		Resources:  e.res,
+		Scratch:    e.scratch,
 	}
+	out, err := ops.Run(n.Op(), ctx, inputs)
 	if opts.Trace != nil {
-		devStr := dev.String()
+		devStr := n.Device().String()
 		if devStr == "" {
 			devStr = "/device:CPU:0"
 		}

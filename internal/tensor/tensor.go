@@ -309,23 +309,56 @@ func (t *Tensor) ScalarInt() int64 {
 // Clone returns a deep copy of the tensor.
 func (t *Tensor) Clone() *Tensor {
 	c := New(t.dtype, t.shape...)
-	switch t.dtype {
-	case Float32:
-		copy(c.F32(), t.F32())
-	case Float64:
-		copy(c.F64(), t.F64())
-	case Complex64:
-		copy(c.C64(), t.C64())
-	case Complex128:
-		copy(c.C128(), t.C128())
-	case Int32:
-		copy(c.I32(), t.I32())
-	case Int64:
-		copy(c.I64(), t.I64())
-	case Bool:
-		copy(c.Bools(), t.Bools())
-	}
+	c.CopyFrom(t) // same dtype and size: cannot fail
 	return c
+}
+
+// CopyFrom overwrites t's elements with src's, in row-major order; the
+// dtypes and element counts must match (the shapes need not).
+func (t *Tensor) CopyFrom(src *Tensor) error {
+	if src.dtype != t.dtype || src.NumElements() != t.NumElements() {
+		return fmt.Errorf("tensor: cannot copy %v%v into %v%v", src.dtype, src.shape, t.dtype, t.shape)
+	}
+	switch d := t.data.(type) {
+	case []float32:
+		copy(d, src.F32())
+	case []float64:
+		copy(d, src.F64())
+	case []complex64:
+		copy(d, src.C64())
+	case []complex128:
+		copy(d, src.C128())
+	case []int32:
+		copy(d, src.I32())
+	case []int64:
+		copy(d, src.I64())
+	case []bool:
+		copy(d, src.Bools())
+	}
+	return nil
+}
+
+// Flat returns a rank-1 view of elements [lo, hi) of t's row-major storage;
+// writes through it change t.
+func (t *Tensor) Flat(lo, hi int) *Tensor {
+	v := &Tensor{dtype: t.dtype, shape: Shape{hi - lo}}
+	switch d := t.data.(type) {
+	case []float32:
+		v.data = d[lo:hi]
+	case []float64:
+		v.data = d[lo:hi]
+	case []complex64:
+		v.data = d[lo:hi]
+	case []complex128:
+		v.data = d[lo:hi]
+	case []int32:
+		v.data = d[lo:hi]
+	case []int64:
+		v.data = d[lo:hi]
+	case []bool:
+		v.data = d[lo:hi]
+	}
+	return v
 }
 
 // Reshape returns a view of the tensor with a new shape; the element count

@@ -25,7 +25,10 @@ func seedMessages() [][]byte {
 		nil,
 		[]byte{0x08}, // tag then nothing
 		[]byte{0x80}, // unterminated varint
-		[]byte{0x12, 0xff, 0xff, 0xff, 0xff, 0x7f},   // bytes field longer than the buffer
+		[]byte{0x12, 0xff, 0xff, 0xff, 0xff, 0x7f}, // bytes field longer than the buffer
+		// bytes field of length 2^63: wrapped negative, it once passed both
+		// bounds checks and panicked slicing.
+		[]byte{0x12, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01},
 		[]byte{0x0a, 0x02, 0x01},                     // nested message truncated
 		bytes.Repeat([]byte{0x80}, 16),               // varint overlong
 		[]byte{0x19, 1, 2, 3},                        // fixed64 truncated

@@ -182,7 +182,9 @@ func (d *Decoder) Bytes() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if int64(n) > MaxMessageSize {
+	// Compared unsigned: a length of 2^63 or more must not wrap negative and
+	// slip past both bounds.
+	if n > uint64(MaxMessageSize) {
 		return nil, ErrMessageTooLarge
 	}
 	if d.off+int(n) > len(d.buf) {

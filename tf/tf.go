@@ -110,10 +110,11 @@ var (
 type (
 	// ClusterSpec maps job names to task addresses (Listing 2).
 	ClusterSpec = cluster.Spec
-	// Server is one task: it owns resources and serves remote ops.
+	// Server is one task: it owns resources and runs the graph partitions
+	// sessions register on it.
 	Server = cluster.Server
 	// Peers is the client side of a cluster; it implements the session's
-	// RemoteRunner.
+	// Dialer.
 	Peers = cluster.Peers
 	// SlurmResolver derives a ClusterSpec from a Slurm allocation.
 	SlurmResolver = cluster.SlurmResolver
