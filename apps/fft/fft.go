@@ -2,8 +2,8 @@
 // (Fig. 6): the input signal is split into interleaved tiles stored as .npy
 // files; workers each transform their share of tiles on GPU — side by side,
 // each tile on one core's in-cache engine path — the transformed tiles are
-// collected with ragged AllGatherV collectives (the balanced replacement
-// for the paper's single merger queue — sim mode still prices that
+// gathered to one merging rank with ragged GatherV collectives (the
+// replacement for the paper's merger queue — sim mode still prices that
 // deployment), and the tiles are combined with twiddle factors on the host
 // — the merge the paper runs serially in Python and excludes from its
 // scaling figures, here one cache-blocked pass over the gathered tiles,

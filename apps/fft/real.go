@@ -15,8 +15,8 @@ import (
 )
 
 // RealResult reports a real run. Following the paper, CollectSeconds (until
-// every rank holds every transformed tile) is the timed portion; the host
-// merge is reported separately.
+// the merging rank holds every transformed tile) is the timed portion; the
+// host merge is reported separately.
 type RealResult struct {
 	X              []complex128 // the full transform
 	CollectSeconds float64
@@ -28,13 +28,13 @@ type RealResult struct {
 func collGroup(w int) string { return fmt.Sprintf("fft/w%d", w) }
 
 // RunReal executes the full pipeline with real numerics: pre-processes the
-// signal into interleaved .npy tiles under dir, transforms each worker's
-// shard through an FFT session, then collects with a pair of in-graph
-// AllGatherV passes — tile indices and tile payloads, both ragged since the
-// tile count rarely divides the worker count — replacing the central
-// merger's dequeue loop: every rank ends holding every transformed tile,
-// where the old queue service funnelled them through one task. The merge
-// then combines them on the host.
+// signal into interleaved .npy tiles under dir in one pass, transforms each
+// worker's shard through an FFT session — the shard selects its files
+// before any is read, so a worker loads only its own tiles — then collects
+// with a pair of in-graph GatherV passes to rank 0, the merger: tile
+// indices and tile payloads, both ragged since the tile count rarely
+// divides the worker count. Only the merger receives the transformed
+// tiles, and it combines them on the host.
 func RunReal(dir string, cfg Config, signal []complex128) (*RealResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -65,13 +65,9 @@ func RunReal(dir string, cfg Config, signal []complex128) (*RealResult, error) {
 		}
 	}
 
-	// gathered[w] holds worker w's copy of (indices, tiles) — identical on
-	// every rank once the collective completes.
-	type gatherOut struct {
-		idx   *tensor.Tensor
-		tiles *tensor.Tensor
-	}
-	gathered := make([]gatherOut, cfg.Workers)
+	// Rank 0 is the merger: its gathers return every rank's (indices,
+	// tiles); the other ranks' return zero rows.
+	var idxT, tilesT *tensor.Tensor
 	for w := 0; w < cfg.Workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -82,7 +78,9 @@ func RunReal(dir string, cfg Config, signal []complex128) (*RealResult, error) {
 				abort()
 				return
 			}
-			gathered[w] = gatherOut{idx, tiles}
+			if w == mergeRank {
+				idxT, tilesT = idx, tiles
+			}
 		}(w)
 	}
 	wg.Wait()
@@ -92,11 +90,11 @@ func RunReal(dir string, cfg Config, signal []complex128) (*RealResult, error) {
 	}
 	collectSeconds := time.Since(start).Seconds()
 
-	// Label rank 0's gathered tiles by index for the merge, which then
+	// Label the gathered tiles by index for the merge, which then
 	// overwrites the gathered buffer with the transform.
 	collected := make([][]complex128, cfg.Tiles)
-	idx := gathered[0].idx.I64()
-	flat := gathered[0].tiles.C128()
+	idx := idxT.I64()
+	flat := tilesT.C128()
 	m := cfg.TileLen()
 	if len(idx)*m != len(flat) {
 		return nil, fmt.Errorf("fft: gathered %d indices but %d samples", len(idx), len(flat))
@@ -128,8 +126,12 @@ func RunReal(dir string, cfg Config, signal []complex128) (*RealResult, error) {
 	}, nil
 }
 
+// mergeRank is the rank the tiles are gathered to and merged on.
+const mergeRank = 0
+
 // runWorker transforms the worker's tile shard through an FFT session and
-// returns the group-wide gathers of tile indices and tile payloads.
+// returns the gathers of tile indices and tile payloads: every rank's on
+// mergeRank, zero rows elsewhere.
 func runWorker(cfg Config, res *session.Resources, shared dataset.Dataset, w int) (idx, tiles *tensor.Tensor, err error) {
 	g := graph.New()
 	ph := g.Placeholder("tile", tensor.Complex128, tensor.Shape{cfg.TileLen()})
@@ -147,6 +149,7 @@ func runWorker(cfg Config, res *session.Resources, shared dataset.Dataset, w int
 	myIdx := make([]int64, 0, owned)
 	myTiles := make([]complex128, 0, owned*cfg.TileLen())
 	it := dataset.Prefetch(dataset.Shard(shared, cfg.Workers, w), 2).Iterator()
+	defer it.Close()
 	for {
 		elem, err := it.Next()
 		if err == io.EOF {
@@ -164,14 +167,17 @@ func runWorker(cfg Config, res *session.Resources, shared dataset.Dataset, w int
 		myTiles = append(myTiles, outs[0].C128()...)
 	}
 
-	// Collection: two ragged allgathers (this worker may own zero tiles
-	// when workers outnumber tiles), concatenated in rank order on every
-	// rank so the index gather labels the payload gather positionally.
+	// Collection: two ragged gathers to the merger (this worker may own
+	// zero tiles when workers outnumber tiles), concatenated in rank order
+	// so the index gather labels the payload gather positionally.
 	cg := graph.New()
 	phI := cg.Placeholder("idx", tensor.Int64, tensor.Shape{len(myIdx)})
 	phT := cg.Placeholder("tiles", tensor.Complex128, tensor.Shape{len(myTiles)})
-	agI := cg.AddNamedOp("ag_idx", "AllGatherV", graph.Attrs{"group": collGroup(w), "key": "idx"}, phI)
-	agT := cg.AddNamedOp("ag_tiles", "AllGatherV", graph.Attrs{"group": collGroup(w), "key": "tiles"}, phT)
+	attrs := func(key string) graph.Attrs {
+		return graph.Attrs{"group": collGroup(w), "key": key, "root": mergeRank}
+	}
+	gatherI := cg.AddNamedOp("gather_idx", "GatherV", attrs("idx"), phI)
+	gatherT := cg.AddNamedOp("gather_tiles", "GatherV", attrs("tiles"), phT)
 	csess, err := session.New(cg, res, session.Options{})
 	if err != nil {
 		return nil, nil, err
@@ -179,7 +185,7 @@ func runWorker(cfg Config, res *session.Resources, shared dataset.Dataset, w int
 	outs, err := csess.Run(map[string]*tensor.Tensor{
 		"idx":   tensor.FromI64(tensor.Shape{len(myIdx)}, myIdx),
 		"tiles": tensor.FromC128(tensor.Shape{len(myTiles)}, myTiles),
-	}, []string{agI.Name(), agT.Name()}, nil)
+	}, []string{gatherI.Name(), gatherT.Name()}, nil)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -131,6 +131,7 @@ func runWorker(cfg Config, res *session.Resources, storeA, storeB *core.TileStor
 	partial := make([]float32, cfg.N*cfg.N)
 	tpd := cfg.TilesPerDim()
 	it := dataset.Prefetch(dataset.Shard(shared, cfg.Workers, w), 2).Iterator()
+	defer it.Close()
 	for {
 		elem, err := it.Next()
 		if err == io.EOF {

@@ -489,70 +489,107 @@ func (g *Group) AllGatherV(key string, t *tensor.Tensor) (*tensor.Tensor, error)
 	return nil, fmt.Errorf("collective: allgatherv does not support dtype %v", t.DType())
 }
 
+// GatherV is AllGatherV with a single receiver: root gets the rank-ordered
+// concatenation along axis 0, bit-identical to AllGatherV's, and every
+// other rank gets a zero-row tensor of the same trailing shape. It is for
+// results consumed in one place — the FFT's merge — where an allgather
+// would build the whole result on every rank to use one copy. The same
+// size-exchange round opens it; then each other rank sends its rows
+// straight to root, chunked like the ring.
+func (g *Group) GatherV(key string, t *tensor.Tensor, root int) (*tensor.Tensor, error) {
+	if root < 0 || root >= g.Size() {
+		return nil, fmt.Errorf("collective: gatherv root %d out of %d", root, g.Size())
+	}
+	switch t.DType() {
+	case tensor.Float32:
+		return gatherV(g, key, t, root, slF32)
+	case tensor.Float64:
+		return gatherV(g, key, t, root, slF64)
+	case tensor.Int32:
+		return gatherV(g, key, t, root, slI32)
+	case tensor.Int64:
+		return gatherV(g, key, t, root, slI64)
+	case tensor.Complex64:
+		return gatherV(g, key, t, root, slC64)
+	case tensor.Complex128:
+		return gatherV(g, key, t, root, slC128)
+	case tensor.Bool:
+		return gatherV(g, key, t, root, slBool)
+	}
+	return nil, fmt.Errorf("collective: gatherv does not support dtype %v", t.DType())
+}
+
+// exchangeShards is the size-exchange round AllGatherV and GatherV open
+// with. Each rank's header — its row count, elements per row and the root
+// it names (-1 for AllGatherV) — is relayed unchanged around the ring, so
+// after p−1 steps every rank holds all p headers and checks them all. The
+// round always runs to the end before any check, so every rank judges the
+// same headers: mismatched trailing dims, or roots, fail every rank, none
+// is left waiting on a peer that gave up, and the group stays usable. It
+// returns the concatenation's shape and each rank's place in it: rank s's
+// elements are [offs[s], offs[s+1]).
+func exchangeShards(g *Group, key string, seq uint64, in *tensor.Tensor, root int) (shape tensor.Shape, offs []int, err error) {
+	p, r := g.Size(), g.Rank()
+	lead, rowElems := 1, in.NumElements()
+	if in.Rank() >= 1 {
+		lead, rowElems = in.Shape()[0], in.Shape()[1:].NumElements()
+	}
+	hdrs := make([][3]int64, p)
+	hdrs[r] = [3]int64{int64(lead), int64(rowElems), int64(root)}
+	next, prev := (r+1)%p, (r-1+p)%p
+	for step := 0; step < p-1; step++ {
+		h := hdrs[(r-step+p)%p]
+		if err := g.tr.Send(next, key, tag(seq, phaseGatherV, step, 0), tensor.FromI64(tensor.Shape{3}, h[:])); err != nil {
+			return nil, nil, g.fatal(err)
+		}
+		msg, err := g.tr.Recv(prev, key, tag(seq, phaseGatherV, step, 0))
+		if err != nil {
+			return nil, nil, g.fatal(err)
+		}
+		if msg.DType() != tensor.Int64 || msg.NumElements() != 3 {
+			return nil, nil, g.fatal(fmt.Errorf("collective: %q: malformed gatherv size header", key))
+		}
+		copy(hdrs[(r-step-1+p)%p][:], msg.I64())
+		tensor.Recycle(msg)
+	}
+
+	offs = make([]int, p+1)
+	rows := 0
+	for s, h := range hdrs {
+		switch {
+		case h[1] != int64(rowElems):
+			return nil, nil, fmt.Errorf("collective: %q: rank %d rows have %d elements, rank %d has %d (trailing dims must match)",
+				key, s, h[1], r, rowElems)
+		case h[2] != int64(root):
+			return nil, nil, fmt.Errorf("collective: %q: rank %d gathers to %d, rank %d to %d", key, s, h[2], r, root)
+		case h[0] < 0:
+			return nil, nil, fmt.Errorf("collective: %q: negative shard size from rank %d", key, s)
+		}
+		offs[s] = rows * rowElems
+		rows += int(h[0])
+	}
+	offs[p] = rows * rowElems
+	shape = tensor.Shape{rows}
+	if in.Rank() >= 1 {
+		shape = append(shape, in.Shape()[1:]...)
+	}
+	return shape, offs, nil
+}
+
 func ringAllGatherV[T any](g *Group, key string, in *tensor.Tensor, sl slicer[T]) (*tensor.Tensor, error) {
 	p, r := g.Size(), g.Rank()
-	lead := 1
-	rowElems := in.NumElements()
-	if in.Rank() >= 1 {
-		lead = in.Shape()[0]
-		rowElems = 1
-		for _, d := range in.Shape()[1:] {
-			rowElems *= d
-		}
-	}
 	seq := g.nextSeq(key)
-	next, prev := (r+1)%p, (r-1+p)%p
-
-	// Size-exchange round: circulate (lead, rowElems) so every rank can lay
-	// out the output and validate geometry before any payload moves.
-	leads := make([]int, p)
-	leads[r] = lead
-	if p > 1 {
-		for step := 0; step < p-1; step++ {
-			sendSeg := (r - step + p) % p
-			if err := g.tr.Send(next, key, tag(seq, phaseGatherV, step, 0),
-				tensor.FromI64(tensor.Shape{2}, []int64{int64(leads[sendSeg]), int64(rowElems)})); err != nil {
-				return nil, g.fatal(err)
-			}
-			recvSeg := (r - step - 1 + p) % p
-			msg, err := g.tr.Recv(prev, key, tag(seq, phaseGatherV, step, 0))
-			if err != nil {
-				return nil, g.fatal(err)
-			}
-			if msg.DType() != tensor.Int64 || msg.NumElements() != 2 {
-				return nil, g.fatal(fmt.Errorf("collective: %q: malformed allgatherv size header", key))
-			}
-			got := msg.I64()
-			if got[1] != int64(rowElems) {
-				return nil, g.fatal(fmt.Errorf("collective: %q: rank %d rows have %d elements, rank %d has %d (trailing dims must match)",
-					key, recvSeg, got[1], r, rowElems))
-			}
-			if got[0] < 0 {
-				return nil, g.fatal(fmt.Errorf("collective: %q: negative shard size from rank %d", key, recvSeg))
-			}
-			leads[recvSeg] = int(got[0])
-			tensor.Recycle(msg)
-		}
+	shape, offs, err := exchangeShards(g, key, seq, in, -1)
+	if err != nil {
+		return nil, err
 	}
-
-	totalLead := 0
-	offs := make([]int, p+1)
-	for s := 0; s < p; s++ {
-		offs[s] = totalLead * rowElems
-		totalLead += leads[s]
-	}
-	offs[p] = totalLead * rowElems
-
-	outShape := tensor.Shape{totalLead}
-	if in.Rank() >= 1 {
-		outShape = append(tensor.Shape{totalLead}, in.Shape()[1:]...)
-	}
-	out := tensor.New(in.DType(), outShape...)
+	out := tensor.New(in.DType(), shape...)
 	data := sl.data(out)
 	copy(data[offs[r]:offs[r+1]], sl.data(in))
 	if p == 1 {
 		return out, nil
 	}
+	next, prev := (r+1)%p, (r-1+p)%p
 	chunk := g.chunkElems(in.DType())
 
 	for step := 0; step < p-1; step++ {
@@ -595,6 +632,51 @@ func ringAllGatherV[T any](g *Group, key string, in *tensor.Tensor, sl slicer[T]
 		}
 		if recvErr != nil {
 			return nil, g.fatal(recvErr)
+		}
+	}
+	return out, nil
+}
+
+func gatherV[T any](g *Group, key string, in *tensor.Tensor, root int, sl slicer[T]) (*tensor.Tensor, error) {
+	r := g.Rank()
+	seq := g.nextSeq(key)
+	shape, offs, err := exchangeShards(g, key, seq, in, root)
+	if err != nil {
+		return nil, err
+	}
+	chunk := g.chunkElems(in.DType())
+	if r != root {
+		src := sl.data(in)
+		for k, off := 0, 0; off < len(src); k, off = k+1, off+chunk {
+			end := min(off+chunk, len(src))
+			if err := g.tr.Send(root, key, tag(seq, phaseGather, 0, k), sl.wrap(tensor.Shape{end - off}, src[off:end:end])); err != nil {
+				return nil, g.fatal(err)
+			}
+		}
+		shape[0] = 0
+		return tensor.New(in.DType(), shape...), nil
+	}
+
+	out := tensor.New(in.DType(), shape...)
+	data := sl.data(out)
+	copy(data[offs[r]:offs[r+1]], sl.data(in))
+	for s := 0; s < g.Size(); s++ {
+		if s == root {
+			continue
+		}
+		lo, hi := offs[s], offs[s+1]
+		for k, off := 0, lo; off < hi; k, off = k+1, off+chunk {
+			end := min(off+chunk, hi)
+			msg, err := g.tr.Recv(s, key, tag(seq, phaseGather, 0, k))
+			if err != nil {
+				return nil, g.fatal(err)
+			}
+			if msg.DType() != in.DType() || msg.NumElements() != end-off {
+				return nil, g.fatal(fmt.Errorf("collective: %q: peer %d sent %v%v, want %d %v elements (mismatched inputs?)",
+					key, s, msg.DType(), msg.Shape(), end-off, in.DType()))
+			}
+			copy(data[off:end], sl.data(msg))
+			tensor.Recycle(msg)
 		}
 	}
 	return out, nil

@@ -370,6 +370,149 @@ func TestAllGatherVTrailingMismatch(t *testing.T) {
 	}
 }
 
+// gatherDTypes are the dtypes AllGatherV and GatherV carry.
+var gatherDTypes = []tensor.DType{tensor.Float32, tensor.Float64, tensor.Int32, tensor.Int64,
+	tensor.Complex64, tensor.Complex128, tensor.Bool}
+
+// shardOf is rank r's rows×cols shard of dtype dt, every element distinct
+// per (rank, position) where the dtype allows.
+func shardOf(dt tensor.DType, r, rows, cols int) *tensor.Tensor {
+	t := tensor.New(dt, rows, cols)
+	for i := 0; i < rows*cols; i++ {
+		v := float64(1000*r+i) + 0.25
+		switch dt {
+		case tensor.Float32:
+			t.F32()[i] = float32(v)
+		case tensor.Float64:
+			t.F64()[i] = v
+		case tensor.Int32:
+			t.I32()[i] = int32(v)
+		case tensor.Int64:
+			t.I64()[i] = int64(v)
+		case tensor.Complex64:
+			t.C64()[i] = complex(float32(v), -float32(r))
+		case tensor.Complex128:
+			t.C128()[i] = complex(v, -float64(r))
+		case tensor.Bool:
+			t.Bools()[i] = (r+i)%3 == 0
+		}
+	}
+	return t
+}
+
+// collGroups builds p groups over the named transport.
+func collGroups(t *testing.T, transport string, p int, opts collective.Options) []*collective.Group {
+	if transport == "tcp" {
+		if testing.Short() && p > 4 {
+			t.Skip("short mode")
+		}
+		return tcpGroups(t, p, opts, 20*time.Second)
+	}
+	return collective.NewLoopbackGroups(p, opts)
+}
+
+// TestGatherV: over both transports, every dtype, ragged and zero-row
+// shards and several roots, the root's result is bit-identical to
+// AllGatherV's and every other rank gets zero rows of the same trailing
+// shape.
+func TestGatherV(t *testing.T) {
+	const cols = 3
+	for _, transport := range []string{"loopback", "tcp"} {
+		for _, p := range groupSizes(t) {
+			t.Run(fmt.Sprintf("%s/p%d", transport, p), func(t *testing.T) {
+				groups := collGroups(t, transport, p, collective.Options{ChunkBytes: 40})
+				ragged := make([]int, p)
+				for r := range ragged {
+					ragged[r] = (3*r + 2) % 5 // 2, 0, 3, 1, 4: a zero-row shard from p=2 on
+				}
+				for _, lens := range [][]int{ragged, make([]int, p)} {
+					for _, root := range []int{0, p - 1, p / 2} {
+						for _, dt := range gatherDTypes {
+							key := fmt.Sprintf("%v/%v/root%d", lens, dt, root)
+							want := runAll(t, groups, func(g *collective.Group) (*tensor.Tensor, error) {
+								return g.AllGatherV("all/"+key, shardOf(dt, g.Rank(), lens[g.Rank()], cols))
+							})
+							got := runAll(t, groups, func(g *collective.Group) (*tensor.Tensor, error) {
+								return g.GatherV(key, shardOf(dt, g.Rank(), lens[g.Rank()], cols), root)
+							})
+							for r := 0; r < p; r++ {
+								if r == root {
+									if !got[r].Equal(want[r]) {
+										t.Fatalf("%s: root %d's gather differs from AllGatherV's", key, r)
+									}
+								} else if !got[r].Shape().Equal(tensor.Shape{0, cols}) || got[r].DType() != dt {
+									t.Fatalf("%s: rank %d got %v%v, want zero rows", key, r, got[r].DType(), got[r].Shape())
+								}
+							}
+						}
+					}
+				}
+				// Rank-0 inputs are one row each, as for AllGatherV.
+				got := runAll(t, groups, func(g *collective.Group) (*tensor.Tensor, error) {
+					return g.GatherV("scalars", tensor.ScalarF64(float64(g.Rank())), p-1)
+				})
+				for r, v := range got[p-1].F64() {
+					if v != float64(r) || got[p-1].NumElements() != p {
+						t.Fatalf("scalar gather = %v", got[p-1].F64())
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestGatherVMismatchFailsEveryRank: mismatched trailing dims, or ranks
+// naming different roots, fail every rank on both transports — no rank
+// hangs — and the group still works afterwards.
+func TestGatherVMismatchFailsEveryRank(t *testing.T) {
+	for _, transport := range []string{"loopback", "tcp"} {
+		for _, p := range groupSizes(t) {
+			if p < 2 {
+				continue
+			}
+			t.Run(fmt.Sprintf("%s/p%d", transport, p), func(t *testing.T) {
+				groups := collGroups(t, transport, p, collective.Options{})
+				cases := map[string]func(g *collective.Group) (*tensor.Tensor, error){
+					"cols": func(g *collective.Group) (*tensor.Tensor, error) {
+						cols := 2
+						if g.Rank() == p-1 {
+							cols = 3
+						}
+						return g.GatherV("cols", tensor.New(tensor.Float64, 2, cols), 0)
+					},
+					"root": func(g *collective.Group) (*tensor.Tensor, error) {
+						return g.GatherV("root", tensor.New(tensor.Float64, 2, 2), min(g.Rank(), 1))
+					},
+				}
+				for name, fn := range cases {
+					done := make(chan []error, 1)
+					go func() {
+						_, errs := runAllErr(groups, fn)
+						done <- errs
+					}()
+					select {
+					case errs := <-done:
+						for r, err := range errs {
+							if err == nil {
+								t.Fatalf("%s mismatch: rank %d got no error", name, r)
+							}
+						}
+					case <-time.After(10 * time.Second):
+						t.Fatalf("%s mismatch: a rank hung", name)
+					}
+				}
+				runAll(t, groups, func(g *collective.Group) (*tensor.Tensor, error) {
+					return g.GatherV("after", tensor.New(tensor.Float64, 1, 2), 0)
+				})
+			})
+		}
+	}
+	g := collective.NewLoopbackGroups(1, collective.Options{})[0]
+	if _, err := g.GatherV("bad", tensor.ScalarF64(1), 1); err == nil {
+		t.Fatal("root out of range: no error")
+	}
+}
+
 // TestAsyncHandles drives the Start/Join pair the AllReduceStart/Join ops
 // ride on: two handles in flight at once (the double-buffer shape), joined
 // out of order, plus the duplicate-start and missing-join error paths.

@@ -46,12 +46,12 @@ func tag(seq uint64, phase, step, sub int) uint64 {
 const (
 	phaseReduceScatter = iota
 	phaseAllGather
-	phaseGather
+	phaseGather // gather-to-root: the naive allreduce's and GatherV's payload
 	phaseBroadcast
 	phaseDouble  // recursive-doubling exchange steps
 	phaseTree    // binomial-tree broadcast
 	phaseRS      // standalone reduce-scatter
-	phaseGatherV // allgatherv size-exchange + data circulation
+	phaseGatherV // gatherv size exchange + allgatherv data circulation
 )
 
 // message is one in-flight tensor with its match labels.

@@ -22,14 +22,27 @@ type Dataset interface {
 	Iterator() Iterator
 }
 
-// Iterator walks one pass; Next returns io.EOF at the end.
+// Iterator walks one pass; Next returns io.EOF at the end. Close releases
+// what the iterator holds — a prefetch's producer goroutine and its
+// buffered elements — so a consumer that stops early must call it; it is
+// safe after io.EOF and more than once.
 type Iterator interface {
 	Next() (Element, error)
+	Close()
 }
 
 // --- sources ---
 
 type sliceDataset struct{ elems []Element }
+
+// shard keeps every n-th element from id on.
+func (d *sliceDataset) shard(n, id int) Dataset {
+	var elems []Element
+	for i := id; i < len(d.elems); i += n {
+		elems = append(elems, d.elems[i])
+	}
+	return &sliceDataset{elems: elems}
+}
 
 type sliceIterator struct {
 	elems []Element
@@ -52,34 +65,48 @@ func (it *sliceIterator) Next() (Element, error) {
 	return e, nil
 }
 
+func (it *sliceIterator) Close() {}
+
 // FromFiles lists .npy tile files; each element is (index, tensor) where
-// index is the element's position as an int64 scalar — the structure the
-// matmul and FFT applications consume. Files load lazily at iteration time.
+// index is the element's position in paths as an int64 scalar — the
+// structure the matmul and FFT applications consume. Files load lazily at
+// iteration time.
 func FromFiles(paths []string) Dataset {
-	return &fileDataset{paths: paths}
+	return &fileDataset{paths: paths, stride: 1}
 }
 
-type fileDataset struct{ paths []string }
+// fileDataset is the entries first, first+stride, ... of paths: a shard
+// narrows the selection, never the list, so indices stay global.
+type fileDataset struct {
+	paths         []string
+	first, stride int
+}
+
+func (d *fileDataset) shard(n, id int) Dataset {
+	return &fileDataset{paths: d.paths, first: d.first + id*d.stride, stride: d.stride * n}
+}
 
 type fileIterator struct {
-	paths []string
-	pos   int
+	d   *fileDataset
+	pos int
 }
 
-func (d *fileDataset) Iterator() Iterator { return &fileIterator{paths: d.paths} }
+func (d *fileDataset) Iterator() Iterator { return &fileIterator{d: d, pos: d.first} }
 
 func (it *fileIterator) Next() (Element, error) {
-	if it.pos >= len(it.paths) {
+	if it.pos >= len(it.d.paths) {
 		return nil, io.EOF
 	}
 	idx := it.pos
-	t, err := npy.Load(it.paths[idx])
-	it.pos++
+	t, err := npy.Load(it.d.paths[idx])
+	it.pos += it.d.stride
 	if err != nil {
-		return nil, fmt.Errorf("dataset: loading %q: %w", it.paths[idx], err)
+		return nil, fmt.Errorf("dataset: loading %q: %w", it.d.paths[idx], err)
 	}
 	return Element{tensor.ScalarI64(int64(idx)), t}, nil
 }
+
+func (it *fileIterator) Close() {}
 
 // --- transforms ---
 
@@ -108,6 +135,8 @@ func (it *mapIterator) Next() (Element, error) {
 	return it.fn(e)
 }
 
+func (it *mapIterator) Close() { it.src.Close() }
+
 type shardDataset struct {
 	src   Dataset
 	n, id int
@@ -119,12 +148,25 @@ type shardIterator struct {
 	pos   int
 }
 
+// listDataset is a source backed by a list of entries, so a shard can
+// select its entries before reading any of them.
+type listDataset interface {
+	shard(n, id int) Dataset
+}
+
 // Shard keeps every n-th element starting at index id — how the workers
 // split the shared tile list ("the list is shared by workers and they
-// individually load these tiles").
+// individually load these tiles"). Over a list-backed source (FromElements,
+// FromFiles, or a shard of one) it selects the shard's entries up front,
+// tf.data's shard-before-read rule: a FromFiles shard opens only its own
+// files, and each element keeps its index in the full list. Any other
+// source is iterated in full and the other shards' elements dropped.
 func Shard(src Dataset, n, id int) Dataset {
 	if n <= 0 || id < 0 || id >= n {
 		panic(fmt.Sprintf("dataset: bad shard %d/%d", id, n))
+	}
+	if l, ok := src.(listDataset); ok {
+		return l.shard(n, id)
 	}
 	return &shardDataset{src: src, n: n, id: id}
 }
@@ -146,6 +188,8 @@ func (it *shardIterator) Next() (Element, error) {
 		}
 	}
 }
+
+func (it *shardIterator) Close() { it.src.Close() }
 
 type repeatDataset struct {
 	src   Dataset
@@ -186,6 +230,8 @@ func (it *repeatIterator) Next() (Element, error) {
 	}
 }
 
+func (it *repeatIterator) Close() { it.cur.Close() }
+
 // --- prefetch ---
 
 type prefetchDataset struct {
@@ -195,6 +241,7 @@ type prefetchDataset struct {
 
 type prefetchIterator struct {
 	ch   chan prefetched
+	done chan struct{}
 	once sync.Once
 }
 
@@ -213,16 +260,21 @@ func Prefetch(src Dataset, buffer int) Dataset {
 }
 
 func (d *prefetchDataset) Iterator() Iterator {
-	it := &prefetchIterator{ch: make(chan prefetched, d.buffer)}
+	it := &prefetchIterator{ch: make(chan prefetched, d.buffer), done: make(chan struct{})}
 	src := d.src.Iterator()
 	go func() {
 		defer close(it.ch)
+		defer src.Close()
 		for {
 			e, err := src.Next()
 			if err == io.EOF {
 				return
 			}
-			it.ch <- prefetched{e: e, err: err}
+			select {
+			case it.ch <- prefetched{e: e, err: err}:
+			case <-it.done:
+				return
+			}
 			if err != nil {
 				return
 			}
@@ -239,8 +291,19 @@ func (it *prefetchIterator) Next() (Element, error) {
 	return p.e, p.err
 }
 
-// Collect drains an iterator into a slice (test/debug helper).
+// Close stops the producer and waits for it to exit, dropping whatever it
+// had buffered. An element it is reading when Close is called is read to
+// the end first.
+func (it *prefetchIterator) Close() {
+	it.once.Do(func() { close(it.done) })
+	for range it.ch {
+	}
+}
+
+// Collect drains an iterator into a slice and closes it (test/debug
+// helper).
 func Collect(it Iterator) ([]Element, error) {
+	defer it.Close()
 	var out []Element
 	for {
 		e, err := it.Next()

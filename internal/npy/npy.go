@@ -48,18 +48,21 @@ func dtypeFor(descr string) (tensor.DType, error) {
 	return tensor.Invalid, fmt.Errorf("npy: unsupported descr %q", descr)
 }
 
-// Write serializes t to w in .npy v1.0 format.
-func Write(w io.Writer, t *tensor.Tensor) error {
-	descr, err := descrFor(t.DType())
+// Header returns the .npy v1.0 preamble — magic, version, header length and
+// the padded header dict — of a C-order array of dtype dt and the given
+// shape. The payload follows it directly, so writers that place payload
+// bytes themselves (core's tile writers) start them at len(Header(...)).
+func Header(dt tensor.DType, shape tensor.Shape) ([]byte, error) {
+	descr, err := descrFor(dt)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	dims := make([]string, t.Rank())
-	for i, d := range t.Shape() {
+	dims := make([]string, len(shape))
+	for i, d := range shape {
 		dims[i] = strconv.Itoa(d)
 	}
 	shapeStr := strings.Join(dims, ", ")
-	if t.Rank() == 1 {
+	if len(shape) == 1 {
 		shapeStr += ","
 	}
 	header := fmt.Sprintf("{'descr': '%s', 'fortran_order': False, 'shape': (%s), }", descr, shapeStr)
@@ -69,18 +72,20 @@ func Write(w io.Writer, t *tensor.Tensor) error {
 	pad := (64 - unpadded%64) % 64
 	header += strings.Repeat(" ", pad) + "\n"
 
-	if _, err := w.Write(magic); err != nil {
+	out := make([]byte, 0, unpadded+pad)
+	out = append(out, magic...)
+	out = append(out, 1, 0) // version 1.0
+	out = binary.LittleEndian.AppendUint16(out, uint16(len(header)))
+	return append(out, header...), nil
+}
+
+// Write serializes t to w in .npy v1.0 format.
+func Write(w io.Writer, t *tensor.Tensor) error {
+	hdr, err := Header(t.DType(), t.Shape())
+	if err != nil {
 		return err
 	}
-	if _, err := w.Write([]byte{1, 0}); err != nil { // version 1.0
-		return err
-	}
-	var hlen [2]byte
-	binary.LittleEndian.PutUint16(hlen[:], uint16(len(header)))
-	if _, err := w.Write(hlen[:]); err != nil {
-		return err
-	}
-	if _, err := io.WriteString(w, header); err != nil {
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	return writePayload(w, t)

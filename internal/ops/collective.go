@@ -19,6 +19,7 @@ func init() {
 	Register(&OpDef{Name: "Broadcast", MinInputs: 0, MaxInputs: 1, GPUCapable: true, Stateful: true, Kernel: broadcastKernel})
 	Register(&OpDef{Name: "ReduceScatter", MinInputs: 1, MaxInputs: 1, GPUCapable: true, Stateful: true, Kernel: reduceScatterKernel})
 	Register(&OpDef{Name: "AllGatherV", MinInputs: 1, MaxInputs: 1, GPUCapable: true, Stateful: true, Kernel: allGatherVKernel})
+	Register(&OpDef{Name: "GatherV", MinInputs: 1, MaxInputs: 1, GPUCapable: true, Stateful: true, Kernel: gatherVKernel})
 	Register(&OpDef{Name: "AllReduceFused", MinInputs: 1, MaxInputs: 1, GPUCapable: true, Stateful: true, Kernel: allReduceFusedKernel})
 	Register(&OpDef{Name: "AllReduceStart", MinInputs: 1, MaxInputs: 1, GPUCapable: true, Stateful: true, Kernel: allReduceStartKernel})
 	Register(&OpDef{Name: "AllReduceJoin", MinInputs: 0, MaxInputs: 0, GPUCapable: true, Stateful: true, Kernel: allReduceJoinKernel})
@@ -103,6 +104,21 @@ func allGatherVKernel(ctx *Context, in []*tensor.Tensor) (*tensor.Tensor, error)
 		return nil, err
 	}
 	out, err := h.AllGatherV(ctx.collKey(), in[0])
+	if err != nil {
+		return nil, fmt.Errorf("group %q: %w", name, err)
+	}
+	return out, nil
+}
+
+// gatherVKernel is allGatherVKernel with one receiver, the rank named by
+// attr "root" (default 0): root gets the concatenation, every other rank
+// zero rows of the same trailing shape.
+func gatherVKernel(ctx *Context, in []*tensor.Tensor) (*tensor.Tensor, error) {
+	h, name, err := ctx.collective()
+	if err != nil {
+		return nil, err
+	}
+	out, err := h.GatherV(ctx.collKey(), in[0], ctx.IntAttr("root", 0))
 	if err != nil {
 		return nil, fmt.Errorf("group %q: %w", name, err)
 	}

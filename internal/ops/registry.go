@@ -40,10 +40,11 @@ type QueueHandle interface {
 // isolates concurrent collectives that share the group; kernels default it
 // to the node name, which symmetric per-rank graphs give identical
 // spellings. Beyond the synchronous trio, handles expose the v2 engine:
-// ReduceScatter/AllGatherV (sharded reductions and uneven gathers),
-// AllReduceFused (posts ride the group's fusion buffer and coalesce into
-// one pass), and StartAllReduce/JoinAllReduce (named async handles that
-// may span session Run boundaries for double-buffered overlap).
+// ReduceScatter/AllGatherV/GatherV (sharded reductions and uneven gathers,
+// to every rank or to one), AllReduceFused (posts ride the group's fusion
+// buffer and coalesce into one pass), and StartAllReduce/JoinAllReduce
+// (named async handles that may span session Run boundaries for
+// double-buffered overlap).
 type CollectiveHandle interface {
 	Rank() int
 	Size() int
@@ -52,6 +53,7 @@ type CollectiveHandle interface {
 	Broadcast(key string, t *tensor.Tensor, root int) (*tensor.Tensor, error)
 	ReduceScatter(key string, t *tensor.Tensor, op string) (*tensor.Tensor, error)
 	AllGatherV(key string, t *tensor.Tensor) (*tensor.Tensor, error)
+	GatherV(key string, t *tensor.Tensor, root int) (*tensor.Tensor, error)
 	AllReduceFused(key string, t *tensor.Tensor, op string) (*tensor.Tensor, error)
 	StartAllReduce(handle, key string, t *tensor.Tensor, op string) error
 	JoinAllReduce(handle string) (*tensor.Tensor, error)

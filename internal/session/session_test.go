@@ -326,6 +326,62 @@ func TestExecutorCoalescesFusedAllReduces(t *testing.T) {
 	}
 }
 
+// TestGatherVOp runs the GatherV op in one graph per rank: the rank named
+// by the "root" attr fetches every rank's rows in rank order, the others
+// zero rows of the same trailing shape.
+func TestGatherVOp(t *testing.T) {
+	const p, root, cols = 3, 1, 2
+	res := NewResources()
+	groups := collective.NewLoopbackGroups(p, collective.Options{})
+	for r, grp := range groups {
+		res.Colls.Register(fmt.Sprintf("gv%d", r), grp)
+	}
+	defer res.Colls.CloseAll()
+
+	outs := make([]*tensor.Tensor, p)
+	errs := make([]error, p)
+	var wg sync.WaitGroup
+	for r := 0; r < p; r++ {
+		g := graph.New()
+		ph := g.Placeholder("x", tensor.Float64, tensor.Shape{r, cols})
+		gv := g.AddNamedOp("gv", "GatherV", graph.Attrs{"group": fmt.Sprintf("gv%d", r), "root": root}, ph)
+		sess, err := New(g, res, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := make([]float64, r*cols)
+		for i := range v {
+			v[i] = float64(10*r + i)
+		}
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			var out []*tensor.Tensor
+			out, errs[r] = sess.Run(map[string]*tensor.Tensor{"x": tensor.FromF64(tensor.Shape{r, cols}, v)},
+				[]string{gv.Name()}, nil)
+			if errs[r] == nil {
+				outs[r] = out[0]
+			}
+		}(r)
+	}
+	wg.Wait()
+	for r := 0; r < p; r++ {
+		if errs[r] != nil {
+			t.Fatalf("rank %d: %v", r, errs[r])
+		}
+		want := tensor.Shape{0, cols}
+		if r == root {
+			want = tensor.Shape{3, cols} // 0 + 1 + 2 rows
+		}
+		if !outs[r].Shape().Equal(want) {
+			t.Fatalf("rank %d: shape %v, want %v", r, outs[r].Shape(), want)
+		}
+	}
+	if got := fmt.Sprint(outs[root].F64()); got != "[10 11 20 21 22 23]" {
+		t.Fatalf("root gathered %s", got)
+	}
+}
+
 // TestAsyncAllReduceSpansRuns starts a collective in one session Run and
 // joins it in a later one — the double-buffered handle contract the SGD
 // loss pipeline relies on.
