@@ -207,7 +207,8 @@ func TestElasticCheckpointFile(t *testing.T) {
 // TestElasticClusterShrinkGrow is the end-to-end shape over real task
 // servers and TCP: kill a server mid-run, restart it on its old address, and
 // require shrink → resume → grow with convergence within tolerance —
-// exactly what ci_smoke.sh asserts across real processes.
+// exactly what the elastic smoke leg (./smoke) asserts across real
+// processes.
 func TestElasticClusterShrinkGrow(t *testing.T) {
 	cfg := elasticConfig(4)
 	cfg.Steps = 21

@@ -36,8 +36,8 @@ type Config struct {
 	// fusion buffer: the ParamTensors concurrent posts coalesce into one
 	// collective pass per step. Results are bit-identical to the unfused
 	// path (both ride the same recursive-doubling tree below the picker
-	// threshold) — scripts/ci_smoke.sh asserts exactly that on final
-	// weights.
+	// threshold) — the core smoke leg (./smoke) asserts exactly that on
+	// final weights.
 	Fuse bool
 }
 

@@ -66,7 +66,7 @@ type fusionWaiter struct {
 // algorithm the unfused tensors would pick (small payloads → recursive
 // doubling, whose combination tree depends only on p, not on element
 // offset), so fused results are bit-identical to unfused ones — the
-// property scripts/ci_smoke.sh asserts end-to-end on SGD weights.
+// property the core smoke leg (./smoke) asserts end-to-end on SGD weights.
 type Fusion struct {
 	g    *Group
 	opts FusionOptions

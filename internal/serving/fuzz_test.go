@@ -144,10 +144,10 @@ func FuzzHTTPRequest(f *testing.F) {
 		`{"instances": []}`,
 		`not json`,
 		`{}`,
-		// ci_smoke.sh's bit-identity body; the smoke clients marshal the
-		// same shapes.
+		// the telemetry smoke leg's routed-predict body; the other legs
+		// marshal the same shapes.
 		`{"instances": [[` + smokeRow + `]]}`,
-		// generative_test.go and generate_smoke
+		// generative_test.go and the generate smoke leg
 		`{"prompt": [0.5, -1, 2, 0.25], "max_tokens": 25}`,
 		`{"prompt": [0.5], "max_tokens": 1048576, "stop_below": 0.001}`,
 		`{"prompt": [], "max_tokens": 5}`,
