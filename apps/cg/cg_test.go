@@ -97,6 +97,31 @@ func TestWorkerCountsAgree(t *testing.T) {
 	}
 }
 
+// TestExactSolutionStopsWithoutTol solves 2·I·x = 1 with Tol 0: the first
+// iteration lands on x = 1/2 exactly with ‖r‖² = 0, and the solve must stop
+// there rather than run on into α = 0/0.
+func TestExactSolutionStopsWithoutTol(t *testing.T) {
+	const n = 8
+	a := tensor.New(tensor.Float64, n, n)
+	b := tensor.New(tensor.Float64, n)
+	for i := 0; i < n; i++ {
+		a.F64()[i*n+i] = 2
+		b.F64()[i] = 1
+	}
+	res, err := RunReal(Config{N: n, Workers: 2, MaxIters: 5}, a, b, RealOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range res.X.F64() {
+		if v != 0.5 {
+			t.Fatalf("x[%d] = %v, want 0.5 (x = %v)", i, v, res.X.F64())
+		}
+	}
+	if res.Iters != 1 || res.ResidualNorm != 0 {
+		t.Fatalf("stopped after %d iterations at residual %g, want 1 and 0", res.Iters, res.ResidualNorm)
+	}
+}
+
 func TestResidualDecreasesMonotonically(t *testing.T) {
 	// With a fixed iteration budget and no tolerance, the reported residual
 	// after k iterations should shrink as k grows.

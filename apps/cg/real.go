@@ -124,6 +124,12 @@ func driveWorker(cfg Config, sess *session.Session, w, startIter int, rr float64
 	localRR := rr
 	out := iterOut{rr: rr, iter: startIter}
 	for iter := startIter; iter < cfg.MaxIters; iter++ {
+		// An exactly-zero residual is an exact solution, whatever Tol says:
+		// one more iteration would take α = 0/0. Every worker holds the same
+		// allreduced ‖r‖², so all of them stop here together.
+		if localRR == 0 {
+			return out
+		}
 		fetched, err := sess.Run(nil, []string{"pq_sum"}, []string{"save_q"})
 		if err != nil {
 			return iterOut{err: err, iter: iter}

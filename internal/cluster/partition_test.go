@@ -92,10 +92,12 @@ func TestSessionCloseReleasesPartitions(t *testing.T) {
 	waitUntil(t, "partitions to drop", func() bool { return lc.partitions() == 0 })
 	time.Sleep(50 * time.Millisecond)
 	base := runtime.NumGoroutine()
+	// Close does not wait for the tasks to drop a session's partitions, so
+	// each session waits for the last one's to go before it counts its own.
 	for i := 0; i < 3; i++ {
 		session1()
+		waitUntil(t, "partitions to drop", func() bool { return lc.partitions() == 0 })
 	}
-	waitUntil(t, "partitions to drop", func() bool { return lc.partitions() == 0 })
 	waitUntil(t, "goroutines back to baseline", func() bool { return runtime.NumGoroutine() <= base })
 }
 

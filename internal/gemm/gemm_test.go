@@ -491,3 +491,58 @@ var errMismatch = errString("concurrent gemm mismatch")
 type errString string
 
 func (e errString) Error() string { return string(e) }
+
+// matVecBenchShapes are the MatVec shapes the applications run: cg's
+// per-worker block of its 1024² system, sgd's forward (8 rows of 65536
+// features) and gradient (its transpose) products, and a full predict batch.
+var matVecBenchShapes = []struct {
+	name string
+	m, n int
+}{
+	{"cg-512x1024", 512, 1024},
+	{"sgd-8x65536", 8, 65536},
+	{"sgd-65536x8", 65536, 8},
+	{"predict-32x256", 32, 256},
+}
+
+// BenchmarkMatVec64 and BenchmarkMatVec32 report the bytes of A streamed
+// per second, with the kernel selected at init (KernelName).
+func BenchmarkMatVec64(b *testing.B) {
+	for _, sh := range matVecBenchShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			a := make([]float64, sh.m*sh.n)
+			x := make([]float64, sh.n)
+			y := make([]float64, sh.m)
+			fillRand(a, 1)
+			fillRand(x, 2)
+			b.SetBytes(int64(len(a)) * 8)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				MatVec64(sh.m, sh.n, a, sh.n, x, y)
+			}
+		})
+	}
+}
+
+func BenchmarkMatVec32(b *testing.B) {
+	for _, sh := range matVecBenchShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			a64 := make([]float64, sh.m*sh.n)
+			fillRand(a64, 1)
+			a := make([]float32, len(a64))
+			for i, v := range a64 {
+				a[i] = float32(v)
+			}
+			x := make([]float32, sh.n)
+			for i := range x {
+				x[i] = float32(i%7) - 3
+			}
+			y := make([]float32, sh.m)
+			b.SetBytes(int64(len(a)) * 4)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				MatVec32(sh.m, sh.n, a, sh.n, x, y)
+			}
+		})
+	}
+}

@@ -24,6 +24,12 @@ func sgemm6x16(kc int64, ap, bp, c *float32, ldc int64)
 //go:noescape
 func dgemm6x8(kc int64, ap, bp, c *float64, ldc int64)
 
+//go:noescape
+func matvec32x8(n int64, a *float32, lda int64, x, y *float32)
+
+//go:noescape
+func matvec64x8(n int64, a *float64, lda int64, x, y *float64)
+
 // hasAVXFMA reports whether the host CPU supports the AVX+FMA micro-kernels
 // and the OS preserves ymm state across context switches.
 func hasAVXFMA() bool {
@@ -43,11 +49,40 @@ func kernelAVX64(kc int, ap, bp []float64, c []float64, ldc int) {
 	dgemm6x8(int64(kc), &ap[0], &bp[0], &c[0], int64(ldc))
 }
 
+// matVec32AVX and matVec64AVX run the rows of [lo, hi) eight at a time
+// through the assembly kernels and the remainder through the portable loop.
+// The kernels read A, x and y unchecked, so each call first indexes the
+// last element it will touch, panicking where the portable loop would.
+func matVec32AVX(lo, hi, n int, a []float32, lda int, x, y []float32) {
+	if n > 0 {
+		_ = x[n-1]
+		for ; lo+8 <= hi; lo += 8 {
+			_ = a[(lo+7)*lda+n-1]
+			_ = y[lo+7]
+			matvec32x8(int64(n), &a[lo*lda], int64(lda), &x[0], &y[lo])
+		}
+	}
+	matVec32Go(lo, hi, n, a, lda, x, y)
+}
+
+func matVec64AVX(lo, hi, n int, a []float64, lda int, x, y []float64) {
+	if n > 0 {
+		_ = x[n-1]
+		for ; lo+8 <= hi; lo += 8 {
+			_ = a[(lo+7)*lda+n-1]
+			_ = y[lo+7]
+			matvec64x8(int64(n), &a[lo*lda], int64(lda), &x[0], &y[lo])
+		}
+	}
+	matVec64Go(lo, hi, n, a, lda, x, y)
+}
+
 func init() {
 	if os.Getenv("TFHPC_NOSIMD") != "" || !hasAVXFMA() {
 		return
 	}
 	mr32, nr32, kern32 = 6, 16, kernelAVX32
 	mr64, nr64, kern64 = 6, 8, kernelAVX64
+	matVec32Rows, matVec64Rows = matVec32AVX, matVec64AVX
 	kernelName = "avx-fma"
 }

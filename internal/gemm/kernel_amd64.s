@@ -201,3 +201,226 @@ ddone:
 	VMOVUPD Y11, 32(CX)
 	VZEROUPPER
 	RET
+
+// Matrix-vector kernels: y[0:8] = A[0:8][0:n]·x for eight rows of A at row
+// stride lda elements. They reproduce the portable loop's rounding bit for
+// bit: each row keeps one 4-lane float64 accumulator whose lane k sums the
+// products p ≡ k (mod 4) in order (the portable s0..s3); multiply and add
+// are separate instructions (no FMA); tail products go into lane 0; the
+// lanes sum as ((s0+s1)+s2)+s3. Eight rows share each load of x.
+//
+// Registers: Y0-Y7 accumulate rows 0-7; SI walks rows 0-3 and DI rows 4-7
+// (DX = row stride in bytes, R8 = 3·DX); BX walks x; AX counts 4-element
+// steps and CX the 0-3 tail elements.
+
+// A tail product is added to a whole accumulator: the scalar load and
+// multiply leave it in lane 0 of Y9 with lanes 1-3 at +0, and adding +0 is
+// exact here, because an accumulator starts at +0 and a sum is -0 only when
+// both addends are, so no lane is ever -0.
+
+// MV_REDUCE4 sums the lanes of four row accumulators A-D in the fixed order
+// and leaves (rowA, rowB, rowC, rowD) in Y12: unpacking and swapping halves
+// transposes the 4×4 block so that Y12..Y15 hold lanes 0..3 of the four
+// rows, then Y12 = ((L0+L1)+L2)+L3. Clobbers Y8-Y15.
+#define MV_REDUCE4(A, B, C, D) \
+	VUNPCKLPD  B, A, Y8; \
+	VUNPCKHPD  B, A, Y9; \
+	VUNPCKLPD  D, C, Y10; \
+	VUNPCKHPD  D, C, Y11; \
+	VPERM2F128 $0x20, Y10, Y8, Y12; \
+	VPERM2F128 $0x20, Y11, Y9, Y13; \
+	VPERM2F128 $0x31, Y10, Y8, Y14; \
+	VPERM2F128 $0x31, Y11, Y9, Y15; \
+	VADDPD     Y13, Y12, Y12; \
+	VADDPD     Y14, Y12, Y12; \
+	VADDPD     Y15, Y12, Y12
+
+// MV_SETUP derives the row pointers and step counts from the arguments in
+// AX (n) and DX (lda, scaled to bytes by 1<<shift), and zeroes Y0-Y7.
+#define MV_SETUP(shift) \
+	SHLQ   $shift, DX; \
+	LEAQ   (DX)(DX*2), R8; \
+	LEAQ   (SI)(DX*4), DI; \
+	MOVQ   AX, CX; \
+	ANDQ   $3, CX; \
+	SHRQ   $2, AX; \
+	VXORPD Y0, Y0, Y0; \
+	VXORPD Y1, Y1, Y1; \
+	VXORPD Y2, Y2, Y2; \
+	VXORPD Y3, Y3, Y3; \
+	VXORPD Y4, Y4, Y4; \
+	VXORPD Y5, Y5, Y5; \
+	VXORPD Y6, Y6, Y6; \
+	VXORPD Y7, Y7, Y7
+
+// func matvec64x8(n int64, a *float64, lda int64, x, y *float64)
+TEXT ·matvec64x8(SB), NOSPLIT, $0-40
+	MOVQ n+0(FP), AX
+	MOVQ a+8(FP), SI
+	MOVQ lda+16(FP), DX
+	MOVQ x+24(FP), BX
+	MOVQ y+32(FP), R9
+	MV_SETUP(3)
+	TESTQ AX, AX
+	JZ    d8tail
+
+d8loop:
+	VMOVUPD (BX), Y8
+	VMULPD  (SI), Y8, Y9
+	VADDPD  Y9, Y0, Y0
+	VMULPD  (SI)(DX*1), Y8, Y10
+	VADDPD  Y10, Y1, Y1
+	VMULPD  (SI)(DX*2), Y8, Y11
+	VADDPD  Y11, Y2, Y2
+	VMULPD  (SI)(R8*1), Y8, Y12
+	VADDPD  Y12, Y3, Y3
+	VMULPD  (DI), Y8, Y13
+	VADDPD  Y13, Y4, Y4
+	VMULPD  (DI)(DX*1), Y8, Y14
+	VADDPD  Y14, Y5, Y5
+	VMULPD  (DI)(DX*2), Y8, Y15
+	VADDPD  Y15, Y6, Y6
+	VMULPD  (DI)(R8*1), Y8, Y9
+	VADDPD  Y9, Y7, Y7
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	ADDQ    $32, BX
+	DECQ    AX
+	JNZ     d8loop
+
+d8tail:
+	TESTQ CX, CX
+	JZ    d8sum
+
+d8tailloop:
+	VMOVSD (BX), X8
+	VMULSD (SI), X8, X9
+	VADDPD Y9, Y0, Y0
+	VMULSD (SI)(DX*1), X8, X9
+	VADDPD Y9, Y1, Y1
+	VMULSD (SI)(DX*2), X8, X9
+	VADDPD Y9, Y2, Y2
+	VMULSD (SI)(R8*1), X8, X9
+	VADDPD Y9, Y3, Y3
+	VMULSD (DI), X8, X9
+	VADDPD Y9, Y4, Y4
+	VMULSD (DI)(DX*1), X8, X9
+	VADDPD Y9, Y5, Y5
+	VMULSD (DI)(DX*2), X8, X9
+	VADDPD Y9, Y6, Y6
+	VMULSD (DI)(R8*1), X8, X9
+	VADDPD Y9, Y7, Y7
+	ADDQ   $8, SI
+	ADDQ   $8, DI
+	ADDQ   $8, BX
+	DECQ   CX
+	JNZ    d8tailloop
+
+d8sum:
+	MV_REDUCE4(Y0, Y1, Y2, Y3)
+	VMOVUPD Y12, (R9)
+	MV_REDUCE4(Y4, Y5, Y6, Y7)
+	VMOVUPD Y12, 32(R9)
+	VZEROUPPER
+	RET
+
+// func matvec32x8(n int64, a *float32, lda int64, x, y *float32)
+//
+// The float32 form widens A and x to float64 before the multiply, as the
+// portable loop does, and rounds each row's sum to float32 once.
+TEXT ·matvec32x8(SB), NOSPLIT, $0-40
+	MOVQ n+0(FP), AX
+	MOVQ a+8(FP), SI
+	MOVQ lda+16(FP), DX
+	MOVQ x+24(FP), BX
+	MOVQ y+32(FP), R9
+	MV_SETUP(2)
+	TESTQ AX, AX
+	JZ    s8tail
+
+s8loop:
+	VCVTPS2PD (BX), Y8
+	VCVTPS2PD (SI), Y9
+	VMULPD    Y8, Y9, Y9
+	VADDPD    Y9, Y0, Y0
+	VCVTPS2PD (SI)(DX*1), Y10
+	VMULPD    Y8, Y10, Y10
+	VADDPD    Y10, Y1, Y1
+	VCVTPS2PD (SI)(DX*2), Y11
+	VMULPD    Y8, Y11, Y11
+	VADDPD    Y11, Y2, Y2
+	VCVTPS2PD (SI)(R8*1), Y12
+	VMULPD    Y8, Y12, Y12
+	VADDPD    Y12, Y3, Y3
+	VCVTPS2PD (DI), Y13
+	VMULPD    Y8, Y13, Y13
+	VADDPD    Y13, Y4, Y4
+	VCVTPS2PD (DI)(DX*1), Y14
+	VMULPD    Y8, Y14, Y14
+	VADDPD    Y14, Y5, Y5
+	VCVTPS2PD (DI)(DX*2), Y15
+	VMULPD    Y8, Y15, Y15
+	VADDPD    Y15, Y6, Y6
+	VCVTPS2PD (DI)(R8*1), Y9
+	VMULPD    Y8, Y9, Y9
+	VADDPD    Y9, Y7, Y7
+	ADDQ      $16, SI
+	ADDQ      $16, DI
+	ADDQ      $16, BX
+	DECQ      AX
+	JNZ       s8loop
+
+s8tail:
+	TESTQ CX, CX
+	JZ    s8sum
+
+s8tailloop:
+	VMOVSS    (BX), X8
+	VCVTSS2SD X8, X8, X8
+	VMOVSS    (SI), X9
+	VCVTSS2SD X9, X9, X9
+	VMULSD    X8, X9, X9
+	VADDPD Y9, Y0, Y0
+	VMOVSS    (SI)(DX*1), X9
+	VCVTSS2SD X9, X9, X9
+	VMULSD    X8, X9, X9
+	VADDPD Y9, Y1, Y1
+	VMOVSS    (SI)(DX*2), X9
+	VCVTSS2SD X9, X9, X9
+	VMULSD    X8, X9, X9
+	VADDPD Y9, Y2, Y2
+	VMOVSS    (SI)(R8*1), X9
+	VCVTSS2SD X9, X9, X9
+	VMULSD    X8, X9, X9
+	VADDPD Y9, Y3, Y3
+	VMOVSS    (DI), X9
+	VCVTSS2SD X9, X9, X9
+	VMULSD    X8, X9, X9
+	VADDPD Y9, Y4, Y4
+	VMOVSS    (DI)(DX*1), X9
+	VCVTSS2SD X9, X9, X9
+	VMULSD    X8, X9, X9
+	VADDPD Y9, Y5, Y5
+	VMOVSS    (DI)(DX*2), X9
+	VCVTSS2SD X9, X9, X9
+	VMULSD    X8, X9, X9
+	VADDPD Y9, Y6, Y6
+	VMOVSS    (DI)(R8*1), X9
+	VCVTSS2SD X9, X9, X9
+	VMULSD    X8, X9, X9
+	VADDPD Y9, Y7, Y7
+	ADDQ      $4, SI
+	ADDQ      $4, DI
+	ADDQ      $4, BX
+	DECQ      CX
+	JNZ       s8tailloop
+
+s8sum:
+	MV_REDUCE4(Y0, Y1, Y2, Y3)
+	VCVTPD2PSY Y12, X12
+	VMOVUPS    X12, (R9)
+	MV_REDUCE4(Y4, Y5, Y6, Y7)
+	VCVTPD2PSY Y12, X12
+	VMOVUPS    X12, 16(R9)
+	VZEROUPPER
+	RET

@@ -5,9 +5,11 @@
 // every op kernel shares.
 //
 // On amd64 hosts with AVX and FMA the micro-kernels are hand-written
-// assembly (6×16 float32, 6×8 float64); everywhere else a portable 4×4
-// register-blocked Go kernel is used. Selection happens once at init and
-// can be forced to the portable path with TFHPC_NOSIMD=1.
+// assembly (6×16 float32, 6×8 float64), and so are the matrix-vector
+// kernels (eight rows per call, bit-identical to the portable loop);
+// everywhere else a portable 4×4 register-blocked Go kernel and the
+// portable row loop are used. Selection happens once at init and can be
+// forced to the portable path with TFHPC_NOSIMD=1.
 //
 // All kernels follow IEEE semantics: no value-dependent shortcuts, so NaN
 // and Inf propagate exactly as a naive triple loop would.

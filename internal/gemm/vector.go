@@ -7,46 +7,61 @@ package gemm
 // float32 reductions accumulate in float64 for stability, matching the
 // behaviour the solver layers were built against.
 
+// Row-block forms of MatVec32/MatVec64: y[lo:hi] = A[lo:hi]·x. The
+// portable loops below define the summation order: per row, four float64
+// accumulators where s_k sums the products p ≡ k (mod 4) in order, tail
+// products into s0, then ((s0+s1)+s2)+s3. The SIMD kernels selected at init
+// (kernel_amd64.go) reproduce that order bit for bit, so a batched MatVec
+// row equals Dot32/Dot64 of that row whichever kernel runs.
+var (
+	matVec32Rows = matVec32Go
+	matVec64Rows = matVec64Go
+)
+
 // MatVec32 computes y = A·x for row-major A (m×n, leading dimension lda).
 func MatVec32(m, n int, a []float32, lda int, x, y []float32) {
-	ParallelFor(m, 64, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := a[i*lda : i*lda+n]
-			var s0, s1, s2, s3 float64
-			p := 0
-			for ; p+4 <= n; p += 4 {
-				s0 += float64(row[p]) * float64(x[p])
-				s1 += float64(row[p+1]) * float64(x[p+1])
-				s2 += float64(row[p+2]) * float64(x[p+2])
-				s3 += float64(row[p+3]) * float64(x[p+3])
-			}
-			for ; p < n; p++ {
-				s0 += float64(row[p]) * float64(x[p])
-			}
-			y[i] = float32(s0 + s1 + s2 + s3)
-		}
-	})
+	ParallelFor(m, 64, func(lo, hi int) { matVec32Rows(lo, hi, n, a, lda, x, y) })
 }
 
 // MatVec64 computes y = A·x for row-major A (m×n, leading dimension lda).
 func MatVec64(m, n int, a []float64, lda int, x, y []float64) {
-	ParallelFor(m, 64, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := a[i*lda : i*lda+n]
-			var s0, s1, s2, s3 float64
-			p := 0
-			for ; p+4 <= n; p += 4 {
-				s0 += row[p] * x[p]
-				s1 += row[p+1] * x[p+1]
-				s2 += row[p+2] * x[p+2]
-				s3 += row[p+3] * x[p+3]
-			}
-			for ; p < n; p++ {
-				s0 += row[p] * x[p]
-			}
-			y[i] = s0 + s1 + s2 + s3
+	ParallelFor(m, 64, func(lo, hi int) { matVec64Rows(lo, hi, n, a, lda, x, y) })
+}
+
+func matVec32Go(lo, hi, n int, a []float32, lda int, x, y []float32) {
+	for i := lo; i < hi; i++ {
+		row := a[i*lda : i*lda+n]
+		var s0, s1, s2, s3 float64
+		p := 0
+		for ; p+4 <= n; p += 4 {
+			s0 += float64(row[p]) * float64(x[p])
+			s1 += float64(row[p+1]) * float64(x[p+1])
+			s2 += float64(row[p+2]) * float64(x[p+2])
+			s3 += float64(row[p+3]) * float64(x[p+3])
 		}
-	})
+		for ; p < n; p++ {
+			s0 += float64(row[p]) * float64(x[p])
+		}
+		y[i] = float32(s0 + s1 + s2 + s3)
+	}
+}
+
+func matVec64Go(lo, hi, n int, a []float64, lda int, x, y []float64) {
+	for i := lo; i < hi; i++ {
+		row := a[i*lda : i*lda+n]
+		var s0, s1, s2, s3 float64
+		p := 0
+		for ; p+4 <= n; p += 4 {
+			s0 += row[p] * x[p]
+			s1 += row[p+1] * x[p+1]
+			s2 += row[p+2] * x[p+2]
+			s3 += row[p+3] * x[p+3]
+		}
+		for ; p < n; p++ {
+			s0 += row[p] * x[p]
+		}
+		y[i] = s0 + s1 + s2 + s3
+	}
 }
 
 // Dot32 returns x·y accumulated in float64.

@@ -347,14 +347,18 @@ func (e *execution) run() error {
 		indeg[n.ID()] = deps
 	}
 
+	// Work-first dispatch: the goroutine that finishes a node goes on to
+	// run the first successor that node made ready, and starts a goroutine
+	// for each further one. Every ready node still starts at once, so
+	// independent blocking nodes (collectives, _Recv) run concurrently, but
+	// a chain of nodes costs no goroutine per node.
 	var wg sync.WaitGroup
 	var sem chan struct{}
 	if p := e.opts.Parallelism; p > 0 {
 		sem = make(chan struct{}, p)
 	}
-	var schedule func(n *graph.Node)
-	dispatch := func(n *graph.Node) {
-		defer wg.Done()
+	// eval runs n under a dispatch slot; false means the Run has failed.
+	eval := func(n *graph.Node) (*tensor.Tensor, bool) {
 		// A _Recv only waits for a value; holding a dispatch slot while it
 		// waits could starve the nodes that produce that value.
 		if sem != nil && n.Op() != opRecv {
@@ -365,30 +369,46 @@ func (e *execution) run() error {
 		failed := e.err != nil
 		e.mu.Unlock()
 		if failed {
-			return
+			return nil, false
 		}
 		out, err := e.evalNode(n)
 		if err != nil {
 			e.setErr(err)
-			return
+			return nil, false
 		}
-		e.mu.Lock()
-		e.results[n.ID()] = out
-		var ready []*graph.Node
-		for _, s := range succs[n.ID()] {
-			indeg[s.ID()]--
-			if indeg[s.ID()] == 0 {
-				ready = append(ready, s)
+		return out, true
+	}
+	var spawn func(n *graph.Node)
+	// chain runs n, then the first successor each node made ready.
+	chain := func(n *graph.Node) {
+		for n != nil {
+			out, ok := eval(n)
+			if !ok {
+				return
 			}
-		}
-		e.mu.Unlock()
-		for _, r := range ready {
-			schedule(r)
+			var next *graph.Node
+			e.mu.Lock()
+			e.results[n.ID()] = out
+			for _, s := range succs[n.ID()] {
+				indeg[s.ID()]--
+				if indeg[s.ID()] == 0 {
+					if next == nil {
+						next = s
+					} else {
+						spawn(s)
+					}
+				}
+			}
+			e.mu.Unlock()
+			n = next
 		}
 	}
-	schedule = func(n *graph.Node) {
+	spawn = func(n *graph.Node) {
 		wg.Add(1)
-		go dispatch(n)
+		go func() {
+			defer wg.Done()
+			chain(n)
+		}()
 	}
 
 	// Seed: fed nodes resolve immediately; then roots with no remaining deps.
@@ -411,8 +431,12 @@ func (e *execution) run() error {
 		}
 	}
 	e.mu.Unlock()
-	for _, n := range seeds {
-		schedule(n)
+	// The caller runs the first seed itself, after the rest have started.
+	if len(seeds) > 0 {
+		for _, n := range seeds[1:] {
+			spawn(n)
+		}
+		chain(seeds[0])
 	}
 	wg.Wait()
 	return e.err

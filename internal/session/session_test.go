@@ -2,9 +2,11 @@ package session
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"tfhpc/internal/collective"
 	"tfhpc/internal/graph"
@@ -437,4 +439,94 @@ func TestAsyncAllReduceSpansRuns(t *testing.T) {
 			t.Fatalf("rank %d: joined %g, want 3", r, vals[r])
 		}
 	}
+}
+
+// TestWorkFirstRunsIndependentAllReduces gives each of two ranks Runs
+// holding two independent AllReduce nodes (distinct keys) made ready by the
+// same node. Under work-first dispatch the goroutine that ran that node
+// continues with one of the two, and which one follows the executor's map
+// iteration, so within 20 Runs the ranks pick different ones: a Run
+// completes only if the other collective starts at once beside it — with
+// and without a Parallelism bound.
+func TestWorkFirstRunsIndependentAllReduces(t *testing.T) {
+	const p, runs = 2, 20
+	for _, par := range []int{0, 2} {
+		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
+			res := NewResources()
+			groups := collective.NewLoopbackGroups(p, collective.Options{})
+			for r, grp := range groups {
+				res.Colls.Register(fmt.Sprintf("wf%d", r), grp)
+			}
+			defer res.Colls.CloseAll()
+
+			done := make(chan error, p)
+			for r := 0; r < p; r++ {
+				g := graph.New()
+				x := g.Placeholder("x", tensor.Float64, nil)
+				y := g.AddNamedOp("y", "Identity", nil, x)
+				for _, k := range []string{"a", "b"} {
+					g.AddNamedOp("sum_"+k, "AllReduce", graph.Attrs{"group": fmt.Sprintf("wf%d", r), "key": k}, y)
+				}
+				sess, err := New(g, res, Options{Parallelism: par})
+				if err != nil {
+					t.Fatal(err)
+				}
+				go func(r int) {
+					for i := 0; i < runs; i++ {
+						out, err := sess.Run(map[string]*tensor.Tensor{"x": tensor.ScalarF64(float64(r + 1))},
+							[]string{"sum_a", "sum_b"}, nil)
+						if err != nil {
+							done <- err
+							return
+						}
+						for k, v := range out {
+							if v.ScalarFloat() != 3 { // 1 + 2
+								done <- fmt.Errorf("run %d fetch %d = %g, want 3", i, k, v.ScalarFloat())
+								return
+							}
+						}
+					}
+					done <- nil
+				}(r)
+			}
+			for r := 0; r < p; r++ {
+				select {
+				case err := <-done:
+					if err != nil {
+						t.Fatal(err)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatal("Run hung: an independent collective was not started")
+				}
+			}
+		})
+	}
+}
+
+// TestRunsLeaveNoGoroutines runs a fan-out/fan-in graph 100 times and
+// checks that every goroutine the executor started has exited.
+func TestRunsLeaveNoGoroutines(t *testing.T) {
+	g := graph.New()
+	x := g.Placeholder("x", tensor.Float64, tensor.Shape{4})
+	var legs []*graph.Node
+	for i := 0; i < 4; i++ {
+		legs = append(legs, g.AddOp("Neg", nil, g.AddOp("Neg", nil, x)))
+	}
+	sum := g.AddNamedOp("sum", "AddN", nil, legs...)
+	sess, err := New(g, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feeds := map[string]*tensor.Tensor{"x": tensor.FromF64(tensor.Shape{4}, []float64{1, 2, 3, 4})}
+	base := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		out, err := sess.Run(feeds, []string{sum.Name()}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(out[0].F64()); got != "[4 8 12 16]" {
+			t.Fatalf("run %d: sum = %s", i, got)
+		}
+	}
+	waitFor(t, "executor goroutines to exit", func() bool { return runtime.NumGoroutine() <= base })
 }
