@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"tfhpc/internal/graph"
-	"tfhpc/internal/ops"
 	"tfhpc/internal/rpc"
 	"tfhpc/internal/tensor"
 )
@@ -48,9 +47,8 @@ func (h *Host) Serve(st *rpc.Stream) error {
 
 // hostPart is one registered partition.
 type hostPart struct {
-	g      *graph.Graph
-	needed map[int]bool
-	err    error // why registration failed; every run of the handle reports it
+	prog *program
+	err  error // why registration failed; every run of the handle reports it
 }
 
 // hostStream is the task side of one session's stream.
@@ -132,19 +130,9 @@ func (hs *hostStream) run(id uint64, part *hostPart, rv *rendezvous) {
 	defer hs.wg.Done()
 	err := part.err
 	if err == nil {
-		exec := &execution{
-			g:      part.g,
-			res:    hs.h.res,
-			opts:   &hostOptions,
-			needed: part.needed,
-			rv:     rv,
-			send: func(key uint64, t *tensor.Tensor) error {
-				return sendValue(hs.st.Send, id, key, t)
-			},
-			results: make(map[int]*tensor.Tensor),
-			scratch: ops.NewScratch(),
-		}
-		err = exec.run()
+		err = part.prog.run(hs.h.res, &hostOptions, rv, func(key uint64, t *tensor.Tensor) error {
+			return sendValue(hs.st.Send, id, key, t)
+		})
 	}
 	hs.mu.Lock()
 	delete(hs.runs, id)
@@ -170,23 +158,12 @@ func (hs *hostStream) close() {
 	mPartitions.Add(-hs.live)
 }
 
-// compilePartition rebuilds a registered GraphDef and checks its edge
-// nodes.
+// compilePartition rebuilds a registered GraphDef and compiles it.
 func compilePartition(def []byte) *hostPart {
 	g, err := graph.UnmarshalGraph(def)
 	if err != nil {
 		return &hostPart{err: err}
 	}
-	for _, n := range g.Nodes() {
-		if n.Op() != opSend && n.Op() != opRecv {
-			continue
-		}
-		if k, ok := n.Attr("key").(int); !ok || k < 0 {
-			return &hostPart{err: fmt.Errorf("session: %s node %q has no edge key", n.Op(), n.Name())}
-		}
-		if n.Op() == opSend && len(n.Inputs()) != 1 {
-			return &hostPart{err: fmt.Errorf("session: _Send node %q needs one input", n.Name())}
-		}
-	}
-	return &hostPart{g: g, needed: allNodes(g)}
+	prog, err := compile(g)
+	return &hostPart{prog: prog, err: err}
 }

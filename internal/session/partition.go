@@ -4,13 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 
 	"tfhpc/internal/graph"
-	"tfhpc/internal/ops"
 	"tfhpc/internal/rpc"
 	"tfhpc/internal/tensor"
 	"tfhpc/internal/timeline"
@@ -49,14 +49,13 @@ type taskKey struct {
 	task int
 }
 
-// plan is the partitioned form of one Run signature, built by its first Run
+// plan is the compiled form of one Run signature, built by its first Run
 // and reused by every later one.
 type plan struct {
-	// local holds the nodes that run in this process plus their edge
-	// nodes; nil when every needed node runs on a task.
-	local       *graph.Graph
-	localNeeded map[int]bool
-	parts       []*remotePart
+	// local is this process's partition: the nodes that run here plus
+	// their edge nodes. It may be empty, and parts may be too.
+	local *program
+	parts []*remotePart
 	// Every value that leaves its partition, is fed, or is fetched has a
 	// key; values held here (feeds, arrivals, local sends) sit in the Run's
 	// rendezvous under it.
@@ -76,15 +75,15 @@ type remotePart struct {
 }
 
 // plan returns the cached plan of a Run signature, building it on first
-// use; nil means every needed node runs in this process.
-func (s *Session) plan(feeds map[string]*tensor.Tensor, fetches []*graph.Node, targets []string, roots []*graph.Node) (*plan, error) {
+// use.
+func (s *Session) plan(feeds map[string]*tensor.Tensor, fetches, targets []string) (*plan, error) {
 	sig := signature(feeds, fetches, targets)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if p, ok := s.plans[sig]; ok {
 		return p, nil
 	}
-	p, err := s.buildPlan(feeds, fetches, roots)
+	p, err := s.buildPlan(feeds, fetches, targets)
 	if err != nil {
 		return nil, err
 	}
@@ -96,15 +95,16 @@ func (s *Session) plan(feeds map[string]*tensor.Tensor, fetches []*graph.Node, t
 }
 
 // signature keys a Run by its fetch and target lists and its feed names.
-func signature(feeds map[string]*tensor.Tensor, fetches []*graph.Node, targets []string) string {
+func signature(feeds map[string]*tensor.Tensor, fetches, targets []string) string {
 	var b strings.Builder
+	b.Grow(64)
 	put := func(s string) {
 		b.WriteString(strconv.Itoa(len(s)))
 		b.WriteByte(':')
 		b.WriteString(s)
 	}
-	for _, n := range fetches {
-		put(n.Name())
+	for _, f := range fetches {
+		put(f)
 	}
 	b.WriteByte('|')
 	for _, t := range targets {
@@ -129,7 +129,28 @@ type partBuilder struct {
 }
 
 // buildPlan splits the subgraph a Run needs by task. Called with s.mu held.
-func (s *Session) buildPlan(feeds map[string]*tensor.Tensor, fetches, roots []*graph.Node) (*plan, error) {
+func (s *Session) buildPlan(feeds map[string]*tensor.Tensor, fetches, targets []string) (*plan, error) {
+	lookup := func(name string) (*graph.Node, error) {
+		n := s.g.Lookup(name)
+		if n == nil {
+			return nil, fmt.Errorf("session: no node named %q", name)
+		}
+		return n, nil
+	}
+	// roots are the fetches, then the targets.
+	roots := make([]*graph.Node, 0, len(fetches)+len(targets))
+	for _, name := range slices.Concat(fetches, targets) {
+		n, err := lookup(name)
+		if err != nil {
+			return nil, err
+		}
+		roots = append(roots, n)
+	}
+	for name := range feeds {
+		if _, err := lookup(name); err != nil {
+			return nil, err
+		}
+	}
 	fed := func(n *graph.Node) bool { _, ok := feeds[n.Name()]; return ok }
 	// The needed subgraph, pruned at feeds: a fed node's producers do not
 	// run.
@@ -159,7 +180,8 @@ func (s *Session) buildPlan(feeds map[string]*tensor.Tensor, fetches, roots []*g
 	}
 
 	// Placement: where[id] indexes p.parts, or is here for this process
-	// (fed values count as here: they start here).
+	// (fed values count as here: they start here). An empty LocalJob keeps
+	// every node here.
 	const here = -1
 	p := &plan{feedKeys: make(map[string]uint64), consumers: make(map[uint64][]int)}
 	where := make(map[int]int, len(needed))
@@ -169,7 +191,7 @@ func (s *Session) buildPlan(feeds map[string]*tensor.Tensor, fetches, roots []*g
 			continue
 		}
 		dev := n.Device()
-		if fed(n) || dev.IsLocalTo(s.opts.LocalJob, s.opts.LocalTask) {
+		if fed(n) || s.opts.LocalJob == "" || dev.IsLocalTo(s.opts.LocalJob, s.opts.LocalTask) {
 			where[n.ID()] = here
 			continue
 		}
@@ -190,9 +212,6 @@ func (s *Session) buildPlan(feeds map[string]*tensor.Tensor, fetches, roots []*g
 			})
 		}
 		where[n.ID()] = i
-	}
-	if len(p.parts) == 0 {
-		return nil, nil
 	}
 
 	// One key per value source; data unless it only ever orders.
@@ -258,7 +277,7 @@ func (s *Session) buildPlan(feeds map[string]*tensor.Tensor, fetches, roots []*g
 		}
 	}
 	p.fetchKeys = make([]uint64, len(fetches))
-	for i, f := range fetches {
+	for i, f := range roots[:len(fetches)] {
 		p.fetchKeys[i] = keyOf(f, true)
 	}
 	// A _Send beside every keyed source that runs somewhere.
@@ -287,19 +306,10 @@ func (s *Session) buildPlan(feeds map[string]*tensor.Tensor, fetches, roots []*g
 			return nil, err
 		}
 	}
-	if g := pbs[0].g; g.NumNodes() > 0 {
-		p.local = g
-		p.localNeeded = allNodes(g)
+	if p.local, err = compile(pbs[0].g); err != nil {
+		return nil, err
 	}
 	return p, nil
-}
-
-func allNodes(g *graph.Graph) map[int]bool {
-	m := make(map[int]bool, g.NumNodes())
-	for _, n := range g.Nodes() {
-		m[n.ID()] = true
-	}
-	return m
 }
 
 // runPlan executes one Run of a plan: a run frame to every part, the local
@@ -318,6 +328,9 @@ func (s *Session) runPlan(p *plan, feeds map[string]*tensor.Tensor) ([]*tensor.T
 		pending:  n,
 		finished: make(chan struct{}),
 	}
+	if n == 0 {
+		r.finishLocked() // no part to wait for
+	}
 	for name, k := range p.feedKeys {
 		if feeds[name] == nil {
 			return nil, fmt.Errorf("session: feed %q is nil", name)
@@ -331,22 +344,11 @@ func (s *Session) runPlan(p *plan, feeds map[string]*tensor.Tensor) ([]*tensor.T
 
 	err := r.start(s)
 	close(r.started)
+	if err == nil {
+		err = p.local.run(s.res, &s.opts, r.rv, r.localSend)
+	}
 	if err != nil {
 		r.fail(err)
-	} else if p.local != nil {
-		exec := &execution{
-			g:       p.local,
-			res:     s.res,
-			opts:    &s.opts,
-			needed:  p.localNeeded,
-			rv:      r.rv,
-			send:    r.localSend,
-			results: make(map[int]*tensor.Tensor),
-			scratch: ops.NewScratch(),
-		}
-		if err := exec.run(); err != nil {
-			r.fail(err)
-		}
 	}
 	<-r.finished
 	for _, c := range r.conns {
@@ -715,7 +717,7 @@ type partial struct {
 }
 
 func newRendezvous() *rendezvous {
-	r := &rendezvous{vals: make(map[uint64]*tensor.Tensor), parts: make(map[uint64]*partial)}
+	r := &rendezvous{vals: make(map[uint64]*tensor.Tensor)}
 	r.cond.L = &r.mu
 	return r
 }
@@ -736,6 +738,9 @@ func (r *rendezvous) deliver(f *frame) error {
 			return tensor.ErrTooLarge
 		}
 		p = &partial{t: tensor.New(c.DType(), f.shape...)}
+		if r.parts == nil {
+			r.parts = make(map[uint64]*partial)
+		}
 		r.parts[k] = p
 	case f.kind == frameHead || p == nil:
 		r.mu.Unlock()

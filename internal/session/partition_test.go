@@ -344,8 +344,8 @@ func TestPartitionTraceSpans(t *testing.T) {
 	}
 }
 
-// A Run whose needed nodes are all here takes the plain executor even in a
-// session whose graph spans tasks, and never dials.
+// A Run whose needed nodes are all here compiles to a plan with no remote
+// partition, even in a session whose graph spans tasks, and never dials.
 func TestPartitionLocalOnlyRun(t *testing.T) {
 	g := chainGraph()
 	g.WithDevice("/job:client", func() { g.AddNamedOp("here", "Neg", nil, g.Const(tensor.ScalarF64(4))) })
@@ -356,5 +356,91 @@ func TestPartitionLocalOnlyRun(t *testing.T) {
 	out, err := sess.Run(nil, []string{"here"}, nil)
 	if err != nil || out[0].ScalarFloat() != -4 {
 		t.Fatalf("local-only Run: %v, %v", out, err)
+	}
+}
+
+// A fed node's producers do not run: a Run is pruned at its feeds, whether
+// the graph runs here or on a task.
+func TestFeedPrunesProducers(t *testing.T) {
+	for _, row := range []struct {
+		name   string
+		onTask bool
+	}{{"all-local", false}, {"partitioned", true}} {
+		t.Run(row.name, func(t *testing.T) {
+			g := graph.New()
+			build := func() {
+				g.AddNamedOp("init", "Assign", graph.Attrs{"var_name": "counter"}, g.Const(tensor.ScalarF64(0)))
+				inc := g.AddNamedOp("inc", "AssignAdd", graph.Attrs{"var_name": "counter"}, g.Const(tensor.ScalarF64(1)))
+				g.AddNamedOp("read", "Variable", graph.Attrs{"var_name": "counter"})
+				g.AddNamedOp("out", "Neg", nil, g.AddNamedOp("id", "Identity", nil, inc))
+			}
+			var opts Options
+			if row.onTask {
+				on(g, taskA, build)
+				opts = Options{LocalJob: "client", Remote: startTasks(t, taskA)}
+			} else {
+				build()
+			}
+			sess, err := New(g, nil, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			if _, err := runWithin(t, sess, nil, nil, []string{"init"}); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3; i++ {
+				out, err := runWithin(t, sess, map[string]*tensor.Tensor{"id": tensor.ScalarF64(5)}, []string{"out"}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if out[0].ScalarFloat() != -5 {
+					t.Fatalf("run %d: out = %g, want -5", i, out[0].ScalarFloat())
+				}
+			}
+			out, err := runWithin(t, sess, nil, []string{"read"}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := out[0].ScalarFloat(); got != 0 {
+				t.Fatalf("counter = %g after 3 Runs that feed id, want 0: the fed node's producer ran", got)
+			}
+		})
+	}
+}
+
+// A Run in which no node runs — every fetch fed, or a fed node as the only
+// target — returns at once, on a session with Remote set too, and dials no
+// task.
+func TestZeroWorkRuns(t *testing.T) {
+	tt := startTasks(t, taskA, taskB)
+	for _, row := range []struct {
+		name string
+		opts Options
+	}{{"all-local", Options{}}, {"remote", Options{LocalJob: "client", Remote: tt}}} {
+		t.Run(row.name, func(t *testing.T) {
+			sess, err := New(chainGraph(), nil, row.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			feeds := map[string]*tensor.Tensor{"d": tensor.ScalarF64(7), "b": tensor.ScalarF64(9)}
+			out, err := runWithin(t, sess, feeds, []string{"d", "b", "d"}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, want := range []float64{7, 9, 7} {
+				if out[i].ScalarFloat() != want {
+					t.Fatalf("fetch %d = %g, want its fed %g", i, out[i].ScalarFloat(), want)
+				}
+			}
+			out, err = runWithin(t, sess, map[string]*tensor.Tensor{"d": tensor.ScalarF64(7)}, nil, []string{"d"})
+			if err != nil || len(out) != 0 {
+				t.Fatalf("target-only Run of a fed node: %v, %v", out, err)
+			}
+			if got := tt.partitions(); got != 0 {
+				t.Fatalf("%d partitions registered, want 0", got)
+			}
+		})
 	}
 }

@@ -4,21 +4,24 @@
 // dispatches independent ops concurrently — the property the paper
 // highlights as a core advantage of dataflow computing.
 //
-// A graph whose nodes all run here takes that executor directly. When some
-// nodes are placed on other tasks, the first Run of each (feeds, fetches,
-// targets) signature splits the needed subgraph by task, turns every edge
-// that crosses a partition boundary into a _Send/_Recv pair, and registers
-// each remote partition once on its task (partition.go, host.go). Later
-// Runs of that signature send one small run message per task over one
-// stream per (session, task) and receive only the tensors that leave the
-// partition — the TensorFlow white paper's per-device partitioning with
-// cached, register-then-run subgraphs — so the same session code drives
-// single-process and distributed executions.
+// Every Run takes one path. The first Run of each (feeds, fetches, targets)
+// signature prunes the graph at its feeds — a fed node's producers do not
+// run — splits what remains by task, turns every edge that crosses a
+// partition boundary into a _Send/_Recv pair, compiles this process's
+// partition and registers each remote one once on its task (partition.go,
+// host.go). That first Run pays for the plan; every later Run of the
+// signature reuses it, runs the compiled local partition and sends one
+// small run message per task over one stream per (session, task), receiving
+// only the tensors that leave a partition — the TensorFlow white paper's
+// per-device partitioning with cached, register-then-run subgraphs. A graph
+// that runs wholly here is a plan with one partition and no tasks, so the
+// same code drives single-process and distributed executions.
 package session
 
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"tfhpc/internal/graph"
@@ -162,12 +165,9 @@ type Session struct {
 	g    *graph.Graph
 	res  *Resources
 	opts Options
-	// remote: some node is placed off this process, so Runs go through
-	// partition plans; false keeps every Run on the plain executor.
-	remote bool
 
 	mu         sync.Mutex
-	plans      map[string]*plan // by Run signature; nil plan = all local
+	plans      map[string]*plan // by Run signature
 	conns      map[taskKey]*taskConn
 	nextHandle uint64
 	nextRun    uint64
@@ -183,16 +183,7 @@ func New(g *graph.Graph, res *Resources, opts Options) (*Session, error) {
 	if res == nil {
 		res = NewResources()
 	}
-	s := &Session{g: g, res: res, opts: opts}
-	if opts.LocalJob != "" {
-		for _, n := range g.Nodes() {
-			if !n.Device().IsLocalTo(opts.LocalJob, opts.LocalTask) {
-				s.remote = true
-				break
-			}
-		}
-	}
-	return s, nil
+	return &Session{g: g, res: res, opts: opts}, nil
 }
 
 // Close releases the session's task streams and waits for their readers
@@ -226,240 +217,191 @@ func (s *Session) Graph() *graph.Graph { return s.g }
 // paper's STREAM trick of passing an op as a target with no fetches so that
 // no tensor value is returned to the client.
 func (s *Session) Run(feeds map[string]*tensor.Tensor, fetches, targets []string) ([]*tensor.Tensor, error) {
-	var roots []*graph.Node
-	resolve := func(name string) (*graph.Node, error) {
-		n := s.g.Lookup(name)
-		if n == nil {
-			return nil, fmt.Errorf("session: no node named %q", name)
-		}
-		return n, nil
-	}
-	fetchNodes := make([]*graph.Node, len(fetches))
-	for i, f := range fetches {
-		n, err := resolve(f)
-		if err != nil {
-			return nil, err
-		}
-		fetchNodes[i] = n
-		roots = append(roots, n)
-	}
-	for _, t := range targets {
-		n, err := resolve(t)
-		if err != nil {
-			return nil, err
-		}
-		roots = append(roots, n)
-	}
-	if len(roots) == 0 {
+	if len(fetches)+len(targets) == 0 {
 		return nil, fmt.Errorf("session: Run needs at least one fetch or target")
 	}
-	for name := range feeds {
-		if _, err := resolve(name); err != nil {
-			return nil, err
-		}
-	}
-	if s.remote {
-		p, err := s.plan(feeds, fetchNodes, targets, roots)
-		if err != nil {
-			return nil, err
-		}
-		if p != nil {
-			return s.runPlan(p, feeds)
-		}
-	}
-
-	exec := &execution{
-		g:       s.g,
-		res:     s.res,
-		opts:    &s.opts,
-		needed:  s.g.Subgraph(roots),
-		feeds:   feeds,
-		results: make(map[int]*tensor.Tensor),
-		scratch: ops.NewScratch(),
-	}
-	if err := exec.run(); err != nil {
+	p, err := s.plan(feeds, fetches, targets)
+	if err != nil {
 		return nil, err
 	}
-	out := make([]*tensor.Tensor, len(fetchNodes))
-	for i, n := range fetchNodes {
-		v, ok := exec.results[n.ID()]
-		if !ok || v == nil {
-			return nil, fmt.Errorf("session: fetch %q produced no value", n.Name())
-		}
-		out[i] = v
-	}
-	return out, nil
+	return s.runPlan(p, feeds)
 }
 
-// execution is the per-Run state of the parallel topological executor: the
-// whole Run of an all-local graph, or one partition of a partitioned Run.
+// program is a partition graph compiled once for all its Runs. A node's
+// index is its graph id.
+type program struct {
+	nodes   []*graph.Node
+	pending []int32   // per node: the inputs and control deps it waits for
+	ready   []int32   // the nodes that wait for nothing
+	succs   [][]int32 // per node: the nodes it counts down when it finishes
+	// Node i's inputs are argument slots argOff[i] to argOff[i+1]: args
+	// holds each slot's producing node, names that node's name.
+	argOff []int
+	args   []int32
+	names  []string
+}
+
+// compile checks a partition graph's edge nodes and compiles it.
+func compile(g *graph.Graph) (*program, error) {
+	nodes := g.Nodes()
+	p := &program{
+		nodes:   nodes,
+		pending: make([]int32, len(nodes)),
+		succs:   make([][]int32, len(nodes)),
+		argOff:  make([]int, 1, len(nodes)+1),
+	}
+	for i, n := range nodes {
+		if n.Op() == opSend || n.Op() == opRecv {
+			if k, ok := n.Attr("key").(int); !ok || k < 0 {
+				return nil, fmt.Errorf("session: %s node %q has no edge key", n.Op(), n.Name())
+			}
+			if n.Op() == opSend && len(n.Inputs()) != 1 {
+				return nil, fmt.Errorf("session: _Send node %q needs one input", n.Name())
+			}
+		}
+		for _, in := range n.Inputs() {
+			p.args = append(p.args, int32(in.ID()))
+			p.names = append(p.names, in.Name())
+			p.succs[in.ID()] = append(p.succs[in.ID()], int32(i))
+		}
+		for _, c := range n.ControlDeps() {
+			p.succs[c.ID()] = append(p.succs[c.ID()], int32(i))
+		}
+		p.argOff = append(p.argOff, len(p.args))
+		if p.pending[i] = int32(len(n.Inputs()) + len(n.ControlDeps())); p.pending[i] == 0 {
+			p.ready = append(p.ready, int32(i))
+		}
+	}
+	return p, nil
+}
+
+// execution is one Run of a program by the parallel topological executor.
 type execution struct {
-	g       *graph.Graph
+	p       *program
 	res     *Resources
 	opts    *Options
-	needed  map[int]bool
-	feeds   map[string]*tensor.Tensor
 	scratch *ops.Scratch
-	// Partition runs only: rv holds the values arriving over partition
-	// edges for _Recv nodes, and send ships a _Send node's value out.
+	// rv holds the values arriving over partition edges for _Recv nodes,
+	// and send ships a _Send node's value out.
 	rv   *rendezvous
 	send func(key uint64, t *tensor.Tensor) error
+	sem  chan struct{} // dispatch slots when Parallelism bounds them
+	wg   sync.WaitGroup
+	ctxs []ops.Context    // per node, written by the goroutine running it
+	args []*tensor.Tensor // argument slots, each filled as its node starts
 
 	mu      sync.Mutex
-	results map[int]*tensor.Tensor
+	pending []int32
+	values  []*tensor.Tensor // per node, once it has run
 	err     error
 }
 
-func (e *execution) setErr(err error) {
-	e.mu.Lock()
-	if e.err == nil {
-		e.err = err
+// run executes every node of the program once against res.
+func (p *program) run(res *Resources, opts *Options, rv *rendezvous, send func(uint64, *tensor.Tensor) error) error {
+	e := &execution{
+		p:       p,
+		res:     res,
+		opts:    opts,
+		scratch: ops.NewScratch(),
+		rv:      rv,
+		send:    send,
+		ctxs:    make([]ops.Context, len(p.nodes)),
+		args:    make([]*tensor.Tensor, len(p.args)),
+		pending: slices.Clone(p.pending),
+		values:  make([]*tensor.Tensor, len(p.nodes)),
 	}
-	e.mu.Unlock()
-}
-
-func (e *execution) run() error {
-	g := e.g
-	// Build dependency counts restricted to the needed subgraph.
-	indeg := make(map[int]int, len(e.needed))
-	succs := make(map[int][]*graph.Node, len(e.needed))
-	var nodes []*graph.Node
-	for id := range e.needed {
-		nodes = append(nodes, g.Nodes()[id])
+	if n := opts.Parallelism; n > 0 {
+		e.sem = make(chan struct{}, n)
 	}
-	for _, n := range nodes {
-		if _, fed := e.feeds[n.Name()]; fed {
-			continue // fed nodes have no dependencies
-		}
-		deps := 0
-		for _, in := range n.Inputs() {
-			if e.needed[in.ID()] {
-				deps++
-				succs[in.ID()] = append(succs[in.ID()], n)
-			}
-		}
-		for _, c := range n.ControlDeps() {
-			if e.needed[c.ID()] {
-				deps++
-				succs[c.ID()] = append(succs[c.ID()], n)
-			}
-		}
-		indeg[n.ID()] = deps
-	}
-
 	// Work-first dispatch: the goroutine that finishes a node goes on to
 	// run the first successor that node made ready, and starts a goroutine
 	// for each further one. Every ready node still starts at once, so
 	// independent blocking nodes (collectives, _Recv) run concurrently, but
-	// a chain of nodes costs no goroutine per node.
-	var wg sync.WaitGroup
-	var sem chan struct{}
-	if p := e.opts.Parallelism; p > 0 {
-		sem = make(chan struct{}, p)
+	// a chain of nodes costs no goroutine per node. The caller runs the
+	// first ready node itself, after the rest have started.
+	if len(p.ready) > 0 {
+		for _, i := range p.ready[1:] {
+			e.spawn(i)
+		}
+		e.chain(p.ready[0])
 	}
-	// eval runs n under a dispatch slot; false means the Run has failed.
-	eval := func(n *graph.Node) (*tensor.Tensor, bool) {
-		// A _Recv only waits for a value; holding a dispatch slot while it
-		// waits could starve the nodes that produce that value.
-		if sem != nil && n.Op() != opRecv {
-			sem <- struct{}{}
-			defer func() { <-sem }()
-		}
-		e.mu.Lock()
-		failed := e.err != nil
-		e.mu.Unlock()
-		if failed {
-			return nil, false
-		}
-		out, err := e.evalNode(n)
-		if err != nil {
-			e.setErr(err)
-			return nil, false
-		}
-		return out, true
-	}
-	var spawn func(n *graph.Node)
-	// chain runs n, then the first successor each node made ready.
-	chain := func(n *graph.Node) {
-		for n != nil {
-			out, ok := eval(n)
-			if !ok {
-				return
-			}
-			var next *graph.Node
-			e.mu.Lock()
-			e.results[n.ID()] = out
-			for _, s := range succs[n.ID()] {
-				indeg[s.ID()]--
-				if indeg[s.ID()] == 0 {
-					if next == nil {
-						next = s
-					} else {
-						spawn(s)
-					}
-				}
-			}
-			e.mu.Unlock()
-			n = next
-		}
-	}
-	spawn = func(n *graph.Node) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			chain(n)
-		}()
-	}
-
-	// Seed: fed nodes resolve immediately; then roots with no remaining deps.
-	e.mu.Lock()
-	var seeds []*graph.Node
-	for _, n := range nodes {
-		if v, fed := e.feeds[n.Name()]; fed {
-			e.results[n.ID()] = v
-			for _, s := range succs[n.ID()] {
-				indeg[s.ID()]--
-			}
-		}
-	}
-	for _, n := range nodes {
-		if _, fed := e.feeds[n.Name()]; fed {
-			continue
-		}
-		if indeg[n.ID()] == 0 {
-			seeds = append(seeds, n)
-		}
-	}
-	e.mu.Unlock()
-	// The caller runs the first seed itself, after the rest have started.
-	if len(seeds) > 0 {
-		for _, n := range seeds[1:] {
-			spawn(n)
-		}
-		chain(seeds[0])
-	}
-	wg.Wait()
+	e.wg.Wait()
 	return e.err
 }
 
-// evalNode runs one node.
-func (e *execution) evalNode(n *graph.Node) (*tensor.Tensor, error) {
-	inputs := make([]*tensor.Tensor, len(n.Inputs()))
-	inputNames := make([]string, len(n.Inputs()))
+func (e *execution) spawn(i int32) {
+	e.wg.Add(1)
+	go func() {
+		defer e.wg.Done()
+		e.chain(i)
+	}()
+}
+
+// chain runs node i, then the first successor each node made ready.
+func (e *execution) chain(i int32) {
+	for i >= 0 {
+		out, ok := e.eval(i)
+		if !ok {
+			return
+		}
+		next := int32(-1)
+		e.mu.Lock()
+		e.values[i] = out
+		for _, s := range e.p.succs[i] {
+			if e.pending[s]--; e.pending[s] > 0 {
+				continue
+			}
+			if next < 0 {
+				next = s
+			} else {
+				e.spawn(s)
+			}
+		}
+		e.mu.Unlock()
+		i = next
+	}
+}
+
+// eval runs node i under a dispatch slot; false means the Run has failed.
+func (e *execution) eval(i int32) (*tensor.Tensor, bool) {
+	n := e.p.nodes[i]
+	// A _Recv only waits for a value; holding a dispatch slot while it
+	// waits could starve the nodes that produce that value.
+	if e.sem != nil && n.Op() != opRecv {
+		e.sem <- struct{}{}
+		defer func() { <-e.sem }()
+	}
+	lo, hi := e.p.argOff[i], e.p.argOff[i+1]
+	in := e.args[lo:hi:hi]
 	e.mu.Lock()
-	for i, in := range n.Inputs() {
-		inputs[i] = e.results[in.ID()]
-		inputNames[i] = in.Name()
+	failed := e.err != nil
+	for j, src := range e.p.args[lo:hi] {
+		in[j] = e.values[src]
 	}
 	e.mu.Unlock()
-
-	if e.rv != nil {
-		switch n.Op() {
-		case opRecv:
-			return e.rv.get(edgeKey(n))
-		case opSend:
-			return nil, e.sendValue(n, inputs[0])
+	if failed {
+		return nil, false
+	}
+	out, err := e.evalNode(i, in)
+	if err != nil {
+		e.mu.Lock()
+		if e.err == nil {
+			e.err = err
 		}
+		e.mu.Unlock()
+		return nil, false
+	}
+	return out, true
+}
+
+// evalNode runs node i on its inputs.
+func (e *execution) evalNode(i int32, in []*tensor.Tensor) (*tensor.Tensor, error) {
+	n := e.p.nodes[i]
+	switch n.Op() {
+	case opRecv:
+		return e.rv.get(edgeKey(n))
+	case opSend:
+		return nil, e.sendValue(n, in[0])
 	}
 
 	opts := e.opts
@@ -467,14 +409,16 @@ func (e *execution) evalNode(n *graph.Node) (*tensor.Tensor, error) {
 	if opts.Trace != nil {
 		start = opts.Trace.Now()
 	}
-	ctx := &ops.Context{
+	lo, hi := e.p.argOff[i], e.p.argOff[i+1]
+	ctx := &e.ctxs[i]
+	*ctx = ops.Context{
 		NodeName:   n.Name(),
 		Attrs:      n.Attrs(),
-		InputNames: inputNames,
+		InputNames: e.p.names[lo:hi:hi],
 		Resources:  e.res,
 		Scratch:    e.scratch,
 	}
-	out, err := ops.Run(n.Op(), ctx, inputs)
+	out, err := ops.Run(n.Op(), ctx, in)
 	if opts.Trace != nil {
 		devStr := n.Device().String()
 		if devStr == "" {

@@ -443,11 +443,10 @@ func TestAsyncAllReduceSpansRuns(t *testing.T) {
 
 // TestWorkFirstRunsIndependentAllReduces gives each of two ranks Runs
 // holding two independent AllReduce nodes (distinct keys) made ready by the
-// same node. Under work-first dispatch the goroutine that ran that node
-// continues with one of the two, and which one follows the executor's map
-// iteration, so within 20 Runs the ranks pick different ones: a Run
-// completes only if the other collective starts at once beside it — with
-// and without a Parallelism bound.
+// same node, with and without a Parallelism bound. Under work-first
+// dispatch the goroutine that ran that node continues with the first of the
+// two in graph order, the same one on both ranks; the ranks pick different
+// ones in TestWorkFirstStartsEveryReadyNode.
 func TestWorkFirstRunsIndependentAllReduces(t *testing.T) {
 	const p, runs = 2, 20
 	for _, par := range []int{0, 2} {
@@ -529,4 +528,93 @@ func TestRunsLeaveNoGoroutines(t *testing.T) {
 		}
 	}
 	waitFor(t, "executor goroutines to exit", func() bool { return runtime.NumGoroutine() <= base })
+}
+
+// TestWorkFirstStartsEveryReadyNode is TestWorkFirstRunsIndependentAllReduces
+// with the two ranks adding their AllReduce nodes in opposite orders, so
+// each rank continues with the collective the other starts second: a Run
+// completes only if that second one starts at once beside the first.
+func TestWorkFirstStartsEveryReadyNode(t *testing.T) {
+	const p = 2
+	for _, par := range []int{0, 2} {
+		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
+			res := NewResources()
+			groups := collective.NewLoopbackGroups(p, collective.Options{})
+			for r, grp := range groups {
+				res.Colls.Register(fmt.Sprintf("wo%d", r), grp)
+			}
+			defer res.Colls.CloseAll()
+
+			done := make(chan error, p)
+			for r, keys := range [][]string{{"a", "b"}, {"b", "a"}} {
+				g := graph.New()
+				y := g.AddNamedOp("y", "Identity", nil, g.Placeholder("x", tensor.Float64, nil))
+				for _, k := range keys {
+					g.AddNamedOp("sum_"+k, "AllReduce", graph.Attrs{"group": fmt.Sprintf("wo%d", r), "key": k}, y)
+				}
+				sess, err := New(g, res, Options{Parallelism: par})
+				if err != nil {
+					t.Fatal(err)
+				}
+				go func() {
+					_, err := sess.Run(map[string]*tensor.Tensor{"x": tensor.ScalarF64(1)}, []string{"sum_a", "sum_b"}, nil)
+					done <- err
+				}()
+			}
+			for r := 0; r < p; r++ {
+				select {
+				case err := <-done:
+					if err != nil {
+						t.Fatal(err)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatal("Run hung: a ready collective was not started")
+				}
+			}
+		})
+	}
+}
+
+// negChain is a session whose graph is a placeholder followed by eight
+// Negs, with the feed and fetch of one Run through it.
+func negChain(t testing.TB) (*Session, map[string]*tensor.Tensor, []string) {
+	g := graph.New()
+	n := g.Placeholder("x", tensor.Float64, nil)
+	for i := 0; i < 8; i++ {
+		n = g.AddOp("Neg", nil, n)
+	}
+	sess, err := New(g, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sess, map[string]*tensor.Tensor{"x": tensor.ScalarF64(1)}, []string{n.Name()}
+}
+
+// TestRunAllocs pins the allocations of a warm all-local Run: the key that
+// finds its cached plan, the Run's rendezvous and executor state, and the
+// Negs' outputs.
+func TestRunAllocs(t *testing.T) {
+	const want = 41
+	sess, feeds, fetches := negChain(t)
+	if _, err := sess.Run(feeds, fetches, nil); err != nil { // builds the plan
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(100, func() {
+		if _, err := sess.Run(feeds, fetches, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > want {
+		t.Fatalf("a chain Run makes %v allocations, want at most %d", got, want)
+	}
+}
+
+func BenchmarkRunChain(b *testing.B) {
+	sess, feeds, fetches := negChain(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := sess.Run(feeds, fetches, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
