@@ -3,8 +3,11 @@ package rpc
 import (
 	"context"
 	"errors"
+	"net"
 	"testing"
 	"time"
+
+	"tfhpc/internal/wire"
 )
 
 // startCtxServer boots a server with a "slow" method that blocks until its
@@ -121,5 +124,51 @@ func TestCallContextPoolReuseAfterSuccess(t *testing.T) {
 	time.Sleep(250 * time.Millisecond) // let the stale deadline (if any) pass
 	if resp, err := c.Call("echo", []byte("b")); err != nil || string(resp) != "b" {
 		t.Fatalf("pooled reuse: got %q err=%v", resp, err)
+	}
+}
+
+// TestCallContextBoundsAStuckWrite: a stream's Send blocks mid-write on a
+// peer that stopped reading, holding the connection's write lock. A call
+// with a deadline queued behind it must still return at its deadline — it
+// fails the connection rather than wait for TCP to give up.
+func TestCallContextBoundsAStuckWrite(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	done := make(chan struct{})
+	defer close(done)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		// The preface, then silence: nothing is ever read.
+		wire.WriteFrame(conn, muxFrame(0, kindCredit, []byte{0}))
+		<-done
+	}()
+	c := Dial(ln.Addr().String())
+	defer c.Close()
+	st, err := c.OpenStream("Sink")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		chunk := make([]byte, 1<<20)
+		for st.Send(chunk) == nil {
+		}
+	}()
+	time.Sleep(200 * time.Millisecond) // the socket buffers fill
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err = c.CallContext(ctx, "echo", []byte("x"))
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("want DeadlineExceeded, got %v", err)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("call behind a stuck write took %v", elapsed)
 	}
 }

@@ -8,7 +8,7 @@ import "tfhpc/internal/telemetry"
 // keeping the chunk-relay AllocsPerRun==0 gate intact.
 var (
 	mCalls = telemetry.NewCounter("tfhpc_rpc_calls_total",
-		"Client rpc calls issued (per attempt, including pooled-conn retries).")
+		"Client rpc calls issued, one per attempt.")
 	mCallErrors = telemetry.NewCounter("tfhpc_rpc_call_errors_total",
 		"Client rpc calls that returned an error (transport or remote).")
 	mServed = telemetry.NewCounter("tfhpc_rpc_served_total",

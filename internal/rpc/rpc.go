@@ -1,9 +1,12 @@
 // Package rpc is the runtime's service-client layer: length-framed binary
 // messages (internal/wire) over TCP, with a method-dispatching server and a
-// connection-pooling client. It fills the role gRPC plays in TensorFlow —
-// including staying responsible for "administrative purposes" (connection
-// establishment, health checks) even when tensor payloads notionally ride a
-// faster transport, exactly as the paper describes.
+// client that keeps one multiplexed connection per server. Every exchange is
+// a stream on that connection (stream.go): a unary call is one short stream
+// carrying one request frame and one response frame, the way gRPC carries
+// unary calls on its HTTP/2 channel. It fills the role gRPC plays in
+// TensorFlow — including staying responsible for "administrative purposes"
+// (connection establishment, health checks) even when tensor payloads
+// notionally ride a faster transport, exactly as the paper describes.
 package rpc
 
 import (
@@ -13,6 +16,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tfhpc/internal/telemetry"
@@ -27,11 +31,11 @@ type Handler func(req []byte) ([]byte, error)
 // instead of computing an answer nobody is waiting for.
 type CtxHandler func(ctx context.Context, req []byte) ([]byte, error)
 
-// Server listens on a TCP address and dispatches framed calls to handlers.
+// Server listens on a TCP address and dispatches the streams its clients
+// open — unary calls and long-lived streams alike — to handlers.
 type Server struct {
 	mu       sync.Mutex
-	handlers map[string]CtxHandler
-	streams  map[string]StreamHandler
+	handlers map[string]StreamHandler
 	ln       net.Listener
 	closed   bool
 	wg       sync.WaitGroup
@@ -42,8 +46,7 @@ type Server struct {
 // NewServer returns a server with no handlers registered.
 func NewServer() *Server {
 	return &Server{
-		handlers: make(map[string]CtxHandler),
-		streams:  make(map[string]StreamHandler),
+		handlers: make(map[string]StreamHandler),
 		conns:    make(map[net.Conn]struct{}),
 	}
 }
@@ -54,14 +57,54 @@ func (s *Server) Handle(method string, h Handler) {
 }
 
 // HandleCtx registers a deadline-aware method: the handler's context expires
-// when the caller's per-call deadline (CallContext) does.
+// when the caller's per-call deadline (CallContext) does. The method is
+// served as a stream that reads one request frame and writes one response
+// frame. A call counts as in flight from its request's arrival to its
+// response's write, so Close drains it; once Close has begun, new calls are
+// answered "server shutting down".
 func (s *Server) HandleCtx(method string, h CtxHandler) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.handlers[method]; dup {
-		panic(fmt.Sprintf("rpc: duplicate handler %q", method))
+	s.HandleStream(method, func(st *Stream) error {
+		// The request frame is lent, not copied: it stays valid through the
+		// handler and the encoding of its response.
+		return st.RecvFunc(func(frame []byte) error {
+			s.mu.Lock()
+			closed := s.closed
+			if !closed {
+				s.inflight.Add(1)
+			}
+			s.mu.Unlock()
+			if closed {
+				return st.Send(encodeResponse(nil, errors.New("rpc: server shutting down")))
+			}
+			defer s.inflight.Done()
+			return st.Send(encodeResponse(serveCall(h, method, frame)))
+		})
+	})
+}
+
+// serveCall decodes one request frame and runs its handler under the
+// caller's budget. A caller that propagated trace ids gets a server-side
+// span parented to its call span; the handler's context carries it so
+// nested calls extend the same trace.
+func serveCall(h CtxHandler, method string, frame []byte) ([]byte, error) {
+	_, req, budget, sc, err := decodeRequest(frame)
+	if err != nil {
+		return nil, err
 	}
-	s.handlers[method] = h
+	mServed.Inc()
+	ctx := context.Background()
+	if sc.Valid() {
+		span := telemetry.StartChild(sc, "rpc_serve").Arg("method", method)
+		span.FlowIn(sc.Span)
+		defer span.End()
+		ctx = telemetry.ContextWith(ctx, span)
+	}
+	if budget > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, budget)
+		defer cancel()
+	}
+	return invoke(h, ctx, req)
 }
 
 // Listen binds the address (use "127.0.0.1:0" for tests) and starts the
@@ -94,8 +137,9 @@ func (s *Server) acceptLoop(ln net.Listener) {
 	}
 }
 
-// serveConn handles calls sequentially per connection (clients open one
-// connection per in-flight call stream).
+// serveConn runs one client connection's multiplexer until the connection
+// dies. Each stream the client opens on it, unary call or not, gets its own
+// handler goroutine, so a slow call never holds up its siblings.
 func (s *Server) serveConn(conn net.Conn) {
 	s.mu.Lock()
 	if s.closed {
@@ -111,75 +155,11 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 		conn.Close()
 	}()
-	for {
-		frame, err := wire.ReadFrame(conn)
-		if err != nil {
-			return
-		}
-		// Register the call as in-flight (unless shutdown already started,
-		// in which case it is rejected) so Close can drain active work —
-		// including the response write — before tearing connections down.
-		s.mu.Lock()
-		rejected := s.closed
-		if !rejected {
-			s.inflight.Add(1)
-		}
-		s.mu.Unlock()
-		var resp []byte
-		var callErr error
-		if rejected {
-			callErr = errors.New("rpc: server shutting down")
-		} else {
-			method, req, budget, sc, err := decodeRequest(frame)
-			if err != nil {
-				callErr = err
-			} else if method == muxMethod {
-				// Stream handshake: acknowledge, then hand the connection to
-				// the multiplexer for the rest of its life.
-				werr := wire.WriteFrame(conn, encodeResponse(nil, nil))
-				s.inflight.Done()
-				if werr != nil {
-					return
-				}
-				newMux(conn, s).readLoop()
-				return
-			} else {
-				s.mu.Lock()
-				h, ok := s.handlers[method]
-				s.mu.Unlock()
-				if !ok {
-					callErr = fmt.Errorf("rpc: no handler for %q", method)
-				} else {
-					mServed.Inc()
-					ctx := context.Background()
-					// A caller that propagated trace ids gets a server-side
-					// span parented to its call span; the handler's context
-					// carries it so nested calls extend the same trace.
-					var span *telemetry.Span
-					if sc.Valid() {
-						span = telemetry.StartChild(sc, "rpc_serve").Arg("method", method)
-						span.FlowIn(sc.Span)
-						ctx = telemetry.ContextWith(ctx, span)
-					}
-					if budget > 0 {
-						var cancel context.CancelFunc
-						ctx, cancel = context.WithTimeout(ctx, budget)
-						resp, callErr = invoke(h, ctx, req)
-						cancel()
-					} else {
-						resp, callErr = invoke(h, ctx, req)
-					}
-					span.End()
-				}
-			}
-		}
-		err = wire.WriteFrame(conn, encodeResponse(resp, callErr))
-		if !rejected {
-			s.inflight.Done()
-		}
-		if err != nil {
-			return
-		}
+	// The preface: an empty CREDIT frame on stream 0, which no stream uses.
+	// A dialing client waits for it (streamMux) and then carries on.
+	m := newMux(conn, s)
+	if m.writeCredit(0, 0) == nil {
+		m.readLoop()
 	}
 }
 
@@ -196,10 +176,9 @@ func invoke(h CtxHandler, ctx context.Context, req []byte) (resp []byte, err err
 }
 
 // Close drains then stops the server: it closes the listener, rejects calls
-// that arrive from here on, waits for every in-flight call to finish and
-// have its response written, then force-closes the connections (clients
-// pool idle keepalives, so waiting for them to hang up would block forever)
-// and joins the serving goroutines.
+// that arrive from here on, waits for every in-flight call's response to be
+// written, then force-closes the connections (clients keep theirs open), which
+// ends the streams still open on them, and joins the serving goroutines.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -223,11 +202,9 @@ func (s *Server) Close() error {
 }
 
 // Request frame: field 1 = method, field 2 = payload, field 3 = remaining
-// per-call budget in microseconds (0/absent = no deadline), fields 4/5 =
-// trace and span id of the caller's span (absent when untraced). The budget
-// is a duration, not an absolute time, so peers need no clock agreement;
-// the trace ids ride the frame the same way, so one request renders as one
-// cross-process trace.
+// per-call budget in microseconds (0/absent = no deadline; a duration, so
+// peers need no clock agreement), fields 4/5 = trace and span id of the
+// caller's span (absent when untraced), so one request is one trace.
 func encodeRequest(method string, req []byte, budget time.Duration, sc telemetry.SpanContext) []byte {
 	e := wire.NewEncoder()
 	e.String(1, method)
@@ -345,24 +322,34 @@ func IsRemote(err error) bool {
 	return errors.As(err, &re)
 }
 
-// Client issues calls to one server address. Connections are pooled so
-// concurrent calls (e.g. a blocking Dequeue alongside an Enqueue) each get
-// their own stream. Close aborts in-flight calls too: every open connection
-// — idle or mid-call — is tracked and torn down, so a Call blocked on an
-// unresponsive peer returns an error instead of pinning its caller (the
-// collective teardown path relies on this to cascade failures).
+// Client issues calls and opens streams to one server address, all over one
+// multiplexed connection, dialed on first use and re-dialed after it fails;
+// concurrent calls are concurrent streams on it. Close fails the connection,
+// so a Call blocked on an unresponsive peer returns an error instead of
+// pinning its caller (collective teardown relies on this to cascade).
 type Client struct {
-	addr string
-	mu   sync.Mutex
-	idle []net.Conn
-	live map[net.Conn]struct{}
-	smux *mux // lazily established stream multiplexer (stream.go)
-	down bool
+	addr    string
+	closed  context.Context // done once Close runs
+	close   context.CancelFunc
+	dialing chan struct{} // one slot: held while dialing the mux
+	mu      sync.Mutex
+	smux    *mux // nil until the first call or stream; replaced once it fails
 }
 
-// Dial creates a client for the address; connections open lazily.
+var (
+	errClientClosed = errors.New("rpc: client closed")
+	errCallStuck    = errors.New("rpc: connection failed: no write progress while a call's request waited")
+)
+
+// stuckWriteGrace is how long a connection may make no write progress, once
+// a call's ctx ended before its request went out, before it is failed.
+const stuckWriteGrace = 250 * time.Millisecond
+
+// Dial creates a client for the address; the connection opens lazily.
 func Dial(addr string) *Client {
-	return &Client{addr: addr, live: make(map[net.Conn]struct{})}
+	c := &Client{addr: addr, dialing: make(chan struct{}, 1)}
+	c.closed, c.close = context.WithCancel(context.Background())
+	return c
 }
 
 // Call sends one request and waits for the response (no deadline).
@@ -371,11 +358,12 @@ func (c *Client) Call(method string, req []byte) ([]byte, error) {
 }
 
 // CallContext sends one request bounded by ctx: the remaining budget rides
-// in the frame header (so the server's handler context expires with ours)
-// and, if ctx fires before the response lands, the connection is torn down —
-// unblocking the pending read — and ctx's error is returned. This is how
-// serving request timeouts propagate instead of blocking forever on a
-// stuck or partitioned peer.
+// in the request frame (so the server's handler context expires with ours);
+// if ctx ends first, the call resets its own stream — the connection and its
+// other streams carry on — and returns ctx's error. A request the connection
+// cannot write at all (its peer stopped reading) fails the connection within
+// stuckWriteGrace. This is how serving request timeouts propagate instead of
+// blocking forever on a stuck or partitioned peer.
 func (c *Client) CallContext(ctx context.Context, method string, req []byte) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -396,9 +384,10 @@ func (c *Client) CallContext(ctx context.Context, method string, req []byte) ([]
 	}
 }
 
-// callOnce performs one request exchange. retry=true means the request never
-// left this process because a pooled connection turned out dead (its peer
-// restarted since the pool filled) — the caller re-issues on a fresh dial.
+// callOnce performs one request exchange on a stream of its own. retry=true
+// means the request never left this process: the OPEN failed to write on a
+// connection that looked alive (its peer restarted since it was dialed), so
+// the caller re-issues on a fresh dial.
 func (c *Client) callOnce(ctx context.Context, method string, req []byte, budget time.Duration) (resp []byte, retry bool, err error) {
 	mCalls.Inc()
 	defer func() {
@@ -412,161 +401,74 @@ func (c *Client) callOnce(ctx context.Context, method string, req []byte, budget
 	span := telemetry.SpanFromContext(ctx).Child("rpc_call").Arg("method", method)
 	defer span.End()
 	sc := span.Context()
-	conn, pooled, err := c.conn(ctx)
+	m, fresh, err := c.streamMux(ctx)
 	if err != nil {
+		if ctx.Err() != nil {
+			err = ctx.Err() // the dial was cut short by ctx
+		}
 		return nil, false, err
 	}
-	// The exchange owns conn exclusively, so interrupting it via the conn's
-	// I/O deadline is race-free (closing it would race with the pool). A
-	// watcher pokes the deadline into the past on early cancellation.
-	if budget > 0 {
-		if err := conn.SetDeadline(time.Now().Add(budget)); err != nil {
-			c.discard(conn)
-			return nil, false, fmt.Errorf("rpc: arm call deadline: %w", err)
-		}
-	}
-	var stop, wdone chan struct{}
+	// Once the request is out, ctx ending resets just this call's stream. A
+	// request not yet out waits behind, or is itself, a write the peer may
+	// not be taking: a connection whose writes make no progress for
+	// stuckWriteGrace is failed, which frees them all.
+	var sent atomic.Pointer[Stream]
 	if ctx.Done() != nil {
-		stop, wdone = make(chan struct{}), make(chan struct{})
-		go func() {
-			defer close(wdone)
-			select {
-			case <-ctx.Done():
-				if err := conn.SetDeadline(time.Unix(1, 0)); err != nil {
-					// Can't interrupt via deadline (conn already dying);
-					// close it so the blocked read unblocks regardless.
-					conn.Close()
-				}
-			case <-stop:
+		defer context.AfterFunc(ctx, func() {
+			if st := sent.Load(); st != nil {
+				st.Close()
+				return
 			}
-		}()
-	}
-	wrote := false
-	span.FlowOut(sc.Span)
-	frame, ioErr := func() ([]byte, error) {
-		if err := wire.WriteFrame(conn, encodeRequest(method, req, budget, sc)); err != nil {
-			return nil, err
-		}
-		wrote = true
-		return wire.ReadFrame(conn)
-	}()
-	if stop != nil {
-		close(stop)
-		<-wdone
-	}
-	if ioErr != nil {
-		// A half-done stream cannot be reused.
-		c.discard(conn)
-		if pooled {
-			// A dead pooled conn means the peer went away since the pool
-			// filled; its siblings in the pool are from the same incarnation
-			// and just as dead. Flush them so the next attempt dials fresh
-			// instead of burning one corpse per call.
-			c.flushIdle()
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, false, err
-		}
-		if budget > 0 {
-			if ne, ok := ioErr.(net.Error); ok && ne.Timeout() {
-				return nil, false, context.DeadlineExceeded
+			n := m.written.Load()
+			time.Sleep(stuckWriteGrace)
+			if sent.Load() == nil && m.written.Load() == n {
+				m.fail(errCallStuck)
 			}
-		}
-		return nil, pooled && !wrote, ioErr
+		})()
 	}
-	if err := conn.SetDeadline(time.Time{}); err != nil {
-		// The response is in hand but the conn can't be re-armed: answer the
-		// call, just don't pool the connection.
-		c.discard(conn)
-	} else {
-		c.put(conn)
-	}
-	resp, err = decodeResponse(frame)
-	return resp, false, err
-}
-
-func (c *Client) conn(ctx context.Context) (net.Conn, bool, error) {
-	c.mu.Lock()
-	if c.down {
-		c.mu.Unlock()
-		return nil, false, errors.New("rpc: client closed")
-	}
-	if n := len(c.idle); n > 0 {
-		conn := c.idle[n-1]
-		c.idle = c.idle[:n-1]
-		c.mu.Unlock()
-		return conn, true, nil
-	}
-	c.mu.Unlock()
-	// DialContext so the per-call deadline bounds connection establishment
-	// too — a SYN-blackholing peer must fail the call at the deadline, not
-	// after the OS connect timeout.
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", c.addr)
+	st, err := m.open(method)
 	if err != nil {
-		return nil, false, err
+		if ctx.Err() != nil {
+			return nil, false, ctx.Err()
+		}
+		return nil, !fresh, err
 	}
-	c.mu.Lock()
-	if c.down {
-		c.mu.Unlock()
-		conn.Close()
-		return nil, false, errors.New("rpc: client closed")
+	// A call that got its response leaves the server nothing to be told: its
+	// handler has already finished the stream.
+	defer st.end(0, nil)
+	span.FlowOut(sc.Span)
+	err = st.Send(encodeRequest(method, req, budget, sc))
+	sent.Store(st)
+	var frame []byte
+	if err == nil {
+		if err = ctx.Err(); err == nil { // else it ended while the request queued
+			frame, err = st.Recv(nil)
+		}
 	}
-	c.live[conn] = struct{}{}
-	c.mu.Unlock()
-	return conn, false, nil
+	var reset resetError
+	switch {
+	case err == nil:
+		resp, err = decodeResponse(frame)
+		return resp, false, err
+	case ctx.Err() != nil:
+		return nil, false, ctx.Err()
+	case errors.As(err, &reset):
+		// The server answered by resetting the call's stream: it has no
+		// handler for the method.
+		return nil, false, &RemoteError{Msg: string(reset)}
+	}
+	return nil, false, err
 }
 
-// flushIdle closes every pooled connection. Called when one of them turns
-// out dead mid-call: the rest were opened to the same (gone) incarnation.
-func (c *Client) flushIdle() {
-	c.mu.Lock()
-	idle := c.idle
-	c.idle = nil
-	for _, conn := range idle {
-		delete(c.live, conn)
-	}
-	c.mu.Unlock()
-	for _, conn := range idle {
-		conn.Close()
-	}
-}
-
-// discard drops a broken connection from tracking and closes it.
-func (c *Client) discard(conn net.Conn) {
-	c.mu.Lock()
-	delete(c.live, conn)
-	c.mu.Unlock()
-	conn.Close()
-}
-
-func (c *Client) put(conn net.Conn) {
-	c.mu.Lock()
-	if c.down || len(c.idle) >= 8 {
-		delete(c.live, conn)
-		c.mu.Unlock()
-		conn.Close()
-		return
-	}
-	c.idle = append(c.idle, conn)
-	c.mu.Unlock()
-}
-
-// Close tears every connection down — idle and in-use alike, so blocked
-// calls fail fast.
+// Close fails the client's connection — idle or mid-call alike, so blocked
+// calls and stream operations fail fast — and aborts a dial in progress.
 func (c *Client) Close() {
 	c.mu.Lock()
-	c.down = true
-	live := c.live
-	c.live = make(map[net.Conn]struct{})
-	c.idle = nil
+	c.close()
 	m := c.smux
 	c.smux = nil
 	c.mu.Unlock()
-	for conn := range live {
-		conn.Close()
-	}
 	if m != nil {
-		m.fail(errors.New("rpc: client closed"))
+		m.fail(errClientClosed)
 	}
 }

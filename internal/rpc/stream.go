@@ -1,11 +1,8 @@
-// Streaming edges: persistent, multiplexed, credit-flow-controlled byte
-// streams over the same length-framed connections the call layer uses. A
-// client switches one dedicated connection into mux mode with a reserved
-// handshake call; after that every wire frame on the connection carries a
-// stream id and a kind byte, so many streams (collective ring edges,
-// serving predict channels) share the connection without per-message
-// request/response round-trips — the persistent-channel design the
-// TensorFlow whitepaper adopts for tensor traffic.
+// Streams: multiplexed, credit-flow-controlled byte streams over one
+// length-framed TCP connection per client. Every wire frame carries a stream
+// id and a kind byte, so many streams (unary calls, collective ring edges,
+// serving predict channels) share the connection — the persistent-channel
+// design the TensorFlow whitepaper adopts for tensor traffic.
 //
 // Flow control is credit-based per stream and direction: a sender may have
 // streamWindow data frames outstanding; the receiver re-grants credit as
@@ -22,21 +19,19 @@
 package rpc
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tfhpc/internal/telemetry"
 	"tfhpc/internal/wire"
 )
-
-// muxMethod is the reserved method name whose call switches a connection
-// from call/response framing into stream multiplexing.
-const muxMethod = "_stream.mux"
 
 // Stream frame layout, inside one wire length-prefixed frame:
 //
@@ -68,87 +63,88 @@ var ErrStreamClosed = errors.New("rpc: stream closed")
 type StreamHandler func(s *Stream) error
 
 // HandleStream registers a streaming method. Must be called before clients
-// open streams for it.
+// open streams for it. Streams and unary calls share one method namespace:
+// a name registered twice, by either, panics.
 func (s *Server) HandleStream(method string, h StreamHandler) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, dup := s.streams[method]; dup {
-		panic(fmt.Sprintf("rpc: duplicate stream handler %q", method))
+	if _, dup := s.handlers[method]; dup {
+		panic(fmt.Sprintf("rpc: duplicate handler %q", method))
 	}
-	s.streams[method] = h
+	s.handlers[method] = h
 }
 
-func (s *Server) streamHandler(method string) StreamHandler {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.streams[method]
-}
-
-// OpenStream opens a stream to the server's handler for method. All of a
-// client's streams multiplex over one dedicated connection, dialed and
-// switched to mux mode on first use (and re-dialed after a failure).
+// OpenStream opens a stream to the server's handler for method, on the
+// client's connection.
 func (c *Client) OpenStream(method string) (*Stream, error) {
-	m, err := c.streamMux()
+	m, _, err := c.streamMux(context.Background())
 	if err != nil {
 		return nil, err
 	}
-	st, err := m.open(method)
-	if err != nil {
-		return nil, err
-	}
-	return st, nil
+	return m.open(method)
 }
 
-// streamMux returns the client's live multiplexer, establishing one if
-// needed: dial, handshake via the reserved method, then start the read
-// loop.
-func (c *Client) streamMux() (*mux, error) {
+// streamMux returns the client's live multiplexer and whether it was just
+// dialed. One caller dials at a time; the others wait for its mux. The dial
+// and the wait for the server's preface end with ctx or with Close — a
+// SYN-blackholing peer must fail a call at its deadline, not after the OS
+// connect timeout — and the mux is registered before its first read.
+func (c *Client) streamMux(ctx context.Context) (*mux, bool, error) {
+	if m := c.liveMux(); m != nil {
+		return m, false, nil
+	}
+	select {
+	case c.dialing <- struct{}{}:
+	case <-ctx.Done():
+		return nil, false, ctx.Err()
+	}
+	defer func() { <-c.dialing }()
+	if m := c.liveMux(); m != nil {
+		return m, false, nil // dialed by the caller we waited for
+	}
+	dctx, cancel := context.WithCancel(c.closed) // done at once if closed
+	defer cancel()
+	defer context.AfterFunc(ctx, cancel)()
+	var d net.Dialer
+	conn, err := d.DialContext(dctx, "tcp", c.addr)
 	c.mu.Lock()
-	if c.down {
-		c.mu.Unlock()
-		return nil, errors.New("rpc: client closed")
+	if c.closed.Err() != nil {
+		if err == nil {
+			conn.Close()
+		}
+		err = errClientClosed
 	}
-	if m := c.smux; m != nil && m.alive() {
+	if err != nil {
 		c.mu.Unlock()
-		return m, nil
+		return nil, false, err
 	}
+	nm := newMux(conn, nil)
+	c.smux = nm
 	c.mu.Unlock()
-
-	conn, err := net.Dial("tcp", c.addr)
+	// Wait for the server's preface (serveConn), so a stream opened on this
+	// mux is on a connection the server has accepted and tracks — TCP
+	// completes a dial before the server's Accept returns.
+	stop := context.AfterFunc(dctx, func() { nm.fail(dctx.Err()) })
+	buf, err := wire.ReadFramePooled(conn)
+	stop()
+	if err == nil {
+		err = nm.dispatch(buf)
+	}
 	if err != nil {
-		return nil, err
+		nm.fail(err)
+		return nil, false, err
 	}
-	if err := wire.WriteFrame(conn, encodeRequest(muxMethod, nil, 0, telemetry.SpanContext{})); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	frame, err := wire.ReadFrame(conn)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if _, err := decodeResponse(frame); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("rpc: stream handshake rejected: %w", err)
-	}
-	m := newMux(conn, nil)
+	go nm.readLoop()
+	return nm, true, nil
+}
 
+func (c *Client) liveMux() *mux {
 	c.mu.Lock()
-	if c.down {
-		c.mu.Unlock()
-		conn.Close()
-		return nil, errors.New("rpc: client closed")
+	defer c.mu.Unlock()
+	if c.smux != nil && c.smux.alive() {
+		return c.smux
 	}
-	if prev := c.smux; prev != nil && prev.alive() {
-		// Lost the establishment race; use the winner.
-		c.mu.Unlock()
-		conn.Close()
-		return prev, nil
-	}
-	c.smux = m
-	c.mu.Unlock()
-	go m.readLoop()
-	return m, nil
+	return nil
 }
 
 // mux multiplexes streams over one connection. The server side (srv != nil)
@@ -159,10 +155,11 @@ type mux struct {
 
 	// Write path: one frame at a time under wmu. whdr and warr are
 	// persistent scratch so the vectored write allocates nothing.
-	wmu   sync.Mutex
-	whdr  []byte
-	warr  [2][]byte
-	wbufs net.Buffers
+	wmu     sync.Mutex
+	written atomic.Uint64 // frames fully written: the stuck-call check's progress
+	whdr    []byte
+	warr    [2][]byte
+	wbufs   net.Buffers
 
 	mu      sync.Mutex
 	streams map[uint64]*Stream
@@ -215,12 +212,14 @@ func (m *mux) writeFrame(id uint64, kind byte, payload []byte) error {
 	binary.BigEndian.PutUint32(hdr, uint32(n))
 	if len(payload) == 0 {
 		_, err := m.conn.Write(hdr)
+		m.written.Add(1)
 		return err
 	}
 	m.warr[0], m.warr[1] = hdr, payload
 	m.wbufs = net.Buffers(m.warr[:2])
 	_, err := m.wbufs.WriteTo(m.conn)
 	m.warr[0], m.warr[1] = nil, nil
+	m.written.Add(1)
 	return err
 }
 
@@ -237,6 +236,7 @@ func (m *mux) writeCredit(id uint64, grant int) error {
 	m.whdr = hdr[:0]
 	binary.BigEndian.PutUint32(hdr, uint32(len(hdr)-4))
 	_, err := m.conn.Write(hdr)
+	m.written.Add(1)
 	return err
 }
 
@@ -311,7 +311,9 @@ func (m *mux) dispatch(buf []byte) error {
 	case kindCredit:
 		grant, k := binary.Uvarint(payload)
 		wire.PutBuf(buf)
-		if k <= 0 {
+		// A receiver grants at most one window at a time; a larger grant
+		// could wrap the sender's credit to zero or below.
+		if k <= 0 || grant > streamWindow {
 			return errors.New("rpc: malformed stream credit frame")
 		}
 		if st := m.lookup(id); st != nil {
@@ -324,12 +326,7 @@ func (m *mux) dispatch(buf []byte) error {
 			st.remoteClose(nil)
 		}
 	case kindReset:
-		var err error
-		if len(payload) > 0 {
-			err = fmt.Errorf("rpc: stream reset by peer: %s", payload)
-		} else {
-			err = errors.New("rpc: stream reset by peer")
-		}
+		err := resetError(payload)
 		wire.PutBuf(buf)
 		if st := m.lookup(id); st != nil {
 			st.remoteClose(err)
@@ -349,7 +346,9 @@ func (m *mux) accept(id uint64, method string) error {
 	if m.srv == nil {
 		return errors.New("rpc: unexpected stream OPEN from server")
 	}
-	h := m.srv.streamHandler(method)
+	m.srv.mu.Lock()
+	h := m.srv.handlers[method]
+	m.srv.mu.Unlock()
 	m.mu.Lock()
 	if m.failed != nil {
 		m.mu.Unlock()
@@ -363,7 +362,7 @@ func (m *mux) accept(id uint64, method string) error {
 	m.streams[id] = st
 	m.mu.Unlock()
 	if h == nil {
-		st.finish(fmt.Errorf("rpc: no stream handler for %q", method))
+		st.finish(fmt.Errorf("rpc: no handler for %q: no stream handler registered", method))
 		return nil
 	}
 	m.srv.wg.Add(1)
@@ -383,6 +382,12 @@ func invokeStream(h StreamHandler, st *Stream) (err error) {
 	}()
 	return h(st)
 }
+
+// resetError is the text of a RESET frame: the peer ended the stream on
+// purpose (its handler failed, or its caller closed it).
+type resetError string
+
+func (e resetError) Error() string { return "rpc: stream reset by peer: " + string(e) }
 
 // rframe is one delivered data frame: the pooled backing buffer plus the
 // payload view into it.
@@ -616,20 +621,38 @@ var resetByCaller = []byte("closed by caller")
 
 // Close aborts the stream in both directions: the peer sees a reset, local
 // Send and Recv fail with ErrStreamClosed.
-func (s *Stream) Close() error {
+func (s *Stream) Close() error { return s.end(kindReset, resetByCaller) }
+
+// finish ends the server side after its handler returns: nil closes
+// gracefully, an error resets with its text.
+func (s *Stream) finish(err error) {
+	if err != nil {
+		s.end(kindReset, []byte(err.Error()))
+	} else {
+		s.end(kindClose, nil)
+	}
+}
+
+// end finishes the stream locally, dropping inbound frames still queued,
+// and tells the peer with one frame of kind (none when kind is 0) unless
+// its send direction has already ended.
+func (s *Stream) end(kind byte, payload []byte) error {
 	s.mu.Lock()
-	sendReset := !s.sentClose && s.sendErr == nil
+	send := kind != 0 && !s.sentClose && s.sendErr == nil
 	s.sentClose = true
 	if s.recvErr == nil {
 		s.recvErr = ErrStreamClosed
 	}
 	s.drainLocked()
+	if s.dlTimer != nil {
+		s.dlTimer.Stop()
+	}
 	s.mu.Unlock()
 	s.rcond.Broadcast()
 	s.scond.Broadcast()
 	var err error
-	if sendReset {
-		err = s.m.writeFrame(s.id, kindReset, resetByCaller)
+	if send {
+		err = s.m.writeFrame(s.id, kind, payload)
 	}
 	s.maybeRemove()
 	return err
@@ -664,35 +687,6 @@ func (s *Stream) remoteClose(err error) {
 	s.mu.Unlock()
 	s.rcond.Broadcast()
 	s.scond.Broadcast()
-	s.maybeRemove()
-}
-
-// finish ends the server side after its handler returns: nil closes
-// gracefully, an error resets with its text. Inbound frames still queued
-// are dropped.
-func (s *Stream) finish(err error) {
-	s.mu.Lock()
-	var needClose, needReset bool
-	if !s.sentClose && s.sendErr == nil {
-		if err != nil {
-			needReset = true
-		} else {
-			needClose = true
-		}
-	}
-	s.sentClose = true
-	if s.recvErr == nil {
-		s.recvErr = ErrStreamClosed
-	}
-	s.drainLocked()
-	s.mu.Unlock()
-	s.rcond.Broadcast()
-	s.scond.Broadcast()
-	if needReset {
-		_ = s.m.writeFrame(s.id, kindReset, []byte(err.Error()))
-	} else if needClose {
-		_ = s.m.writeFrame(s.id, kindClose, nil)
-	}
 	s.maybeRemove()
 }
 

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -341,7 +342,8 @@ func TestStreamReopenAfterConnLoss(t *testing.T) {
 }
 
 // TestStreamCallsCoexist: ordinary calls on the same client keep working
-// while streams are active (they use separate pooled connections).
+// while streams are active (each call is a short stream of its own on the
+// same connection).
 func TestStreamCallsCoexist(t *testing.T) {
 	srv, c := echoServer(t)
 	srv.Handle("ping", func(req []byte) ([]byte, error) { return req, nil })
@@ -359,6 +361,70 @@ func TestStreamCallsCoexist(t *testing.T) {
 	out, err := st.Recv(nil)
 	if err != nil || string(out) != "s" {
 		t.Fatalf("stream echo = %q, %v", out, err)
+	}
+}
+
+// TestCallsShareOneConnection: concurrent calls, a call whose deadline
+// expires mid-handler and an open echo stream all ride one connection, and
+// the expired call resets only its own stream — the echo stream opened
+// before it still echoes after it.
+func TestCallsShareOneConnection(t *testing.T) {
+	srv, c := echoServer(t)
+	release := make(chan struct{})
+	defer close(release) // before the cleanup's Server.Close drains the handler
+	srv.Handle("ping", func(req []byte) ([]byte, error) { return req, nil })
+	srv.Handle("stuck", func([]byte) ([]byte, error) {
+		<-release
+		return nil, nil
+	})
+	st, err := c.OpenStream("echo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	echo := func(msg string) {
+		t.Helper()
+		if err := st.Send([]byte(msg)); err != nil {
+			t.Fatal(err)
+		}
+		if out, err := st.Recv(nil); err != nil || string(out) != msg {
+			t.Fatalf("stream echo = %q, %v; want %q", out, err, msg)
+		}
+	}
+	echo("before")
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 17)
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			msg := fmt.Sprintf("call %d", i)
+			if resp, err := c.Call("ping", []byte(msg)); err != nil || string(resp) != msg {
+				errs <- fmt.Errorf("call %d = %q, %v", i, resp, err)
+			}
+		}(i)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		defer cancel()
+		if _, err := c.CallContext(ctx, "stuck", nil); !errors.Is(err, context.DeadlineExceeded) {
+			errs <- fmt.Errorf("expiring call: got %v, want DeadlineExceeded", err)
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	echo("after")
+	srv.mu.Lock()
+	n := len(srv.conns)
+	srv.mu.Unlock()
+	if n != 1 {
+		t.Fatalf("server holds %d connections from one client, want 1", n)
 	}
 }
 
@@ -397,8 +463,8 @@ func TestStreamEchoAllocs(t *testing.T) {
 }
 
 // BenchmarkStreamEcho and BenchmarkCallEcho compare one message round-trip
-// over a persistent stream against a pooled-connection call — the per-chunk
-// cost the collective transport pays in each mode.
+// over a persistent stream against a unary call, which opens and ends a
+// stream of its own each time.
 func BenchmarkStreamEcho(b *testing.B) {
 	srv := NewServer()
 	srv.HandleStream("echo", func(s *Stream) error {
