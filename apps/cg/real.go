@@ -167,7 +167,9 @@ func driveWorker(cfg Config, sess *session.Session, w, startIter int, rr float64
 
 // RunReal solves A·x = b with the distributed data-driven CG formulation,
 // with real numerics on the host: one driver goroutine per worker, ring
-// collectives over an in-process loopback fabric. A must be SPD.
+// collectives over an in-process loopback fabric. A must be SPD. RunReal
+// reads a and b for the duration of the call and does not copy them: each
+// worker's A block is a view of a, so neither may change until it returns.
 func RunReal(cfg Config, a, b *tensor.Tensor, opts RealOptions) (*RealResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -214,12 +216,13 @@ func RunReal(cfg Config, a, b *tensor.Tensor, opts RealOptions) (*RealResult, er
 		}
 		rr = rrT.ScalarFloat()
 	} else {
-		// Initialise: x=0, r=b, p=r per block; A blocks loaded once.
+		// Initialise: x=0, r=b, p=r per block. The A blocks are views of
+		// a, adopted: the store is private to this call and nothing writes A.
 		for w := 0; w < cfg.Workers; w++ {
 			pre := fmt.Sprintf("w%d/", w)
 			blockRows := a.F64()[w*rows*cfg.N : (w+1)*rows*cfg.N]
 			block := tensor.FromF64(tensor.Shape{rows, cfg.N}, blockRows)
-			if err := res.Vars.Get(pre + "A").Assign(block); err != nil {
+			if err := res.Vars.Get(pre + "A").Adopt(block); err != nil {
 				return nil, err
 			}
 			bSlice := tensor.FromF64(tensor.Shape{rows}, b.F64()[w*rows:(w+1)*rows])

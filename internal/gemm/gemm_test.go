@@ -410,8 +410,9 @@ func TestParallelForCoversRangeOnce(t *testing.T) {
 	}
 }
 
-// Nested ParallelFor must complete (the pool's help-first wait prevents
-// worker starvation) and cover every element exactly once.
+// Nested ParallelFor must complete (a caller waits only for chunks a
+// running worker has claimed, so no worker starves) and cover every
+// element exactly once.
 func TestParallelForNested(t *testing.T) {
 	outer, inner := 37, 211
 	hits := make([]int32, outer*inner)

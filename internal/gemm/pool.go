@@ -18,41 +18,59 @@ package gemm
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
-// poolTask is one contiguous chunk of a ParallelFor dispatched to the pool.
-type poolTask struct {
-	body   func(lo, hi int)
-	lo, hi int
-	wg     *sync.WaitGroup
+// job is one ParallelFor call: count chunks of size iterations over [0, n).
+type job struct {
+	body    func(lo, hi int)
+	n, size int
+	count   int64
+	next    atomic.Int64   // the next unclaimed chunk
+	done    sync.WaitGroup // one per chunk, released once the chunk has run
+}
+
+// claim runs unclaimed chunks until none is left. A stale ticket (one
+// that arrives after every chunk is claimed) runs no body.
+func (j *job) claim() {
+	for {
+		c := j.next.Add(1) - 1
+		if c >= j.count {
+			return
+		}
+		lo := int(c) * j.size
+		j.body(lo, min(lo+j.size, j.n))
+		j.done.Done()
+	}
 }
 
 var (
 	poolMu      sync.Mutex
-	poolStarted int           // workers spawned so far (they never exit)
-	poolTasks   chan poolTask // shared run queue; never closed
+	poolStarted int // workers spawned so far (they never exit)
+	// poolWake carries wake-up tickets. 1024 outlasts any burst of calls a
+	// few workers serve; past it a ticket is dropped, never blocked on.
+	poolWake chan *job
 )
 
 // ensureWorkers grows the persistent pool to at least n workers. Workers
-// park on the shared queue between calls, so steady-state ParallelFor does
+// park on the ticket queue between calls, so steady-state ParallelFor does
 // no goroutine creation. The pool only ever grows; when GOMAXPROCS shrinks,
-// ParallelFor simply dispatches fewer chunks and the extra workers idle.
-func ensureWorkers(n int) chan poolTask {
+// ParallelFor simply sends fewer tickets and the extra workers idle.
+func ensureWorkers(n int) chan *job {
 	poolMu.Lock()
 	defer poolMu.Unlock()
-	if poolTasks == nil {
-		poolTasks = make(chan poolTask, 1024)
+	if poolWake == nil {
+		poolWake = make(chan *job, 1024)
 	}
 	for poolStarted < n {
 		poolStarted++
 		go func() {
-			for t := range poolTasks {
-				t.body(t.lo, t.hi)
-				t.wg.Done()
+			for j := range poolWake {
+				j.claim()
 			}
 		}()
 	}
-	return poolTasks
+	return poolWake
 }
 
 // Workers returns the current parallelism bound. It follows
@@ -60,11 +78,13 @@ func ensureWorkers(n int) chan poolTask {
 // kernel parallelism at runtime.
 func Workers() int { return runtime.GOMAXPROCS(0) }
 
-// ParallelFor splits [0, n) into contiguous chunks of at least grain
-// iterations and runs body(lo, hi) across the persistent worker pool. The
-// caller executes the final chunk itself and, while waiting, helps drain
-// the queue — so nested ParallelFor calls cannot deadlock the pool. Small
-// ranges run inline to avoid dispatch overhead.
+// ParallelFor splits [0, n) into at most Workers() contiguous chunks of
+// ceil(n/chunks) iterations, at least grain each, and runs body(lo, hi) on
+// each. Chunks bind at run time: the call posts a wake-up ticket per helper
+// it could use, then the caller and every pool worker that wakes claim
+// chunks until none is left. The caller waits only for chunks a running
+// worker has claimed, never for a worker that has not started, so nested
+// calls cannot deadlock the pool. Small ranges run inline.
 func ParallelFor(n, grain int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
@@ -72,41 +92,21 @@ func ParallelFor(n, grain int, body func(lo, hi int)) {
 	if grain < 1 {
 		grain = 1
 	}
-	chunks := n / grain
-	if max := Workers(); chunks > max {
-		chunks = max
-	}
+	chunks := min(n/grain, Workers())
 	if chunks <= 1 {
 		body(0, n)
 		return
 	}
-	tasks := ensureWorkers(chunks - 1)
 	size := (n + chunks - 1) / chunks
-	var wg sync.WaitGroup
-	lo := 0
-	for lo+size < n {
-		wg.Add(1)
-		t := poolTask{body: body, lo: lo, hi: lo + size, wg: &wg}
+	j := &job{body: body, n: n, size: size, count: int64((n + size - 1) / size)}
+	j.done.Add(int(j.count))
+	wake := ensureWorkers(int(j.count) - 1)
+	for i := int64(1); i < j.count; i++ {
 		select {
-		case tasks <- t:
-		default: // queue full: run inline rather than block
-			body(t.lo, t.hi)
-			wg.Done()
-		}
-		lo += size
-	}
-	body(lo, n)
-	// Help-first wait: drain queued tasks (ours or anyone's) until the
-	// queue is empty, then block. Any task we still wait on is running on
-	// another goroutine, so progress is guaranteed.
-	for {
-		select {
-		case t := <-tasks:
-			t.body(t.lo, t.hi)
-			t.wg.Done()
-		default:
-			wg.Wait()
-			return
+		case wake <- j:
+		default: // queue full: drop the ticket
 		}
 	}
+	j.claim()
+	j.done.Wait()
 }

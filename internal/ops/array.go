@@ -11,13 +11,13 @@ func init() {
 	Register(&OpDef{Name: "Const", MinInputs: 0, MaxInputs: 0, Kernel: constKernel})
 	Register(&OpDef{Name: "Placeholder", MinInputs: 0, MaxInputs: 0, Kernel: placeholderKernel})
 	Register(&OpDef{Name: "Identity", MinInputs: 1, MaxInputs: 1, GPUCapable: true, Kernel: identityKernel})
-	Register(&OpDef{Name: "NoOp", MinInputs: 0, MaxInputs: -1, Kernel: noOpKernel})
-	Register(&OpDef{Name: "RandomUniform", MinInputs: 0, MaxInputs: 0, GPUCapable: true, Stateful: true, Kernel: randomUniformKernel})
-	Register(&OpDef{Name: "Zeros", MinInputs: 0, MaxInputs: 0, GPUCapable: true, Kernel: zerosKernel})
-	Register(&OpDef{Name: "Fill", MinInputs: 0, MaxInputs: 0, GPUCapable: true, Kernel: fillKernel})
+	Register(&OpDef{Name: "NoOp", MinInputs: 0, MaxInputs: -1, FreshOutput: true, Kernel: noOpKernel})
+	Register(&OpDef{Name: "RandomUniform", MinInputs: 0, MaxInputs: 0, GPUCapable: true, Stateful: true, FreshOutput: true, Kernel: randomUniformKernel})
+	Register(&OpDef{Name: "Zeros", MinInputs: 0, MaxInputs: 0, GPUCapable: true, FreshOutput: true, Kernel: zerosKernel})
+	Register(&OpDef{Name: "Fill", MinInputs: 0, MaxInputs: 0, GPUCapable: true, FreshOutput: true, Kernel: fillKernel})
 	Register(&OpDef{Name: "Reshape", MinInputs: 1, MaxInputs: 1, GPUCapable: true, Kernel: reshapeKernel})
-	Register(&OpDef{Name: "SliceRows", MinInputs: 1, MaxInputs: 1, GPUCapable: true, Kernel: sliceRowsKernel})
-	Register(&OpDef{Name: "ConcatRows", MinInputs: 1, MaxInputs: -1, GPUCapable: true, Kernel: concatRowsKernel})
+	Register(&OpDef{Name: "SliceRows", MinInputs: 1, MaxInputs: 1, GPUCapable: true, FreshOutput: true, Kernel: sliceRowsKernel})
+	Register(&OpDef{Name: "ConcatRows", MinInputs: 1, MaxInputs: -1, GPUCapable: true, FreshOutput: true, Kernel: concatRowsKernel})
 }
 
 func constKernel(ctx *Context, _ []*tensor.Tensor) (*tensor.Tensor, error) {

@@ -9,12 +9,12 @@ import (
 )
 
 func init() {
-	Register(&OpDef{Name: "FFT", MinInputs: 1, MaxInputs: 1, GPUCapable: true, Kernel: fftKernel})
-	Register(&OpDef{Name: "IFFT", MinInputs: 1, MaxInputs: 1, GPUCapable: true, Kernel: ifftKernel})
-	Register(&OpDef{Name: "FFT2D", MinInputs: 1, MaxInputs: 1, GPUCapable: true, Kernel: fft2dKernel})
-	Register(&OpDef{Name: "IFFT2D", MinInputs: 1, MaxInputs: 1, GPUCapable: true, Kernel: ifft2dKernel})
-	Register(&OpDef{Name: "RFFT", MinInputs: 1, MaxInputs: 1, GPUCapable: true, Kernel: rfftKernel})
-	Register(&OpDef{Name: "IRFFT", MinInputs: 1, MaxInputs: 1, GPUCapable: true, Kernel: irfftKernel})
+	Register(&OpDef{Name: "FFT", MinInputs: 1, MaxInputs: 1, GPUCapable: true, FreshOutput: true, Kernel: fftKernel})
+	Register(&OpDef{Name: "IFFT", MinInputs: 1, MaxInputs: 1, GPUCapable: true, FreshOutput: true, Kernel: ifftKernel})
+	Register(&OpDef{Name: "FFT2D", MinInputs: 1, MaxInputs: 1, GPUCapable: true, FreshOutput: true, Kernel: fft2dKernel})
+	Register(&OpDef{Name: "IFFT2D", MinInputs: 1, MaxInputs: 1, GPUCapable: true, FreshOutput: true, Kernel: ifft2dKernel})
+	Register(&OpDef{Name: "RFFT", MinInputs: 1, MaxInputs: 1, GPUCapable: true, FreshOutput: true, Kernel: rfftKernel})
+	Register(&OpDef{Name: "IRFFT", MinInputs: 1, MaxInputs: 1, GPUCapable: true, FreshOutput: true, Kernel: irfftKernel})
 }
 
 func fftKernel(_ *Context, in []*tensor.Tensor) (*tensor.Tensor, error) {

@@ -9,18 +9,18 @@ import (
 )
 
 func init() {
-	Register(&OpDef{Name: "Add", MinInputs: 2, MaxInputs: 2, GPUCapable: true, Kernel: addKernel})
-	Register(&OpDef{Name: "Sub", MinInputs: 2, MaxInputs: 2, GPUCapable: true, Kernel: subKernel})
-	Register(&OpDef{Name: "Mul", MinInputs: 2, MaxInputs: 2, GPUCapable: true, Kernel: mulKernel})
-	Register(&OpDef{Name: "Div", MinInputs: 2, MaxInputs: 2, GPUCapable: true, Kernel: divKernel})
-	Register(&OpDef{Name: "Neg", MinInputs: 1, MaxInputs: 1, GPUCapable: true, Kernel: negKernel})
-	Register(&OpDef{Name: "Sqrt", MinInputs: 1, MaxInputs: 1, GPUCapable: true, Kernel: sqrtKernel})
-	Register(&OpDef{Name: "AddN", MinInputs: 1, MaxInputs: -1, GPUCapable: true, Kernel: addNKernel})
-	Register(&OpDef{Name: "Scale", MinInputs: 2, MaxInputs: 2, GPUCapable: true, Kernel: scaleKernel})
-	Register(&OpDef{Name: "Axpy", MinInputs: 3, MaxInputs: 3, GPUCapable: true, Kernel: axpyKernel})
-	Register(&OpDef{Name: "Dot", MinInputs: 2, MaxInputs: 2, GPUCapable: true, Kernel: dotKernel})
-	Register(&OpDef{Name: "Sum", MinInputs: 1, MaxInputs: 1, GPUCapable: true, Kernel: sumKernel})
-	Register(&OpDef{Name: "Cast", MinInputs: 1, MaxInputs: 1, GPUCapable: true, Kernel: castKernel})
+	Register(&OpDef{Name: "Add", MinInputs: 2, MaxInputs: 2, GPUCapable: true, FreshOutput: true, Kernel: addKernel})
+	Register(&OpDef{Name: "Sub", MinInputs: 2, MaxInputs: 2, GPUCapable: true, FreshOutput: true, Kernel: subKernel})
+	Register(&OpDef{Name: "Mul", MinInputs: 2, MaxInputs: 2, GPUCapable: true, FreshOutput: true, Kernel: mulKernel})
+	Register(&OpDef{Name: "Div", MinInputs: 2, MaxInputs: 2, GPUCapable: true, FreshOutput: true, Kernel: divKernel})
+	Register(&OpDef{Name: "Neg", MinInputs: 1, MaxInputs: 1, GPUCapable: true, FreshOutput: true, Kernel: negKernel})
+	Register(&OpDef{Name: "Sqrt", MinInputs: 1, MaxInputs: 1, GPUCapable: true, FreshOutput: true, Kernel: sqrtKernel})
+	Register(&OpDef{Name: "AddN", MinInputs: 1, MaxInputs: -1, GPUCapable: true, FreshOutput: true, Kernel: addNKernel})
+	Register(&OpDef{Name: "Scale", MinInputs: 2, MaxInputs: 2, GPUCapable: true, FreshOutput: true, Kernel: scaleKernel})
+	Register(&OpDef{Name: "Axpy", MinInputs: 3, MaxInputs: 3, GPUCapable: true, FreshOutput: true, Kernel: axpyKernel})
+	Register(&OpDef{Name: "Dot", MinInputs: 2, MaxInputs: 2, GPUCapable: true, FreshOutput: true, Kernel: dotKernel})
+	Register(&OpDef{Name: "Sum", MinInputs: 1, MaxInputs: 1, GPUCapable: true, FreshOutput: true, Kernel: sumKernel})
+	Register(&OpDef{Name: "Cast", MinInputs: 1, MaxInputs: 1, GPUCapable: true, FreshOutput: true, Kernel: castKernel})
 }
 
 func sameShapeDType(a, b *tensor.Tensor) error {

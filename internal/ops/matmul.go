@@ -8,9 +8,9 @@ import (
 )
 
 func init() {
-	Register(&OpDef{Name: "MatMul", MinInputs: 2, MaxInputs: 2, GPUCapable: true, Kernel: matMulKernel})
-	Register(&OpDef{Name: "MatVec", MinInputs: 2, MaxInputs: 2, GPUCapable: true, Kernel: matVecKernel})
-	Register(&OpDef{Name: "Transpose", MinInputs: 1, MaxInputs: 1, GPUCapable: true, Kernel: transposeKernel})
+	Register(&OpDef{Name: "MatMul", MinInputs: 2, MaxInputs: 2, GPUCapable: true, FreshOutput: true, Kernel: matMulKernel})
+	Register(&OpDef{Name: "MatVec", MinInputs: 2, MaxInputs: 2, GPUCapable: true, FreshOutput: true, Kernel: matVecKernel})
+	Register(&OpDef{Name: "Transpose", MinInputs: 1, MaxInputs: 1, GPUCapable: true, FreshOutput: true, Kernel: transposeKernel})
 }
 
 // matMulKernel computes C = op(A)·op(B) with optional "transpose_a" /

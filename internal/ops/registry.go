@@ -22,6 +22,7 @@ import (
 type VariableHandle interface {
 	Read() (*tensor.Tensor, error)
 	Assign(*tensor.Tensor) error
+	Adopt(*tensor.Tensor) error
 	AssignAdd(*tensor.Tensor) error
 }
 
@@ -80,6 +81,9 @@ type Context struct {
 	// Scratch is per-Run storage shared between nodes of one execution, used
 	// by tuple-producing ops (queue dequeue) and their component readers.
 	Scratch *Scratch
+	// AdoptInput tells an Assign that its input dies at it, so the variable
+	// may store the tensor itself instead of a copy.
+	AdoptInput bool
 }
 
 // Scratch is threadsafe per-Run storage for tuple hand-off between nodes
@@ -174,7 +178,12 @@ type OpDef struct {
 	GPUCapable bool
 	// Stateful ops touch variables/queues and are never pruned or cached.
 	Stateful bool
-	Kernel   Kernel
+	// FreshOutput marks ops whose kernel returns a newly allocated tensor
+	// and keeps no reference to it or to its inputs, so the value belongs
+	// to the Run that made it. The executor lets an Assign store such a
+	// value without a copy when nothing else can keep or change it.
+	FreshOutput bool
+	Kernel      Kernel
 }
 
 var registry = map[string]*OpDef{}

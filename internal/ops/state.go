@@ -54,13 +54,18 @@ func variableKernel(ctx *Context, _ []*tensor.Tensor) (*tensor.Tensor, error) {
 	return t, nil
 }
 
-// assignKernel overwrites the variable and yields the new value.
+// assignKernel overwrites the variable and yields the new value. It stores
+// a copy unless the executor says the input dies here.
 func assignKernel(ctx *Context, in []*tensor.Tensor) (*tensor.Tensor, error) {
 	v, name, err := ctx.variable()
 	if err != nil {
 		return nil, err
 	}
-	if err := v.Assign(in[0]); err != nil {
+	store := v.Assign
+	if ctx.AdoptInput {
+		store = v.Adopt
+	}
+	if err := store(in[0]); err != nil {
 		return nil, fmt.Errorf("variable %q: %w", name, err)
 	}
 	return in[0], nil

@@ -22,6 +22,7 @@ func (v *fakeVar) Read() (*tensor.Tensor, error) {
 	return v.val, nil
 }
 func (v *fakeVar) Assign(t *tensor.Tensor) error { v.val = t.Clone(); return nil }
+func (v *fakeVar) Adopt(t *tensor.Tensor) error  { v.val = t; return nil }
 func (v *fakeVar) AssignAdd(t *tensor.Tensor) error {
 	if v.val == nil {
 		return fmt.Errorf("uninitialized")

@@ -24,6 +24,12 @@ const (
 	opRecv = "_Recv"
 )
 
+// The ops that store a value in a variable and yield the stored tensor.
+const (
+	opAssign    = "Assign"
+	opAssignAdd = "AssignAdd"
+)
+
 // controlMarker is what a control-only _Send ships.
 var controlMarker = tensor.New(tensor.Bool)
 
@@ -61,6 +67,9 @@ type plan struct {
 	// rendezvous under it.
 	feedKeys  map[string]uint64
 	fetchKeys []uint64
+	// fetchCopy marks the fetches the Run does not own (a variable's or a
+	// constant's tensor, say), which Run copies before returning them.
+	fetchCopy []bool
 	consumers map[uint64][]int // key → the parts that _Recv it
 }
 
@@ -309,6 +318,14 @@ func (s *Session) buildPlan(feeds map[string]*tensor.Tensor, fetches, targets []
 	if p.local, err = compile(pbs[0].g); err != nil {
 		return nil, err
 	}
+	// A fetch produced elsewhere arrives decoded, and a fed one is the
+	// caller's own.
+	p.fetchCopy = make([]bool, len(fetches))
+	for i, f := range roots[:len(fetches)] {
+		if !fed(f) && where[f.ID()] == here {
+			p.fetchCopy[i] = !p.local.owned[pbs[0].copies[f.ID()].ID()]
+		}
+	}
 	return p, nil
 }
 
@@ -366,6 +383,9 @@ func (s *Session) runPlan(p *plan, feeds map[string]*tensor.Tensor) ([]*tensor.T
 	for i, k := range p.fetchKeys {
 		if out[i] = r.rv.value(k); out[i] == nil {
 			return nil, fmt.Errorf("session: fetch %d produced no value", i)
+		}
+		if p.fetchCopy[i] {
+			out[i] = out[i].Clone()
 		}
 	}
 	return out, nil

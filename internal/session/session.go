@@ -239,6 +239,10 @@ type program struct {
 	argOff []int
 	args   []int32
 	names  []string
+	// owned: the node's value belongs to the Run. adopt: the node is an
+	// Assign whose input dies at it.
+	owned []bool
+	adopt []bool
 }
 
 // compile checks a partition graph's edge nodes and compiles it.
@@ -249,8 +253,23 @@ func compile(g *graph.Graph) (*program, error) {
 		pending: make([]int32, len(nodes)),
 		succs:   make([][]int32, len(nodes)),
 		argOff:  make([]int, 1, len(nodes)+1),
+		owned:   make([]bool, len(nodes)),
+		adopt:   make([]bool, len(nodes)),
 	}
+	fresh := make([]bool, len(nodes))
+	// keeps counts, per value, the argument slots that read it into an op
+	// without FreshOutput: one that may store, pass on, send or change it.
+	keeps := make([]int32, len(nodes))
 	for i, n := range nodes {
+		def, err := ops.Lookup(n.Op())
+		fresh[i] = err == nil && def.FreshOutput
+		// A value is the Run's own when no variable, constant or queue
+		// holds it: an op made it fresh, it was fed or arrived over an
+		// edge, or an op that stores nothing made it from owned values.
+		// Node ids are topological (a node's inputs exist before it), so
+		// every input's facts are known here.
+		p.owned[i] = fresh[i] || n.Op() == opRecv ||
+			len(n.Inputs()) > 0 && n.Op() != opAssign && n.Op() != opAssignAdd
 		if n.Op() == opSend || n.Op() == opRecv {
 			if k, ok := n.Attr("key").(int); !ok || k < 0 {
 				return nil, fmt.Errorf("session: %s node %q has no edge key", n.Op(), n.Name())
@@ -263,6 +282,10 @@ func compile(g *graph.Graph) (*program, error) {
 			p.args = append(p.args, int32(in.ID()))
 			p.names = append(p.names, in.Name())
 			p.succs[in.ID()] = append(p.succs[in.ID()], int32(i))
+			if !fresh[i] {
+				keeps[in.ID()]++
+				p.owned[i] = p.owned[i] && p.owned[in.ID()]
+			}
 		}
 		for _, c := range n.ControlDeps() {
 			p.succs[c.ID()] = append(p.succs[c.ID()], int32(i))
@@ -270,6 +293,15 @@ func compile(g *graph.Graph) (*program, error) {
 		p.argOff = append(p.argOff, len(p.args))
 		if p.pending[i] = int32(len(n.Inputs()) + len(n.ControlDeps())); p.pending[i] == 0 {
 			p.ready = append(p.ready, int32(i))
+		}
+	}
+	// An Assign adopts its input when the value dies at it: its producer
+	// made it fresh and the Assign is the one consumer that may keep it.
+	// A fetched or sent value has a _Send consumer, so it is never adopted.
+	for i, n := range nodes {
+		if n.Op() == opAssign && len(n.Inputs()) == 1 {
+			src := n.Inputs()[0].ID()
+			p.adopt[i] = fresh[src] && keeps[src] == 1
 		}
 	}
 	return p, nil
@@ -417,6 +449,7 @@ func (e *execution) evalNode(i int32, in []*tensor.Tensor) (*tensor.Tensor, erro
 		InputNames: e.p.names[lo:hi:hi],
 		Resources:  e.res,
 		Scratch:    e.scratch,
+		AdoptInput: e.p.adopt[i],
 	}
 	out, err := ops.Run(n.Op(), ctx, in)
 	if opts.Trace != nil {

@@ -14,10 +14,18 @@ import (
 )
 
 // Variable is one named mutable tensor with its own lock.
+//
+// Ownership: Assign stores a copy, so the caller keeps its tensor. Adopt
+// stores the tensor itself; the caller hands it over and must not write it
+// again, though whoever already holds it may go on reading it. Read hands
+// out the stored tensor, which callers must not write. AssignAdd writes
+// into the stored tensor, except that it first copies an adopted one, so a
+// tensor given to Adopt never changes.
 type Variable struct {
-	name string
-	mu   sync.Mutex
-	val  *tensor.Tensor
+	name    string
+	mu      sync.Mutex
+	val     *tensor.Tensor
+	adopted bool // val came from Adopt and is not yet the variable's own copy
 }
 
 // Name returns the variable's name.
@@ -41,9 +49,15 @@ func (v *Variable) Read() (*tensor.Tensor, error) {
 	return v.val, nil
 }
 
-// Assign replaces the value. The first assignment fixes dtype and shape;
-// later assignments must match them (as TF enforces).
-func (v *Variable) Assign(t *tensor.Tensor) error {
+// Assign replaces the value with a copy of t. The first assignment fixes
+// dtype and shape; later assignments must match them (as TF enforces).
+func (v *Variable) Assign(t *tensor.Tensor) error { return v.store(t, false) }
+
+// Adopt replaces the value with t itself, under the same rules as Assign
+// and with no copy; see the ownership note on Variable.
+func (v *Variable) Adopt(t *tensor.Tensor) error { return v.store(t, true) }
+
+func (v *Variable) store(t *tensor.Tensor, adopt bool) error {
 	if t == nil {
 		return fmt.Errorf("vars: assigning nil to %q", v.name)
 	}
@@ -57,11 +71,15 @@ func (v *Variable) Assign(t *tensor.Tensor) error {
 			return fmt.Errorf("vars: %q shape change %v -> %v", v.name, v.val.Shape(), t.Shape())
 		}
 	}
-	v.val = t.Clone()
+	if !adopt {
+		t = t.Clone()
+	}
+	v.val, v.adopted = t, adopt
 	return nil
 }
 
-// AssignAdd accumulates t into the value in place.
+// AssignAdd accumulates t into the value in place (into a copy of an
+// adopted value).
 func (v *Variable) AssignAdd(t *tensor.Tensor) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -71,6 +89,9 @@ func (v *Variable) AssignAdd(t *tensor.Tensor) error {
 	if v.val.DType() != t.DType() || !v.val.Shape().Equal(t.Shape()) {
 		return fmt.Errorf("vars: %q AssignAdd mismatch: have %v%v, got %v%v",
 			v.name, v.val.DType(), v.val.Shape(), t.DType(), t.Shape())
+	}
+	if v.adopted {
+		v.val, v.adopted = v.val.Clone(), false
 	}
 	switch v.val.DType() {
 	case tensor.Float32:

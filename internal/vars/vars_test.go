@@ -142,3 +142,40 @@ func TestComplexAssignAdd(t *testing.T) {
 		t.Fatalf("complex AssignAdd = %v", got.C128()[0])
 	}
 }
+
+func TestAdoptStoresTheTensorItself(t *testing.T) {
+	v := NewStore().Get("w")
+	val := tensor.FromF64(tensor.Shape{2}, []float64{1, 2})
+	if err := v.Adopt(val); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := v.Read(); got != val {
+		t.Fatal("Adopt should store the tensor itself")
+	}
+	if err := v.Adopt(tensor.FromF64(tensor.Shape{3}, []float64{1, 2, 3})); err == nil {
+		t.Fatal("Adopt must keep the shape fixed by the first assignment")
+	}
+}
+
+// AssignAdd copies an adopted value before writing, so the tensor handed
+// to Adopt, which others may still read, never changes; later adds go in
+// place into the variable's own copy.
+func TestAssignAddCopiesAnAdoptedValue(t *testing.T) {
+	v := NewStore().Get("w")
+	val := tensor.FromF64(tensor.Shape{2}, []float64{1, 2})
+	v.Adopt(val)
+	if err := v.AssignAdd(tensor.FromF64(tensor.Shape{2}, []float64{10, 10})); err != nil {
+		t.Fatal(err)
+	}
+	if val.F64()[0] != 1 || val.F64()[1] != 2 {
+		t.Fatalf("adopted tensor changed under AssignAdd: %v", val.F64())
+	}
+	own, _ := v.Read()
+	if own == val || own.F64()[0] != 11 || own.F64()[1] != 12 {
+		t.Fatalf("after AssignAdd the variable holds %v", own.F64())
+	}
+	v.AssignAdd(tensor.FromF64(tensor.Shape{2}, []float64{1, 1}))
+	if again, _ := v.Read(); again != own || again.F64()[0] != 12 {
+		t.Fatal("a second AssignAdd should write the variable's own copy in place")
+	}
+}
