@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"tfhpc/internal/fft"
+	"tfhpc/internal/gemm"
 	"tfhpc/internal/ops"
 	"tfhpc/internal/tensor"
 )
@@ -290,5 +291,16 @@ func TestPlanForRejectsBadSizes(t *testing.T) {
 	}
 	if err := p.Transform(make([]complex128, 4), false); err == nil {
 		t.Fatal("length mismatch should error")
+	}
+}
+
+// The butterflies select on gemm's AVX+FMA capability, not on its kernel
+// name: whenever gemm runs any SIMD kernel, fft runs its AVX kernel too.
+func TestKernelFollowsGemmSIMD(t *testing.T) {
+	if gemm.KernelName() != "portable-go" && fft.KernelName() != "avx-fma" {
+		t.Fatalf("gemm kernel %q but fft kernel %q, want avx-fma", gemm.KernelName(), fft.KernelName())
+	}
+	if gemm.HasAVXFMA() != (fft.KernelName() == "avx-fma") {
+		t.Fatalf("gemm.HasAVXFMA() = %v but fft kernel %q", gemm.HasAVXFMA(), fft.KernelName())
 	}
 }

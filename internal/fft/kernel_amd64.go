@@ -20,7 +20,7 @@ func radix8AVX(a []complex128, blocks, q int, tw []complex128, conj bool) {
 func init() {
 	// The GEMM engine already CPUID-gates AVX+FMA and honours
 	// TFHPC_NOSIMD=1; the FFT butterflies need exactly the same features.
-	if gemm.KernelName() == "avx-fma" {
+	if gemm.HasAVXFMA() {
 		radix8Vec = radix8AVX
 		kernelName = "avx-fma"
 	}

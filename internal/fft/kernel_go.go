@@ -1,10 +1,10 @@
 package fft
 
-// Kernel selection, mirroring internal/gemm: on amd64 hosts whose GEMM
-// engine selected the AVX+FMA micro-kernels (CPUID-gated, disabled by
-// TFHPC_NOSIMD=1), the radix-8 butterfly pass runs a hand-written
-// vectorised kernel over per-stage packed twiddle tables; everywhere else
-// the portable complex-arithmetic passes in kernels.go are used.
+// Kernel selection, mirroring internal/gemm: on amd64 hosts where
+// gemm.HasAVXFMA() holds (CPUID-gated, false under TFHPC_NOSIMD=1), the
+// radix-8 butterfly pass runs a hand-written vectorised kernel over
+// per-stage packed twiddle tables; everywhere else the portable
+// complex-arithmetic passes in kernels.go are used.
 var (
 	// radix8Vec, when non-nil, runs one radix-8 butterfly pass over
 	// `blocks` blocks of 8·q points using the stage's packed twiddle table

@@ -5,11 +5,11 @@ import "sync"
 // Cache blocking parameters (elements, not bytes). kcBlock keeps one packed
 // B micro-panel (kc×nr) plus one A micro-panel (mr×kc) L1-resident; mcBlock
 // sizes the packed A panel (mc×kc) for L2. mcBlock is a common multiple of
-// both micro-kernel heights (4 and 6) so full blocks decompose into whole
-// micro-panels.
+// every micro-kernel height (4, 6 and 14) so full blocks decompose into
+// whole micro-panels.
 const (
 	kcBlock = 256
-	mcBlock = 72
+	mcBlock = 84
 )
 
 // bufPool recycles packing buffers across GEMM calls and workers.
@@ -59,7 +59,7 @@ func Gemm32(transA, transB bool, m, n, k int, a []float32, lda int, b []float32,
 		mBlocks := (m + mcBlock - 1) / mcBlock
 		ParallelFor(mBlocks, 1, func(lo, hi int) {
 			ap := apPool32.get(mcBlock * kc)
-			var tmpArr [6 * 16]float32 // spill tile, large enough for any mr×nr
+			var tmpArr [14 * 32]float32 // spill tile, large enough for any mr×nr
 			tmp := tmpArr[:mr*nr]
 			for blk := lo; blk < hi; blk++ {
 				ic := blk * mcBlock
@@ -76,16 +76,19 @@ func Gemm32(transA, transB bool, m, n, k int, a []float32, lda int, b []float32,
 						if im == mr && jn == nr {
 							kern(kc, as, bs, c[ci*ldc+cj:], ldc)
 						} else {
-							// Edge tile: compute into a spill buffer, then
-							// accumulate only the valid region into C.
-							clear(tmp)
+							// Edge tile: run the kernel on a spill tile that
+							// holds the valid region of C, so C gains the
+							// sums through the same add as in a full tile.
+							// (Adding them to a zeroed tile first turns a −0
+							// sum into +0 and picks NaN payloads in another
+							// order.) Which tiles are edges then never
+							// changes a bit, whatever the kernel's mr×nr.
+							for r := 0; r < im; r++ {
+								copy(tmp[r*nr:r*nr+jn], c[(ci+r)*ldc+cj:])
+							}
 							kern(kc, as, bs, tmp, nr)
 							for r := 0; r < im; r++ {
-								dst := c[(ci+r)*ldc+cj : (ci+r)*ldc+cj+jn]
-								src := tmp[r*nr : r*nr+jn]
-								for x := range dst {
-									dst[x] += src[x]
-								}
+								copy(c[(ci+r)*ldc+cj:(ci+r)*ldc+cj+jn], tmp[r*nr:])
 							}
 						}
 					}

@@ -48,14 +48,19 @@ func fillRand(dst []float64, seed uint64) {
 // duration of the test, so both code paths run under the same suite.
 func forceGoKernels(t *testing.T) {
 	t.Helper()
-	omr32, onr32, ok32 := mr32, nr32, kern32
+	forceKernel(t, 4, 4, kernelGo32)
 	omr64, onr64, ok64 := mr64, nr64, kern64
-	mr32, nr32, kern32 = 4, 4, kernelGo32
 	mr64, nr64, kern64 = 4, 4, kernelGo64
-	t.Cleanup(func() {
-		mr32, nr32, kern32 = omr32, onr32, ok32
-		mr64, nr64, kern64 = omr64, onr64, ok64
-	})
+	t.Cleanup(func() { mr64, nr64, kern64 = omr64, onr64, ok64 })
+}
+
+// forceKernel switches Gemm32 to the mr×nr micro-kernel kern until the
+// test ends.
+func forceKernel(t testing.TB, mr, nr int, kern func(kc int, ap, bp, c []float32, ldc int)) {
+	t.Helper()
+	omr, onr, ok := mr32, nr32, kern32
+	mr32, nr32, kern32 = mr, nr, kern
+	t.Cleanup(func() { mr32, nr32, kern32 = omr, onr, ok })
 }
 
 // shapes covers degenerate, prime and non-divisible dimensions well below,
@@ -240,6 +245,34 @@ func TestGemmNaNInfPropagation(t *testing.T) {
 		forceGoKernels(t)
 		check(t)
 	})
+}
+
+// Edge tiles add their sums to C exactly as full tiles do. Every element
+// here computes −0 + fl(1e-30·−1e-30): an FMA kernel's sum underflows to
+// −0 and −0 + −0 = −0, a separate multiply gives +0 + −0 = +0; either way
+// all elements must agree, in full tiles and in edge tiles of any kernel
+// height (4, 6, 14) and width (4, 16, 32).
+func TestGemm32EdgeTilesAddLikeFullTiles(t *testing.T) {
+	const m, n, k = 29, 65, 1
+	a := make([]float32, m*k)
+	b := make([]float32, k*n)
+	c := make([]float32, m*n)
+	for i := range a {
+		a[i] = 1e-30
+	}
+	for i := range b {
+		b[i] = -1e-30
+	}
+	for i := range c {
+		c[i] = float32(math.Copysign(0, -1))
+	}
+	Gemm32(false, false, m, n, k, a, k, b, n, c, n)
+	for i := range c {
+		if math.Float32bits(c[i]) != math.Float32bits(c[0]) {
+			t.Fatalf("C[%d][%d] = %v (%#x), C[0][0] = %v (%#x)", i/n, i%n,
+				c[i], math.Float32bits(c[i]), c[0], math.Float32bits(c[0]))
+		}
+	}
 }
 
 // NaN in A must reach every output it participates in.

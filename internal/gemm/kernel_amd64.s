@@ -112,6 +112,106 @@ sdone:
 	VZEROUPPER
 	RET
 
+// func sgemm14x32(kc int64, ap, bp, c *float32, ldc int64)
+//
+// C[0:14][0:32] += Ap·Bp over kc steps on AVX-512F. Ap is packed 14 floats
+// per step, Bp 32 floats per step, C has row stride ldc floats. Z0-Z27 hold
+// the 14×32 tile, two zmm per row; each step is 2 B loads (Z28, Z29), 14 A
+// broadcasts (alternating Z30, Z31) and 28 FMAs. Every C element sums the
+// same products in the same order as sgemm6x16, so the two agree bit for
+// bit. Zeroing uses VPXORD: VXORPS on zmm needs AVX512DQ.
+#define S14_ROW(off, bc, c0, c1) \
+	VBROADCASTSS off(SI), bc; \
+	VFMADD231PS  Z28, bc, c0; \
+	VFMADD231PS  Z29, bc, c1
+
+#define S14_STORE(c0, c1) \
+	VADDPS  (CX), c0, c0; \
+	VMOVUPS c0, (CX); \
+	VADDPS  64(CX), c1, c1; \
+	VMOVUPS c1, 64(CX); \
+	ADDQ    DX, CX
+
+TEXT ·sgemm14x32(SB), NOSPLIT, $0-40
+	MOVQ kc+0(FP), AX
+	MOVQ ap+8(FP), SI
+	MOVQ bp+16(FP), BX
+	MOVQ c+24(FP), CX
+	MOVQ ldc+32(FP), DX
+	SHLQ $2, DX                  // row stride in bytes
+
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	VPXORD Z8, Z8, Z8
+	VPXORD Z9, Z9, Z9
+	VPXORD Z10, Z10, Z10
+	VPXORD Z11, Z11, Z11
+	VPXORD Z12, Z12, Z12
+	VPXORD Z13, Z13, Z13
+	VPXORD Z14, Z14, Z14
+	VPXORD Z15, Z15, Z15
+	VPXORD Z16, Z16, Z16
+	VPXORD Z17, Z17, Z17
+	VPXORD Z18, Z18, Z18
+	VPXORD Z19, Z19, Z19
+	VPXORD Z20, Z20, Z20
+	VPXORD Z21, Z21, Z21
+	VPXORD Z22, Z22, Z22
+	VPXORD Z23, Z23, Z23
+	VPXORD Z24, Z24, Z24
+	VPXORD Z25, Z25, Z25
+	VPXORD Z26, Z26, Z26
+	VPXORD Z27, Z27, Z27
+
+	TESTQ AX, AX
+	JZ    s14done
+
+s14loop:
+	VMOVUPS (BX), Z28            // B[p][0:16]
+	VMOVUPS 64(BX), Z29          // B[p][16:32]
+	S14_ROW(0, Z30, Z0, Z1)
+	S14_ROW(4, Z31, Z2, Z3)
+	S14_ROW(8, Z30, Z4, Z5)
+	S14_ROW(12, Z31, Z6, Z7)
+	S14_ROW(16, Z30, Z8, Z9)
+	S14_ROW(20, Z31, Z10, Z11)
+	S14_ROW(24, Z30, Z12, Z13)
+	S14_ROW(28, Z31, Z14, Z15)
+	S14_ROW(32, Z30, Z16, Z17)
+	S14_ROW(36, Z31, Z18, Z19)
+	S14_ROW(40, Z30, Z20, Z21)
+	S14_ROW(44, Z31, Z22, Z23)
+	S14_ROW(48, Z30, Z24, Z25)
+	S14_ROW(52, Z31, Z26, Z27)
+	ADDQ $56, SI
+	ADDQ $128, BX
+	DECQ AX
+	JNZ  s14loop
+
+s14done:
+	S14_STORE(Z0, Z1)            // C += accumulators, row by row
+	S14_STORE(Z2, Z3)
+	S14_STORE(Z4, Z5)
+	S14_STORE(Z6, Z7)
+	S14_STORE(Z8, Z9)
+	S14_STORE(Z10, Z11)
+	S14_STORE(Z12, Z13)
+	S14_STORE(Z14, Z15)
+	S14_STORE(Z16, Z17)
+	S14_STORE(Z18, Z19)
+	S14_STORE(Z20, Z21)
+	S14_STORE(Z22, Z23)
+	S14_STORE(Z24, Z25)
+	S14_STORE(Z26, Z27)
+	VZEROUPPER
+	RET
+
 // func dgemm6x8(kc int64, ap, bp, c *float64, ldc int64)
 //
 // C[0:6][0:8] += Ap·Bp over kc steps, float64. Same structure as the

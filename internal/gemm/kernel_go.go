@@ -17,11 +17,24 @@ var (
 	kern32     = kernelGo32
 	kern64     = kernelGo64
 	kernelName = "portable-go"
+	avxFMA     bool
 )
 
-// KernelName identifies the micro-kernel implementation selected at init
-// ("avx-fma" on capable amd64 hosts, "portable-go" otherwise).
+// KernelName identifies the kernels selected at init, in the order init
+// tries them:
+//   - "avx512f": the 14×32 AVX-512F sgemm micro-kernel for float32 GEMM,
+//     AVX+FMA assembly for float64 GEMM and MatVec (amd64 with AVX-512F and
+//     the OS saving zmm state);
+//   - "avx-fma": AVX+FMA assembly for every GEMM and MatVec kernel (amd64
+//     with AVX and FMA);
+//   - "portable-go": the Go kernels, on every other host and whenever
+//     TFHPC_NOSIMD is set.
 func KernelName() string { return kernelName }
+
+// HasAVXFMA reports whether this package runs AVX+FMA assembly: the host
+// has AVX and FMA, the OS saves ymm state and TFHPC_NOSIMD is unset. It is
+// fixed at init; other packages' AVX kernels (internal/fft) select on it.
+func HasAVXFMA() bool { return avxFMA }
 
 func kernelGo32(kc int, ap, bp []float32, c []float32, ldc int) {
 	var c00, c01, c02, c03 float32

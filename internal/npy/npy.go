@@ -12,8 +12,10 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"tfhpc/internal/tensor"
 )
@@ -91,82 +93,66 @@ func Write(w io.Writer, t *tensor.Tensor) error {
 	return writePayload(w, t)
 }
 
-// chunkBytes is the staging buffer payloads stream through, in both
-// directions, instead of a payload-sized copy. It is a multiple of every
-// supported element size, so no element straddles two chunks.
-const chunkBytes = 64 << 10
-
-// chunkElems returns the staging buffer for t's payload and the number of
-// elements one chunk holds.
-func chunkElems(t *tensor.Tensor) ([]byte, int) {
-	size := t.DType().Size()
-	return make([]byte, min(chunkBytes, t.ByteSize())), chunkBytes / size
-}
-
-func writePayload(w io.Writer, t *tensor.Tensor) error {
-	buf, per := chunkElems(t)
-	for lo, n := 0, t.NumElements(); lo < n; lo += per {
-		hi := min(n, lo+per)
-		b := buf[:0]
-		switch t.DType() {
-		case tensor.Float32:
-			for _, v := range t.F32()[lo:hi] {
-				b = binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
-			}
-		case tensor.Float64:
-			for _, v := range t.F64()[lo:hi] {
-				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-			}
-		case tensor.Int64:
-			for _, v := range t.I64()[lo:hi] {
-				b = binary.LittleEndian.AppendUint64(b, uint64(v))
-			}
-		case tensor.Complex128:
-			for _, v := range t.C128()[lo:hi] {
-				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(real(v)))
-				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(imag(v)))
-			}
-		}
-		if _, err := w.Write(b); err != nil {
-			return err
-		}
+// payload returns t's storage as bytes. On a little-endian host these are
+// the .npy payload bytes themselves, so reads and writes move them with no
+// per-element decoding.
+func payload(t *tensor.Tensor) []byte {
+	switch t.DType() {
+	case tensor.Float32:
+		return asBytes(t.F32())
+	case tensor.Float64:
+		return asBytes(t.F64())
+	case tensor.Int64:
+		return asBytes(t.I64())
+	case tensor.Complex128:
+		return asBytes(t.C128())
 	}
 	return nil
 }
 
-// readPayload fills t from r one chunk at a time.
+func asBytes[T any](s []T) []byte {
+	var zero T
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*int(unsafe.Sizeof(zero)))
+}
+
+// bigEndian reports whether the host stores numbers big-endian, so payload
+// bytes must be swapped between the storage and the file.
+var bigEndian = binary.NativeEndian.Uint16([]byte{0, 1}) == 1
+
+// swapWords reverses the bytes of every size-byte word of b in place.
+func swapWords(b []byte, size int) {
+	for i := 0; i+size <= len(b); i += size {
+		slices.Reverse(b[i : i+size])
+	}
+}
+
+// wordSize is the byte size of dt's scalars: a complex element is two.
+func wordSize(dt tensor.DType) int {
+	if dt.IsComplex() {
+		return dt.Size() / 2
+	}
+	return dt.Size()
+}
+
+func writePayload(w io.Writer, t *tensor.Tensor) error {
+	b := payload(t)
+	if bigEndian {
+		// t is not ours to change: swap a copy.
+		b = slices.Clone(b)
+		swapWords(b, wordSize(t.DType()))
+	}
+	_, err := w.Write(b)
+	return err
+}
+
+// readPayload reads t's payload from r straight into its storage.
 func readPayload(r io.Reader, t *tensor.Tensor) error {
-	buf, per := chunkElems(t)
-	for lo, n := 0, t.NumElements(); lo < n; lo += per {
-		hi := min(n, lo+per)
-		b := buf[:(hi-lo)*t.DType().Size()]
-		if _, err := io.ReadFull(r, b); err != nil {
-			return fmt.Errorf("npy: short payload: %w", err)
-		}
-		switch t.DType() {
-		case tensor.Float32:
-			d := t.F32()[lo:hi]
-			for i := range d {
-				d[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[i*4:]))
-			}
-		case tensor.Float64:
-			d := t.F64()[lo:hi]
-			for i := range d {
-				d[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-			}
-		case tensor.Int64:
-			d := t.I64()[lo:hi]
-			for i := range d {
-				d[i] = int64(binary.LittleEndian.Uint64(b[i*8:]))
-			}
-		case tensor.Complex128:
-			d := t.C128()[lo:hi]
-			for i := range d {
-				re := math.Float64frombits(binary.LittleEndian.Uint64(b[i*16:]))
-				im := math.Float64frombits(binary.LittleEndian.Uint64(b[i*16+8:]))
-				d[i] = complex(re, im)
-			}
-		}
+	b := payload(t)
+	if _, err := io.ReadFull(r, b); err != nil {
+		return fmt.Errorf("npy: short payload: %w", err)
+	}
+	if bigEndian {
+		swapWords(b, wordSize(t.DType()))
 	}
 	return nil
 }
