@@ -78,7 +78,6 @@ type Server struct {
 
 	host      *session.Host
 	srv       *rpc.Server
-	inbox     *collective.ShmInbox
 	addr      string
 	advertise string
 	shmAddrs  []string
@@ -87,7 +86,7 @@ type Server struct {
 
 // NewServer creates a task server with fresh resources.
 func NewServer(job string, task int) *Server {
-	s := &Server{Job: job, Task: task, Res: session.NewResources(), Hub: collective.NewHub(), inbox: collective.NewShmInbox()}
+	s := &Server{Job: job, Task: task, Res: session.NewResources(), Hub: collective.NewHub()}
 	s.host = session.NewHost(s.Res)
 	s.srv = rpc.NewServer()
 	s.srv.HandleStream(session.PartitionMethod, s.host.Serve)
@@ -114,9 +113,9 @@ func (s *Server) HandleCtx(method string, h rpc.CtxHandler) { s.srv.HandleCtx(me
 func (s *Server) HandleStream(method string, h rpc.StreamHandler) { s.srv.HandleStream(method, h) }
 
 // Start binds addr ("host:0" allocates a port) and begins serving; returns
-// the bound address. The task's shared-memory inbox is published under the
-// bound address, so groups whose peers live in this process skip the TCP
-// stack entirely (see collective.RegisterShm).
+// the bound address. The task's Hub is published under the bound address,
+// so a peer rank in this process hands its chunks straight to the Hub
+// instead of crossing the TCP stack (see collective.RegisterShm).
 func (s *Server) Start(addr string) (string, error) {
 	bound, err := s.srv.Listen(addr)
 	if err != nil {
@@ -129,7 +128,7 @@ func (s *Server) Start(addr string) (string, error) {
 	return bound, nil
 }
 
-// registerShmLocked publishes the inbox under addr (idempotent).
+// registerShmLocked publishes the Hub under addr (idempotent).
 func (s *Server) registerShmLocked(addr string) {
 	if addr == "" {
 		return
@@ -139,7 +138,7 @@ func (s *Server) registerShmLocked(addr string) {
 			return
 		}
 	}
-	collective.RegisterShm(addr, s.inbox)
+	collective.RegisterShm(addr, s.Hub)
 	s.shmAddrs = append(s.shmAddrs, addr)
 }
 
@@ -151,8 +150,8 @@ func (s *Server) SetAdvertise(addr string) {
 	defer s.mu.Unlock()
 	if addr != "" {
 		s.advertise = addr
-		// Peers dial the advertised form, so shm discovery must find the
-		// inbox under it too.
+		// Peers dial the advertised form, so co-located discovery must find
+		// the Hub under it too.
 		if s.addr != "" {
 			s.registerShmLocked(addr)
 		}
@@ -180,9 +179,8 @@ func (s *Server) Close() error {
 	s.shmAddrs = nil
 	s.mu.Unlock()
 	for _, a := range addrs {
-		collective.UnregisterShm(a, s.inbox)
+		collective.UnregisterShm(a, s.Hub)
 	}
-	s.inbox.Close()
 	s.Res.Colls.CloseAll()
 	s.Hub.Close()
 	return s.srv.Close()

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"tfhpc/internal/graph"
+	"tfhpc/internal/rpc"
 	"tfhpc/internal/session"
 	"tfhpc/internal/tensor"
 )
@@ -145,5 +146,83 @@ func TestSessionSurvivesTaskRestart(t *testing.T) {
 	}
 	if srv.Partitions() != 1 {
 		t.Fatalf("restarted task holds %d partitions, want the re-registered 1", srv.Partitions())
+	}
+}
+
+// deadSendDialer hands out one dead stream first — its send side closed,
+// its receive side open on a handler that never answers — and real
+// partition streams after that.
+type deadSendDialer struct {
+	*Peers
+	dead *rpc.Stream
+}
+
+func (d *deadSendDialer) DialTask(job string, task int) (*rpc.Stream, error) {
+	if st := d.dead; st != nil {
+		d.dead = nil
+		return st, nil
+	}
+	return d.Peers.DialTask(job, task)
+}
+
+// TestSessionRedialsAfterFailedSend: a Run whose frame fails to send must
+// fail its stream at once, so the next Run dials a fresh one. The dead
+// stream's receive side never ends, so a session that waited for its read
+// loop to notice would hand the next Run the same dead stream.
+func TestSessionRedialsAfterFailedSend(t *testing.T) {
+	lc, err := StartLocal(map[string]int{"worker": 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	peers := NewPeers(lc.Spec())
+	defer peers.Close()
+
+	release := make(chan struct{})
+	stuck := rpc.NewServer()
+	stuck.HandleStream("Stuck", func(*rpc.Stream) error {
+		<-release
+		return nil
+	})
+	addr, err := stuck.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		close(release)
+		stuck.Close()
+	}()
+	c := rpc.Dial(addr)
+	defer c.Close()
+	dead, err := c.OpenStream("Stuck")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dead.CloseSend(); err != nil {
+		t.Fatal(err)
+	}
+
+	g := graph.New()
+	g.WithDevice("/job:worker/task:0", func() {
+		g.AddNamedOp("y", "Neg", nil, g.Placeholder("x", tensor.Float64, nil))
+	})
+	sess, err := session.New(g, nil, session.Options{LocalJob: "client",
+		Remote: &deadSendDialer{Peers: peers, dead: dead}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	run := func() error {
+		out, err := sess.Run(map[string]*tensor.Tensor{"x": tensor.ScalarF64(3)}, []string{"y"}, nil)
+		if err == nil && out[0].ScalarFloat() != -3 {
+			t.Fatalf("y = %g", out[0].ScalarFloat())
+		}
+		return err
+	}
+	if err := run(); err == nil {
+		t.Fatal("Run over a stream that cannot send should fail")
+	}
+	if err := run(); err != nil {
+		t.Fatalf("Run after a failed send: %v", err)
 	}
 }

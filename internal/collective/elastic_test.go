@@ -208,47 +208,6 @@ func TestEpochSupersede(t *testing.T) {
 	}
 }
 
-// TestShmFencePoisonsStaleRing: fencing an inbox wakes a zombie blocked
-// mid-write with the typed rejection and refuses to re-create the old ring.
-func TestShmFencePoisonsStaleRing(t *testing.T) {
-	skipIfNoShm(t)
-	h := newEpochHarness(t, 2, true)
-	old0 := h.transport(t, 0, 1)
-	defer old0.Close()
-
-	// Rank 1's transport is never constructed, so nothing drains its inbound
-	// ring: the sender fills the 1 MiB ring and blocks inside a write —
-	// exactly where a zombie sits when the group re-forms without it.
-	blocked := make(chan error, 1)
-	go func() {
-		payload := randVec(3, (256<<10)/8)
-		var err error
-		for i := 0; i < 64 && err == nil; i++ {
-			err = old0.Send(1, "bulk", uint64(i), payload)
-		}
-		blocked <- err
-	}()
-	time.Sleep(50 * time.Millisecond)
-	h.inboxes[1].Fence("elastic", 2)
-
-	select {
-	case err := <-blocked:
-		if !collective.IsStaleEpoch(err) {
-			t.Fatalf("zombie shm writer: %v, want stale-epoch", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("zombie shm writer hung through the fence")
-	}
-	// The poisoned ring stays poisoned for the zombie's edge...
-	if err := old0.Send(1, "again", 99, randVec(4, 8)); !collective.IsStaleEpoch(err) {
-		t.Fatalf("send on poisoned ring: %v, want stale-epoch", err)
-	}
-	// ...and cannot be re-created at the fenced-out epoch.
-	if _, err := collective.NewTCPTransport("elastic", 0, h.addrs, h.hubs[0], time.Second, 1); !collective.IsStaleEpoch(err) {
-		t.Fatalf("stale ring re-creation: %v, want stale-epoch", err)
-	}
-}
-
 // TestFaultRecvDrop: a rank dying while blocked on inbound traffic (recv-side
 // drop) must error on every rank, not hang the survivors.
 func TestFaultRecvDrop(t *testing.T) {

@@ -8,7 +8,7 @@ import (
 
 // Epoch fencing. Every group incarnation carries an epoch (CollInit
 // distributes it; in-process runners pick their own), and each transport
-// tier — hub lanes, stream edges, shared-memory rings, the loopback fabric —
+// tier — hub lanes, stream edges, local edges, the loopback fabric —
 // rejects traffic from an older incarnation with a StaleEpochError instead
 // of hanging or silently mixing data. This is what makes elastic membership
 // safe: after a rebuild, a zombie rank still holding the previous epoch's

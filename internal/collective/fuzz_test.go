@@ -8,9 +8,9 @@ import (
 )
 
 // FuzzParseChunk feeds arbitrary bytes to the relay-record parser every
-// stream edge and shm ring runs on untrusted input. Malformed records must
-// come back as errors — never a panic — and whatever parses must survive
-// appendChunk → parseChunk unchanged.
+// stream edge runs on untrusted input. Malformed records must come back as
+// errors — never a panic — and whatever parses must survive appendChunk →
+// parseChunk unchanged.
 func FuzzParseChunk(f *testing.F) {
 	for _, t := range []*tensor.Tensor{
 		tensor.RandomUniform(tensor.Float64, 1, 64),

@@ -1,296 +1,56 @@
 package collective
 
-import (
-	"encoding/binary"
-	"fmt"
-	"sync"
+import "sync"
 
-	"tfhpc/internal/tensor"
-)
-
-// Shared-memory fast path. When two ranks of a group live in one process —
-// the default in tests, benchmarks, and packed single-node deployments —
-// shipping chunks through the loopback TCP stack costs two syscalls, two
-// copies, and the kernel socket buffers per chunk. This file replaces that
-// with a bounded byte ring in process memory: the sender frames a chunk
-// record into the receiver's ring (one memcpy), the receiver's drainer pops
-// it into a pooled tensor (one memcpy) and lands it in the same hub lane
-// TCP traffic uses. Semantics match the network edges exactly: ordered
-// per-sender delivery, bounded buffering with sender back-pressure, and
-// poisoning on close so blocked peers fail fast.
+// Co-located peers. When two ranks of a group live in one process — the
+// default in tests, benchmarks, and packed single-node deployments — a chunk
+// need not cross the loopback TCP stack at all: the sending edge copies it
+// into a pooled tensor and lands it straight in the receiving task's hub,
+// the same handoff a rank makes to itself. Delivery keeps the network edges'
+// semantics: ordered per-sender lanes, unbounded buffering, and the hub's
+// epoch fence, so a send to a superseded or closed incarnation fails.
 //
-// Discovery is by address: a task registers its ShmInbox under every address
-// it answers on (RegisterShm, done by cluster.Server); a transport whose own
-// and peer addresses both resolve in the registry wires a shm edge instead
-// of dialing. Setting TFHPC_NO_SHM=1 disables the fast path process-wide.
+// Discovery is by address: a task registers its hub under every address it
+// answers on (RegisterShm, done by cluster.Server); a transport whose own
+// and peer addresses both resolve in the registry wires a local edge
+// instead of dialing. Setting TFHPC_NO_SHM=1 disables co-located edges
+// process-wide.
 
-// shmRingSize bounds per-(group, sender) buffering. Records larger than the
-// ring still flow through: push and pop move bytes in pieces, so a jumbo
-// record streams through the ring like a pipe.
-const shmRingSize = 1 << 20
+// ShmInbox is the hub a task registers for its co-located peers. It is Hub
+// under the name the benchmark module compiles against.
+type ShmInbox = Hub
 
-// shmRing is a byte ring carrying length-prefixed records from one sender
-// to one receiver. Writes block while the ring is full; reads block while
-// it is empty; fail poisons both sides.
-type shmRing struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	buf  []byte
-	head int // index of the next byte to read
-	used int
-	err  error
-}
+// NewShmInbox returns an empty hub to register with RegisterShm.
+func NewShmInbox() *ShmInbox { return NewHub() }
 
-func newShmRing(size int) *shmRing {
-	r := &shmRing{buf: make([]byte, size)}
-	r.cond = sync.NewCond(&r.mu)
-	return r
-}
-
-// write copies all of p into the ring, blocking for space as needed.
-func (r *shmRing) write(p []byte) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for len(p) > 0 {
-		for r.used == len(r.buf) && r.err == nil {
-			r.cond.Wait()
-		}
-		if r.err != nil {
-			return r.err
-		}
-		n := min(len(p), len(r.buf)-r.used)
-		w := (r.head + r.used) % len(r.buf)
-		k := copy(r.buf[w:], p[:n])
-		if k < n {
-			copy(r.buf, p[k:n])
-		}
-		r.used += n
-		p = p[n:]
-		r.cond.Broadcast()
-	}
-	return nil
-}
-
-// read fills all of p from the ring, blocking for data as needed. Buffered
-// bytes are still delivered after a poison; the error surfaces only once
-// the ring is dry.
-func (r *shmRing) read(p []byte) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for len(p) > 0 {
-		for r.used == 0 && r.err == nil {
-			r.cond.Wait()
-		}
-		if r.used == 0 {
-			return r.err
-		}
-		n := min(len(p), r.used)
-		end := r.head + n
-		if end > len(r.buf) {
-			end = len(r.buf)
-		}
-		k := copy(p, r.buf[r.head:end])
-		if k < n {
-			copy(p[k:n], r.buf)
-		}
-		r.head = (r.head + n) % len(r.buf)
-		r.used -= n
-		p = p[n:]
-		r.cond.Broadcast()
-	}
-	return nil
-}
-
-// pop reads one length-prefixed record, reusing dst's capacity when it
-// suffices.
-func (r *shmRing) pop(dst []byte) ([]byte, error) {
-	if cap(dst) < 4 {
-		dst = make([]byte, 0, 512)
-	}
-	hdr := dst[:4]
-	if err := r.read(hdr); err != nil {
-		return dst, err
-	}
-	n := int(binary.LittleEndian.Uint32(hdr))
-	if cap(dst) < n {
-		dst = make([]byte, n)
-	}
-	dst = dst[:n]
-	if err := r.read(dst); err != nil {
-		return dst, err
-	}
-	return dst, nil
-}
-
-// fail poisons the ring: blocked writers fail now, readers once drained.
-func (r *shmRing) fail(err error) {
-	r.mu.Lock()
-	if r.err == nil {
-		r.err = err
-	}
-	r.mu.Unlock()
-	r.cond.Broadcast()
-}
-
-// shmEdge is the sending half of a shared-memory peer link: it frames chunk
-// records straight into the receiver's ring.
-type shmEdge struct {
-	ring *shmRing
-
-	mu  sync.Mutex
-	buf []byte
-}
-
-func (e *shmEdge) send(key string, tg uint64, t *tensor.Tensor) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	b := append(e.buf[:0], 0, 0, 0, 0) // record length, patched below
-	b, err := appendChunk(b, key, tg, t)
-	if cap(b) > cap(e.buf) {
-		e.buf = b
-	}
-	if err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint32(b, uint32(len(b)-4))
-	if err := e.ring.write(b); err != nil {
-		return fmt.Errorf("collective: shm send: %w", err)
-	}
-	return nil
-}
-
-// close is a no-op: rings belong to the receiving inbox, which poisons them
-// when its transport or server goes away.
-func (e *shmEdge) close() {}
-
-// shmKey identifies one inbound ring: traffic is segregated by group and
-// epoch as well as sender, so a ring can never carry bytes across group
-// incarnations.
-type shmKey struct {
-	group string
-	epoch uint64
-	from  int
-}
-
-// ShmInbox is the receiving side of a task's shared-memory fast path: one
-// ring per (group, epoch, sender). Senders create rings on demand — a peer
-// may construct its transport before ours exists — and the owning
-// transport's drainers pump them into hub lanes. A per-group epoch fence
-// (Fence, raised when a newer incarnation's transport constructs) rejects
-// stale senders with the typed StaleEpochError.
-type ShmInbox struct {
-	mu     sync.Mutex
-	rings  map[shmKey]*shmRing
-	min    map[string]uint64 // per-group minimum admissible epoch
-	closed bool
-}
-
-// NewShmInbox returns an empty inbox.
-func NewShmInbox() *ShmInbox {
-	return &ShmInbox{rings: make(map[shmKey]*shmRing), min: make(map[string]uint64)}
-}
-
-// ring returns the ring for (group, epoch, from), creating it on first use.
-// Epochs below the group's fence are rejected, so a zombie sender can
-// neither reach nor silently re-create a superseded incarnation's ring.
-func (ib *ShmInbox) ring(group string, epoch uint64, from int) (*shmRing, error) {
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	if ib.closed {
-		return nil, fmt.Errorf("collective: shm inbox is closed")
-	}
-	if minE := ib.min[group]; epoch < minE {
-		return nil, &StaleEpochError{Group: group, Have: epoch, Current: minE}
-	}
-	k := shmKey{group: group, epoch: epoch, from: from}
-	r, ok := ib.rings[k]
-	if !ok {
-		r = newShmRing(shmRingSize)
-		ib.rings[k] = r
-	}
-	return r, nil
-}
-
-// Fence raises the group's minimum admissible epoch: rings of older
-// incarnations are poisoned with a StaleEpochError — blocked zombie writers
-// fail with the typed rejection — and forgotten, and ring() refuses to
-// re-create them.
-func (ib *ShmInbox) Fence(group string, epoch uint64) {
-	ib.mu.Lock()
-	if ib.closed || ib.min[group] >= epoch {
-		ib.mu.Unlock()
-		return
-	}
-	ib.min[group] = epoch
-	type staleRing struct {
-		r    *shmRing
-		have uint64
-	}
-	var stale []staleRing
-	for k, r := range ib.rings {
-		if k.group == group && k.epoch < epoch {
-			stale = append(stale, staleRing{r: r, have: k.epoch})
-			delete(ib.rings, k)
-		}
-	}
-	ib.mu.Unlock()
-	for _, s := range stale {
-		s.r.fail(&StaleEpochError{Group: group, Have: s.have, Current: epoch})
-	}
-}
-
-// dropRing poisons and forgets one ring.
-func (ib *ShmInbox) dropRing(group string, epoch uint64, from int, err error) {
-	k := shmKey{group: group, epoch: epoch, from: from}
-	ib.mu.Lock()
-	r := ib.rings[k]
-	delete(ib.rings, k)
-	ib.mu.Unlock()
-	if r != nil {
-		r.fail(err)
-	}
-}
-
-// Close poisons every ring; blocked senders and drainers fail fast.
-func (ib *ShmInbox) Close() {
-	ib.mu.Lock()
-	rings := ib.rings
-	ib.rings = make(map[shmKey]*shmRing)
-	ib.closed = true
-	ib.mu.Unlock()
-	for _, r := range rings {
-		r.fail(fmt.Errorf("collective: shm inbox closed"))
-	}
-}
-
-// Process-global address registry: addr → inbox of the task answering there.
+// Process-global address registry: addr → hub of the task answering there.
 var shmReg = struct {
 	mu sync.Mutex
-	m  map[string]*ShmInbox
-}{m: make(map[string]*ShmInbox)}
+	m  map[string]*Hub
+}{m: make(map[string]*Hub)}
 
-// RegisterShm publishes ib as the shared-memory inbox for addr. Transports
-// constructed in this process route traffic for addr through ib instead of
-// dialing it. Register every address a task answers on (bound and
-// advertised forms).
-func RegisterShm(addr string, ib *ShmInbox) {
+// RegisterShm publishes hub as the inbox co-located peers deliver to for
+// addr. Transports constructed in this process hand chunks for addr to hub
+// instead of dialing it. Register every address a task answers on (bound
+// and advertised forms).
+func RegisterShm(addr string, hub *Hub) {
 	shmReg.mu.Lock()
-	shmReg.m[addr] = ib
+	shmReg.m[addr] = hub
 	shmReg.mu.Unlock()
 }
 
-// UnregisterShm removes addr's registration if it still points at ib.
-func UnregisterShm(addr string, ib *ShmInbox) {
+// UnregisterShm removes addr's registration if it still points at hub.
+func UnregisterShm(addr string, hub *Hub) {
 	shmReg.mu.Lock()
-	if shmReg.m[addr] == ib {
+	if shmReg.m[addr] == hub {
 		delete(shmReg.m, addr)
 	}
 	shmReg.mu.Unlock()
 }
 
-func lookupShm(addr string) *ShmInbox {
+func lookupShm(addr string) *Hub {
 	shmReg.mu.Lock()
-	ib := shmReg.m[addr]
+	hub := shmReg.m[addr]
 	shmReg.mu.Unlock()
-	return ib
+	return hub
 }

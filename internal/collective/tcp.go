@@ -21,12 +21,16 @@ import (
 // silent this long has almost certainly died rather than fallen behind.
 const DefaultRecvTimeout = 2 * time.Minute
 
-// Hub is the server side of the TCP transport: the inbox a task exposes over
-// internal/rpc. Register HandleStream under StreamMethod; every
-// TCPTransport on the task then drains its group's lanes from here.
+// Hub is a task's collective inbox: stream edges (HandleStream, registered
+// under StreamMethod), a rank's own sends and co-located peers' sends (a
+// hub registered with RegisterShm) all land in its lanes, and every
+// TCPTransport on the task takes its group's chunks from here.
 type Hub struct {
 	mu     sync.Mutex
 	groups map[string]*hubGroup
+	// dead is each group's highest closed epoch: groupAt refuses it and
+	// every lower one, so a late chunk cannot re-create a closed inbox.
+	dead   map[string]uint64
 	closed bool
 }
 
@@ -57,7 +61,7 @@ func (g *hubGroup) fail(err error) {
 
 // NewHub returns an empty inbox registry.
 func NewHub() *Hub {
-	return &Hub{groups: make(map[string]*hubGroup)}
+	return &Hub{groups: make(map[string]*hubGroup), dead: make(map[string]uint64)}
 }
 
 // groupAt returns the named group's inbox for one epoch, creating it on
@@ -66,7 +70,8 @@ func NewHub() *Hub {
 // than the group's current one gets a StaleEpochError, and a caller carrying
 // a newer one supersedes the group — the old inbox is poisoned with the
 // typed rejection (so its blocked receivers fail fast) and a fresh one is
-// installed at the new epoch.
+// installed at the new epoch. A closed epoch stays closed: it is refused,
+// and so is every epoch below it.
 func (h *Hub) groupAt(name string, epoch uint64) (*hubGroup, error) {
 	h.mu.Lock()
 	if h.closed {
@@ -83,6 +88,13 @@ func (h *Hub) groupAt(name string, epoch uint64) (*hubGroup, error) {
 		h.mu.Unlock()
 		return nil, &StaleEpochError{Group: name, Have: epoch, Current: cur}
 	}
+	if dead, ok := h.dead[name]; ok && epoch <= dead {
+		h.mu.Unlock()
+		if epoch < dead {
+			return nil, &StaleEpochError{Group: name, Have: epoch, Current: dead}
+		}
+		return nil, fmt.Errorf("collective: group %q epoch %d is closed", name, epoch)
+	}
 	old := g // nil unless superseding
 	g = &hubGroup{epoch: epoch, lanes: make(map[int]*lane)}
 	h.groups[name] = g
@@ -98,11 +110,19 @@ func (h *Hub) groupAt(name string, epoch uint64) (*hubGroup, error) {
 func (h *Hub) CloseGroup(name string) {
 	h.mu.Lock()
 	g := h.groups[name]
-	delete(h.groups, name)
+	if g != nil {
+		h.forgetLocked(name, g)
+	}
 	h.mu.Unlock()
 	if g != nil {
 		g.fail(fmt.Errorf("collective: group %q closed", name))
 	}
+}
+
+// forgetLocked drops the group and remembers its epoch as closed.
+func (h *Hub) forgetLocked(name string, g *hubGroup) {
+	delete(h.groups, name)
+	h.dead[name] = max(h.dead[name], g.epoch)
 }
 
 // CloseGroupEpoch poisons and forgets the group only while it is still at
@@ -116,7 +136,7 @@ func (h *Hub) CloseGroupEpoch(name string, epoch uint64) {
 		h.mu.Unlock()
 		return
 	}
-	delete(h.groups, name)
+	h.forgetLocked(name, g)
 	h.mu.Unlock()
 	g.fail(fmt.Errorf("collective: group %q closed", name))
 }
@@ -161,8 +181,7 @@ func (h *Hub) failLane(group string, epoch uint64, from int, err error) {
 // edges; register Hub.HandleStream under it.
 const StreamMethod = "CollStream"
 
-// parseChunk decodes one relay record — the unit both stream edges and
-// shared-memory rings carry:
+// parseChunk decodes one relay record — the unit a stream edge carries:
 //
 //	uvarint key length | key | uvarint tag | tensor encoding
 //
@@ -201,12 +220,13 @@ func appendChunk(b []byte, key string, tg uint64, t *tensor.Tensor) ([]byte, err
 // inbound edge from a peer rank. The first frame identifies the edge
 // (uvarint group length | group | uvarint sender rank | uvarint epoch);
 // every later frame is one chunk record. Chunks land in the same lanes
-// the shm drainers fill, so receivers are transport-agnostic. An edge that ends
+// local edges fill, so receivers are transport-agnostic. An edge that ends
 // abnormally poisons the sender's lane, cascading the failure to blocked
 // receivers instead of leaving them to wait out the receive timeout. An edge
-// whose epoch has been superseded gets a StaleEpochError back instead: the
-// handler error resets the stream, the zombie's next Send fails with the
-// rejection text, and the new incarnation's lanes are left alone.
+// whose epoch has been superseded gets a StaleEpochError back instead, and
+// one whose epoch has been closed an error saying so: the handler error
+// resets the stream, the sender's next Send fails with its text, and no
+// lane of a dead or newer incarnation is touched.
 //
 // The loop is allocation-free in the steady state: frames recycle through
 // the wire buffer pool, tensors through the rank-1 pool, and the interned
@@ -294,8 +314,9 @@ func clonePooled(t *tensor.Tensor) *tensor.Tensor {
 type TransportConfig struct {
 	// DisableShm forces network edges even to co-located peers. Set it for
 	// apples-to-apples network benchmarks; it must be uniform across the
-	// group (a mixed group would stream into rings nobody drains). The
-	// TFHPC_NO_SHM environment variable disables shm process-wide.
+	// group (a mixed group would deliver into hubs its receivers do not
+	// read). The TFHPC_NO_SHM environment variable disables co-located
+	// edges process-wide.
 	DisableShm bool
 }
 
@@ -377,15 +398,17 @@ func (e *streamEdge) close() {
 	e.c.Close()
 }
 
-// selfEdge hands chunks straight to the local hub.
-type selfEdge struct {
+// localEdge hands a pooled copy of each chunk straight to an in-process hub:
+// the rank's own for a send to itself, the peer's registered one for a
+// co-located peer.
+type localEdge struct {
 	hub   *Hub
 	group string
 	from  int
 	epoch uint64
 }
 
-func (e *selfEdge) send(key string, tg uint64, t *tensor.Tensor) error {
+func (e *localEdge) send(key string, tg uint64, t *tensor.Tensor) error {
 	c := clonePooled(t)
 	if err := e.hub.deliver(e.group, e.epoch, e.from, message{key: key, tag: tg, t: c}); err != nil {
 		tensor.Recycle(c)
@@ -394,21 +417,26 @@ func (e *selfEdge) send(key string, tg uint64, t *tensor.Tensor) error {
 	return nil
 }
 
-func (e *selfEdge) close() {}
+func (e *localEdge) close() {}
 
 // TCPTransport is one rank's endpoint of a networked group. Every peer edge
 // is established eagerly and concurrently at construction — there is no
-// lazy dial under a lock on the send path — and each edge picks the fastest
-// available fabric: in-process shared memory when the peer's address is
-// registered in this process, a persistent rpc stream otherwise. Inbound
-// traffic from all fabrics drains into the task Hub's lanes, so Recv never
-// cares how a chunk arrived.
+// lazy dial under a lock on the send path — and each edge picks its carrier
+// by where the peer is: a local edge into the peer's hub when its address
+// is registered in this process, a persistent rpc stream otherwise. Either
+// way a chunk lands in a hub lane, so Recv never cares how it arrived.
 type TCPTransport struct {
 	group   string
 	rank    int
 	addrs   []string
 	hub     *Hub
 	timeout time.Duration
+	// inbox[from] is the hub the chunks from that rank land in: hub for
+	// stream peers and self, own for co-located peers.
+	inbox []*Hub
+	// own is this task's registered hub when co-located edges are on, nil
+	// otherwise. It is hub itself on a cluster.Server.
+	own *Hub
 	// epoch fences group incarnations: it prefixes every message key, so a
 	// chunk still in flight from an aborted run can never match a collective
 	// of the membership that replaced it (all ranks of one incarnation must
@@ -423,23 +451,21 @@ type TCPTransport struct {
 		m map[string]string
 	}
 
-	edges    []edge
-	closed   atomic.Bool
-	myInbox  *ShmInbox
-	shmFroms []int
-	drains   sync.WaitGroup
+	edges  []edge
+	closed atomic.Bool
 }
 
 // NewTCPTransport builds rank's endpoint for the named group over the given
 // task addresses (one per rank, e.g. a cluster.Spec job) with the default
-// configuration: streaming edges, shared-memory fast path to co-located
-// peers. timeout bounds each Recv; 0 applies DefaultRecvTimeout. epoch
-// identifies the group incarnation and must be identical on every rank.
+// configuration: streaming edges, local edges to co-located peers. timeout
+// bounds each Recv; 0 applies DefaultRecvTimeout. epoch identifies the
+// group incarnation and must be identical on every rank.
 func NewTCPTransport(group string, rank int, addrs []string, hub *Hub, timeout time.Duration, epoch uint64) (*TCPTransport, error) {
 	return NewNetTransport(group, rank, addrs, hub, timeout, epoch, TransportConfig{})
 }
 
-// NewNetTransport is NewTCPTransport with explicit edge configuration.
+// NewNetTransport is NewTCPTransport with explicit edge configuration. It
+// starts no goroutine that outlives it.
 func NewNetTransport(group string, rank int, addrs []string, hub *Hub, timeout time.Duration, epoch uint64, cfg TransportConfig) (*TCPTransport, error) {
 	if rank < 0 || rank >= len(addrs) {
 		return nil, fmt.Errorf("collective: rank %d outside %d addresses", rank, len(addrs))
@@ -455,47 +481,46 @@ func NewNetTransport(group string, rank int, addrs []string, hub *Hub, timeout t
 		timeout: timeout,
 		epoch:   fmt.Sprintf("%d\x00", epoch),
 		epochN:  epoch,
+		inbox:   make([]*Hub, len(addrs)),
 		edges:   make([]edge, len(addrs)),
 	}
 	t.keys.m = make(map[string]string)
-
-	// Install this incarnation in the hub up front: a newer epoch supersedes
-	// (and poisons) the previous one, and a stale re-init fails fast here
-	// instead of producing an endpoint every peer would reject.
-	if _, err := hub.groupAt(group, epoch); err != nil {
-		return nil, err
+	if !cfg.DisableShm && os.Getenv("TFHPC_NO_SHM") == "" {
+		t.own = lookupShm(t.addrs[rank])
 	}
 
-	shmOK := !cfg.DisableShm && os.Getenv("TFHPC_NO_SHM") == ""
-	var ownInbox *ShmInbox
-	if shmOK {
-		ownInbox = lookupShm(t.addrs[rank])
-	}
-	if ownInbox != nil {
-		// Fence the inbox: rings of older incarnations are poisoned with the
-		// typed stale-epoch rejection and can never be re-created, so a
-		// zombie sender cannot write into (or silently re-open) them.
-		ownInbox.Fence(group, epoch)
+	// Install this incarnation up front in every hub this rank reads: a
+	// newer epoch supersedes (and poisons) the previous one, and a stale
+	// re-init fails fast here instead of producing an endpoint every peer
+	// would reject.
+	for _, h := range []*Hub{hub, t.own} {
+		if h == nil {
+			continue
+		}
+		if _, err := h.groupAt(group, epoch); err != nil {
+			return nil, err
+		}
 	}
 
 	// Establish all edges up front, dialing network peers concurrently.
+	// Peers choose local edges by the same registry lookup, so "its address
+	// is registered here" predicts "its chunks land in our own hub".
 	var wg sync.WaitGroup
 	errs := make([]error, len(t.addrs))
 	for to := range t.addrs {
-		if to == rank {
-			t.edges[to] = &selfEdge{hub: hub, group: group, from: rank, epoch: epoch}
-			continue
-		}
-		if ownInbox != nil {
-			if peer := lookupShm(t.addrs[to]); peer != nil {
-				ring, err := peer.ring(group, epoch, rank)
-				if err != nil {
-					errs[to] = err
-					continue
-				}
-				t.edges[to] = &shmEdge{ring: ring}
-				continue
+		t.inbox[to] = hub
+		var dst *Hub
+		switch {
+		case to == rank:
+			dst = hub
+		case t.own != nil:
+			if dst = lookupShm(t.addrs[to]); dst != nil {
+				t.inbox[to] = t.own
 			}
+		}
+		if dst != nil {
+			t.edges[to] = &localEdge{hub: dst, group: group, from: rank, epoch: epoch}
+			continue
 		}
 		wg.Add(1)
 		go func(to int) {
@@ -506,61 +531,11 @@ func NewNetTransport(group string, rank int, addrs []string, hub *Hub, timeout t
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			t.teardown()
+			t.closeEdges()
 			return nil, err
 		}
 	}
-
-	// Receiving side of the shm fast path: drain a ring per co-located peer
-	// into the hub lanes. Peers choose shm by the same registry lookup, so
-	// "its address is registered here" predicts "it will write to our ring".
-	if ownInbox != nil {
-		t.myInbox = ownInbox
-		for from := range t.addrs {
-			if from == rank || lookupShm(t.addrs[from]) == nil {
-				continue
-			}
-			ring, err := ownInbox.ring(group, epoch, from)
-			if err != nil {
-				t.teardown()
-				return nil, err
-			}
-			t.shmFroms = append(t.shmFroms, from)
-			t.drains.Add(1)
-			go t.drainShm(from, ring)
-		}
-	}
 	return t, nil
-}
-
-// drainShm pumps one co-located peer's ring into its hub lane.
-func (t *TCPTransport) drainShm(from int, ring *shmRing) {
-	defer t.drains.Done()
-	var rec, keyBuf []byte
-	var key string
-	for {
-		var err error
-		rec, err = ring.pop(rec)
-		if err != nil {
-			// The ring only fails when one side closed; the closing
-			// transport poisons the group by name itself, so a stale fail
-			// into a replacement incarnation is not needed (or wanted).
-			return
-		}
-		kb, tg, ten, err := parseChunk(rec)
-		if err != nil {
-			t.hub.failLane(t.group, t.epochN, from, fmt.Errorf("collective: bad shm record from rank %d: %w", from, err))
-			return
-		}
-		if !bytes.Equal(kb, keyBuf) {
-			keyBuf = append(keyBuf[:0], kb...)
-			key = string(kb)
-		}
-		if err := t.hub.deliver(t.group, t.epochN, from, message{key: key, tag: tg, t: ten}); err != nil {
-			tensor.Recycle(ten)
-			return
-		}
-	}
 }
 
 // Rank returns this endpoint's position in the group.
@@ -603,37 +578,35 @@ func (t *TCPTransport) Recv(from int, key string, tg uint64) (*tensor.Tensor, er
 	if from < 0 || from >= len(t.addrs) {
 		return nil, fmt.Errorf("collective: source rank %d out of %d", from, len(t.addrs))
 	}
-	g, err := t.hub.groupAt(t.group, t.epochN)
+	g, err := t.inbox[from].groupAt(t.group, t.epochN)
 	if err != nil {
 		return nil, err
 	}
 	return g.lane(from).take(t.fullKey(key), tg, t.timeout)
 }
 
-func (t *TCPTransport) teardown() {
+func (t *TCPTransport) closeEdges() {
 	for _, e := range t.edges {
 		if e != nil {
 			e.close()
 		}
 	}
-	if t.myInbox != nil {
-		for _, from := range t.shmFroms {
-			t.myInbox.dropRing(t.group, t.epochN, from,
-				fmt.Errorf("collective: group %q rank %d closed", t.group, t.rank))
-		}
-	}
-	t.drains.Wait()
 }
 
-// Close releases peer edges, stops the shm drainers, and poisons the local
-// group inbox — but only this epoch's incarnation of it: when a CollInit
-// replacement has already installed a newer membership under the same name,
-// closing the superseded transport must leave the new inbox untouched.
+// Close releases peer edges and poisons the local group inboxes — but only
+// this epoch's incarnation of them: when a CollInit replacement has already
+// installed a newer membership under the same name, closing the superseded
+// transport must leave the new inbox untouched. The closed epoch stays
+// fenced, so a co-located peer's later send fails instead of re-creating
+// the inbox.
 func (t *TCPTransport) Close() error {
 	if t.closed.Swap(true) {
 		return nil
 	}
-	t.teardown()
+	t.closeEdges()
 	t.hub.CloseGroupEpoch(t.group, t.epochN)
+	if t.own != nil {
+		t.own.CloseGroupEpoch(t.group, t.epochN)
+	}
 	return nil
 }

@@ -7,9 +7,11 @@
 // next, with reductions fanned across the shared gemm worker pool.
 //
 // Two transports implement the same interface: an in-process loopback (tests
-// and single-node runs) and TCP over the internal/rpc framed-message layer
-// using the addresses of a cluster spec (each task dials its peers, every
-// task hosts a Hub inbox).
+// and single-node runs) and a networked one over the addresses of a cluster
+// spec, in which every task hosts a Hub inbox and each edge picks its
+// carrier by where the peer is — a persistent internal/rpc stream to
+// another process, a pooled copy handed straight to the peer's Hub in this
+// one.
 package collective
 
 import (

@@ -3,6 +3,7 @@ package collective_test
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -13,9 +14,9 @@ import (
 
 // netGroups boots p rpc servers hosting hubs and returns groups over
 // NewNetTransport with the given config. When register is true every task's
-// address is published in the shm registry, so all peer edges take the
-// shared-memory fast path; ranks listed in netOnly stay unregistered and
-// keep network edges (mixed-fabric coverage).
+// address is published in the shm registry, so all peer edges are local
+// edges into the peers' registered hubs; ranks listed in netOnly stay
+// unregistered and keep network edges (mixed-fabric coverage).
 func netGroups(t *testing.T, p int, opts collective.Options, cfg collective.TransportConfig, register bool, netOnly map[int]bool) []*collective.Group {
 	t.Helper()
 	hubs := make([]*collective.Hub, p)
@@ -146,6 +147,60 @@ func TestTransportFabricsMatch(t *testing.T) {
 	})
 }
 
+// TestTransportTeardownLeavesNoGoroutines builds p=4 groups over each
+// networked fabric, runs an allreduce, and tears groups, inboxes and
+// servers down: every goroutine the transports started must exit, so no
+// per-peer goroutine survives a transport.
+func TestTransportTeardownLeavesNoGoroutines(t *testing.T) {
+	const p = 4
+	opts := collective.Options{ChunkBytes: 512, Algorithm: collective.AlgoRing}
+	ins := make([]*tensor.Tensor, p)
+	for r := range ins {
+		ins[r] = randVec(uint64(5000+r), 1023)
+	}
+	allreduce := func(t *testing.T, groups []*collective.Group) {
+		runAll(t, groups, func(g *collective.Group) (*tensor.Tensor, error) {
+			return g.AllReduce("ar", ins[g.Rank()], collective.OpSum)
+		})
+	}
+	// Warm the shared worker pool the reductions fan out on: its workers
+	// live for the process, so they belong in the baseline.
+	warm := collective.NewLoopbackGroups(p, opts)
+	allreduce(t, warm)
+	for _, g := range warm {
+		g.Close()
+	}
+	base := runtime.NumGoroutine()
+
+	variants := []struct {
+		name     string
+		register bool
+		netOnly  map[int]bool
+	}{
+		{name: "stream"},
+		{name: "shm", register: true},
+		{name: "mixed", register: true, netOnly: map[int]bool{1: true, 3: true}},
+	}
+	for _, v := range variants {
+		if v.register && os.Getenv("TFHPC_NO_SHM") != "" {
+			continue
+		}
+		// The subtest's cleanup closes the groups, inboxes and servers.
+		t.Run(v.name, func(t *testing.T) {
+			allreduce(t, netGroups(t, p, opts, collective.TransportConfig{}, v.register, v.netOnly))
+		})
+		deadline := time.Now().Add(10 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<20)
+				t.Fatalf("%s: %d goroutines after teardown, baseline %d:\n%s",
+					v.name, runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+}
+
 // requireSameF64 asserts bit-identical float64 payloads.
 func requireSameF64(t *testing.T, label string, want, got *tensor.Tensor) {
 	t.Helper()
@@ -179,8 +234,8 @@ func TestShmSenderFailsAfterReceiverClose(t *testing.T) {
 	deadline := time.After(5 * time.Second)
 	done := make(chan error, 1)
 	go func() {
-		// The ring holds 1 MiB; pushing past it must fail once poisoned, and
-		// the first send may still succeed into the buffered ring.
+		// The receiver's closed epoch stays fenced in its hub, so no send
+		// may land; the loop only bounds how long a regression could hide.
 		var err error
 		for i := 0; i < 8 && err == nil; i++ {
 			err = tr.Send(1, "k", uint64(i), payload)
@@ -197,11 +252,11 @@ func TestShmSenderFailsAfterReceiverClose(t *testing.T) {
 	}
 }
 
-// TestShmJumboRecord pushes a tensor bigger than the ring through it: the
-// record must stream through in pieces rather than deadlock or truncate.
+// TestShmJumboRecord pushes a 2 MiB tensor over a co-located edge in one
+// chunk: it must arrive whole rather than deadlock or truncate.
 func TestShmJumboRecord(t *testing.T) {
 	skipIfNoShm(t)
-	opts := collective.Options{ChunkBytes: 64 << 20} // one chunk: 2 MiB record through a 1 MiB ring
+	opts := collective.Options{ChunkBytes: 64 << 20} // one chunk: a 2 MiB record
 	groups := netGroups(t, 2, opts, collective.TransportConfig{}, true, nil)
 	n := (2 << 20) / 8
 	in := randVec(99, n)

@@ -609,9 +609,11 @@ func (c *taskConn) startRun(r *clientRun, i int) error {
 	}
 	if !c.registered[part.handle] {
 		// Under c.mu, so no Run's run frame for this handle can overtake
-		// the registration on the stream.
-		if err := c.send(&frame{kind: frameRegister, handle: part.handle, graph: part.graphDef}); err != nil {
+		// the registration on the stream; c.write, because sendRaw's fail
+		// takes c.mu.
+		if err := sendFrame(c.write, &frame{kind: frameRegister, handle: part.handle, graph: part.graphDef}); err != nil {
 			c.mu.Unlock()
+			c.fail(err)
 			return fmt.Errorf("session: register partition on %s: %w", c.device, err)
 		}
 		c.registered[part.handle] = true
@@ -650,7 +652,18 @@ func (c *taskConn) startRun(r *clientRun, i int) error {
 
 func (c *taskConn) send(f *frame) error { return sendFrame(c.sendRaw, f) }
 
+// sendRaw sends one frame and fails the conn if the send fails: the stream
+// is dead, and until readLoop notices, Session.conn would hand it to the
+// next Run.
 func (c *taskConn) sendRaw(p []byte) error {
+	err := c.write(p)
+	if err != nil {
+		c.fail(err)
+	}
+	return err
+}
+
+func (c *taskConn) write(p []byte) error {
 	mStreamBytes.Add(int64(len(p)))
 	return c.st.Send(p)
 }

@@ -30,14 +30,15 @@ const (
 	GRPC Protocol = iota
 	MPI
 	RDMA
-	// SHM models the same-host shared-memory ring the real transport tier
-	// auto-selects for co-located tasks: sender memcpy into the ring,
-	// receiver memcpy out. The copies pipeline through the ring but share
-	// the node's memory system.
+	// SHM models a same-host shared-memory byte ring: sender memcpy into
+	// the ring, receiver memcpy out. The copies pipeline through the ring
+	// but share the node's memory system.
 	SHM
 	// SHMDirect is the RDMA-style zero-copy variant: the payload is handed
 	// over by mapping, one effective traversal of host memory bandwidth —
 	// the same single-copy discipline the verbs path applies to the wire.
+	// The real transport tier's co-located edge is this path: one pooled
+	// copy handed to the peer's hub.
 	SHMDirect
 )
 
