@@ -167,9 +167,10 @@ func driveWorker(cfg Config, sess *session.Session, w, startIter int, rr float64
 
 // RunReal solves A·x = b with the distributed data-driven CG formulation,
 // with real numerics on the host: one driver goroutine per worker, ring
-// collectives over an in-process loopback fabric. A must be SPD. RunReal
-// reads a and b for the duration of the call and does not copy them: each
-// worker's A block is a view of a, so neither may change until it returns.
+// collectives between in-process hubs (NewLoopbackGroups). A must be SPD.
+// RunReal reads a and b for the duration of the call and does not copy them:
+// each worker's A block is a view of a, so neither may change until it
+// returns.
 func RunReal(cfg Config, a, b *tensor.Tensor, opts RealOptions) (*RealResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -180,7 +181,7 @@ func RunReal(cfg Config, a, b *tensor.Tensor, opts RealOptions) (*RealResult, er
 	rows := cfg.RowsPerWorker()
 	res := session.NewResources()
 
-	// One ring membership per worker over a shared loopback fabric.
+	// One ring membership per worker, each rank reading its own hub.
 	groups := collective.NewLoopbackGroups(cfg.Workers, collective.Options{})
 	for w, grp := range groups {
 		res.Colls.Register(collGroup(w), grp)
@@ -266,8 +267,9 @@ func RunReal(cfg Config, a, b *tensor.Tensor, opts RealOptions) (*RealResult, er
 			}
 			results[w] = driveWorker(cfg, sessions[w], w, startIter, rr, ckpt)
 			if results[w].err != nil {
-				// Poison this worker's ring membership so peers blocked in a
-				// collective cascade the failure instead of hanging.
+				// Close this worker's ring membership: that poisons its lane
+				// in every peer's hub, so peers blocked in a collective
+				// cascade the failure instead of hanging.
 				groups[w].Close()
 			}
 		}(w)

@@ -24,7 +24,7 @@ type RealResult struct {
 	Gflops         float64 // over the collection phase, paper-style
 }
 
-// collGroup names worker w's membership in the in-process collective fabric.
+// collGroup names worker w's membership in the in-process collective group.
 func collGroup(w int) string { return fmt.Sprintf("fft/w%d", w) }
 
 // RunReal executes the full pipeline with real numerics: pre-processes the

@@ -23,7 +23,7 @@ type RealResult struct {
 	C *tensor.Tensor
 }
 
-// collGroup names worker w's membership in the in-process collective fabric.
+// collGroup names worker w's membership in the in-process collective group.
 func collGroup(w int) string { return fmt.Sprintf("matmul/w%d", w) }
 
 // RunReal executes the full pipeline with real numerics: pre-processes A
@@ -68,7 +68,7 @@ func RunReal(dir string, cfg Config, a, b *tensor.Tensor) (*RealResult, error) {
 	start := time.Now()
 	var wg sync.WaitGroup
 	errCh := make(chan error, cfg.Workers)
-	// On any failure, poison the collective fabric so peers blocked in the
+	// On any failure, close every membership so peers blocked in the
 	// reduction unwind instead of deadlocking.
 	abort := func() {
 		for _, grp := range groups {

@@ -9,11 +9,11 @@ import (
 )
 
 // In-process elastic deployment: replicas share one Resources store and talk
-// over loopback fabrics, one fresh fabric per generation. A kill closes the
-// task's endpoint — poisoning the fabric exactly the way a dying process
-// poisons its group — and the task stays "dead" to probes for SimRevive
-// boundary polls, which is how the property tests drive deterministic
-// shrink-then-grow histories without real processes.
+// over in-process hubs (NewLoopbackGroups), fresh ones per generation. A
+// kill closes the task's endpoint — poisoning its lane in every peer's hub
+// exactly the way a dying process's edges do — and the task stays "dead" to
+// probes for SimRevive boundary polls, which is how the property tests drive
+// deterministic shrink-then-grow histories without real processes.
 
 type loopbackElastic struct {
 	cfg  Config
@@ -69,7 +69,8 @@ func (b *loopbackElastic) setup(active []int, gen int) ([]*session.Session, erro
 func (b *loopbackElastic) abort(int) { b.closeGroups() }
 
 // closeGroups tears the current generation's memberships down (closing a
-// group poisons the shared fabric, so any rank still blocked errors out).
+// group poisons its lanes in every peer's hub, so any rank still blocked
+// errors out).
 func (b *loopbackElastic) closeGroups() {
 	b.mu.Lock()
 	ids := b.groupIDs
@@ -145,7 +146,7 @@ func (b *loopbackElastic) close() {
 	b.res.Colls.CloseAll()
 }
 
-// RunElasticReal trains elastically in-process: loopback fabrics, simulated
+// RunElasticReal trains elastically in-process: in-process hubs, simulated
 // kills via the fault plan, deterministic revival after SimRevive boundary
 // polls.
 func RunElasticReal(cfg Config, opts ElasticOptions) (*ElasticResult, error) {

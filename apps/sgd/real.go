@@ -149,7 +149,7 @@ func driveWorker(cfg Config, sess *session.Session) (first, last float64, err er
 }
 
 // RunReal trains in-process: one session and driver goroutine per replica,
-// gradients allreduced over a loopback ring fabric.
+// gradients ring-allreduced between in-process hubs (NewLoopbackGroups).
 func RunReal(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

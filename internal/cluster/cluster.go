@@ -295,7 +295,7 @@ func (s *Server) handleCollInit(req []byte) ([]byte, error) {
 	if group == "" || len(addrs) == 0 {
 		return nil, fmt.Errorf("cluster: malformed CollInit")
 	}
-	tr, err := collective.NewTCPTransport(group, rank, addrs, s.Hub, opts.RecvTimeout, epoch)
+	tr, err := collective.NewNetTransport(group, rank, addrs, s.Hub, opts.RecvTimeout, epoch, collective.TransportConfig{})
 	if err != nil {
 		return nil, err
 	}

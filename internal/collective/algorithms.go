@@ -210,7 +210,8 @@ func doublingAllReduce[T interface {
 	for mask, step := 1, 1; mask < pow2; mask, step = mask<<1, step+1 {
 		partner := foldedRank(virtual^mask, rem)
 		// Send completes before the matching Recv+combine mutates out
-		// (loopback clones, TCP serialises), so no defensive copy is needed.
+		// (local edges clone, stream edges serialise), so no defensive
+		// copy is needed.
 		if err := g.tr.Send(partner, key, tag(seq, phaseDouble, step, 0), out); err != nil {
 			return nil, g.fatal(err)
 		}

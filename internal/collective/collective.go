@@ -70,12 +70,33 @@ func NewGroup(tr Transport, opts Options) *Group {
 }
 
 // NewLoopbackGroups is the single-call constructor tests and in-process runs
-// use: p endpoints over a fresh loopback fabric, one group per rank.
+// use: p ranks in this process, one group per rank. Each rank gets its own
+// Hub and the transport cluster tasks use, with a local edge into every
+// rank's hub, its own included — a cluster whose peers are all co-located.
+// It has no addresses and dials nothing, and it never consults TFHPC_NO_SHM:
+// the groups stay in process whatever that variable says, which the
+// benchmark's sgd inproc_step_ms row (run with it set) depends on. Recv
+// waits without a deadline; a closing rank poisons its lane in every peer's
+// hub, so its partners fail fast instead.
 func NewLoopbackGroups(p int, opts Options) []*Group {
-	eps := NewLoopback(p)
+	if p <= 0 {
+		panic("collective: loopback needs at least one rank")
+	}
+	const group, epoch = "loopback", 1
+	hubs := make([]*Hub, p)
+	for r := range hubs {
+		hubs[r] = NewHub()
+	}
 	gs := make([]*Group, p)
-	for i, ep := range eps {
-		gs[i] = NewGroup(ep, opts)
+	for r := range gs {
+		t, err := newNetTransport(group, r, p, hubs[r], nil, 0, epoch)
+		if err != nil {
+			panic(err) // a fresh hub accepts any epoch
+		}
+		for to, dst := range hubs {
+			t.edges[to] = &localEdge{hub: dst, group: group, from: r, epoch: epoch}
+		}
+		gs[r] = NewGroup(t, opts)
 	}
 	return gs
 }
@@ -110,9 +131,9 @@ func (g *Group) nextSeq(key string) uint64 {
 
 // fatal records an unrecoverable mid-protocol failure: the group's
 // bulk-synchronous state cannot be resynchronised, so the endpoint is
-// closed, which poisons the local inbox and (on loopback) the peers' lanes.
-// Ring neighbours therefore cascade the error instead of hanging on traffic
-// that will never arrive.
+// closed, which poisons the local inbox and this rank's lane in every
+// peer's inbox, over any edge type. Ring neighbours therefore cascade the
+// error instead of hanging on traffic that will never arrive.
 func (g *Group) fatal(err error) error {
 	g.tr.Close()
 	return err
@@ -353,9 +374,9 @@ func ringAllReduce[T interface {
 				for k, off := 0, lo; off < hi; k, off = k+1, off+chunk {
 					end := min(off+chunk, hi)
 					// A view, not a copy: Send consumes the payload before
-					// returning (loopback clones, TCP serialises), and this
-					// segment is not mutated again until after the step's
-					// receive completes.
+					// returning (local edges clone, stream edges
+					// serialise), and this segment is not mutated again
+					// until after the step's receive completes.
 					payload := sl.wrap(tensor.Shape{end - off}, buf[off:end:end])
 					if err := g.tr.Send(next, key, tag(seq, phase, step, k), payload); err != nil {
 						errc <- err

@@ -64,7 +64,7 @@ func tcpGroups(t *testing.T, p int, opts collective.Options, timeout time.Durati
 	}
 	groups := make([]*collective.Group, p)
 	for i := 0; i < p; i++ {
-		tr, err := collective.NewTCPTransport("test", i, addrs, hubs[i], timeout, 1)
+		tr, err := collective.NewNetTransport("test", i, addrs, hubs[i], timeout, 1, collective.TransportConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -334,10 +334,9 @@ func TestConcurrentKeys(t *testing.T) {
 // --- fault injection (satellite: simnet faults under -race) ---
 
 func faultyGroups(p int, plans []simnet.FaultPlan, opts collective.Options) []*collective.Group {
-	eps := collective.NewLoopback(p)
-	groups := make([]*collective.Group, p)
-	for i, ep := range eps {
-		groups[i] = collective.NewGroup(collective.NewFaulty(ep, plans[i]), opts)
+	groups := collective.NewLoopbackGroups(p, opts)
+	for i, g := range groups {
+		groups[i] = collective.NewGroup(collective.NewFaulty(g.Transport(), plans[i]), opts)
 	}
 	return groups
 }

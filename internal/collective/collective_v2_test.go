@@ -167,12 +167,11 @@ func (c *countingTransport) Send(to int, key string, tg uint64, t *tensor.Tensor
 func TestPickerSwitchesAlgorithms(t *testing.T) {
 	const p = 4
 	build := func(switchBytes int) ([]*collective.Group, *atomic.Int64) {
-		eps := collective.NewLoopback(p)
+		opts := collective.Options{SwitchBytes: switchBytes, ChunkBytes: 1 << 30}
 		var sends atomic.Int64
-		groups := make([]*collective.Group, p)
-		for i, ep := range eps {
-			groups[i] = collective.NewGroup(&countingTransport{ep, &sends},
-				collective.Options{SwitchBytes: switchBytes, ChunkBytes: 1 << 30})
+		groups := collective.NewLoopbackGroups(p, opts)
+		for i, g := range groups {
+			groups[i] = collective.NewGroup(&countingTransport{g.Transport(), &sends}, opts)
 		}
 		return groups, &sends
 	}

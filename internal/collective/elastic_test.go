@@ -38,42 +38,6 @@ func TestStaleEpochErrorContract(t *testing.T) {
 	}
 }
 
-// TestLoopbackFence: fencing the in-process fabric fails every endpoint's
-// Send and Recv with the typed rejection, and wakes receivers already blocked.
-func TestLoopbackFence(t *testing.T) {
-	eps := collective.NewLoopback(2)
-	if err := eps[0].Send(1, "pre", 1, randVec(1, 8)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eps[1].Recv(0, "pre", 1); err != nil {
-		t.Fatal(err)
-	}
-
-	blocked := make(chan error, 1)
-	go func() {
-		_, err := eps[1].Recv(0, "never", 2)
-		blocked <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
-	eps[0].Fence("loop", 1, 2)
-
-	select {
-	case err := <-blocked:
-		var se *collective.StaleEpochError
-		if !errors.As(err, &se) || se.Have != 1 || se.Current != 2 {
-			t.Fatalf("blocked recv woke with %v, want typed stale-epoch 1->2", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("blocked recv hung through the fence")
-	}
-	if err := eps[0].Send(1, "post", 3, randVec(2, 8)); !collective.IsStaleEpoch(err) {
-		t.Fatalf("send after fence: %v, want stale-epoch", err)
-	}
-	if _, err := eps[1].Recv(0, "post", 3); !collective.IsStaleEpoch(err) {
-		t.Fatalf("recv after fence: %v, want stale-epoch", err)
-	}
-}
-
 // epochHarness boots p rpc servers hosting hubs (optionally with shm inboxes
 // registered) and hands back what a transport constructor needs.
 type epochHarness struct {
@@ -117,9 +81,9 @@ func newEpochHarness(t *testing.T, p int, shm bool) *epochHarness {
 	return h
 }
 
-func (h *epochHarness) transport(t *testing.T, rank int, epoch uint64) *collective.TCPTransport {
+func (h *epochHarness) transport(t *testing.T, rank int, epoch uint64) *collective.NetTransport {
 	t.Helper()
-	tr, err := collective.NewTCPTransport("elastic", rank, h.addrs, h.hubs[rank], 3*time.Second, epoch)
+	tr, err := collective.NewNetTransport("elastic", rank, h.addrs, h.hubs[rank], 3*time.Second, epoch, collective.TransportConfig{})
 	if err != nil {
 		t.Fatalf("rank %d epoch %d: %v", rank, epoch, err)
 	}
@@ -127,7 +91,7 @@ func (h *epochHarness) transport(t *testing.T, rank int, epoch uint64) *collecti
 }
 
 // relay pushes one chunk sender→receiver and checks it lands intact.
-func relay(t *testing.T, send, recv *collective.TCPTransport, key string, tg uint64) {
+func relay(t *testing.T, send, recv *collective.NetTransport, key string, tg uint64) {
 	t.Helper()
 	in := randVec(tg, 64)
 	if err := send.Send(recv.Rank(), key, tg, in); err != nil {
@@ -194,7 +158,7 @@ func TestEpochSupersede(t *testing.T) {
 			}
 
 			// Re-initialising at the dead epoch is refused at construction.
-			if _, err := collective.NewTCPTransport("elastic", 1, h.addrs, h.hubs[1], time.Second, 1); !collective.IsStaleEpoch(err) {
+			if _, err := collective.NewNetTransport("elastic", 1, h.addrs, h.hubs[1], time.Second, 1, collective.TransportConfig{}); !collective.IsStaleEpoch(err) {
 				t.Fatalf("stale re-init: %v, want stale-epoch", err)
 			}
 

@@ -7,10 +7,10 @@ import (
 )
 
 // Epoch fencing. Every group incarnation carries an epoch (CollInit
-// distributes it; in-process runners pick their own), and each transport
-// tier — hub lanes, stream edges, local edges, the loopback fabric —
-// rejects traffic from an older incarnation with a StaleEpochError instead
-// of hanging or silently mixing data. This is what makes elastic membership
+// distributes it; in-process groups pick their own), and each transport
+// tier — hub lanes, stream edges, local edges — rejects traffic from an
+// older incarnation with a StaleEpochError instead of hanging or silently
+// mixing data. This is what makes elastic membership
 // safe: after a rebuild, a zombie rank still holding the previous epoch's
 // endpoint cannot corrupt the group that replaced it.
 

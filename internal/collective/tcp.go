@@ -16,15 +16,15 @@ import (
 	"tfhpc/internal/tensor"
 )
 
-// DefaultRecvTimeout bounds how long a TCP Recv waits for a peer before
-// declaring it lost. Collectives are bulk-synchronous, so a peer that stays
-// silent this long has almost certainly died rather than fallen behind.
+// DefaultRecvTimeout bounds how long a NewNetTransport Recv waits for a peer
+// before declaring it lost. Collectives are bulk-synchronous, so a peer that
+// stays silent this long has almost certainly died rather than fallen behind.
 const DefaultRecvTimeout = 2 * time.Minute
 
 // Hub is a task's collective inbox: stream edges (HandleStream, registered
-// under StreamMethod), a rank's own sends and co-located peers' sends (a
-// hub registered with RegisterShm) all land in its lanes, and every
-// TCPTransport on the task takes its group's chunks from here.
+// under StreamMethod), a rank's own sends and in-process peers' sends all
+// land in its lanes, and every NetTransport on the task takes its group's
+// chunks from here.
 type Hub struct {
 	mu     sync.Mutex
 	groups map[string]*hubGroup
@@ -220,9 +220,10 @@ func appendChunk(b []byte, key string, tg uint64, t *tensor.Tensor) ([]byte, err
 // inbound edge from a peer rank. The first frame identifies the edge
 // (uvarint group length | group | uvarint sender rank | uvarint epoch);
 // every later frame is one chunk record. Chunks land in the same lanes
-// local edges fill, so receivers are transport-agnostic. An edge that ends
-// abnormally poisons the sender's lane, cascading the failure to blocked
-// receivers instead of leaving them to wait out the receive timeout. An edge
+// local edges fill, so receivers are transport-agnostic. An edge that ends,
+// cleanly or not, poisons the sender's lane, cascading the failure to
+// blocked receivers instead of leaving them to wait out the receive timeout
+// (a no-op once the epoch is closed or superseded). An edge
 // whose epoch has been superseded gets a StaleEpochError back instead, and
 // one whose epoch has been closed an error saying so: the handler error
 // resets the stream, the sender's next Send fails with its text, and no
@@ -275,6 +276,7 @@ func (h *Hub) HandleStream(st *rpc.Stream) error {
 		b, err := st.Recv(buf)
 		if err != nil {
 			if err == io.EOF {
+				h.failLane(group, epoch, from, errLeft(from))
 				return nil
 			}
 			h.failLane(group, epoch, from, fmt.Errorf("collective: edge from rank %d lost: %w", from, err))
@@ -399,8 +401,7 @@ func (e *streamEdge) close() {
 }
 
 // localEdge hands a pooled copy of each chunk straight to an in-process hub:
-// the rank's own for a send to itself, the peer's registered one for a
-// co-located peer.
+// the rank's own for a send to itself, the peer's for a peer in this process.
 type localEdge struct {
 	hub   *Hub
 	group string
@@ -417,20 +418,25 @@ func (e *localEdge) send(key string, tg uint64, t *tensor.Tensor) error {
 	return nil
 }
 
-func (e *localEdge) close() {}
+// close poisons the sender's lane in the receiving hub, as the end of a
+// stream edge does on the far side, so a peer blocked on this rank fails
+// fast. For a closed or superseded epoch it is a no-op.
+func (e *localEdge) close() { e.hub.failLane(e.group, e.epoch, e.from, errLeft(e.from)) }
 
-// TCPTransport is one rank's endpoint of a networked group. Every peer edge
-// is established eagerly and concurrently at construction — there is no
-// lazy dial under a lock on the send path — and each edge picks its carrier
-// by where the peer is: a local edge into the peer's hub when its address
-// is registered in this process, a persistent rpc stream otherwise. Either
-// way a chunk lands in a hub lane, so Recv never cares how it arrived.
-type TCPTransport struct {
+// errLeft is what a closing rank leaves in its peers' lanes.
+func errLeft(from int) error { return fmt.Errorf("collective: rank %d left the group", from) }
+
+// NetTransport is one rank's endpoint of a group whose ranks each read a
+// Hub. Every peer edge is established at construction — there is no lazy
+// dial under a lock on the send path — and each edge picks its carrier by
+// where the peer is: a local edge into the peer's hub when it lives in this
+// process, a persistent rpc stream otherwise. Either way a chunk lands in a
+// hub lane, so Recv never cares how it arrived.
+type NetTransport struct {
 	group   string
 	rank    int
-	addrs   []string
 	hub     *Hub
-	timeout time.Duration
+	timeout time.Duration // bounds each Recv; 0 waits without a deadline
 	// inbox[from] is the hub the chunks from that rank land in: hub for
 	// stream peers and self, own for co-located peers.
 	inbox []*Hub
@@ -455,45 +461,14 @@ type TCPTransport struct {
 	closed atomic.Bool
 }
 
-// NewTCPTransport builds rank's endpoint for the named group over the given
-// task addresses (one per rank, e.g. a cluster.Spec job) with the default
-// configuration: streaming edges, local edges to co-located peers. timeout
-// bounds each Recv; 0 applies DefaultRecvTimeout. epoch identifies the
-// group incarnation and must be identical on every rank.
-func NewTCPTransport(group string, rank int, addrs []string, hub *Hub, timeout time.Duration, epoch uint64) (*TCPTransport, error) {
-	return NewNetTransport(group, rank, addrs, hub, timeout, epoch, TransportConfig{})
-}
-
-// NewNetTransport is NewTCPTransport with explicit edge configuration. It
-// starts no goroutine that outlives it.
-func NewNetTransport(group string, rank int, addrs []string, hub *Hub, timeout time.Duration, epoch uint64, cfg TransportConfig) (*TCPTransport, error) {
-	if rank < 0 || rank >= len(addrs) {
-		return nil, fmt.Errorf("collective: rank %d outside %d addresses", rank, len(addrs))
-	}
-	if timeout <= 0 {
-		timeout = DefaultRecvTimeout
-	}
-	t := &TCPTransport{
-		group:   group,
-		rank:    rank,
-		addrs:   append([]string(nil), addrs...),
-		hub:     hub,
-		timeout: timeout,
-		epoch:   fmt.Sprintf("%d\x00", epoch),
-		epochN:  epoch,
-		inbox:   make([]*Hub, len(addrs)),
-		edges:   make([]edge, len(addrs)),
-	}
-	t.keys.m = make(map[string]string)
-	if !cfg.DisableShm && os.Getenv("TFHPC_NO_SHM") == "" {
-		t.own = lookupShm(t.addrs[rank])
-	}
-
-	// Install this incarnation up front in every hub this rank reads: a
-	// newer epoch supersedes (and poisons) the previous one, and a stale
-	// re-init fails fast here instead of producing an endpoint every peer
-	// would reject.
-	for _, h := range []*Hub{hub, t.own} {
+// newNetTransport is the setup every NetTransport shares: rank's endpoint of
+// a size-rank group that reads hub (and own, when non-nil), with its edges
+// still to be filled in. It installs this incarnation up front in those
+// hubs: a newer epoch supersedes (and poisons) the previous one, and a stale
+// re-init fails fast here instead of producing an endpoint every peer would
+// reject.
+func newNetTransport(group string, rank, size int, hub, own *Hub, timeout time.Duration, epoch uint64) (*NetTransport, error) {
+	for _, h := range []*Hub{hub, own} {
 		if h == nil {
 			continue
 		}
@@ -501,21 +476,58 @@ func NewNetTransport(group string, rank int, addrs []string, hub *Hub, timeout t
 			return nil, err
 		}
 	}
+	t := &NetTransport{
+		group:   group,
+		rank:    rank,
+		hub:     hub,
+		timeout: timeout,
+		own:     own,
+		epoch:   fmt.Sprintf("%d\x00", epoch),
+		epochN:  epoch,
+		inbox:   make([]*Hub, size),
+		edges:   make([]edge, size),
+	}
+	for from := range t.inbox {
+		t.inbox[from] = hub
+	}
+	t.keys.m = make(map[string]string)
+	return t, nil
+}
+
+// NewNetTransport builds rank's endpoint for the named group over the given
+// task addresses (one per rank, e.g. a cluster.Spec job). timeout bounds
+// each Recv; 0 applies DefaultRecvTimeout. epoch identifies the group
+// incarnation and must be identical on every rank. It starts no goroutine
+// that outlives it.
+func NewNetTransport(group string, rank int, addrs []string, hub *Hub, timeout time.Duration, epoch uint64, cfg TransportConfig) (*NetTransport, error) {
+	if rank < 0 || rank >= len(addrs) {
+		return nil, fmt.Errorf("collective: rank %d outside %d addresses", rank, len(addrs))
+	}
+	if timeout <= 0 {
+		timeout = DefaultRecvTimeout
+	}
+	var own *Hub
+	if !cfg.DisableShm && os.Getenv("TFHPC_NO_SHM") == "" {
+		own = lookupShm(addrs[rank])
+	}
+	t, err := newNetTransport(group, rank, len(addrs), hub, own, timeout, epoch)
+	if err != nil {
+		return nil, err
+	}
 
 	// Establish all edges up front, dialing network peers concurrently.
 	// Peers choose local edges by the same registry lookup, so "its address
 	// is registered here" predicts "its chunks land in our own hub".
 	var wg sync.WaitGroup
-	errs := make([]error, len(t.addrs))
-	for to := range t.addrs {
-		t.inbox[to] = hub
+	errs := make([]error, len(addrs))
+	for to, addr := range addrs {
 		var dst *Hub
 		switch {
 		case to == rank:
 			dst = hub
-		case t.own != nil:
-			if dst = lookupShm(t.addrs[to]); dst != nil {
-				t.inbox[to] = t.own
+		case own != nil:
+			if dst = lookupShm(addr); dst != nil {
+				t.inbox[to] = own
 			}
 		}
 		if dst != nil {
@@ -525,7 +537,7 @@ func NewNetTransport(group string, rank int, addrs []string, hub *Hub, timeout t
 		wg.Add(1)
 		go func(to int) {
 			defer wg.Done()
-			t.edges[to], errs[to] = newStreamEdge(t.addrs[to], group, rank, epoch)
+			t.edges[to], errs[to] = newStreamEdge(addrs[to], group, rank, epoch)
 		}(to)
 	}
 	wg.Wait()
@@ -539,13 +551,13 @@ func NewNetTransport(group string, rank int, addrs []string, hub *Hub, timeout t
 }
 
 // Rank returns this endpoint's position in the group.
-func (t *TCPTransport) Rank() int { return t.rank }
+func (t *NetTransport) Rank() int { return t.rank }
 
 // Size returns the group size.
-func (t *TCPTransport) Size() int { return len(t.addrs) }
+func (t *NetTransport) Size() int { return len(t.edges) }
 
 // fullKey returns the interned epoch-prefixed key.
-func (t *TCPTransport) fullKey(key string) string {
+func (t *NetTransport) fullKey(key string) string {
 	t.keys.Lock()
 	full, ok := t.keys.m[key]
 	if !ok {
@@ -557,9 +569,9 @@ func (t *TCPTransport) fullKey(key string) string {
 }
 
 // Send ships one chunk to the peer over its edge.
-func (t *TCPTransport) Send(to int, key string, tg uint64, ten *tensor.Tensor) error {
-	if to < 0 || to >= len(t.addrs) {
-		return fmt.Errorf("collective: destination rank %d out of %d", to, len(t.addrs))
+func (t *NetTransport) Send(to int, key string, tg uint64, ten *tensor.Tensor) error {
+	if to < 0 || to >= len(t.edges) {
+		return fmt.Errorf("collective: destination rank %d out of %d", to, len(t.edges))
 	}
 	if t.closed.Load() {
 		return fmt.Errorf("collective: rank %d is closed", t.rank)
@@ -574,9 +586,9 @@ func (t *TCPTransport) Send(to int, key string, tg uint64, ten *tensor.Tensor) e
 // transport's receive timeout. Once a newer incarnation has superseded this
 // endpoint's epoch, Recv fails fast with the typed stale-epoch rejection
 // instead of waiting out the timeout.
-func (t *TCPTransport) Recv(from int, key string, tg uint64) (*tensor.Tensor, error) {
-	if from < 0 || from >= len(t.addrs) {
-		return nil, fmt.Errorf("collective: source rank %d out of %d", from, len(t.addrs))
+func (t *NetTransport) Recv(from int, key string, tg uint64) (*tensor.Tensor, error) {
+	if from < 0 || from >= len(t.edges) {
+		return nil, fmt.Errorf("collective: source rank %d out of %d", from, len(t.edges))
 	}
 	g, err := t.inbox[from].groupAt(t.group, t.epochN)
 	if err != nil {
@@ -585,7 +597,7 @@ func (t *TCPTransport) Recv(from int, key string, tg uint64) (*tensor.Tensor, er
 	return g.lane(from).take(t.fullKey(key), tg, t.timeout)
 }
 
-func (t *TCPTransport) closeEdges() {
+func (t *NetTransport) closeEdges() {
 	for _, e := range t.edges {
 		if e != nil {
 			e.close()
@@ -593,13 +605,13 @@ func (t *TCPTransport) closeEdges() {
 	}
 }
 
-// Close releases peer edges and poisons the local group inboxes — but only
-// this epoch's incarnation of them: when a CollInit replacement has already
-// installed a newer membership under the same name, closing the superseded
-// transport must leave the new inbox untouched. The closed epoch stays
-// fenced, so a co-located peer's later send fails instead of re-creating
-// the inbox.
-func (t *TCPTransport) Close() error {
+// Close releases peer edges, which poisons this rank's lanes in its peers'
+// hubs, and poisons the local group inboxes — but only this epoch's
+// incarnation of them: when a CollInit replacement has already installed a
+// newer membership under the same name, closing the superseded transport
+// must leave the new inbox untouched. The closed epoch stays fenced, so a
+// co-located peer's later send fails instead of re-creating the inbox.
+func (t *NetTransport) Close() error {
 	if t.closed.Swap(true) {
 		return nil
 	}

@@ -6,12 +6,12 @@
 // pipelined so communication of one chunk overlaps the reduction of the
 // next, with reductions fanned across the shared gemm worker pool.
 //
-// Two transports implement the same interface: an in-process loopback (tests
-// and single-node runs) and a networked one over the addresses of a cluster
-// spec, in which every task hosts a Hub inbox and each edge picks its
-// carrier by where the peer is — a persistent internal/rpc stream to
-// another process, a pooled copy handed straight to the peer's Hub in this
-// one.
+// One transport carries every group: each rank reads a Hub inbox, and each
+// edge picks its carrier by where the peer is — a persistent internal/rpc
+// stream to another process, a pooled copy handed straight to the peer's
+// Hub in this one. A cluster task builds it over the addresses of a cluster
+// spec (NewNetTransport); tests and single-node runs build it with every
+// rank in this process (NewLoopbackGroups).
 package collective
 
 import (
@@ -32,8 +32,10 @@ type Transport interface {
 	Size() int
 	Send(to int, key string, tag uint64, t *tensor.Tensor) error
 	Recv(from int, key string, tag uint64) (*tensor.Tensor, error)
-	// Close tears the endpoint down; peers blocked on Recv from this rank
-	// fail fast on loopback and time out on TCP.
+	// Close tears the endpoint down. It poisons this rank's lane in every
+	// peer's inbox over any edge type, so a peer blocked on Recv from this
+	// rank fails fast instead of waiting out its receive timeout. The close
+	// of a superseded epoch leaves the membership that replaced it alone.
 	Close() error
 }
 

@@ -274,54 +274,87 @@ func TestShmJumboRecord(t *testing.T) {
 	requireSameF64(t, "jumbo", in, got)
 }
 
-// TestChunkRelayAllocs is the transport-tier allocation gate: a steady-state
-// send → stream → hub → recv round trip may not allocate. Frames recycle
-// through the wire buffer pool, tensors through the rank-1 pool, keys are
-// interned, and the lane timer is reused — one allocation anywhere on the
-// path fails this test.
-func TestChunkRelayAllocs(t *testing.T) {
-	opts := collective.Options{}
-	groups := netGroups(t, 2, opts, collective.TransportConfig{}, false, nil)
-	send, recv := groups[0].Transport(), groups[1].Transport()
-	payload := randVec(7, 512)
-	relay := func() {
-		if err := send.Send(1, "k", 7, payload); err != nil {
-			t.Fatal(err)
-		}
-		got, err := recv.Recv(0, "k", 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tensor.Recycle(got)
-	}
-	for i := 0; i < 200; i++ {
-		relay()
-	}
-	if avg := testing.AllocsPerRun(300, relay); avg != 0 {
-		t.Fatalf("chunk relay allocates %.2f allocs/op, want 0", avg)
+// edgeFabrics builds 2-rank groups over each edge type a peer can be
+// reached by: rpc stream edges, local edges into co-located peers' registered
+// hubs, and NewLoopbackGroups. The co-located case skips under TFHPC_NO_SHM;
+// the other two run everywhere.
+var edgeFabrics = []struct {
+	name  string
+	build func(t *testing.T, opts collective.Options) []*collective.Group
+}{
+	{"stream", func(t *testing.T, opts collective.Options) []*collective.Group {
+		return netGroups(t, 2, opts, collective.TransportConfig{}, false, nil)
+	}},
+	{"colocated", func(t *testing.T, opts collective.Options) []*collective.Group {
+		skipIfNoShm(t)
+		return netGroups(t, 2, opts, collective.TransportConfig{}, true, nil)
+	}},
+	{"inproc", func(t *testing.T, opts collective.Options) []*collective.Group {
+		groups := collective.NewLoopbackGroups(2, opts)
+		t.Cleanup(func() {
+			for _, g := range groups {
+				g.Close()
+			}
+		})
+		return groups
+	}},
+}
+
+// TestRelayAllocs is the transport-tier allocation gate: a steady-state
+// send → edge → hub → recv round trip may not allocate on any edge type.
+// Frames recycle through the wire buffer pool, tensors through the rank-1
+// pool, keys are interned, and the lane timer is reused — one allocation
+// anywhere on the path fails this test.
+func TestRelayAllocs(t *testing.T) {
+	for _, f := range edgeFabrics {
+		t.Run(f.name, func(t *testing.T) {
+			groups := f.build(t, collective.Options{})
+			send, recv := groups[0].Transport(), groups[1].Transport()
+			payload := randVec(7, 512)
+			relay := func() {
+				if err := send.Send(1, "k", 7, payload); err != nil {
+					t.Fatal(err)
+				}
+				got, err := recv.Recv(0, "k", 7)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tensor.Recycle(got)
+			}
+			for i := 0; i < 200; i++ {
+				relay()
+			}
+			if avg := testing.AllocsPerRun(300, relay); avg != 0 {
+				t.Fatalf("%s relay allocates %.2f allocs/op, want 0", f.name, avg)
+			}
+		})
 	}
 }
 
-// TestShmRelayAllocs is the same gate over the shared-memory fast path.
-func TestShmRelayAllocs(t *testing.T) {
-	skipIfNoShm(t)
-	groups := netGroups(t, 2, collective.Options{}, collective.TransportConfig{}, true, nil)
-	send, recv := groups[0].Transport(), groups[1].Transport()
-	payload := randVec(8, 512)
-	relay := func() {
-		if err := send.Send(1, "k", 9, payload); err != nil {
-			t.Fatal(err)
-		}
-		got, err := recv.Recv(0, "k", 9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tensor.Recycle(got)
-	}
-	for i := 0; i < 200; i++ {
-		relay()
-	}
-	if avg := testing.AllocsPerRun(300, relay); avg != 0 {
-		t.Fatalf("shm relay allocates %.2f allocs/op, want 0", avg)
+// TestCloseFailsPeersFast: a rank blocked in Recv from a peer that closes
+// wakes with an error at once on every edge type, rather than waiting out
+// its receive timeout (10 s for the networked groups, none in process).
+func TestCloseFailsPeersFast(t *testing.T) {
+	for _, f := range edgeFabrics {
+		t.Run(f.name, func(t *testing.T) {
+			groups := f.build(t, collective.Options{})
+			done := make(chan error, 1)
+			go func() {
+				_, err := groups[1].Transport().Recv(0, "never", 1)
+				done <- err
+			}()
+			time.Sleep(10 * time.Millisecond)
+			if err := groups[0].Close(); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Fatal("recv from a closed peer succeeded")
+				}
+			case <-time.After(3 * time.Second):
+				t.Fatal("recv from a closed peer still blocked 3 s after its close")
+			}
+		})
 	}
 }
