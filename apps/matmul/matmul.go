@@ -66,12 +66,6 @@ func (c Config) Tasks() []Task {
 	return out
 }
 
-// TaskFlops is the flop count of one tile product (2·t³ for a t×t GEMM).
-func (c Config) TaskFlops() float64 {
-	t := float64(c.Tile)
-	return 2 * t * t * t
-}
-
 // TileBytes is the size of one float32 tile.
 func (c Config) TileBytes() int64 {
 	return int64(c.Tile) * int64(c.Tile) * 4

@@ -8,7 +8,6 @@ import (
 	"tfhpc/internal/checkpoint"
 	"tfhpc/internal/collective"
 	"tfhpc/internal/gemm"
-	"tfhpc/internal/session"
 	"tfhpc/internal/simnet"
 	"tfhpc/internal/tensor"
 )
@@ -46,16 +45,14 @@ type ElasticOptions struct {
 	// StepDelay sleeps before every step — CI uses it to widen the window a
 	// kill -9 must land in.
 	StepDelay time.Duration
-	// Plan injects deterministic faults (CrashRank/CrashAtStep kills that
-	// task at the start of that step, once). The zero value injects nothing.
+	// Plan schedules deterministic faults (CrashRank/CrashAtStep: Kill that
+	// task at the start of that step, once). The zero value schedules none.
 	Plan simnet.FaultPlan
-	// SimRevive is how many boundary probes a simulated kill stays dead for
-	// before the in-process backends report the task alive again (default 1
-	// = revived at the next boundary; -1 = never returns). Real clusters
-	// ignore it — a restarted task answers real health probes.
-	SimRevive int
-	// Kill overrides the backend's crash injection (cluster tests close and
-	// later restart the task's server with it).
+	// Kill is the only crash injection. The driver keeps a killed task out
+	// of the shrink probe until a boundary probe finds it answering again,
+	// so a test may close the task's server and restart it on its old
+	// address at once. nil injects nothing: real deployments crash tasks
+	// from outside (CI: kill -9).
 	Kill func(task int)
 	// Logf receives membership events (shrink, resume, grow). nil discards.
 	Logf func(format string, args ...any)
@@ -94,19 +91,6 @@ type ElasticResult struct {
 	Resumes int
 	// FinalWorkers is the width of the last membership.
 	FinalWorkers int
-}
-
-// elasticBackend is what the generation loop needs from a deployment: build
-// a membership (one session per slot, through which variables load and
-// weights read back), probe liveness, crash on demand. active[i] is the
-// task hosting rank/slot i.
-type elasticBackend interface {
-	setup(active []int, gen int) ([]*session.Session, error)
-	abort(gen int)
-	probe(task int) error
-	announced(task int) bool
-	kill(task int)
-	close()
 }
 
 // elasticPre is the generation-qualified variable prefix of one slot. Shard
@@ -202,9 +186,10 @@ func elasticGraphID(cfg Config) string {
 	return fmt.Sprintf("sgd-elastic:d%d:T%d", cfg.Features, cfg.paramTensors())
 }
 
-// runElastic is the generation loop shared by the loopback and cluster
-// deployments.
-func runElastic(cfg Config, be elasticBackend, opts ElasticOptions) (*ElasticResult, error) {
+// runElastic is the generation loop: be builds each membership (one session
+// per slot, through which variables load and weights read back), probes
+// liveness and injects crashes. active[i] is the task hosting rank/slot i.
+func runElastic(cfg Config, be *clusterElastic, opts ElasticOptions) (*ElasticResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

@@ -9,12 +9,14 @@ import (
 	"tfhpc/internal/session"
 )
 
-// Cluster elastic deployment: one collective group name ("sgd") across all
-// generations, rebuilt by the coordinator with a strictly increasing epoch —
-// the transports' epoch fences are what keep a zombie incarnation's traffic
-// out of the rebuilt group. Liveness is real (Health RPCs with retry), so a
-// kill -9'd task that restarts on its old address is folded back in at the
-// next checkpoint boundary without any driver-side simulation.
+// The elastic deployment, over running task servers (separate processes, or
+// cluster.StartLocal tasks in this one): one collective group name ("sgd")
+// across all generations, rebuilt by the coordinator with a strictly
+// increasing epoch — the transports' epoch fences are what keep a zombie
+// incarnation's traffic out of the rebuilt group. Liveness is real (Health
+// RPCs with retry), so a kill -9'd task that restarts on its old address is
+// folded back in at the next checkpoint boundary without any driver-side
+// simulation.
 
 const elasticClusterGroup = "sgd"
 

@@ -31,6 +31,45 @@ func crashPlan(task, step int) simnet.FaultPlan {
 	return plan
 }
 
+// elasticLocal runs RunElasticCluster over cfg.Workers task servers started
+// in this process. opts.Kill closes the victim's server; with revive it
+// restarts the task on its old address at once, and the driver folds it back
+// in at the next checkpoint boundary whose probe finds it answering.
+func elasticLocal(t *testing.T, cfg Config, opts ElasticOptions, revive bool) (*ElasticResult, error) {
+	t.Helper()
+	const job = "worker"
+	lc, err := cluster.StartLocal(map[string]int{job: cfg.Workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(lc.Close)
+	peers := cluster.NewPeers(lc.Spec())
+	t.Cleanup(peers.Close)
+	opts.Kill = func(task int) {
+		lc.Server(job, task).Close()
+		if !revive {
+			return
+		}
+		srv := cluster.NewServer(job, task)
+		if _, err := srv.Start(lc.Spec()[job][task]); err != nil {
+			t.Errorf("restart task %d: %v", task, err)
+			return
+		}
+		lc.Servers[job][task] = srv
+	}
+	return RunElasticCluster(cfg, peers, ClusterOptions{HealthWait: 5 * time.Second}, opts)
+}
+
+// baselineLoss is the final loss of the uninterrupted non-elastic driver.
+func baselineLoss(t *testing.T, cfg Config) float64 {
+	t.Helper()
+	res, err := RunReal(cfg)
+	if err != nil {
+		t.Fatalf("baseline: %v", err)
+	}
+	return res.FinalLoss
+}
+
 // lossWithin asserts the elastic run's final loss is within rel of the
 // uninterrupted baseline — the convergence-equivalence bar from the paper's
 // checkpoint-restart pitch.
@@ -46,7 +85,7 @@ func lossWithin(t *testing.T, got, baseline, rel float64) {
 
 func TestElasticUninterrupted(t *testing.T) {
 	cfg := elasticConfig(4)
-	res, err := RunElasticReal(cfg, ElasticOptions{CkptEvery: 4})
+	res, err := elasticLocal(t, cfg, ElasticOptions{CkptEvery: 4}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,6 +101,7 @@ func TestElasticUninterrupted(t *testing.T) {
 	if res.FinalLoss >= res.InitialLoss/10 {
 		t.Fatalf("loss barely moved: %g -> %g", res.InitialLoss, res.FinalLoss)
 	}
+	lossWithin(t, res.FinalLoss, baselineLoss(t, cfg), 1e-3)
 }
 
 // TestElasticShrinkResume: kill one rank mid-run at 2..5 ranks; the run must
@@ -70,15 +110,10 @@ func TestElasticUninterrupted(t *testing.T) {
 func TestElasticShrinkResume(t *testing.T) {
 	for p := 2; p <= 5; p++ {
 		cfg := elasticConfig(p)
-		baseline, err := RunElasticReal(cfg, ElasticOptions{CkptEvery: 4})
-		if err != nil {
-			t.Fatalf("p=%d baseline: %v", p, err)
-		}
-		res, err := RunElasticReal(cfg, ElasticOptions{
+		res, err := elasticLocal(t, cfg, ElasticOptions{
 			CkptEvery: 4,
 			Plan:      crashPlan(p-1, 7),
-			SimRevive: -1, // stays dead: pure shrink
-		})
+		}, false)
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
@@ -94,23 +129,19 @@ func TestElasticShrinkResume(t *testing.T) {
 		if !res.ReplicasEqual {
 			t.Fatalf("p=%d: survivors diverged", p)
 		}
-		lossWithin(t, res.FinalLoss, baseline.FinalLoss, 1e-3)
+		lossWithin(t, res.FinalLoss, baselineLoss(t, cfg), 1e-3)
 	}
 }
 
-// TestElasticShrinkThenGrow: the killed task answers probes again after one
-// boundary, so the run must return to full width and still converge.
+// TestElasticShrinkThenGrow: the killed task answers probes again at once,
+// so the run must shrink, return to full width at the next boundary, and
+// still converge.
 func TestElasticShrinkThenGrow(t *testing.T) {
 	cfg := elasticConfig(4)
-	baseline, err := RunElasticReal(cfg, ElasticOptions{CkptEvery: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunElasticReal(cfg, ElasticOptions{
+	res, err := elasticLocal(t, cfg, ElasticOptions{
 		CkptEvery: 3,
 		Plan:      crashPlan(2, 5),
-		SimRevive: 1,
-	})
+	}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +157,7 @@ func TestElasticShrinkThenGrow(t *testing.T) {
 	if !res.ReplicasEqual {
 		t.Fatal("replicas diverged after grow-back")
 	}
-	lossWithin(t, res.FinalLoss, baseline.FinalLoss, 1e-3)
+	lossWithin(t, res.FinalLoss, baselineLoss(t, cfg), 1e-3)
 }
 
 // TestElasticShrinkDuringFusion: the crash lands while the per-step gradient
@@ -136,15 +167,10 @@ func TestElasticShrinkDuringFusion(t *testing.T) {
 	cfg := elasticConfig(3)
 	cfg.ParamTensors = 4
 	cfg.Fuse = true
-	baseline, err := RunElasticReal(cfg, ElasticOptions{CkptEvery: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunElasticReal(cfg, ElasticOptions{
+	res, err := elasticLocal(t, cfg, ElasticOptions{
 		CkptEvery: 4,
 		Plan:      crashPlan(1, 6),
-		SimRevive: -1,
-	})
+	}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,19 +180,18 @@ func TestElasticShrinkDuringFusion(t *testing.T) {
 	if !res.ReplicasEqual {
 		t.Fatal("replicas diverged")
 	}
-	lossWithin(t, res.FinalLoss, baseline.FinalLoss, 1e-3)
+	lossWithin(t, res.FinalLoss, baselineLoss(t, cfg), 1e-3)
 }
 
 // TestElasticMinWorkers: losing a rank with the floor at full width is not
 // survivable and must fail, not hang.
 func TestElasticMinWorkers(t *testing.T) {
 	cfg := elasticConfig(2)
-	_, err := RunElasticReal(cfg, ElasticOptions{
+	_, err := elasticLocal(t, cfg, ElasticOptions{
 		CkptEvery:  4,
 		MinWorkers: 2,
 		Plan:       crashPlan(1, 3),
-		SimRevive:  -1,
-	})
+	}, false)
 	if err == nil {
 		t.Fatal("run below MinWorkers should fail")
 	}
@@ -177,12 +202,11 @@ func TestElasticMinWorkers(t *testing.T) {
 func TestElasticCheckpointFile(t *testing.T) {
 	cfg := elasticConfig(3)
 	path := filepath.Join(t.TempDir(), "elastic.ckpt")
-	res, err := RunElasticReal(cfg, ElasticOptions{
+	res, err := elasticLocal(t, cfg, ElasticOptions{
 		CkptPath:  path,
 		CkptEvery: 4,
 		Plan:      crashPlan(1, 5),
-		SimRevive: -1,
-	})
+	}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,11 +228,11 @@ func TestElasticCheckpointFile(t *testing.T) {
 	}
 }
 
-// TestElasticClusterShrinkGrow is the end-to-end shape over real task
-// servers and TCP: kill a server mid-run, restart it on its old address, and
-// require shrink → resume → grow with convergence within tolerance —
-// exactly what the elastic smoke leg (./smoke) asserts across real
-// processes.
+// TestElasticClusterShrinkGrow is the elastic smoke leg's shape (./smoke,
+// real processes) in one process: kill a server mid-run, restart it on its
+// old address only later, with the steps paced so it is back before the run
+// ends, and require shrink → resume → grow with convergence within
+// tolerance.
 func TestElasticClusterShrinkGrow(t *testing.T) {
 	cfg := elasticConfig(4)
 	cfg.Steps = 21
@@ -220,11 +244,6 @@ func TestElasticClusterShrinkGrow(t *testing.T) {
 	defer lc.Close()
 	peers := cluster.NewPeers(lc.Spec())
 	defer peers.Close()
-
-	baseline, err := RunElasticReal(cfg, ElasticOptions{CkptEvery: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	const victim = 2
 	addr := lc.Spec()[job][victim]
@@ -267,29 +286,23 @@ func TestElasticClusterShrinkGrow(t *testing.T) {
 	if !res.ReplicasEqual {
 		t.Fatal("replicas diverged")
 	}
-	lossWithin(t, res.FinalLoss, baseline.FinalLoss, 1e-3)
+	lossWithin(t, res.FinalLoss, baselineLoss(t, cfg), 1e-3)
 }
 
-// TestElasticClusterPureShrink: 2..3 ranks over TCP, victim never returns.
+// TestElasticClusterPureShrink: a killed task never returns, so the run must
+// shrink once, finish on the survivors, and land within tolerance of the
+// uninterrupted elastic run at the same width.
 func TestElasticClusterPureShrink(t *testing.T) {
 	for p := 2; p <= 3; p++ {
 		cfg := elasticConfig(p)
-		const job = "worker"
-		lc, err := cluster.StartLocal(map[string]int{job: cfg.Workers})
+		baseline, err := elasticLocal(t, cfg, ElasticOptions{CkptEvery: 4}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		peers := cluster.NewPeers(lc.Spec())
-
-		baseline, err := RunElasticReal(cfg, ElasticOptions{CkptEvery: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := RunElasticCluster(cfg, peers, ClusterOptions{HealthWait: 5 * time.Second}, ElasticOptions{
+		res, err := elasticLocal(t, cfg, ElasticOptions{
 			CkptEvery: 4,
 			Plan:      crashPlan(p-1, 6),
-			Kill:      func(task int) { lc.Server(job, task).Close() },
-		})
+		}, false)
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
@@ -300,7 +313,5 @@ func TestElasticClusterPureShrink(t *testing.T) {
 			t.Fatalf("p=%d: survivors diverged", p)
 		}
 		lossWithin(t, res.FinalLoss, baseline.FinalLoss, 1e-3)
-		peers.Close()
-		lc.Close()
 	}
 }

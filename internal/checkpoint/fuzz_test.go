@@ -1,0 +1,64 @@
+package checkpoint
+
+import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"testing"
+
+	"tfhpc/internal/tensor"
+)
+
+// withTrailer appends a valid integrity trailer to payload.
+func withTrailer(payload []byte) []byte {
+	out := append([]byte(nil), payload...)
+	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, crcTable))
+	return append(out, trailerMagic...)
+}
+
+// FuzzCheckpointDecode feeds arbitrary payloads to Decode behind a valid CRC
+// trailer, so they get past the checksum to the field and tensor parsers.
+// No input may panic, and an accepted checkpoint must re-encode to bytes
+// that decode and re-encode unchanged.
+func FuzzCheckpointDecode(f *testing.F) {
+	ck := &Checkpoint{GraphID: "cg:v1", Step: 250, Vars: map[string]*tensor.Tensor{
+		"x":     tensor.FromF64(tensor.Shape{4}, []float64{1, 2, 3, 4}),
+		"scale": tensor.ScalarF64(0.5),
+		"m":     tensor.New(tensor.Float32, 2, 3),
+	}}
+	buf, err := ck.Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	payload := buf[:len(buf)-8]
+	f.Add(payload)
+	f.Add(payload[:len(payload)-3]) // last entry cut short
+	f.Add([]byte{})
+	f.Add([]byte{0x1a, 0x02, 0x0a, 0x00})             // entry with an empty name and no tensor
+	f.Add([]byte{0x1a, 0x04, 0x12, 0x02, 0xee, 0x00}) // entry whose tensor has a bad dtype
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		c, err := Decode(withTrailer(payload))
+		if err != nil {
+			return
+		}
+		enc, err := c.Encode()
+		if err != nil {
+			t.Fatalf("accepted checkpoint fails to encode: %v", err)
+		}
+		again, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("re-encoded checkpoint fails to decode: %v", err)
+		}
+		if again.GraphID != c.GraphID || again.Step != c.Step || len(again.Vars) != len(c.Vars) {
+			t.Fatalf("round trip changed the checkpoint: %q/%d/%d vars vs %q/%d/%d vars",
+				again.GraphID, again.Step, len(again.Vars), c.GraphID, c.Step, len(c.Vars))
+		}
+		encAgain, err := again.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, encAgain) {
+			t.Fatal("encode → decode → encode changed the bytes")
+		}
+	})
+}

@@ -322,8 +322,9 @@ type TransportConfig struct {
 	DisableShm bool
 }
 
-// edge is one rank's sending half of a peer link. key is the full
-// epoch-fenced key; the tensor is only read during the call.
+// edge is one rank's sending half of a peer link. The edge carries its
+// epoch, which picks the receiving lane set, so key is the collective's own
+// key; the tensor is only read during the call.
 type edge interface {
 	send(key string, tg uint64, t *tensor.Tensor) error
 	close()
@@ -443,19 +444,12 @@ type NetTransport struct {
 	// own is this task's registered hub when co-located edges are on, nil
 	// otherwise. It is hub itself on a cluster.Server.
 	own *Hub
-	// epoch fences group incarnations: it prefixes every message key, so a
-	// chunk still in flight from an aborted run can never match a collective
-	// of the membership that replaced it (all ranks of one incarnation must
-	// share the epoch — CollInit distributes it).
-	epoch  string
-	epochN uint64
-
-	// keys interns epoch-prefixed keys so the per-chunk Send/Recv path does
-	// not re-concatenate (and so re-allocate) the same string.
-	keys struct {
-		sync.Mutex
-		m map[string]string
-	}
+	// epoch names this group incarnation; all its ranks share it (CollInit
+	// distributes it). Every hub keeps one lane set per (group, epoch), and
+	// each edge carries its epoch to the receiving hub, so a chunk still in
+	// flight from an aborted run can never match a collective of the
+	// membership that replaced it.
+	epoch uint64
 
 	edges  []edge
 	closed atomic.Bool
@@ -482,15 +476,13 @@ func newNetTransport(group string, rank, size int, hub, own *Hub, timeout time.D
 		hub:     hub,
 		timeout: timeout,
 		own:     own,
-		epoch:   fmt.Sprintf("%d\x00", epoch),
-		epochN:  epoch,
+		epoch:   epoch,
 		inbox:   make([]*Hub, size),
 		edges:   make([]edge, size),
 	}
 	for from := range t.inbox {
 		t.inbox[from] = hub
 	}
-	t.keys.m = make(map[string]string)
 	return t, nil
 }
 
@@ -556,18 +548,6 @@ func (t *NetTransport) Rank() int { return t.rank }
 // Size returns the group size.
 func (t *NetTransport) Size() int { return len(t.edges) }
 
-// fullKey returns the interned epoch-prefixed key.
-func (t *NetTransport) fullKey(key string) string {
-	t.keys.Lock()
-	full, ok := t.keys.m[key]
-	if !ok {
-		full = t.epoch + key
-		t.keys.m[key] = full
-	}
-	t.keys.Unlock()
-	return full
-}
-
 // Send ships one chunk to the peer over its edge.
 func (t *NetTransport) Send(to int, key string, tg uint64, ten *tensor.Tensor) error {
 	if to < 0 || to >= len(t.edges) {
@@ -576,7 +556,7 @@ func (t *NetTransport) Send(to int, key string, tg uint64, ten *tensor.Tensor) e
 	if t.closed.Load() {
 		return fmt.Errorf("collective: rank %d is closed", t.rank)
 	}
-	if err := t.edges[to].send(t.fullKey(key), tg, ten); err != nil {
+	if err := t.edges[to].send(key, tg, ten); err != nil {
 		return fmt.Errorf("collective: send to rank %d: %w", to, err)
 	}
 	return nil
@@ -590,11 +570,11 @@ func (t *NetTransport) Recv(from int, key string, tg uint64) (*tensor.Tensor, er
 	if from < 0 || from >= len(t.edges) {
 		return nil, fmt.Errorf("collective: source rank %d out of %d", from, len(t.edges))
 	}
-	g, err := t.inbox[from].groupAt(t.group, t.epochN)
+	g, err := t.inbox[from].groupAt(t.group, t.epoch)
 	if err != nil {
 		return nil, err
 	}
-	return g.lane(from).take(t.fullKey(key), tg, t.timeout)
+	return g.lane(from).take(key, tg, t.timeout)
 }
 
 func (t *NetTransport) closeEdges() {
@@ -616,9 +596,9 @@ func (t *NetTransport) Close() error {
 		return nil
 	}
 	t.closeEdges()
-	t.hub.CloseGroupEpoch(t.group, t.epochN)
+	t.hub.CloseGroupEpoch(t.group, t.epoch)
 	if t.own != nil {
-		t.own.CloseGroupEpoch(t.group, t.epochN)
+		t.own.CloseGroupEpoch(t.group, t.epoch)
 	}
 	return nil
 }

@@ -303,8 +303,8 @@ var edgeFabrics = []struct {
 // TestRelayAllocs is the transport-tier allocation gate: a steady-state
 // send → edge → hub → recv round trip may not allocate on any edge type.
 // Frames recycle through the wire buffer pool, tensors through the rank-1
-// pool, keys are interned, and the lane timer is reused — one allocation
-// anywhere on the path fails this test.
+// pool, a stream edge reuses its last key string, and the lane timer is
+// reused — one allocation anywhere on the path fails this test.
 func TestRelayAllocs(t *testing.T) {
 	for _, f := range edgeFabrics {
 		t.Run(f.name, func(t *testing.T) {

@@ -1,158 +1,18 @@
 // Package core is the data-driven HPC programming layer — the paper's
-// primary contribution, factored out of its four applications: queue-based
-// reduction services (Fig. 5), tiled-matrix stores streamed from .npy files
-// (Fig. 4), virtual-platform placements that realise Table I, and the
-// strong-scaling result bookkeeping every experiment shares.
+// primary contribution, factored out of its four applications: tiled-matrix
+// stores streamed from .npy files (Fig. 4), virtual-platform placements that
+// realise Table I, and the strong-scaling result bookkeeping every
+// experiment shares. The paper's Fig. 5 queue-based reduction service is not
+// here: the apps reduce with collectives instead — matmul with an in-graph
+// ReduceScatter + AllGatherV, cg and sgd with ring allreduces
+// (internal/collective).
 package core
 
 import (
 	"fmt"
 
 	"tfhpc/internal/hw"
-	"tfhpc/internal/ops"
-	"tfhpc/internal/queue"
-	"tfhpc/internal/tensor"
 )
-
-// Reducer is the paper's two-queue data-driven reduction service (Fig. 5):
-// workers push partial values into the incoming queue and block on an
-// outgoing queue; the reducer combines one value per worker per round and
-// publishes one copy of the result per worker. It generalises the
-// token-queue pattern of TensorFlow's SyncReplicasOptimizer.
-//
-// Unlike the figure's single outgoing queue, each worker dequeues from its
-// own outgoing lane: with one shared queue a fast worker could consume a
-// slower worker's copy as its own next-round value, corrupting rounds and
-// deadlocking the service (workers may race one full round ahead, so
-// partials must also be matched to rounds by worker identity).
-type Reducer struct {
-	workers int
-	in      *queue.FIFO
-	out     []*queue.FIFO
-	combine func(a, b *tensor.Tensor) (*tensor.Tensor, error)
-	done    chan error
-}
-
-// SumCombiner adds two partials (any numeric dtype the Add kernel accepts).
-func SumCombiner(a, b *tensor.Tensor) (*tensor.Tensor, error) {
-	return ops.Run("Add", &ops.Context{NodeName: "reduce"}, []*tensor.Tensor{a, b})
-}
-
-// NewReducer starts the reduction service for the given worker count. It
-// serves rounds until Close is called: each round consumes exactly one
-// partial from every worker and emits one copy of the combined value per
-// worker.
-func NewReducer(workers int, combine func(a, b *tensor.Tensor) (*tensor.Tensor, error)) *Reducer {
-	if workers <= 0 {
-		panic("core: reducer needs at least one worker")
-	}
-	if combine == nil {
-		combine = SumCombiner
-	}
-	r := &Reducer{
-		workers: workers,
-		in:      queue.New(0),
-		out:     make([]*queue.FIFO, workers),
-		combine: combine,
-		done:    make(chan error, 1),
-	}
-	for w := range r.out {
-		r.out[w] = queue.New(0)
-	}
-	go r.serve()
-	return r
-}
-
-func (r *Reducer) serve() {
-	closeAll := func() {
-		for _, q := range r.out {
-			q.Close()
-		}
-	}
-	// Workers may run up to one round ahead; buffer early partials per
-	// worker so every round combines exactly one value from each.
-	pending := make([][]*tensor.Tensor, r.workers)
-	for {
-		var result *tensor.Tensor
-		contributed := make([]bool, r.workers)
-		have := 0
-		for have < r.workers {
-			progressed := false
-			for w := 0; w < r.workers; w++ {
-				if contributed[w] || len(pending[w]) == 0 {
-					continue
-				}
-				v := pending[w][0]
-				pending[w] = pending[w][1:]
-				contributed[w] = true
-				if result == nil {
-					result = v
-				} else {
-					var err error
-					if result, err = r.combine(result, v); err != nil {
-						r.done <- err
-						closeAll()
-						return
-					}
-				}
-				have++
-				progressed = true
-			}
-			if have >= r.workers {
-				break
-			}
-			if !progressed {
-				item, err := r.in.Dequeue()
-				if err == queue.ErrClosed && have == 0 {
-					closeAll()
-					r.done <- nil
-					return
-				}
-				if err != nil {
-					r.done <- fmt.Errorf("core: reducer lost workers mid-round: %w", err)
-					closeAll()
-					return
-				}
-				w := int(item[0].ScalarInt())
-				if w < 0 || w >= r.workers {
-					r.done <- fmt.Errorf("core: reducer got partial from unknown worker %d", w)
-					closeAll()
-					return
-				}
-				pending[w] = append(pending[w], item[1])
-			}
-		}
-		for w := 0; w < r.workers; w++ {
-			if err := r.out[w].Enqueue(queue.Item{result}); err != nil {
-				r.done <- err
-				return
-			}
-		}
-	}
-}
-
-// Reduce is worker w's call: push a partial, wait for the round's combined
-// value.
-func (r *Reducer) Reduce(w int, partial *tensor.Tensor) (*tensor.Tensor, error) {
-	if w < 0 || w >= r.workers {
-		return nil, fmt.Errorf("core: worker %d out of %d", w, r.workers)
-	}
-	if err := r.in.Enqueue(queue.Item{tensor.ScalarI64(int64(w)), partial}); err != nil {
-		return nil, err
-	}
-	item, err := r.out[w].Dequeue()
-	if err != nil {
-		return nil, err
-	}
-	return item[0], nil
-}
-
-// Close shuts the service down after the current round and waits for the
-// serving goroutine to exit.
-func (r *Reducer) Close() error {
-	r.in.Close()
-	return <-r.done
-}
 
 // Placement realises Table I on the virtual platform: it assigns gpus GPU
 // engines to TensorFlow instances packed onto as few nodes as the node

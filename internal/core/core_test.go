@@ -3,111 +3,12 @@ package core
 import (
 	"math"
 	"path/filepath"
-	"sync"
 	"testing"
 
 	"tfhpc/internal/hw"
 	"tfhpc/internal/npy"
 	"tfhpc/internal/tensor"
 )
-
-func TestReducerSumsScalarsAcrossWorkers(t *testing.T) {
-	const workers = 4
-	r := NewReducer(workers, nil)
-	var wg sync.WaitGroup
-	results := make([]float64, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			got, err := r.Reduce(w, tensor.ScalarF64(float64(w+1)))
-			if err != nil {
-				t.Errorf("worker %d: %v", w, err)
-				return
-			}
-			results[w] = got.ScalarFloat()
-		}(w)
-	}
-	wg.Wait()
-	for w, v := range results {
-		if v != 10 { // 1+2+3+4
-			t.Fatalf("worker %d got %v, want 10", w, v)
-		}
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestReducerMultipleRounds(t *testing.T) {
-	const workers, rounds = 3, 10
-	r := NewReducer(workers, nil)
-	defer r.Close()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for round := 0; round < rounds; round++ {
-				got, err := r.Reduce(w, tensor.ScalarF64(1))
-				if err != nil {
-					t.Errorf("round %d: %v", round, err)
-					return
-				}
-				if got.ScalarFloat() != workers {
-					t.Errorf("round %d: got %v", round, got.ScalarFloat())
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-func TestReducerVectorCombine(t *testing.T) {
-	r := NewReducer(2, nil)
-	defer r.Close()
-	var wg sync.WaitGroup
-	var got *tensor.Tensor
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		got, _ = r.Reduce(0, tensor.FromF64(tensor.Shape{2}, []float64{1, 2}))
-	}()
-	go func() {
-		defer wg.Done()
-		r.Reduce(1, tensor.FromF64(tensor.Shape{2}, []float64{10, 20}))
-	}()
-	wg.Wait()
-	if got.F64()[0] != 11 || got.F64()[1] != 22 {
-		t.Fatalf("vector reduce = %v", got.F64())
-	}
-}
-
-func TestReducerCustomCombiner(t *testing.T) {
-	maxCombine := func(a, b *tensor.Tensor) (*tensor.Tensor, error) {
-		if a.ScalarFloat() >= b.ScalarFloat() {
-			return a, nil
-		}
-		return b, nil
-	}
-	r := NewReducer(2, maxCombine)
-	defer r.Close()
-	var wg sync.WaitGroup
-	vals := make([]float64, 2)
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			got, _ := r.Reduce(w, tensor.ScalarF64(float64((w+1)*7)))
-			vals[w] = got.ScalarFloat()
-		}(w)
-	}
-	wg.Wait()
-	if vals[0] != 14 || vals[1] != 14 {
-		t.Fatalf("max reduce = %v", vals)
-	}
-}
 
 func TestPlacementTableI(t *testing.T) {
 	cases := []struct {

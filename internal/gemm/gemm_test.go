@@ -369,13 +369,6 @@ func TestDotAxpyAdd(t *testing.T) {
 			t.Fatalf("Axpy64[%d]", i)
 		}
 	}
-	dst := append([]float64(nil), x...)
-	Add64(dst, y)
-	for i := range dst {
-		if math.Abs(dst[i]-(x[i]+y[i])) > 1e-12 {
-			t.Fatalf("Add64[%d]", i)
-		}
-	}
 	z32 := make([]float32, n)
 	Axpy32(0.5, x32, y32, z32)
 	for i := range z32 {

@@ -123,15 +123,6 @@ func Add32(dst, src []float32) {
 	})
 }
 
-// Add64 accumulates src into dst element-wise (dst += src).
-func Add64(dst, src []float64) {
-	ParallelFor(len(dst), 1<<14, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] += src[i]
-		}
-	})
-}
-
 // transposeBlk is the square cache block of the out-of-place transpose.
 const transposeBlk = 32
 

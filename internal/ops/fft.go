@@ -108,22 +108,6 @@ func irfftKernel(_ *Context, in []*tensor.Tensor) (*tensor.Tensor, error) {
 	return tensor.FromF64(tensor.Shape{n}, x), nil
 }
 
-// FFTInPlace runs a planned in-place transform over a (whose length must be
-// a power of two), forward or inverse. The inverse includes the 1/n
-// normalisation. This is the compatibility entry point older callers use;
-// it routes through the engine's plan cache, so — unlike the seed's
-// radix-2 loop — it does not allocate or recompute twiddle tables per call.
-func FFTInPlace(a []complex128, inverse bool) error {
-	if len(a) == 0 {
-		return nil
-	}
-	p, err := fft.PlanFor(len(a))
-	if err != nil {
-		return err
-	}
-	return p.Transform(a, inverse)
-}
-
 // NaiveDFT computes the O(n²) discrete Fourier transform, used as the
 // reference in tests and for the merger's correctness checks. Each phase
 // k·j is reduced mod n before it indexes one table of n roots, so the

@@ -348,17 +348,6 @@ func (f *Fleet) RemoveCanary(model string) {
 	}
 }
 
-// CanaryVersion reports the in-flight canary's version, if any.
-func (f *Fleet) CanaryVersion(model string) (int, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	dep, ok := f.canaries[model]
-	if !ok {
-		return 0, false
-	}
-	return dep.version, true
-}
-
 // peers builds a Peers view of the current membership for Health probing.
 func (f *Fleet) peers(addrs []string) *cluster.Peers {
 	return cluster.NewPeers(cluster.Spec{f.job: addrs})

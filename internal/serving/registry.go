@@ -11,17 +11,13 @@ import (
 // refs pin their version until released, so a swap never tears weights out
 // from under an in-flight batch and never drops queued requests.
 type Registry struct {
-	mu      sync.RWMutex
-	active  map[string]*ModelVersion
-	history map[string][]*ModelVersion
+	mu     sync.RWMutex
+	active map[string]*ModelVersion
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		active:  make(map[string]*ModelVersion),
-		history: make(map[string][]*ModelVersion),
-	}
+	return &Registry{active: make(map[string]*ModelVersion)}
 }
 
 // Serve installs mv as its model's active version and returns the replaced
@@ -32,25 +28,11 @@ func (r *Registry) Serve(mv *ModelVersion) *ModelVersion {
 	r.mu.Lock()
 	old := r.active[mv.model]
 	r.active[mv.model] = mv
-	r.history[mv.model] = append(r.pruneLocked(mv.model), mv)
 	r.mu.Unlock()
 	if old != nil {
 		old.startDrain()
 	}
 	return old
-}
-
-// pruneLocked drops fully drained ("unloaded") versions from a model's
-// history so a long-running server swapping on every retrain doesn't pin
-// every retired version's weights forever. Caller holds r.mu.
-func (r *Registry) pruneLocked(model string) []*ModelVersion {
-	kept := r.history[model][:0]
-	for _, v := range r.history[model] {
-		if v == r.active[model] || v.State() != "unloaded" {
-			kept = append(kept, v)
-		}
-	}
-	return kept
 }
 
 // Unload retires a model: no new acquires; returns the retired version
@@ -59,11 +41,6 @@ func (r *Registry) Unload(model string) *ModelVersion {
 	r.mu.Lock()
 	old := r.active[model]
 	delete(r.active, model)
-	if kept := r.pruneLocked(model); len(kept) > 0 {
-		r.history[model] = kept
-	} else {
-		delete(r.history, model)
-	}
 	r.mu.Unlock()
 	if old != nil {
 		old.startDrain()
@@ -125,14 +102,6 @@ func (r *Registry) Models() []ModelStatus {
 	r.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// Versions lists every version ever served for the model, oldest first —
-// the retired ones report "draining"/"unloaded".
-func (r *Registry) Versions(model string) []*ModelVersion {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return append([]*ModelVersion(nil), r.history[model]...)
 }
 
 // Ready reports whether at least one model is being served.

@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"testing"
 	"time"
-
-	"tfhpc/internal/timeline"
 )
 
 // resetTracer empties the recorded event buffer between tests. Tracing
@@ -157,51 +155,5 @@ func TestFlowIDDeterministicNonzero(t *testing.T) {
 	}
 	if FlowID(0) == 0 || FlowID() == 0 {
 		t.Fatal("FlowID minted the reserved zero id")
-	}
-}
-
-func TestBindTimeline(t *testing.T) {
-	Enable()
-	resetTracer()
-
-	tr := timeline.New()
-	parent := StartRoot("step")
-	BindTimeline(tr, parent)
-	tr.AddSpan("matmul", "MatMul", "/device:CPU:0", 0.001, 0.002)
-	parent.End()
-
-	b, err := MarshalChromeTrace()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(b, &doc); err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, ev := range doc.TraceEvents {
-		if ev["name"] != "matmul" {
-			continue
-		}
-		found = true
-		args := ev["args"].(map[string]any)
-		if args["parent"] != hexID(parent.Context().Span) {
-			t.Fatalf("op span not a child of the step span: %v", args)
-		}
-		if args["op"] != "MatMul" || args["device"] != "/device:CPU:0" {
-			t.Fatalf("op annotations lost: %v", args)
-		}
-	}
-	if !found {
-		t.Fatal("timeline op never became a span")
-	}
-
-	// Nil parent must leave the trace untouched.
-	tr2 := timeline.New()
-	BindTimeline(tr2, nil)
-	if tr2.Observer != nil {
-		t.Fatal("BindTimeline installed an observer for a nil parent")
 	}
 }

@@ -64,11 +64,6 @@ func (d DType) IsFloat() bool { return d == Float32 || d == Float64 }
 // IsComplex reports whether d is a complex type.
 func (d DType) IsComplex() bool { return d == Complex64 || d == Complex128 }
 
-// IsNumeric reports whether arithmetic kernels accept the type.
-func (d DType) IsNumeric() bool {
-	return d.IsFloat() || d.IsComplex() || d == Int32 || d == Int64
-}
-
 // Shape describes the extent of each tensor dimension. A nil or empty shape
 // is a scalar (rank 0).
 type Shape []int

@@ -26,15 +26,6 @@ type Trace struct {
 	mu     sync.Mutex
 	start  time.Time
 	events []Event
-	// VirtualNow, when set, supplies timestamps from a simulation clock
-	// instead of the wall clock.
-	VirtualNow func() float64
-	// Observer, when set, sees every event as it is recorded (after it is
-	// stored; invoked outside the trace lock so it may call back into the
-	// trace). The telemetry tier binds one to lift op events into
-	// distributed-trace child spans. Set it before the first Add; it is
-	// only read under the trace lock.
-	Observer func(Event)
 }
 
 // New returns an empty trace anchored at the current wall time.
@@ -42,26 +33,14 @@ func New() *Trace {
 	return &Trace{start: time.Now()}
 }
 
-// Start returns the wall-clock anchor trace-relative timestamps count from.
-func (t *Trace) Start() time.Time { return t.start }
-
 // Now returns the trace-relative timestamp in seconds.
-func (t *Trace) Now() float64 {
-	if t.VirtualNow != nil {
-		return t.VirtualNow()
-	}
-	return time.Since(t.start).Seconds()
-}
+func (t *Trace) Now() float64 { return time.Since(t.start).Seconds() }
 
 // Add records one event.
 func (t *Trace) Add(ev Event) {
 	t.mu.Lock()
 	t.events = append(t.events, ev)
-	obs := t.Observer
 	t.mu.Unlock()
-	if obs != nil {
-		obs(ev)
-	}
 }
 
 // AddSpan records an op that ran from start to end (trace-relative seconds).

@@ -21,19 +21,6 @@ func TestAddAndOrderedEvents(t *testing.T) {
 	}
 }
 
-func TestVirtualClock(t *testing.T) {
-	tr := New()
-	now := 0.0
-	tr.VirtualNow = func() float64 { return now }
-	if tr.Now() != 0 {
-		t.Fatal("virtual clock ignored")
-	}
-	now = 42.5
-	if tr.Now() != 42.5 {
-		t.Fatal("virtual clock not live")
-	}
-}
-
 func TestWallClockMonotone(t *testing.T) {
 	tr := New()
 	a := tr.Now()
@@ -159,76 +146,5 @@ func TestConcurrentSessionsShareTrace(t *testing.T) {
 	}
 	if len(lanes) != sessions || spans != sessions*opsPer {
 		t.Fatalf("lanes=%d spans=%d", len(lanes), spans)
-	}
-}
-
-// TestConcurrentVirtualAndWallTraces runs a virtual-clock trace and a
-// wall-clock trace side by side under concurrent writers: the clocks must not
-// bleed into each other (session isolation is per-Trace state, not global).
-func TestConcurrentVirtualAndWallTraces(t *testing.T) {
-	virt, wall := New(), New()
-	virt.VirtualNow = func() float64 { return 1000 }
-	var wg sync.WaitGroup
-	for i := 0; i < 50; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			now := virt.Now()
-			virt.AddSpan("v", "Add", "/device:CPU:0", now, now+1)
-			wall.AddSpan("w", "Add", "/device:CPU:0", wall.Now(), wall.Now())
-		}(i)
-	}
-	wg.Wait()
-	if virt.Len() != 50 || wall.Len() != 50 {
-		t.Fatalf("lost events: virt=%d wall=%d", virt.Len(), wall.Len())
-	}
-	for _, ev := range virt.Events() {
-		if ev.Start != 1000 {
-			t.Fatalf("virtual trace saw non-virtual timestamp %v", ev.Start)
-		}
-	}
-	for _, ev := range wall.Events() {
-		if ev.Start >= 1000 {
-			t.Fatalf("wall trace saw virtual timestamp %v", ev.Start)
-		}
-	}
-}
-
-// TestObserverUnderConcurrency pins the Observer contract: it sees exactly
-// one callback per Add, outside the trace lock (calling back into the trace
-// must not deadlock), even with many concurrent recorders.
-func TestObserverUnderConcurrency(t *testing.T) {
-	tr := New()
-	var seen sync.Map
-	var calls, reentrant int64
-	var mu sync.Mutex
-	tr.Observer = func(ev Event) {
-		mu.Lock()
-		calls++
-		reentrant = int64(tr.Len()) // would deadlock if invoked under tr.mu
-		mu.Unlock()
-		seen.Store(ev.Start, true)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 100; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			tr.AddSpan("op", "Add", "/device:CPU:0", float64(i), float64(i)+1)
-		}(i)
-	}
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	if calls != 100 {
-		t.Fatalf("observer called %d times, want 100", calls)
-	}
-	if reentrant == 0 {
-		t.Fatal("observer never re-entered the trace")
-	}
-	for i := 0; i < 100; i++ {
-		if _, ok := seen.Load(float64(i)); !ok {
-			t.Fatalf("observer missed event %d", i)
-		}
 	}
 }
