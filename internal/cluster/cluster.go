@@ -558,7 +558,8 @@ type CollectiveOptions struct {
 	ChunkBytes int
 	// RecvTimeout bounds each receive on the servers (0 = engine default).
 	RecvTimeout time.Duration
-	// Algorithm forces one allreduce/broadcast algorithm ("" = auto picker).
+	// Algorithm forces one allreduce algorithm ("" = auto picker); it does
+	// not touch Broadcast, which is always the binomial tree.
 	Algorithm string
 	// SwitchBytes is the picker's bytes/p threshold (0 = engine default).
 	SwitchBytes int

@@ -2,6 +2,7 @@ package collective
 
 import (
 	"fmt"
+	"math/bits"
 	"strconv"
 	"time"
 
@@ -91,33 +92,20 @@ func (g *Group) allReduceSeq(key string, seq uint64, t *tensor.Tensor, op, alg s
 }
 
 func (g *Group) allReduceDispatch(key string, seq uint64, t *tensor.Tensor, op, alg string, span *telemetry.Span) (*tensor.Tensor, error) {
-	switch alg {
-	case AlgoRing:
-		switch t.DType() {
-		case tensor.Float32:
-			return ringAllReduce(g, key, seq, t, slF32, op, span)
-		case tensor.Float64:
-			return ringAllReduce(g, key, seq, t, slF64, op, span)
-		case tensor.Int32:
-			return ringAllReduce(g, key, seq, t, slI32, op, span)
-		case tensor.Int64:
-			return ringAllReduce(g, key, seq, t, slI64, op, span)
-		}
-	case AlgoDoubling:
-		switch t.DType() {
-		case tensor.Float32:
-			return doublingAllReduce(g, key, seq, t, slF32, op)
-		case tensor.Float64:
-			return doublingAllReduce(g, key, seq, t, slF64, op)
-		case tensor.Int32:
-			return doublingAllReduce(g, key, seq, t, slI32, op)
-		case tensor.Int64:
-			return doublingAllReduce(g, key, seq, t, slI64, op)
-		}
-	default:
+	if alg != AlgoRing && alg != AlgoDoubling {
 		return nil, fmt.Errorf("collective: unknown algorithm %q (want auto|ring|doubling)", alg)
 	}
-	return nil, fmt.Errorf("collective: allreduce does not support dtype %v", t.DType())
+	combine, err := combinerFor(t.DType(), op)
+	if err != nil {
+		return nil, err
+	}
+	if g.Size() == 1 {
+		return t.Clone(), nil
+	}
+	if alg == AlgoRing {
+		return ringAllReduce(g, key, seq, t, combine, span)
+	}
+	return doublingAllReduce(g, key, seq, t, combine)
 }
 
 // foldedRank maps a doubling-phase virtual rank back to its physical rank
@@ -142,27 +130,10 @@ func foldedRank(virtual, rem int) int {
 // produce bit-identical results, and a fused (packed) payload reduces each
 // element through exactly the same tree as an unfused one. The fusion
 // buffer's fused-equals-unfused guarantee rests on this property.
-func doublingAllReduce[T interface {
-	~float32 | ~float64 | ~int32 | ~int64
-}](g *Group, key string, seq uint64, in *tensor.Tensor, sl slicer[T], op string) (*tensor.Tensor, error) {
-	combine, err := combinerFor[T](op)
-	if err != nil {
-		return nil, err
-	}
+func doublingAllReduce(g *Group, key string, seq uint64, in *tensor.Tensor, combine combiner) (*tensor.Tensor, error) {
 	p, r := g.Size(), g.Rank()
-	if p == 1 {
-		return in.Clone(), nil
-	}
 	out := in.Clone()
-	data := sl.data(out)
-	n := len(data)
-	check := func(msg *tensor.Tensor, from int) error {
-		if msg.DType() != in.DType() || msg.NumElements() != n {
-			return fmt.Errorf("collective: %q: peer %d sent %v%v, want %d %v elements (mismatched inputs?)",
-				key, from, msg.DType(), msg.Shape(), n, in.DType())
-		}
-		return nil
-	}
+	n := out.NumElements()
 
 	pow2 := 1
 	for pow2*2 <= p {
@@ -183,10 +154,10 @@ func doublingAllReduce[T interface {
 		if err != nil {
 			return nil, g.fatal(err)
 		}
-		if err := check(msg, r+1); err != nil {
+		if err := checkChunk(key, r+1, msg, in.DType(), n); err != nil {
 			return nil, g.fatal(err)
 		}
-		copy(data, sl.data(msg))
+		_ = out.CopyFrom(msg) // checked above: same dtype and length
 		tensor.Recycle(msg)
 		return out, nil
 	case r < 2*rem:
@@ -194,13 +165,13 @@ func doublingAllReduce[T interface {
 		if err != nil {
 			return nil, g.fatal(err)
 		}
-		if err := check(msg, r-1); err != nil {
+		if err := checkChunk(key, r-1, msg, in.DType(), n); err != nil {
 			return nil, g.fatal(err)
 		}
 		// Canonical operand order (lower physical rank first) keeps the
 		// tree deterministic even for non-commutative corner cases (NaN
 		// payload propagation follows the first operand on most targets).
-		combine(data, sl.data(msg), data)
+		combine(out, msg, 0, n, out)
 		tensor.Recycle(msg)
 		virtual = r / 2
 	default:
@@ -219,13 +190,13 @@ func doublingAllReduce[T interface {
 		if err != nil {
 			return nil, g.fatal(err)
 		}
-		if err := check(msg, partner); err != nil {
+		if err := checkChunk(key, partner, msg, in.DType(), n); err != nil {
 			return nil, g.fatal(err)
 		}
 		if partner < r {
-			combine(data, sl.data(msg), data)
+			combine(out, msg, 0, n, out)
 		} else {
-			combine(data, data, sl.data(msg))
+			combine(out, out, 0, n, msg)
 		}
 		tensor.Recycle(msg)
 	}
@@ -239,134 +210,107 @@ func doublingAllReduce[T interface {
 	return out, nil
 }
 
-// treeBroadcast replicates root's tensor down a binomial tree: depth
-// ⌈log2 p⌉ instead of the ring relay's p−1 hops, so small broadcasts pay
-// O(log p) latency. Chunks are forwarded to every child as soon as they
-// arrive, so large payloads still pipeline down the levels.
-func (g *Group) treeBroadcast(key string, seq uint64, t *tensor.Tensor, root int) (*tensor.Tensor, error) {
-	p, r := g.Size(), g.Rank()
-	rel := (r - root + p) % p
-
-	// children enumerates this node's binomial subtree roots, highest mask
-	// first — the order the sends must go out so the deepest subtree starts
-	// earliest.
-	childMasks := func(recvMask int) []int {
-		var ms []int
-		for m := recvMask >> 1; m >= 1; m >>= 1 {
-			if rel+m < p {
-				ms = append(ms, m)
-			}
-		}
-		return ms
+// checkChunk fails a received message that is not n elements of dt.
+func checkChunk(key string, from int, msg *tensor.Tensor, dt tensor.DType, n int) error {
+	if msg.DType() != dt || msg.NumElements() != n {
+		return fmt.Errorf("collective: %q: peer %d sent %v%v, want %d %v elements (mismatched inputs?)",
+			key, from, msg.DType(), msg.Shape(), n, dt)
 	}
+	return nil
+}
 
-	if rel == 0 { // root
-		topMask := 1
-		for topMask < p {
-			topMask <<= 1
+// ringPass runs the p−1 steps of one ring pass over the segments seg(0..p−1)
+// and is the only place a ring sender starts. At each step rank r sends
+// segment (r+shift−step) mod p to the next rank — read from first at step 0,
+// from rest after — in chunks on a goroutine, so chunk k is in flight while
+// chunk k−1 is consumed, and receives the segment before it from the
+// previous rank, checking each chunk's dtype and length and handing it to
+// recv with the elements [lo, hi) it covers. The segments of one step are
+// disjoint, so there is no aliasing. Each step joins its sender before
+// surfacing any error, and any error is fatal to the group.
+func (g *Group) ringPass(key string, seq uint64, phase, shift int, seg func(s int) (lo, hi int),
+	first, rest *tensor.Tensor, recv func(lo, hi int, msg *tensor.Tensor)) error {
+	p, r := g.Size(), g.Rank()
+	next, prev := (r+1)%p, (r-1+p)%p
+	dt := first.DType()
+	chunk := g.chunkElems(dt)
+	for step := 0; step < p-1; step++ {
+		s := ((r+shift-step)%p + p) % p
+		sLo, sHi := seg(s)
+		rLo, rHi := seg((s - 1 + p) % p)
+		src := rest
+		if step == 0 {
+			src = first
 		}
-		kids := childMasks(topMask)
-		hdr := broadcastHeader(t)
-		for _, m := range kids {
-			if err := g.tr.Send((rel+m+root)%p, key, tag(seq, phaseTree, 0, 0), hdr); err != nil {
-				return nil, g.fatal(err)
-			}
-		}
-		flat, err := t.Reshape(t.NumElements())
-		if err != nil {
-			return nil, g.fatal(err)
-		}
-		chunk := g.chunkElems(t.DType())
-		n := t.NumElements()
-		for k, off := 0, 0; off < n; k, off = k+1, off+chunk {
-			end := min(off+chunk, n)
-			piece, err := sliceFlat(flat, off, end)
-			if err != nil {
-				return nil, g.fatal(err)
-			}
-			for _, m := range kids {
-				if err := g.tr.Send((rel+m+root)%p, key, tag(seq, phaseTree, 1, k), piece); err != nil {
-					return nil, g.fatal(err)
+		errc := make(chan error, 1)
+		go func() {
+			for k, off := 0, sLo; off < sHi; k, off = k+1, off+chunk {
+				// A view, not a copy: Send consumes the payload before
+				// returning (local edges copy, stream edges serialise), and
+				// this segment is not written again until after the step's
+				// receive completes.
+				if err := g.tr.Send(next, key, tag(seq, phase, step, k), src.Flat(off, min(off+chunk, sHi))); err != nil {
+					errc <- err
+					return
 				}
 			}
-		}
-		return t.Clone(), nil
-	}
+			errc <- nil
+		}()
 
-	// Non-root: the parent is rel with its lowest set bit cleared.
-	low := rel & (-rel)
-	parent := (rel - low + root) % p
-	hdrT, err := g.tr.Recv(parent, key, tag(seq, phaseTree, 0, 0))
-	if err != nil {
-		return nil, g.fatal(err)
-	}
-	out, err := tensorFromBroadcastHeader(key, hdrT)
-	if err != nil {
-		return nil, g.fatal(err)
-	}
-	kids := childMasks(low)
-	for _, m := range kids {
-		if err := g.tr.Send((rel+m+root)%p, key, tag(seq, phaseTree, 0, 0), hdrT); err != nil {
-			return nil, g.fatal(err)
-		}
-	}
-	tensor.Recycle(hdrT)
-	flat, err := out.Reshape(out.NumElements())
-	if err != nil {
-		return nil, g.fatal(err)
-	}
-	chunk := g.chunkElems(out.DType())
-	n := out.NumElements()
-	for k, off := 0, 0; off < n; k, off = k+1, off+chunk {
-		end := min(off+chunk, n)
-		msg, err := g.tr.Recv(parent, key, tag(seq, phaseTree, 1, k))
-		if err != nil {
-			return nil, g.fatal(err)
-		}
-		if msg.DType() != out.DType() || msg.NumElements() != end-off {
-			return nil, g.fatal(fmt.Errorf("collective: %q: broadcast chunk %d has %v%v, want %d %v elements",
-				key, k, msg.DType(), msg.Shape(), end-off, out.DType()))
-		}
-		if err := copyFlat(flat, off, msg); err != nil {
-			return nil, g.fatal(err)
-		}
-		for _, m := range kids {
-			if err := g.tr.Send((rel+m+root)%p, key, tag(seq, phaseTree, 1, k), msg); err != nil {
-				return nil, g.fatal(err)
+		var err error
+		for k, off := 0, rLo; off < rHi; k, off = k+1, off+chunk {
+			end := min(off+chunk, rHi)
+			var msg *tensor.Tensor
+			if msg, err = g.tr.Recv(prev, key, tag(seq, phase, step, k)); err != nil {
+				break
 			}
+			if err = checkChunk(key, prev, msg, dt, end-off); err != nil {
+				break
+			}
+			recv(off, end, msg)
+			tensor.Recycle(msg)
 		}
-		tensor.Recycle(msg)
+		if serr := <-errc; serr != nil {
+			err = serr
+		}
+		if err != nil {
+			return g.fatal(err)
+		}
+	}
+	return nil
+}
+
+// ringAllReduce is the bandwidth-optimal allreduce: a reduce-scatter pass in
+// which rank r sends segment r−step and receives r−step−1, leaving it the
+// fully reduced segment r+1, then an allgather pass that circulates the
+// finished segments, rank r sending r+1−step.
+func ringAllReduce(g *Group, key string, seq uint64, in *tensor.Tensor, combine combiner, span *telemetry.Span) (*tensor.Tensor, error) {
+	n, p := in.NumElements(), g.Size()
+	out := tensor.New(in.DType(), in.Shape()...)
+	seg := func(s int) (int, int) { return SegBounds(n, p, s) }
+
+	// The first reduce-scatter step ships the raw input segment; every later
+	// send ships a segment this rank finished writing in an earlier step, so
+	// the output is written exactly once per segment per phase and the input
+	// is never cloned. Each segment is received once per phase, so the first
+	// touch fuses: out = in ⊕ incoming.
+	phaseSpan := span.Child("reduce_scatter")
+	err := g.ringPass(key, seq, phaseReduceScatter, 0, seg, in, out, func(lo, hi int, msg *tensor.Tensor) {
+		combine(out, in, lo, hi, msg)
+	})
+	phaseSpan.End()
+	if err != nil {
+		return nil, err
+	}
+	phaseSpan = span.Child("allgather")
+	err = g.ringPass(key, seq, phaseAllGather, 1, seg, out, out, func(lo, hi int, msg *tensor.Tensor) {
+		_ = out.Flat(lo, hi).CopyFrom(msg) // ringPass checked dtype and length
+	})
+	phaseSpan.End()
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
-}
-
-// broadcastHeader packs dtype + shape into the int64 header tensor both
-// broadcast algorithms lead with.
-func broadcastHeader(t *tensor.Tensor) *tensor.Tensor {
-	hdr := make([]int64, 1+t.Rank())
-	hdr[0] = int64(t.DType())
-	for i, d := range t.Shape() {
-		hdr[1+i] = int64(d)
-	}
-	return tensor.FromI64(tensor.Shape{len(hdr)}, hdr)
-}
-
-// tensorFromBroadcastHeader validates a received header and allocates the
-// destination tensor it describes.
-func tensorFromBroadcastHeader(key string, hdrT *tensor.Tensor) (*tensor.Tensor, error) {
-	if hdrT.DType() != tensor.Int64 || hdrT.NumElements() < 1 {
-		return nil, fmt.Errorf("collective: %q: malformed broadcast header", key)
-	}
-	hdr := hdrT.I64()
-	dt := tensor.DType(hdr[0])
-	shape := make(tensor.Shape, len(hdr)-1)
-	for i := range shape {
-		shape[i] = int(hdr[1+i])
-	}
-	if !shape.Valid() || dt.Size() == 0 {
-		return nil, fmt.Errorf("collective: %q: invalid broadcast header %v/%v", key, dt, shape)
-	}
-	return tensor.New(dt, shape...), nil
 }
 
 // ReduceScatter combines equal-shaped tensors element-wise across all ranks
@@ -375,94 +319,43 @@ func tensorFromBroadcastHeader(key string, hdrT *tensor.Tensor) (*tensor.Tensor,
 // allreduce at half the traffic, for consumers that shard the reduced
 // value anyway. Pair with AllGatherV to reassemble the full tensor.
 func (g *Group) ReduceScatter(key string, t *tensor.Tensor, op string) (*tensor.Tensor, error) {
-	switch t.DType() {
-	case tensor.Float32:
-		return ringReduceScatter(g, key, t, slF32, op)
-	case tensor.Float64:
-		return ringReduceScatter(g, key, t, slF64, op)
-	case tensor.Int32:
-		return ringReduceScatter(g, key, t, slI32, op)
-	case tensor.Int64:
-		return ringReduceScatter(g, key, t, slI64, op)
-	}
-	return nil, fmt.Errorf("collective: reduce-scatter does not support dtype %v", t.DType())
-}
-
-func ringReduceScatter[T interface {
-	~float32 | ~float64 | ~int32 | ~int64
-}](g *Group, key string, in *tensor.Tensor, sl slicer[T], op string) (*tensor.Tensor, error) {
-	combine, err := combinerFor[T](op)
+	combine, err := combinerFor(t.DType(), op)
 	if err != nil {
 		return nil, err
 	}
-	p, r := g.Size(), g.Rank()
-	src := sl.data(in)
-	n := len(src)
+	p, r, n := g.Size(), g.Rank(), t.NumElements()
 	if p == 1 {
-		out := tensor.New(in.DType(), n)
-		copy(sl.data(out), src)
-		return out, nil
+		return t.Flat(0, n).Clone(), nil
 	}
 	seq := g.nextSeq(key)
 	// scratch holds partially reduced segments in transit; only segment r
-	// survives into the returned tensor.
-	scratch := make([]T, n)
-	next, prev := (r+1)%p, (r-1+p)%p
-	chunk := g.chunkElems(in.DType())
-
-	// Segment schedule: rank r relays segment (r+p-1-step) and receives
-	// (r+p-2-step); after p−1 steps the last received segment is r itself,
-	// fully reduced.
-	for step := 0; step < p-1; step++ {
-		sendSeg := (r + p - 1 - step) % p
-		recvSeg := (r + p - 2 - step) % p
-		sLo, sHi := SegBounds(n, p, sendSeg)
-		rLo, rHi := SegBounds(n, p, recvSeg)
-
-		sendBuf := scratch
-		if step == 0 {
-			sendBuf = src
-		}
-		errc := make(chan error, 1)
-		go func(buf []T, lo, hi, step int) {
-			for k, off := 0, lo; off < hi; k, off = k+1, off+chunk {
-				end := min(off+chunk, hi)
-				payload := sl.wrap(tensor.Shape{end - off}, buf[off:end:end])
-				if err := g.tr.Send(next, key, tag(seq, phaseRS, step, k), payload); err != nil {
-					errc <- err
-					return
-				}
-			}
-			errc <- nil
-		}(sendBuf, sLo, sHi, step)
-
-		var recvErr error
-		for k, off := 0, rLo; off < rHi; k, off = k+1, off+chunk {
-			end := min(off+chunk, rHi)
-			msg, err := g.tr.Recv(prev, key, tag(seq, phaseRS, step, k))
-			if err != nil {
-				recvErr = err
-				break
-			}
-			if msg.DType() != in.DType() || msg.NumElements() != end-off {
-				recvErr = fmt.Errorf("collective: %q: peer %d sent %v%v, want %d %v elements (mismatched inputs?)",
-					key, prev, msg.DType(), msg.Shape(), end-off, in.DType())
-				break
-			}
-			combine(scratch[off:end], src[off:end], sl.data(msg))
-			tensor.Recycle(msg)
-		}
-		if err := <-errc; err != nil {
-			return nil, g.fatal(err)
-		}
-		if recvErr != nil {
-			return nil, g.fatal(recvErr)
-		}
+	// survives into the returned tensor. Rank r relays segment r−1−step and
+	// receives r−2−step, so the last segment it receives is r itself, fully
+	// reduced.
+	scratch := tensor.New(t.DType(), n)
+	seg := func(s int) (int, int) { return SegBounds(n, p, s) }
+	if err := g.ringPass(key, seq, phaseRS, -1, seg, t, scratch, func(lo, hi int, msg *tensor.Tensor) {
+		combine(scratch, t, lo, hi, msg)
+	}); err != nil {
+		return nil, err
 	}
 	lo, hi := SegBounds(n, p, r)
-	out := tensor.New(in.DType(), hi-lo)
-	copy(sl.data(out), scratch[lo:hi])
-	return out, nil
+	return scratch.Flat(lo, hi).Clone(), nil
+}
+
+// AllGather concatenates equal-shaped per-rank tensors along axis 0 —
+// rank-0 inputs produce a [p] vector, rank-k inputs a tensor whose first
+// dimension is p times larger — bit for bit what AllGatherV gives on the
+// same shards. It is AllGatherV's ring over the equal offsets s·m, without
+// the size-exchange round: every rank already knows every shard's size.
+func (g *Group) AllGather(key string, t *tensor.Tensor) (*tensor.Tensor, error) {
+	p, m := g.Size(), t.NumElements()
+	shape := tensor.Shape{p}
+	if t.Rank() > 0 {
+		shape = t.Shape().Clone()
+		shape[0] *= p
+	}
+	return g.gatherRing(key, g.nextSeq(key), t, shape, func(s int) (int, int) { return s * m, (s + 1) * m })
 }
 
 // AllGatherV concatenates per-rank tensors of differing leading dimension
@@ -471,23 +364,26 @@ func ringReduceScatter[T interface {
 // precedes the data ring, so callers never pre-negotiate shard sizes —
 // exactly what uneven SegBounds shards and per-worker tile sets need.
 func (g *Group) AllGatherV(key string, t *tensor.Tensor) (*tensor.Tensor, error) {
-	switch t.DType() {
-	case tensor.Float32:
-		return ringAllGatherV(g, key, t, slF32)
-	case tensor.Float64:
-		return ringAllGatherV(g, key, t, slF64)
-	case tensor.Int32:
-		return ringAllGatherV(g, key, t, slI32)
-	case tensor.Int64:
-		return ringAllGatherV(g, key, t, slI64)
-	case tensor.Complex64:
-		return ringAllGatherV(g, key, t, slC64)
-	case tensor.Complex128:
-		return ringAllGatherV(g, key, t, slC128)
-	case tensor.Bool:
-		return ringAllGatherV(g, key, t, slBool)
+	seq := g.nextSeq(key)
+	shape, offs, err := exchangeShards(g, key, seq, t, -1)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("collective: allgatherv does not support dtype %v", t.DType())
+	return g.gatherRing(key, seq, t, shape, func(s int) (int, int) { return offs[s], offs[s+1] })
+}
+
+// gatherRing is the allgather ring: this rank's elements land at seg(r) of
+// a fresh tensor of the given shape, and every other rank's arrive over p−1
+// steps, rank r sending segment r−step.
+func (g *Group) gatherRing(key string, seq uint64, in *tensor.Tensor, shape tensor.Shape, seg func(s int) (lo, hi int)) (*tensor.Tensor, error) {
+	out := tensor.New(in.DType(), shape...)
+	_ = out.Flat(seg(g.Rank())).CopyFrom(in) // this rank's segment spans in
+	if err := g.ringPass(key, seq, phaseAllGather, 0, seg, out, out, func(lo, hi int, msg *tensor.Tensor) {
+		_ = out.Flat(lo, hi).CopyFrom(msg) // ringPass checked dtype and length
+	}); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // GatherV is AllGatherV with a single receiver: root gets the rank-ordered
@@ -501,34 +397,55 @@ func (g *Group) GatherV(key string, t *tensor.Tensor, root int) (*tensor.Tensor,
 	if root < 0 || root >= g.Size() {
 		return nil, fmt.Errorf("collective: gatherv root %d out of %d", root, g.Size())
 	}
-	switch t.DType() {
-	case tensor.Float32:
-		return gatherV(g, key, t, root, slF32)
-	case tensor.Float64:
-		return gatherV(g, key, t, root, slF64)
-	case tensor.Int32:
-		return gatherV(g, key, t, root, slI32)
-	case tensor.Int64:
-		return gatherV(g, key, t, root, slI64)
-	case tensor.Complex64:
-		return gatherV(g, key, t, root, slC64)
-	case tensor.Complex128:
-		return gatherV(g, key, t, root, slC128)
-	case tensor.Bool:
-		return gatherV(g, key, t, root, slBool)
+	r := g.Rank()
+	seq := g.nextSeq(key)
+	shape, offs, err := exchangeShards(g, key, seq, t, root)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("collective: gatherv does not support dtype %v", t.DType())
+	chunk := g.chunkElems(t.DType())
+	if r != root {
+		n := t.NumElements()
+		for k, off := 0, 0; off < n; k, off = k+1, off+chunk {
+			if err := g.tr.Send(root, key, tag(seq, phaseGather, 0, k), t.Flat(off, min(off+chunk, n))); err != nil {
+				return nil, g.fatal(err)
+			}
+		}
+		shape[0] = 0
+		return tensor.New(t.DType(), shape...), nil
+	}
+
+	out := tensor.New(t.DType(), shape...)
+	_ = out.Flat(offs[r], offs[r+1]).CopyFrom(t) // root's span is t's elements
+	for s := 0; s < g.Size(); s++ {
+		if s == root {
+			continue
+		}
+		for k, off := 0, offs[s]; off < offs[s+1]; k, off = k+1, off+chunk {
+			end := min(off+chunk, offs[s+1])
+			msg, err := g.tr.Recv(s, key, tag(seq, phaseGather, 0, k))
+			if err != nil {
+				return nil, g.fatal(err)
+			}
+			if err := checkChunk(key, s, msg, t.DType(), end-off); err != nil {
+				return nil, g.fatal(err)
+			}
+			_ = out.Flat(off, end).CopyFrom(msg) // checked above
+			tensor.Recycle(msg)
+		}
+	}
+	return out, nil
 }
 
 // exchangeShards is the size-exchange round AllGatherV and GatherV open
 // with. Each rank's header — its row count, elements per row and the root
 // it names (-1 for AllGatherV) — is relayed unchanged around the ring, so
-// after p−1 steps every rank holds all p headers and checks them all. The
-// round always runs to the end before any check, so every rank judges the
-// same headers: mismatched trailing dims, or roots, fail every rank, none
-// is left waiting on a peer that gave up, and the group stays usable. It
-// returns the concatenation's shape and each rank's place in it: rank s's
-// elements are [offs[s], offs[s+1]).
+// after p−1 steps every rank holds all p headers and checks them all
+// (shardLayout). The round always runs to the end before any check, so
+// every rank judges the same headers: mismatched trailing dims, or roots,
+// fail every rank, none is left waiting on a peer that gave up, and the
+// group stays usable. It returns the concatenation's shape and each rank's
+// place in it: rank s's elements are [offs[s], offs[s+1]).
 func exchangeShards(g *Group, key string, seq uint64, in *tensor.Tensor, root int) (shape tensor.Shape, offs []int, err error) {
 	p, r := g.Size(), g.Rank()
 	lead, rowElems := 1, in.NumElements()
@@ -554,22 +471,10 @@ func exchangeShards(g *Group, key string, seq uint64, in *tensor.Tensor, root in
 		tensor.Recycle(msg)
 	}
 
-	offs = make([]int, p+1)
-	rows := 0
-	for s, h := range hdrs {
-		switch {
-		case h[1] != int64(rowElems):
-			return nil, nil, fmt.Errorf("collective: %q: rank %d rows have %d elements, rank %d has %d (trailing dims must match)",
-				key, s, h[1], r, rowElems)
-		case h[2] != int64(root):
-			return nil, nil, fmt.Errorf("collective: %q: rank %d gathers to %d, rank %d to %d", key, s, h[2], r, root)
-		case h[0] < 0:
-			return nil, nil, fmt.Errorf("collective: %q: negative shard size from rank %d", key, s)
-		}
-		offs[s] = rows * rowElems
-		rows += int(h[0])
+	rows, offs, err := shardLayout(hdrs, r, rowElems, root, in.DType())
+	if err != nil {
+		return nil, nil, fmt.Errorf("collective: %q: %w", key, err)
 	}
-	offs[p] = rows * rowElems
 	shape = tensor.Shape{rows}
 	if in.Rank() >= 1 {
 		shape = append(shape, in.Shape()[1:]...)
@@ -577,108 +482,162 @@ func exchangeShards(g *Group, key string, seq uint64, in *tensor.Tensor, root in
 	return shape, offs, nil
 }
 
-func ringAllGatherV[T any](g *Group, key string, in *tensor.Tensor, sl slicer[T]) (*tensor.Tensor, error) {
+// shardLayout checks a gather's size headers — each rank's row count,
+// elements per row and named root — against this rank's (rank r) rowElems
+// and root, before anything is sized from the counts peers sent: the
+// concatenation must fit in one encodable tensor of dt. It returns the total
+// row count and each rank's element offsets.
+func shardLayout(hdrs [][3]int64, r, rowElems, root int, dt tensor.DType) (rows int, offs []int, err error) {
+	maxRows := tensor.MaxEncodedBytes / int64(dt.Size())
+	if rowElems > 0 {
+		maxRows /= int64(rowElems)
+	}
+	offs = make([]int, len(hdrs)+1)
+	var total int64
+	for s, h := range hdrs {
+		switch {
+		case h[1] != int64(rowElems):
+			return 0, nil, fmt.Errorf("rank %d rows have %d elements, rank %d has %d (trailing dims must match)", s, h[1], r, rowElems)
+		case h[2] != int64(root):
+			return 0, nil, fmt.Errorf("rank %d gathers to %d, rank %d to %d", s, h[2], r, root)
+		case h[0] < 0:
+			return 0, nil, fmt.Errorf("negative shard size from rank %d", s)
+		case h[0] > maxRows-total:
+			return 0, nil, fmt.Errorf("rank %d's %d rows of %d %v elements take the gather past the %d-byte bound", s, h[0], rowElems, dt, tensor.MaxEncodedBytes)
+		}
+		offs[s] = int(total) * rowElems
+		total += h[0]
+	}
+	offs[len(hdrs)] = int(total) * rowElems
+	return int(total), offs, nil
+}
+
+// Broadcast replicates root's tensor to every rank down a binomial tree:
+// depth ⌈log2 p⌉, so small broadcasts pay O(log p) latency, and chunks are
+// forwarded to every child as soon as they arrive, so large payloads still
+// pipeline down the levels. Non-root ranks may pass t == nil; the broadcast
+// carries dtype and shape in a header ahead of the chunks.
+func (g *Group) Broadcast(key string, t *tensor.Tensor, root int) (*tensor.Tensor, error) {
 	p, r := g.Size(), g.Rank()
-	seq := g.nextSeq(key)
-	shape, offs, err := exchangeShards(g, key, seq, in, -1)
-	if err != nil {
-		return nil, err
+	if root < 0 || root >= p {
+		return nil, fmt.Errorf("collective: broadcast root %d out of %d", root, p)
 	}
-	out := tensor.New(in.DType(), shape...)
-	data := sl.data(out)
-	copy(data[offs[r]:offs[r+1]], sl.data(in))
+	if r == root && t == nil {
+		return nil, fmt.Errorf("collective: broadcast root needs a tensor")
+	}
 	if p == 1 {
-		return out, nil
+		return t.Clone(), nil
 	}
-	next, prev := (r+1)%p, (r-1+p)%p
-	chunk := g.chunkElems(in.DType())
-
-	for step := 0; step < p-1; step++ {
-		sendSeg := (r - step + p) % p
-		recvSeg := (r - step - 1 + p) % p
-		sLo, sHi := offs[sendSeg], offs[sendSeg+1]
-		rLo, rHi := offs[recvSeg], offs[recvSeg+1]
-
-		errc := make(chan error, 1)
-		go func(lo, hi, step int) {
-			for k, off := 0, lo; off < hi; k, off = k+1, off+chunk {
-				end := min(off+chunk, hi)
-				payload := sl.wrap(tensor.Shape{end - off}, data[off:end:end])
-				if err := g.tr.Send(next, key, tag(seq, phaseGatherV, step, k+1), payload); err != nil {
-					errc <- err
-					return
-				}
+	seq := g.nextSeq(key)
+	// In root-relative ranks the parent is rel with its lowest set bit
+	// cleared, and the children are rel+m for every mask m below that bit
+	// (below the top for the root), highest first, so the deepest subtree
+	// starts earliest.
+	rel := (r - root + p) % p
+	low := rel & -rel
+	if rel == 0 {
+		low = 1 << bits.Len(uint(p-1))
+	}
+	parent := (rel - low + root) % p
+	var kids []int
+	for m := low >> 1; m >= 1; m >>= 1 {
+		if rel+m < p {
+			kids = append(kids, (rel+m+root)%p)
+		}
+	}
+	forward := func(tg uint64, msg *tensor.Tensor) error {
+		for _, kid := range kids {
+			if err := g.tr.Send(kid, key, tg, msg); err != nil {
+				return err
 			}
-			errc <- nil
-		}(sLo, sHi, step)
+		}
+		return nil
+	}
 
-		var recvErr error
-		for k, off := 0, rLo; off < rHi; k, off = k+1, off+chunk {
-			end := min(off+chunk, rHi)
-			msg, err := g.tr.Recv(prev, key, tag(seq, phaseGatherV, step, k+1))
+	out := t
+	var hdr *tensor.Tensor
+	var err error
+	if rel == 0 {
+		hdr = broadcastHeader(t)
+	} else if hdr, err = g.tr.Recv(parent, key, tag(seq, phaseTree, 0, 0)); err != nil {
+		return nil, g.fatal(err)
+	} else if out, err = tensorFromBroadcastHeader(key, hdr); err != nil {
+		return nil, g.fatal(err)
+	}
+	// Send consumes its payload before returning, so the header (and below,
+	// each relayed chunk) can go back to the pool once forwarded.
+	if err := forward(tag(seq, phaseTree, 0, 0), hdr); err != nil {
+		return nil, g.fatal(err)
+	}
+	tensor.Recycle(hdr)
+	n, chunk := out.NumElements(), g.chunkElems(out.DType())
+	for k, off := 0, 0; off < n; k, off = k+1, off+chunk {
+		end := min(off+chunk, n)
+		piece := out.Flat(off, end)
+		if rel != 0 {
+			msg, err := g.tr.Recv(parent, key, tag(seq, phaseTree, 1, k))
 			if err != nil {
-				recvErr = err
-				break
+				return nil, g.fatal(err)
 			}
-			if msg.DType() != in.DType() || msg.NumElements() != end-off {
-				recvErr = fmt.Errorf("collective: %q: peer %d sent %v%v, want %d %v elements (mismatched inputs?)",
-					key, prev, msg.DType(), msg.Shape(), end-off, in.DType())
-				break
+			if err := checkChunk(key, parent, msg, out.DType(), end-off); err != nil {
+				return nil, g.fatal(err)
 			}
-			copy(data[off:end], sl.data(msg))
+			_ = piece.CopyFrom(msg) // checked above
 			tensor.Recycle(msg)
 		}
-		if err := <-errc; err != nil {
+		if err := forward(tag(seq, phaseTree, 1, k), piece); err != nil {
 			return nil, g.fatal(err)
 		}
-		if recvErr != nil {
-			return nil, g.fatal(recvErr)
-		}
+	}
+	if rel == 0 {
+		return t.Clone(), nil
 	}
 	return out, nil
 }
 
-func gatherV[T any](g *Group, key string, in *tensor.Tensor, root int, sl slicer[T]) (*tensor.Tensor, error) {
-	r := g.Rank()
-	seq := g.nextSeq(key)
-	shape, offs, err := exchangeShards(g, key, seq, in, root)
-	if err != nil {
-		return nil, err
+// broadcastHeader packs dtype + shape into the int64 header tensor a
+// broadcast leads with.
+func broadcastHeader(t *tensor.Tensor) *tensor.Tensor {
+	hdr := make([]int64, 1+t.Rank())
+	hdr[0] = int64(t.DType())
+	for i, d := range t.Shape() {
+		hdr[1+i] = int64(d)
 	}
-	chunk := g.chunkElems(in.DType())
-	if r != root {
-		src := sl.data(in)
-		for k, off := 0, 0; off < len(src); k, off = k+1, off+chunk {
-			end := min(off+chunk, len(src))
-			if err := g.tr.Send(root, key, tag(seq, phaseGather, 0, k), sl.wrap(tensor.Shape{end - off}, src[off:end:end])); err != nil {
-				return nil, g.fatal(err)
-			}
-		}
-		shape[0] = 0
-		return tensor.New(in.DType(), shape...), nil
-	}
+	return tensor.FromI64(tensor.Shape{len(hdr)}, hdr)
+}
 
-	out := tensor.New(in.DType(), shape...)
-	data := sl.data(out)
-	copy(data[offs[r]:offs[r+1]], sl.data(in))
-	for s := 0; s < g.Size(); s++ {
-		if s == root {
-			continue
-		}
-		lo, hi := offs[s], offs[s+1]
-		for k, off := 0, lo; off < hi; k, off = k+1, off+chunk {
-			end := min(off+chunk, hi)
-			msg, err := g.tr.Recv(s, key, tag(seq, phaseGather, 0, k))
-			if err != nil {
-				return nil, g.fatal(err)
-			}
-			if msg.DType() != in.DType() || msg.NumElements() != end-off {
-				return nil, g.fatal(fmt.Errorf("collective: %q: peer %d sent %v%v, want %d %v elements (mismatched inputs?)",
-					key, s, msg.DType(), msg.Shape(), end-off, in.DType()))
-			}
-			copy(data[off:end], sl.data(msg))
-			tensor.Recycle(msg)
-		}
+// tensorFromBroadcastHeader validates a received header and allocates the
+// destination tensor it describes.
+func tensorFromBroadcastHeader(key string, hdrT *tensor.Tensor) (*tensor.Tensor, error) {
+	if hdrT.DType() != tensor.Int64 {
+		return nil, fmt.Errorf("collective: %q: malformed broadcast header", key)
 	}
-	return out, nil
+	dt, shape, err := broadcastShape(hdrT.I64())
+	if err != nil {
+		return nil, fmt.Errorf("collective: %q: %w", key, err)
+	}
+	return tensor.New(dt, shape...), nil
+}
+
+// broadcastShape checks a broadcast header — the dtype, then the dims —
+// before anything is sized from it: the tensor it describes must fit in one
+// encodable tensor, so a peer's header fails the broadcast, never the
+// process.
+func broadcastShape(hdr []int64) (tensor.DType, tensor.Shape, error) {
+	// Rank 32 is the most tensor decoding accepts.
+	if len(hdr) < 1 || len(hdr) > 33 || tensor.DType(hdr[0]).Size() == 0 {
+		return 0, nil, fmt.Errorf("malformed broadcast header of %d values", len(hdr))
+	}
+	dt := tensor.DType(hdr[0])
+	limit := tensor.MaxEncodedBytes / int64(dt.Size())
+	shape := make(tensor.Shape, len(hdr)-1)
+	elems := int64(1)
+	for i, d := range hdr[1:] {
+		if d < 0 || d > limit || elems*d > limit {
+			return 0, nil, fmt.Errorf("broadcast header: dim %d of %v takes it past the %d-byte bound", d, dt, tensor.MaxEncodedBytes)
+		}
+		shape[i] = int(d)
+		elems *= d
+	}
+	return dt, shape, nil
 }

@@ -24,8 +24,9 @@ type Options struct {
 	// into chunks of at most this many bytes, so transmission of chunk k
 	// overlaps the reduction of chunk k-1. Default 256 KiB.
 	ChunkBytes int
-	// Algorithm forces one allreduce/broadcast algorithm ("ring",
-	// "doubling"); "" or "auto" picks per call by payload size.
+	// Algorithm forces one allreduce algorithm ("ring", "doubling"); "" or
+	// "auto" picks per call by payload size. It is for allreduce only:
+	// Broadcast is always the binomial tree.
 	Algorithm string
 	// SwitchBytes is the picker threshold: allreduces whose per-rank payload
 	// (bytes/p) is strictly below it run recursive doubling, the rest run
@@ -164,29 +165,16 @@ func SegBounds(n, p, s int) (lo, hi int) {
 	return lo, lo + size
 }
 
-// slicer adapts the generic ring code to one element type.
-type slicer[T any] struct {
-	wrap func(tensor.Shape, []T) *tensor.Tensor
-	data func(*tensor.Tensor) []T
+// number is the element types a reduction combines.
+type number interface {
+	~float32 | ~float64 | ~int32 | ~int64
 }
-
-var (
-	slF32  = slicer[float32]{tensor.FromF32, (*tensor.Tensor).F32}
-	slF64  = slicer[float64]{tensor.FromF64, (*tensor.Tensor).F64}
-	slI32  = slicer[int32]{tensor.FromI32, (*tensor.Tensor).I32}
-	slI64  = slicer[int64]{tensor.FromI64, (*tensor.Tensor).I64}
-	slC64  = slicer[complex64]{tensor.FromC64, (*tensor.Tensor).C64}
-	slC128 = slicer[complex128]{tensor.FromC128, (*tensor.Tensor).C128}
-	slBool = slicer[bool]{tensor.FromBool, (*tensor.Tensor).Bools}
-)
 
 // reduceGrain is the minimum per-chunk work before a reduction fans out
 // across the gemm worker pool.
 const reduceGrain = 1 << 13
 
-func sumOf[T interface {
-	~float32 | ~float64 | ~int32 | ~int64
-}](dst, a, b []T) {
+func sumOf[T number](dst, a, b []T) {
 	gemm.ParallelFor(len(dst), reduceGrain, func(lo, hi int) {
 		d, x, y := dst[lo:hi], a[lo:hi], b[lo:hi]
 		for i := range d {
@@ -195,9 +183,7 @@ func sumOf[T interface {
 	})
 }
 
-func maxOf[T interface {
-	~float32 | ~float64 | ~int32 | ~int64
-}](dst, a, b []T) {
+func maxOf[T number](dst, a, b []T) {
 	gemm.ParallelFor(len(dst), reduceGrain, func(lo, hi int) {
 		d, x, y := dst[lo:hi], a[lo:hi], b[lo:hi]
 		for i := range d {
@@ -210,15 +196,42 @@ func maxOf[T interface {
 	})
 }
 
-// combinerFor returns the fused ternary kernel dst = a ⊕ b.
-func combinerFor[T interface {
-	~float32 | ~float64 | ~int32 | ~int64
-}](op string) (func(dst, a, b []T), error) {
+// combiner is the fused ternary kernel dst[lo:hi] = a[lo:hi] ⊕ b over
+// tensors of one dtype, b holding the hi−lo operand elements.
+type combiner func(dst, a *tensor.Tensor, lo, hi int, b *tensor.Tensor)
+
+// combiners holds each reducible dtype's sum and max combiners, built once
+// so picking one per call allocates nothing.
+var combiners = map[tensor.DType][2]combiner{
+	tensor.Float32: typedCombiners((*tensor.Tensor).F32),
+	tensor.Float64: typedCombiners((*tensor.Tensor).F64),
+	tensor.Int32:   typedCombiners((*tensor.Tensor).I32),
+	tensor.Int64:   typedCombiners((*tensor.Tensor).I64),
+}
+
+func typedCombiners[T number](data func(*tensor.Tensor) []T) [2]combiner {
+	return [2]combiner{
+		func(dst, a *tensor.Tensor, lo, hi int, b *tensor.Tensor) {
+			sumOf(data(dst)[lo:hi], data(a)[lo:hi], data(b))
+		},
+		func(dst, a *tensor.Tensor, lo, hi int, b *tensor.Tensor) {
+			maxOf(data(dst)[lo:hi], data(a)[lo:hi], data(b))
+		},
+	}
+}
+
+// combinerFor returns op's combiner for dt; only the real numeric dtypes
+// reduce.
+func combinerFor(dt tensor.DType, op string) (combiner, error) {
+	c, ok := combiners[dt]
+	if !ok {
+		return nil, fmt.Errorf("collective: cannot reduce dtype %v", dt)
+	}
 	switch op {
 	case "", OpSum:
-		return sumOf[T], nil
+		return c[0], nil
 	case OpMax:
-		return maxOf[T], nil
+		return c[1], nil
 	}
 	return nil, fmt.Errorf("collective: unknown reduction op %q (want sum|max)", op)
 }
@@ -321,302 +334,6 @@ func (g *Group) Fusion() *Fusion {
 	return g.fusion
 }
 
-func ringAllReduce[T interface {
-	~float32 | ~float64 | ~int32 | ~int64
-}](g *Group, key string, seq uint64, in *tensor.Tensor, sl slicer[T], op string, span *telemetry.Span) (*tensor.Tensor, error) {
-	combine, err := combinerFor[T](op)
-	if err != nil {
-		return nil, err
-	}
-	p, r := g.Size(), g.Rank()
-	if p == 1 {
-		return in.Clone(), nil
-	}
-	src := sl.data(in)
-	n := len(src)
-	out := tensor.New(in.DType(), in.Shape()...)
-	data := sl.data(out)
-	next, prev := (r+1)%p, (r-1+p)%p
-	chunk := g.chunkElems(in.DType())
-
-	for phase := 0; phase < 2; phase++ {
-		phaseName := "reduce_scatter"
-		if phase != phaseReduceScatter {
-			phaseName = "allgather"
-		}
-		phaseSpan := span.Child(phaseName)
-		for step := 0; step < p-1; step++ {
-			var sendSeg, recvSeg int
-			if phase == phaseReduceScatter {
-				sendSeg = (r - step + p) % p
-				recvSeg = (r - step - 1 + p) % p
-			} else {
-				sendSeg = (r + 1 - step + 2*p) % p
-				recvSeg = (r - step + p) % p
-			}
-			sLo, sHi := SegBounds(n, p, sendSeg)
-			rLo, rHi := SegBounds(n, p, recvSeg)
-
-			// The first reduce-scatter step ships the raw input segment;
-			// every later send ships a segment this rank finished writing in
-			// an earlier step. The output is therefore written exactly once
-			// per segment per phase and the input is never cloned.
-			sendBuf := data
-			if phase == phaseReduceScatter && step == 0 {
-				sendBuf = src
-			}
-
-			// The sender runs asynchronously: while chunk k is in flight the
-			// receive loop below is still reducing chunk k-1. The segments
-			// are disjoint, so there is no aliasing.
-			errc := make(chan error, 1)
-			go func(buf []T, lo, hi, phase, step int) {
-				for k, off := 0, lo; off < hi; k, off = k+1, off+chunk {
-					end := min(off+chunk, hi)
-					// A view, not a copy: Send consumes the payload before
-					// returning (local edges clone, stream edges
-					// serialise), and this segment is not mutated again
-					// until after the step's receive completes.
-					payload := sl.wrap(tensor.Shape{end - off}, buf[off:end:end])
-					if err := g.tr.Send(next, key, tag(seq, phase, step, k), payload); err != nil {
-						errc <- err
-						return
-					}
-				}
-				errc <- nil
-			}(sendBuf, sLo, sHi, phase, step)
-
-			var recvErr error
-			for k, off := 0, rLo; off < rHi; k, off = k+1, off+chunk {
-				end := min(off+chunk, rHi)
-				msg, err := g.tr.Recv(prev, key, tag(seq, phase, step, k))
-				if err != nil {
-					recvErr = err
-					break
-				}
-				if msg.DType() != in.DType() || msg.NumElements() != end-off {
-					recvErr = fmt.Errorf("collective: %q: peer %d sent %v%v, want %d %v elements (mismatched inputs?)",
-						key, prev, msg.DType(), msg.Shape(), end-off, in.DType())
-					break
-				}
-				got := sl.data(msg)
-				if phase == phaseReduceScatter {
-					// Fused first touch: out = in ⊕ incoming (each segment is
-					// received exactly once per phase, so there is no prior
-					// partial to preserve).
-					combine(data[off:end], src[off:end], got)
-				} else {
-					copy(data[off:end], got)
-				}
-				tensor.Recycle(msg)
-			}
-			// Always join the sender before surfacing any receive error.
-			if err := <-errc; err != nil {
-				return nil, g.fatal(err)
-			}
-			if recvErr != nil {
-				return nil, g.fatal(recvErr)
-			}
-		}
-		phaseSpan.End()
-	}
-	return out, nil
-}
-
-// AllGather concatenates equal-shaped per-rank tensors along a new leading
-// slot: rank-0 inputs produce a [p] vector, rank-k inputs a tensor whose
-// first dimension is p times larger. The ring circulates each rank's
-// segment p−1 hops, chunked like AllReduce.
-func (g *Group) AllGather(key string, t *tensor.Tensor) (*tensor.Tensor, error) {
-	switch t.DType() {
-	case tensor.Float32:
-		return ringAllGather(g, key, t, slF32)
-	case tensor.Float64:
-		return ringAllGather(g, key, t, slF64)
-	case tensor.Int32:
-		return ringAllGather(g, key, t, slI32)
-	case tensor.Int64:
-		return ringAllGather(g, key, t, slI64)
-	case tensor.Complex64:
-		return ringAllGather(g, key, t, slC64)
-	case tensor.Complex128:
-		return ringAllGather(g, key, t, slC128)
-	case tensor.Bool:
-		return ringAllGather(g, key, t, slBool)
-	}
-	return nil, fmt.Errorf("collective: allgather does not support dtype %v", t.DType())
-}
-
-// gatherShape is the output shape of an allgather over p ranks.
-func gatherShape(in tensor.Shape, p int) tensor.Shape {
-	if in.Rank() == 0 {
-		return tensor.Shape{p}
-	}
-	out := in.Clone()
-	out[0] *= p
-	return out
-}
-
-func ringAllGather[T any](g *Group, key string, in *tensor.Tensor, sl slicer[T]) (*tensor.Tensor, error) {
-	p, r := g.Size(), g.Rank()
-	m := in.NumElements()
-	out := tensor.New(in.DType(), gatherShape(in.Shape(), p)...)
-	data := sl.data(out)
-	copy(data[r*m:(r+1)*m], sl.data(in))
-	if p == 1 {
-		return out, nil
-	}
-	seq := g.nextSeq(key)
-	next, prev := (r+1)%p, (r-1+p)%p
-	chunk := g.chunkElems(in.DType())
-
-	for step := 0; step < p-1; step++ {
-		sendSeg := (r - step + p) % p
-		recvSeg := (r - step - 1 + p) % p
-		sLo, rLo := sendSeg*m, recvSeg*m
-
-		errc := make(chan error, 1)
-		go func(lo, step int) {
-			for k, off := 0, lo; off < lo+m; k, off = k+1, off+chunk {
-				end := min(off+chunk, lo+m)
-				payload := sl.wrap(tensor.Shape{end - off}, data[off:end:end])
-				if err := g.tr.Send(next, key, tag(seq, phaseAllGather, step, k), payload); err != nil {
-					errc <- err
-					return
-				}
-			}
-			errc <- nil
-		}(sLo, step)
-
-		var recvErr error
-		for k, off := 0, rLo; off < rLo+m; k, off = k+1, off+chunk {
-			end := min(off+chunk, rLo+m)
-			msg, err := g.tr.Recv(prev, key, tag(seq, phaseAllGather, step, k))
-			if err != nil {
-				recvErr = err
-				break
-			}
-			if msg.DType() != in.DType() || msg.NumElements() != end-off {
-				recvErr = fmt.Errorf("collective: %q: peer %d sent %v%v, want %d %v elements (mismatched inputs?)",
-					key, prev, msg.DType(), msg.Shape(), end-off, in.DType())
-				break
-			}
-			copy(data[off:end], sl.data(msg))
-			tensor.Recycle(msg)
-		}
-		if err := <-errc; err != nil {
-			return nil, g.fatal(err)
-		}
-		if recvErr != nil {
-			return nil, g.fatal(recvErr)
-		}
-	}
-	return out, nil
-}
-
-// Broadcast replicates root's tensor to every rank. The default algorithm
-// is the binomial tree (depth ⌈log2 p⌉, chunks pipelined down the levels);
-// Options.Algorithm "ring" selects the chunk relay around the ring, whose
-// p−1 hop latency only pays off when per-hop forwarding fully overlaps on
-// real NICs. Non-root ranks may pass t == nil; the broadcast carries dtype
-// and shape. The algorithm cannot be picked per call by payload size: only
-// the root knows the size before the first message, and the two algorithms
-// give every rank a different parent to listen to.
-func (g *Group) Broadcast(key string, t *tensor.Tensor, root int) (*tensor.Tensor, error) {
-	p, r := g.Size(), g.Rank()
-	if root < 0 || root >= p {
-		return nil, fmt.Errorf("collective: broadcast root %d out of %d", root, p)
-	}
-	if r == root && t == nil {
-		return nil, fmt.Errorf("collective: broadcast root needs a tensor")
-	}
-	if p == 1 {
-		return t.Clone(), nil
-	}
-	seq := g.nextSeq(key)
-	if g.opts.Algorithm != AlgoRing {
-		return g.treeBroadcast(key, seq, t, root)
-	}
-	return g.ringBroadcast(key, seq, t, root)
-}
-
-// ringBroadcast relays chunks around the ring so downstream forwarding
-// overlaps upstream reception.
-func (g *Group) ringBroadcast(key string, seq uint64, t *tensor.Tensor, root int) (*tensor.Tensor, error) {
-	p, r := g.Size(), g.Rank()
-	next, prev := (r+1)%p, (r-1+p)%p
-
-	if r == root {
-		// Header: dtype + shape, then the flat payload in chunks.
-		if err := g.tr.Send(next, key, tag(seq, phaseBroadcast, 0, 0), broadcastHeader(t)); err != nil {
-			return nil, g.fatal(err)
-		}
-		flat, err := t.Reshape(t.NumElements())
-		if err != nil {
-			return nil, g.fatal(err)
-		}
-		chunk := g.chunkElems(t.DType())
-		n := t.NumElements()
-		for k, off := 0, 0; off < n; k, off = k+1, off+chunk {
-			end := min(off+chunk, n)
-			piece, err := sliceFlat(flat, off, end)
-			if err != nil {
-				return nil, g.fatal(err)
-			}
-			if err := g.tr.Send(next, key, tag(seq, phaseBroadcast, 1, k), piece); err != nil {
-				return nil, g.fatal(err)
-			}
-		}
-		return t.Clone(), nil
-	}
-
-	hdrT, err := g.tr.Recv(prev, key, tag(seq, phaseBroadcast, 0, 0))
-	if err != nil {
-		return nil, g.fatal(err)
-	}
-	out, err := tensorFromBroadcastHeader(key, hdrT)
-	if err != nil {
-		return nil, g.fatal(err)
-	}
-	forward := next != root
-	if forward {
-		if err := g.tr.Send(next, key, tag(seq, phaseBroadcast, 0, 0), hdrT); err != nil {
-			return nil, g.fatal(err)
-		}
-	}
-	// Send consumes its payload before returning, so the header (and below,
-	// each relayed chunk) can go back to the pool once forwarded.
-	tensor.Recycle(hdrT)
-	dt := out.DType()
-	flat, err := out.Reshape(out.NumElements())
-	if err != nil {
-		return nil, g.fatal(err)
-	}
-	chunk := g.chunkElems(dt)
-	n := out.NumElements()
-	for k, off := 0, 0; off < n; k, off = k+1, off+chunk {
-		end := min(off+chunk, n)
-		msg, err := g.tr.Recv(prev, key, tag(seq, phaseBroadcast, 1, k))
-		if err != nil {
-			return nil, g.fatal(err)
-		}
-		if msg.DType() != dt || msg.NumElements() != end-off {
-			return nil, g.fatal(fmt.Errorf("collective: %q: broadcast chunk %d has %v%v, want %d %v elements",
-				key, k, msg.DType(), msg.Shape(), end-off, dt))
-		}
-		if err := copyFlat(flat, off, msg); err != nil {
-			return nil, g.fatal(err)
-		}
-		if forward {
-			if err := g.tr.Send(next, key, tag(seq, phaseBroadcast, 1, k), msg); err != nil {
-				return nil, g.fatal(err)
-			}
-		}
-		tensor.Recycle(msg)
-	}
-	return out, nil
-}
-
 // Barrier blocks until every rank has entered. It rides an allreduce over a
 // p-element vector so every ring segment is non-empty and each rank's exit
 // transitively depends on every other rank's entry.
@@ -703,9 +420,7 @@ func reduceTensor(dst, src *tensor.Tensor, op string) error {
 	return fmt.Errorf("collective: reduce does not support dtype %v", dst.DType())
 }
 
-func serialReduce[T interface {
-	~float32 | ~float64 | ~int32 | ~int64
-}](dst, src []T, op string) error {
+func serialReduce[T number](dst, src []T, op string) error {
 	switch op {
 	case "", OpSum:
 		for i := range dst {
@@ -719,45 +434,6 @@ func serialReduce[T interface {
 		}
 	default:
 		return fmt.Errorf("collective: unknown reduction op %q (want sum|max)", op)
-	}
-	return nil
-}
-
-// sliceFlat copies [lo,hi) of a rank-1 tensor into a fresh tensor.
-func sliceFlat(flat *tensor.Tensor, lo, hi int) (*tensor.Tensor, error) {
-	out := tensor.New(flat.DType(), hi-lo)
-	if err := copyFlatRange(out, 0, flat, lo, hi); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// copyFlat copies all of src into flat at offset off.
-func copyFlat(flat *tensor.Tensor, off int, src *tensor.Tensor) error {
-	return copyFlatRange(flat, off, src, 0, src.NumElements())
-}
-
-func copyFlatRange(dst *tensor.Tensor, dOff int, src *tensor.Tensor, lo, hi int) error {
-	if dst.DType() != src.DType() {
-		return fmt.Errorf("collective: dtype mismatch %v vs %v", dst.DType(), src.DType())
-	}
-	switch dst.DType() {
-	case tensor.Float32:
-		copy(dst.F32()[dOff:], src.F32()[lo:hi])
-	case tensor.Float64:
-		copy(dst.F64()[dOff:], src.F64()[lo:hi])
-	case tensor.Complex64:
-		copy(dst.C64()[dOff:], src.C64()[lo:hi])
-	case tensor.Complex128:
-		copy(dst.C128()[dOff:], src.C128()[lo:hi])
-	case tensor.Int32:
-		copy(dst.I32()[dOff:], src.I32()[lo:hi])
-	case tensor.Int64:
-		copy(dst.I64()[dOff:], src.I64()[lo:hi])
-	case tensor.Bool:
-		copy(dst.Bools()[dOff:], src.Bools()[lo:hi])
-	default:
-		return fmt.Errorf("collective: cannot copy dtype %v", dst.DType())
 	}
 	return nil
 }

@@ -201,28 +201,34 @@ func TestAllReduceDTypesAndMax(t *testing.T) {
 	})
 }
 
+// TestAllGather: over every dtype the collectives carry and segments of
+// several chunks, every rank holds the rank-order concatenation, bit for
+// bit what AllGatherV gives on the same equal shards.
 func TestAllGather(t *testing.T) {
+	const rows, cols = 5, 7
 	for _, p := range []int{1, 3, 4} {
 		t.Run(fmt.Sprintf("p%d", p), func(t *testing.T) {
-			groups := collective.NewLoopbackGroups(p, collective.Options{ChunkBytes: 128})
-			rows := 5
-			outs := runAll(t, groups, func(g *collective.Group) (*tensor.Tensor, error) {
-				v := make([]float64, rows)
-				for i := range v {
-					v[i] = float64(g.Rank()*100 + i)
-				}
-				return g.AllGather("ag", tensor.FromF64(tensor.Shape{rows}, v))
-			})
-			for r := 0; r < p; r++ {
-				got := outs[r]
-				if got.NumElements() != p*rows {
-					t.Fatalf("rank %d: %d elements, want %d", r, got.NumElements(), p*rows)
-				}
-				for s := 0; s < p; s++ {
-					for i := 0; i < rows; i++ {
-						if got.F64()[s*rows+i] != float64(s*100+i) {
-							t.Fatalf("rank %d: segment %d elem %d = %g", r, s, i, got.F64()[s*rows+i])
+			// 16-byte chunks: 1..16 elements, so each 35-element segment
+			// spans three chunks or more.
+			groups := collective.NewLoopbackGroups(p, collective.Options{ChunkBytes: 16})
+			for _, dt := range gatherDTypes {
+				got := runAll(t, groups, func(g *collective.Group) (*tensor.Tensor, error) {
+					return g.AllGather("ag", shardOf(dt, g.Rank(), rows, cols))
+				})
+				want := runAll(t, groups, func(g *collective.Group) (*tensor.Tensor, error) {
+					return g.AllGatherV("agv", shardOf(dt, g.Rank(), rows, cols))
+				})
+				for r := 0; r < p; r++ {
+					if !got[r].Shape().Equal(tensor.Shape{p * rows, cols}) {
+						t.Fatalf("%v rank %d: shape %v, want [%d %d]", dt, r, got[r].Shape(), p*rows, cols)
+					}
+					for s := 0; s < p; s++ {
+						if !got[r].Flat(s*rows*cols, (s+1)*rows*cols).Equal(shardOf(dt, s, rows, cols).Flat(0, rows*cols)) {
+							t.Fatalf("%v rank %d: segment %d is not rank %d's shard", dt, r, s, s)
 						}
+					}
+					if !got[r].Equal(want[r]) {
+						t.Fatalf("%v rank %d: AllGather differs from AllGatherV", dt, r)
 					}
 				}
 			}

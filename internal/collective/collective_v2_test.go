@@ -194,9 +194,8 @@ func TestPickerSwitchesAlgorithms(t *testing.T) {
 	}
 }
 
-// TestTreeBroadcast covers the binomial tree (now the default) across group
-// sizes, roots and chunking; TestRingBroadcastPinned keeps the relay
-// covered under its explicit option.
+// TestTreeBroadcast covers the binomial tree, Broadcast's one algorithm,
+// across group sizes, roots and chunking.
 func TestTreeBroadcast(t *testing.T) {
 	for _, p := range groupSizes(t) {
 		for _, root := range []int{0, p - 1, p / 2} {
@@ -215,23 +214,6 @@ func TestTreeBroadcast(t *testing.T) {
 					}
 				}
 			})
-		}
-	}
-}
-
-func TestRingBroadcastPinned(t *testing.T) {
-	p := 5
-	groups := collective.NewLoopbackGroups(p, collective.Options{ChunkBytes: 64, Algorithm: collective.AlgoRing})
-	src := randVec(78, 130)
-	outs := runAll(t, groups, func(g *collective.Group) (*tensor.Tensor, error) {
-		if g.Rank() == 2 {
-			return g.Broadcast("rb", src, 2)
-		}
-		return g.Broadcast("rb", nil, 2)
-	})
-	for r := 0; r < p; r++ {
-		if !outs[r].Equal(src) {
-			t.Fatalf("rank %d: ring broadcast mismatch", r)
 		}
 	}
 }

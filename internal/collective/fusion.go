@@ -393,10 +393,7 @@ func (f *Fusion) flushRound() {
 		packed := tensor.New(bk.dt, total)
 		off := 0
 		for _, w := range ws {
-			if err := copyFlatRange(packed, off, w.t, 0, w.t.NumElements()); err != nil {
-				f.fail(err)
-				return
-			}
+			_ = packed.Flat(off, off+w.t.NumElements()).CopyFrom(w.t) // one bucket, one dtype
 			off += w.t.NumElements()
 		}
 		// The packed pass pins recursive doubling rather than going through
@@ -416,10 +413,7 @@ func (f *Fusion) flushRound() {
 		for _, w := range ws {
 			n := w.t.NumElements()
 			out := tensor.New(bk.dt, w.t.Shape()...)
-			if err := copyFlatRange(out, 0, red, off, off+n); err != nil {
-				f.fail(err)
-				return
-			}
+			_ = out.CopyFrom(red.Flat(off, off+n)) // w.t's n elements sit at off
 			off += n
 			f.mu.Lock()
 			delete(f.pending, w.key)

@@ -306,9 +306,7 @@ func clonePooled(t *tensor.Tensor) *tensor.Tensor {
 		return t.Clone()
 	}
 	c := tensor.GetPooled(t.DType(), t.NumElements())
-	if err := copyFlatRange(c, 0, t, 0, t.NumElements()); err != nil {
-		return t.Clone()
-	}
+	_ = c.CopyFrom(t) // same dtype and size: cannot fail
 	return c
 }
 

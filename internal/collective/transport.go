@@ -1,10 +1,13 @@
 // Package collective is the runtime's collective-communication engine — the
 // Horovod-style MPI collectives (allreduce, allgather, broadcast, barrier)
 // that Section VIII of the paper points to as the scalable alternative to
-// parameter-server reductions. Operations run over a ring: allreduce is the
-// bandwidth-optimal reduce-scatter + allgather decomposition, chunked and
-// pipelined so communication of one chunk overlaps the reduction of the
-// next, with reductions fanned across the shared gemm worker pool.
+// parameter-server reductions. Every ring collective runs on one ring step
+// (ringPass): allreduce is the bandwidth-optimal reduce-scatter + allgather
+// decomposition, chunked and pipelined so communication of one chunk
+// overlaps the reduction of the next, with reductions fanned across the
+// shared gemm worker pool; ReduceScatter is its first pass alone; AllGather
+// and AllGatherV share one allgather ring. Small allreduces run recursive
+// doubling instead, and Broadcast is a binomial tree.
 //
 // One transport carries every group: each rank reads a Hub inbox, and each
 // edge picks its carrier by where the peer is — a persistent internal/rpc
@@ -49,13 +52,13 @@ func tag(seq uint64, phase, step, sub int) uint64 {
 
 const (
 	phaseReduceScatter = iota
-	phaseAllGather
-	phaseGather // gather-to-root: the naive allreduce's and GatherV's payload
-	phaseBroadcast
-	phaseDouble  // recursive-doubling exchange steps
-	phaseTree    // binomial-tree broadcast
-	phaseRS      // standalone reduce-scatter
-	phaseGatherV // gatherv size exchange + allgatherv data circulation
+	phaseAllGather     // allreduce allgather pass, AllGather/AllGatherV data ring
+	phaseGather        // gather-to-root: the naive allreduce's and GatherV's payload
+	phaseBroadcast     // the naive allreduce's result, root to every rank
+	phaseDouble        // recursive-doubling exchange steps
+	phaseTree          // binomial-tree broadcast
+	phaseRS            // standalone reduce-scatter
+	phaseGatherV       // AllGatherV/GatherV size exchange
 )
 
 // message is one in-flight tensor with its match labels.

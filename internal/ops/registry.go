@@ -37,7 +37,8 @@ type QueueHandle interface {
 
 // CollectiveHandle is the access interface collective kernels use: one
 // rank's membership of a communication group (internal/collective provides
-// the ring/tree implementations over loopback or TCP transports). key
+// it: one ring step under every ring collective, one allgather ring and a
+// binomial-tree broadcast, in process or over rpc streams). key
 // isolates concurrent collectives that share the group; kernels default it
 // to the node name, which symmetric per-rank graphs give identical
 // spellings. Beyond the synchronous trio, handles expose the v2 engine:

@@ -336,7 +336,14 @@ func (t *Tensor) CopyFrom(src *Tensor) error {
 // Flat returns a rank-1 view of elements [lo, hi) of t's row-major storage;
 // writes through it change t.
 func (t *Tensor) Flat(lo, hi int) *Tensor {
-	v := &Tensor{dtype: t.dtype, shape: Shape{hi - lo}}
+	// One allocation holds the view and its one-dim shape: views are made
+	// per chunk on the collectives' relay paths.
+	vs := &struct {
+		Tensor
+		dim [1]int
+	}{dim: [1]int{hi - lo}}
+	v := &vs.Tensor
+	v.dtype, v.shape = t.dtype, vs.dim[:]
 	switch d := t.data.(type) {
 	case []float32:
 		v.data = d[lo:hi]
