@@ -155,7 +155,7 @@ func Decode(buf []byte) (*Checkpoint, error) {
 					if err != nil {
 						return nil, err
 					}
-					if t, _, err = tensor.Decode(tb); err != nil {
+					if t, err = tensor.DecodeAll(tb); err != nil {
 						return nil, err
 					}
 				default:

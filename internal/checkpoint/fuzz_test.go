@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"slices"
 	"testing"
 
 	"tfhpc/internal/tensor"
@@ -14,6 +15,39 @@ func withTrailer(payload []byte) []byte {
 	out := append([]byte(nil), payload...)
 	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, crcTable))
 	return append(out, trailerMagic...)
+}
+
+// junkAfterTensor is a checkpoint payload of one variable entry, "x", whose
+// tensor field holds t's encoding and then one more byte.
+func junkAfterTensor(t *tensor.Tensor) []byte {
+	tb, err := t.Encode(nil)
+	if err != nil {
+		panic(err)
+	}
+	tb = append(tb, 0x07)
+	entry := append([]byte{0x0a, 0x01, 'x', 0x12}, byte(len(tb)))
+	entry = append(entry, tb...)
+	return append([]byte{0x1a, byte(len(entry))}, entry...)
+}
+
+var t0 = tensor.FromF64(tensor.Shape{2}, []float64{1, 2})
+
+// TestDecodeRejectsBytesAfterTensor: a variable's tensor field must hold
+// exactly one tensor; junk after a valid one is a corrupt checkpoint.
+func TestDecodeRejectsBytesAfterTensor(t *testing.T) {
+	payload := junkAfterTensor(t0)
+	if _, err := Decode(withTrailer(payload)); err == nil {
+		t.Fatal("tensor field with a trailing byte accepted")
+	}
+	// The same entry without the junk byte decodes.
+	fixed := slices.Clone(payload)
+	fixed[1]--
+	fixed[6]--
+	fixed = fixed[:len(fixed)-1]
+	c, err := Decode(withTrailer(fixed))
+	if err != nil || !c.Vars["x"].Equal(t0) {
+		t.Fatalf("entry without the junk byte: %v, %v", c, err)
+	}
 }
 
 // FuzzCheckpointDecode feeds arbitrary payloads to Decode behind a valid CRC
@@ -36,6 +70,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x1a, 0x02, 0x0a, 0x00})             // entry with an empty name and no tensor
 	f.Add([]byte{0x1a, 0x04, 0x12, 0x02, 0xee, 0x00}) // entry whose tensor has a bad dtype
+	f.Add(junkAfterTensor(t0))                        // entry whose tensor field has bytes after the tensor
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		c, err := Decode(withTrailer(payload))
 		if err != nil {

@@ -412,7 +412,7 @@ func decodeRunOp(req []byte) (*runOpRequest, error) {
 			if err != nil {
 				return nil, err
 			}
-			t, _, err := tensor.Decode(tb)
+			t, err := tensor.DecodeAll(tb)
 			if err != nil {
 				return nil, err
 			}
@@ -508,8 +508,7 @@ func (p *Peers) RunRemoteOp(device graph.DeviceSpec, op, nodeName string, attrs 
 	if err != nil {
 		return nil, err
 	}
-	out, _, err := tensor.Decode(resp)
-	return out, err
+	return tensor.DecodeAll(resp)
 }
 
 // Health pings a task.

@@ -10,8 +10,8 @@ import (
 
 // FuzzParseChunk feeds arbitrary bytes to the relay-record parser every
 // stream edge runs on untrusted input. Malformed records must come back as
-// errors — never a panic — and whatever parses must survive appendChunk →
-// parseChunk unchanged.
+// errors — never a panic — and whatever parses must re-encode through
+// appendChunk to exactly its own bytes (only canonical records parse).
 func FuzzParseChunk(f *testing.F) {
 	for _, t := range []*tensor.Tensor{
 		tensor.RandomUniform(tensor.Float64, 1, 64),
@@ -28,7 +28,8 @@ func FuzzParseChunk(f *testing.F) {
 		f.Add(append(rec, 0))   // trailing byte
 	}
 	f.Add([]byte{})
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, 'k'}) // key length past the record
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, 'k'})               // key length past the record
+	f.Add([]byte{0x81, 0x00, 'k', 0x2a, byte(tensor.Int32), 1, 0}) // padded key length
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		key, tag, ten, err := parseChunk(data)
@@ -40,13 +41,8 @@ func FuzzParseChunk(f *testing.F) {
 		if err != nil {
 			t.Fatalf("parsed chunk does not re-encode: %v", err)
 		}
-		key2, tag2, ten2, err := parseChunk(again)
-		if err != nil {
-			t.Fatalf("re-encoded chunk does not parse: %v", err)
-		}
-		defer tensor.Recycle(ten2)
-		if !bytes.Equal(key, key2) || tag != tag2 || !ten.Shape().Equal(ten2.Shape()) || ten.DType() != ten2.DType() {
-			t.Fatalf("round trip changed the record: key %q→%q tag %d→%d", key, key2, tag, tag2)
+		if !bytes.Equal(again, data) {
+			t.Fatalf("accepted record %x re-encodes to %x", data, again)
 		}
 	})
 }

@@ -14,6 +14,7 @@ import (
 	"tfhpc/internal/rpc"
 	"tfhpc/internal/telemetry"
 	"tfhpc/internal/tensor"
+	"tfhpc/internal/wire"
 )
 
 // DefaultRecvTimeout bounds how long a NewNetTransport Recv waits for a peer
@@ -187,13 +188,13 @@ const StreamMethod = "CollStream"
 //
 // The returned key aliases b; the tensor comes from the rank-1 pool.
 func parseChunk(b []byte) ([]byte, uint64, *tensor.Tensor, error) {
-	kl, n := binary.Uvarint(b)
+	kl, n := wire.Uvarint(b)
 	if n <= 0 || uint64(len(b)-n) < kl {
 		return nil, 0, nil, fmt.Errorf("collective: malformed chunk record key")
 	}
 	key := b[n : n+int(kl)]
 	b = b[n+int(kl):]
-	tg, n := binary.Uvarint(b)
+	tg, n := wire.Uvarint(b)
 	if n <= 0 {
 		return nil, 0, nil, fmt.Errorf("collective: malformed chunk record tag")
 	}

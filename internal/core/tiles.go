@@ -2,9 +2,7 @@ package core
 
 import (
 	"cmp"
-	"encoding/binary"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -130,15 +128,12 @@ func SaveInterleavedTiles(dir, prefix string, vec []complex128, tiles int) ([]st
 
 // tileBlockBytes is how much of the source one block of saveTiles covers.
 // It bounds the staging buffer and keeps a block cache-resident while its
-// columns are encoded one tile at a time. BenchmarkSaveInterleavedTiles
+// columns are staged one tile at a time. BenchmarkSaveInterleavedTiles
 // (2^22 c128 samples, 8 tiles, 2 vCPU Xeon, three runs each) measured
 // 32–33 ms per save at 64 KiB (8× the WriteAt calls), 25–26 ms at 256 and
 // 512 KiB, 27–29 ms at 1 MiB and 37–39 ms at 4 MiB, where a block no
 // longer stays in cache between its tiles' passes.
 const tileBlockBytes = 512 << 10
-
-// tileElem is an element type the tile writers encode.
-type tileElem interface{ float32 | float64 | complex128 }
 
 // saveTiles writes the row-major matrix src, cols elements per row, as
 // tile files of tileRows×w elements in row-major order: the w-wide column
@@ -147,14 +142,14 @@ type tileElem interface{ float32 | float64 | complex128 }
 // file is then byte-identical to npy.Save of that block.
 //
 // src is read once, in blocks of whole rows that never straddle a band.
-// The blocks are spread over the gemm pool; a block encodes each tile's
-// share into one staging buffer and writes it at its file offset, so no
-// tile is assembled in memory and no two writers touch the same bytes.
+// The blocks are spread over the gemm pool; a block copies each tile's
+// share into one staging buffer and writes its bytes at its file offset,
+// so no tile is assembled in memory and no two writers touch the same bytes.
 // Existing files are cut to size and overwritten in place rather than
 // truncated to zero on open: rewriting the same tiles, as every fft
 // repetition does, then reuses their cached pages (93 → 26 ms per
 // BenchmarkSaveInterleavedTiles save).
-func saveTiles[T tileElem](paths []string, dt tensor.DType, shape tensor.Shape, src []T, cols, tileRows, w int) (err error) {
+func saveTiles[T tensor.Elem](paths []string, dt tensor.DType, shape tensor.Shape, src []T, cols, tileRows, w int) (err error) {
 	hdr, err := npy.Header(dt, shape)
 	if err != nil {
 		return err
@@ -191,15 +186,28 @@ func saveTiles[T tileElem](paths []string, dt tensor.DType, shape tensor.Shape, 
 	bands := len(src) / (cols * tileRows)
 	var mu sync.Mutex
 	gemm.ParallelFor(bands*blocks, 1, func(lo, hi int) {
-		buf := make([]byte, blockRows*w*size)
+		stage := make([]T, blockRows*w)
 		for k := lo; k < hi; k++ {
 			band := k / blocks
 			r0 := (k % blocks) * blockRows // first row, within the band
-			b := buf[:min(blockRows, tileRows-r0)*w*size]
+			rows := min(blockRows, tileRows-r0)
 			first := (band*tileRows + r0) * cols
 			off := int64(len(hdr) + r0*w*size)
 			for j := 0; j < perBand; j++ {
-				putRows(b, src[first+j*w:], len(b)/(w*size), w, cols)
+				// Stage the tile's rows: an interleaved chunk (w = 1) is a
+				// strided gather, a matrix tile one copy per row.
+				s, d := src[first+j*w:], stage[:rows*w]
+				if w == 1 {
+					for r := range d {
+						d[r] = s[r*cols]
+					}
+				} else {
+					for r := 0; r < rows; r++ {
+						copy(d[r*w:(r+1)*w], s[r*cols:])
+					}
+				}
+				b := tensor.AsBytes(d)
+				tensor.SwapHostOrder(b, dt)
 				if _, werr := files[band*perBand+j].WriteAt(b, off); werr != nil {
 					mu.Lock()
 					err = cmp.Or(err, werr)
@@ -210,35 +218,4 @@ func saveTiles[T tileElem](paths []string, dt tensor.DType, shape tensor.Shape, 
 		}
 	})
 	return err
-}
-
-// putRows encodes rows×w elements of src, row r starting at src[r·stride],
-// into dst as little-endian npy payload bytes.
-func putRows[T tileElem](dst []byte, src []T, rows, w, stride int) {
-	o := 0
-	switch s := any(src).(type) {
-	case []float32:
-		for r := 0; r < rows; r++ {
-			for _, v := range s[r*stride : r*stride+w] {
-				binary.LittleEndian.PutUint32(dst[o:o+4], math.Float32bits(v))
-				o += 4
-			}
-		}
-	case []float64:
-		for r := 0; r < rows; r++ {
-			for _, v := range s[r*stride : r*stride+w] {
-				binary.LittleEndian.PutUint64(dst[o:o+8], math.Float64bits(v))
-				o += 8
-			}
-		}
-	case []complex128:
-		for r := 0; r < rows; r++ {
-			for _, v := range s[r*stride : r*stride+w] {
-				b := dst[o : o+16 : o+16]
-				binary.LittleEndian.PutUint64(b, math.Float64bits(real(v)))
-				binary.LittleEndian.PutUint64(b[8:], math.Float64bits(imag(v)))
-				o += 16
-			}
-		}
-	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"tfhpc/internal/tensor"
+	"tfhpc/internal/wire"
 )
 
 func TestParseDeviceForms(t *testing.T) {
@@ -274,6 +275,25 @@ func TestMarshalAttrsRoundTrip(t *testing.T) {
 	}
 	if got["t"].(*tensor.Tensor).ScalarInt() != 7 {
 		t.Fatal("tensor attr mismatch")
+	}
+
+	// A tensor attr's field must hold exactly one tensor: junk after a
+	// valid one is refused, not dropped.
+	tb, err := tensor.ScalarI64(7).Encode(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, extra := range [][]byte{nil, {0x07}} {
+		e := wire.NewEncoder()
+		e.Message(1, func(ae *wire.Encoder) {
+			ae.String(1, "t")
+			ae.Uint(2, attrKindTensor)
+			ae.BytesField(9, append(tb, extra...))
+		})
+		_, err := UnmarshalAttrs(e.Bytes())
+		if (err == nil) != (extra == nil) {
+			t.Fatalf("tensor attr with %d trailing bytes: err %v", len(extra), err)
+		}
 	}
 }
 

@@ -379,7 +379,7 @@ func decodeAttr(buf []byte) (string, any, error) {
 			if err != nil {
 				return "", nil, err
 			}
-			t, _, err := tensor.Decode(tb)
+			t, err := tensor.DecodeAll(tb)
 			if err != nil {
 				return "", nil, err
 			}

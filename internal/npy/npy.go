@@ -12,10 +12,8 @@ import (
 	"io"
 	"math"
 	"os"
-	"slices"
 	"strconv"
 	"strings"
-	"unsafe"
 
 	"tfhpc/internal/tensor"
 )
@@ -90,71 +88,8 @@ func Write(w io.Writer, t *tensor.Tensor) error {
 	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
-	return writePayload(w, t)
-}
-
-// payload returns t's storage as bytes. On a little-endian host these are
-// the .npy payload bytes themselves, so reads and writes move them with no
-// per-element decoding.
-func payload(t *tensor.Tensor) []byte {
-	switch t.DType() {
-	case tensor.Float32:
-		return asBytes(t.F32())
-	case tensor.Float64:
-		return asBytes(t.F64())
-	case tensor.Int64:
-		return asBytes(t.I64())
-	case tensor.Complex128:
-		return asBytes(t.C128())
-	}
-	return nil
-}
-
-func asBytes[T any](s []T) []byte {
-	var zero T
-	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*int(unsafe.Sizeof(zero)))
-}
-
-// bigEndian reports whether the host stores numbers big-endian, so payload
-// bytes must be swapped between the storage and the file.
-var bigEndian = binary.NativeEndian.Uint16([]byte{0, 1}) == 1
-
-// swapWords reverses the bytes of every size-byte word of b in place.
-func swapWords(b []byte, size int) {
-	for i := 0; i+size <= len(b); i += size {
-		slices.Reverse(b[i : i+size])
-	}
-}
-
-// wordSize is the byte size of dt's scalars: a complex element is two.
-func wordSize(dt tensor.DType) int {
-	if dt.IsComplex() {
-		return dt.Size() / 2
-	}
-	return dt.Size()
-}
-
-func writePayload(w io.Writer, t *tensor.Tensor) error {
-	b := payload(t)
-	if bigEndian {
-		// t is not ours to change: swap a copy.
-		b = slices.Clone(b)
-		swapWords(b, wordSize(t.DType()))
-	}
-	_, err := w.Write(b)
+	_, err = w.Write(t.Payload())
 	return err
-}
-
-// readPayload reads t's payload from r straight into its storage.
-func readPayload(r io.Reader, t *tensor.Tensor) error {
-	b := payload(t)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return fmt.Errorf("npy: short payload: %w", err)
-	}
-	if bigEndian {
-		swapWords(b, wordSize(t.DType()))
-	}
-	return nil
 }
 
 // Read parses one .npy v1.x file from r.
@@ -211,10 +146,12 @@ func Read(r io.Reader) (*tensor.Tensor, error) {
 	if left, ok := remaining(r); ok && left < need {
 		return nil, fmt.Errorf("npy: header declares a %d-byte payload, %d bytes follow", need, left)
 	}
+	// The payload goes straight into the tensor's storage.
 	t := tensor.New(dt, shape...)
-	if err := readPayload(r, t); err != nil {
-		return nil, err
+	if _, err := io.ReadFull(r, t.Bytes()); err != nil {
+		return nil, fmt.Errorf("npy: short payload: %w", err)
 	}
+	tensor.SwapHostOrder(t.Bytes(), dt)
 	return t, nil
 }
 

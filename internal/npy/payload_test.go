@@ -164,31 +164,6 @@ func TestReadShortPayload(t *testing.T) {
 	}
 }
 
-func TestSwapWords(t *testing.T) {
-	b := []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
-	swapWords(b, 4)
-	if want := []byte{4, 3, 2, 1, 8, 7, 6, 5, 12, 11, 10, 9, 16, 15, 14, 13}; !bytes.Equal(b, want) {
-		t.Fatalf("4-byte words: %v, want %v", b, want)
-	}
-	swapWords(b, 4)
-	swapWords(b, 8)
-	if want := []byte{8, 7, 6, 5, 4, 3, 2, 1, 16, 15, 14, 13, 12, 11, 10, 9}; !bytes.Equal(b, want) {
-		t.Fatalf("8-byte words: %v, want %v", b, want)
-	}
-	if wordSize(tensor.Complex128) != 8 || wordSize(tensor.Float32) != 4 {
-		t.Fatalf("word sizes: c128 %d, f32 %d", wordSize(tensor.Complex128), wordSize(tensor.Float32))
-	}
-	// Swapping each float64 word of little-endian bytes gives the
-	// big-endian encoding of the same values.
-	v := []float64{1.5, -0.25}
-	le := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v[0])), math.Float64bits(v[1]))
-	swapWords(le, 8)
-	be := binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(nil, math.Float64bits(v[0])), math.Float64bits(v[1]))
-	if !bytes.Equal(le, be) {
-		t.Fatalf("swapped little-endian %x, big-endian %x", le, be)
-	}
-}
-
 // BenchmarkLoad reads one 8 MiB c128 tile file (2^19 elements), the size
 // of an fft workload tile, and reports the bytes read per second.
 func BenchmarkLoad(b *testing.B) {

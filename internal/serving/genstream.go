@@ -12,6 +12,8 @@ import (
 	"tfhpc/internal/rpc"
 	"tfhpc/internal/serving/generate"
 	"tfhpc/internal/telemetry"
+	"tfhpc/internal/tensor"
+	"tfhpc/internal/wire"
 )
 
 // Streaming generation: one rpc stream carries one generated sequence. The
@@ -127,12 +129,12 @@ func parseGenerateReq(b []byte) (budget uint64, tsc telemetry.SpanContext, model
 	if err != nil {
 		return 0, tsc, "", req, err
 	}
-	maxTok, n := canonicalUvarint(b)
+	maxTok, n := wire.Uvarint(b)
 	if n <= 0 {
 		return 0, tsc, "", req, errors.New("serving: malformed generate max tokens")
 	}
 	b = b[n:]
-	stopBits, n := canonicalUvarint(b)
+	stopBits, n := wire.Uvarint(b)
 	if n <= 0 {
 		return 0, tsc, "", req, errors.New("serving: malformed generate stop threshold")
 	}
@@ -141,9 +143,8 @@ func parseGenerateReq(b []byte) (budget uint64, tsc telemetry.SpanContext, model
 		return 0, tsc, "", req, errors.New("serving: malformed generate prompt")
 	}
 	prompt := make([]float64, len(b)/8)
-	for i := range prompt {
-		prompt[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-	}
+	copy(tensor.AsBytes(prompt), b)
+	tensor.SwapHostOrder(tensor.AsBytes(prompt), tensor.Float64)
 	req = generate.Request{Prompt: prompt, MaxTokens: int(maxTok), StopBelow: math.Float64frombits(stopBits)}
 	return budget, tsc, string(mb), req, nil
 }
@@ -153,9 +154,8 @@ func appendGenerateReq(b []byte, budget uint64, tsc telemetry.SpanContext, model
 	b = appendHeader(b, budget, tsc, model)
 	b = binary.AppendUvarint(b, uint64(req.MaxTokens))
 	b = binary.AppendUvarint(b, math.Float64bits(req.StopBelow))
-	for _, v := range req.Prompt {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-	}
+	b = append(b, tensor.AsBytes(req.Prompt)...)
+	tensor.SwapHostOrder(b[len(b)-8*len(req.Prompt):], tensor.Float64)
 	return b
 }
 
@@ -199,19 +199,19 @@ func parseTokenFrame(dst []generate.Token, b []byte) ([]generate.Token, error) {
 		return fail("token frame kind")
 	}
 	p := b[1:]
-	first, k := canonicalUvarint(p)
+	first, k := wire.Uvarint(p)
 	if k <= 0 {
 		return fail("token index")
 	}
 	p = p[k:]
-	n, k := canonicalUvarint(p)
+	n, k := wire.Uvarint(p)
 	// An entry is at least 9 bytes: n is bounded before dst grows.
 	if k <= 0 || n == 0 || n > uint64(len(p)-k)/9 || first > math.MaxInt-(n-1) {
 		return fail("token count")
 	}
 	p, dst = p[k:], dst[:0]
 	for i := uint64(0); i < n; i++ {
-		step, k := canonicalUvarint(p)
+		step, k := wire.Uvarint(p)
 		if k <= 0 || len(p)-k < 8 {
 			return fail("token entry")
 		}
@@ -223,15 +223,6 @@ func parseTokenFrame(dst []generate.Token, b []byte) ([]generate.Token, error) {
 		return fail("token frame tail")
 	}
 	return dst, nil
-}
-
-// canonicalUvarint is binary.Uvarint refusing padded (non-minimal) encodings.
-func canonicalUvarint(b []byte) (uint64, int) {
-	v, n := binary.Uvarint(b)
-	if n > 1 && b[n-1] == 0 {
-		return 0, -1
-	}
-	return v, n
 }
 
 // GenerateStream is the client endpoint of one remote generated sequence.

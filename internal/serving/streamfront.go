@@ -13,6 +13,7 @@ import (
 	"tfhpc/internal/rpc"
 	"tfhpc/internal/telemetry"
 	"tfhpc/internal/tensor"
+	"tfhpc/internal/wire"
 )
 
 // Streaming predict: one persistent rpc stream carries many predict
@@ -190,7 +191,7 @@ func rowFastPath(svc *Service, model string, in *tensor.Tensor, deadline time.Ti
 // parseStreamPredict splits one predict request frame; all byte slices
 // alias b.
 func parseStreamPredict(b []byte) (reqID, budget uint64, tsc telemetry.SpanContext, model, tb []byte, err error) {
-	reqID, n := canonicalUvarint(b)
+	reqID, n := wire.Uvarint(b)
 	if n <= 0 {
 		return 0, 0, tsc, nil, nil, errors.New("serving: malformed stream predict id")
 	}
@@ -216,7 +217,7 @@ func parseHeader(b []byte) (budget uint64, tsc telemetry.SpanContext, model, res
 	var v [4]uint64 // budget, trace, span, len(model)
 	for i := range v {
 		var n int
-		if v[i], n = canonicalUvarint(b); n <= 0 {
+		if v[i], n = wire.Uvarint(b); n <= 0 {
 			return 0, tsc, nil, nil, errMalformedHeader
 		}
 		b = b[n:]

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/bits"
 
 	"tfhpc/internal/tensor"
 	"tfhpc/internal/wire"
@@ -175,8 +174,8 @@ func (r *frameReader) uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 || n != uvarintLen(v) {
+	v, n := wire.Uvarint(r.b)
+	if n <= 0 {
 		r.err = fmt.Errorf("%w: bad varint", errFrame)
 		return 0
 	}
@@ -192,21 +191,6 @@ func (r *frameReader) tensor() *tensor.Tensor {
 	if err != nil {
 		r.err = fmt.Errorf("%w: %v", errFrame, err)
 		return nil
-	}
-	// Canonical only: the header's varints minimal (so the encoded size
-	// matches what was consumed) and bool bytes exactly 0 or 1.
-	used := len(r.b) - len(rest)
-	if int64(used) != t.EncodedSize() {
-		r.err = fmt.Errorf("%w: non-canonical tensor header", errFrame)
-		return nil
-	}
-	if t.DType() == tensor.Bool {
-		for _, c := range r.b[used-t.NumElements() : used] {
-			if c > 1 {
-				r.err = fmt.Errorf("%w: bool byte %d", errFrame, c)
-				return nil
-			}
-		}
 	}
 	r.b = rest
 	return t
@@ -271,12 +255,4 @@ func sendFrame(send func(p []byte) error, f *frame) error {
 	}
 	wire.PutBuf(buf)
 	return err
-}
-
-// uvarintLen is the length of v's minimal uvarint encoding.
-func uvarintLen(v uint64) int {
-	if v == 0 {
-		return 1
-	}
-	return (bits.Len64(v) + 6) / 7
 }

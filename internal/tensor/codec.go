@@ -3,7 +3,10 @@ package tensor
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
+	"slices"
+	"unsafe"
+
+	"tfhpc/internal/wire"
 )
 
 // The binary tensor encoding used on the wire and in checkpoints:
@@ -15,7 +18,11 @@ import (
 //
 // It is the moral equivalent of TensorFlow's TensorProto: self-describing,
 // platform independent, and bounded by the same 2 GiB limit the paper
-// discusses for serialized graphs.
+// discusses for serialized graphs. The payload is the tensor's storage
+// bytes (Bytes) in little-endian order, so it is copied as one block, never
+// element by element. Only the canonical encoding decodes — every uvarint
+// minimal, every bool byte 0 or 1 — so a tensor Decode accepts re-encodes
+// to exactly the bytes it was read from.
 
 // MaxEncodedBytes is the 2 GiB serialization ceiling, mirroring the ProtoBuf
 // limitation that the paper calls out for graph and tensor messages.
@@ -37,6 +44,9 @@ func (t *Tensor) EncodedSize() int64 {
 
 // Encode appends the binary form of t to dst and returns the result.
 func (t *Tensor) Encode(dst []byte) ([]byte, error) {
+	if t.dtype.Size() == 0 {
+		return dst, fmt.Errorf("tensor: cannot encode dtype %v", t.dtype)
+	}
 	if t.EncodedSize() > MaxEncodedBytes {
 		return dst, ErrTooLarge
 	}
@@ -45,50 +55,22 @@ func (t *Tensor) Encode(dst []byte) ([]byte, error) {
 	for _, d := range t.shape {
 		dst = binary.AppendUvarint(dst, uint64(d))
 	}
-	switch t.dtype {
-	case Float32:
-		for _, v := range t.F32() {
-			dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(v))
-		}
-	case Float64:
-		for _, v := range t.F64() {
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-		}
-	case Complex64:
-		for _, v := range t.C64() {
-			dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(real(v)))
-			dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(imag(v)))
-		}
-	case Complex128:
-		for _, v := range t.C128() {
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(real(v)))
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(imag(v)))
-		}
-	case Int32:
-		for _, v := range t.I32() {
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
-		}
-	case Int64:
-		for _, v := range t.I64() {
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
-		}
-	case Bool:
-		for _, v := range t.Bools() {
-			if v {
-				dst = append(dst, 1)
-			} else {
-				dst = append(dst, 0)
-			}
-		}
-	default:
-		return dst, fmt.Errorf("tensor: cannot encode dtype %v", t.dtype)
-	}
-	return dst, nil
+	return append(dst, t.Payload()...), nil
 }
 
 // Decode parses one tensor from the front of src and returns it along with
 // the remaining bytes.
 func Decode(src []byte) (*Tensor, []byte, error) { return decode(src, false) }
+
+// DecodeAll parses a tensor that fills src exactly: bytes after it, as in a
+// length-delimited field holding junk past a valid tensor, are an error.
+func DecodeAll(src []byte) (*Tensor, error) {
+	t, rest, err := Decode(src)
+	if err == nil && len(rest) != 0 {
+		return nil, fmt.Errorf("tensor: %d trailing bytes", len(rest))
+	}
+	return t, err
+}
 
 // DecodePooled parses one tensor like Decode but draws rank-1 outputs from
 // the tensor pool — the shape every transport chunk has — so the decode
@@ -105,9 +87,9 @@ func decode(src []byte, pooled bool) (*Tensor, []byte, error) {
 		return nil, src, fmt.Errorf("tensor: bad dtype byte %d", src[0])
 	}
 	src = src[1:]
-	rank, n := binary.Uvarint(src)
+	rank, n := wire.Uvarint(src)
 	if n <= 0 {
-		return nil, src, fmt.Errorf("tensor: truncated rank")
+		return nil, src, fmt.Errorf("tensor: truncated or padded rank")
 	}
 	src = src[n:]
 	if rank > 32 {
@@ -121,9 +103,9 @@ func decode(src []byte, pooled bool) (*Tensor, []byte, error) {
 	if rank == 1 {
 		// Flat tensors skip the Shape allocation entirely and may come from
 		// the pool: this is the chunk-relay fast path.
-		d, n := binary.Uvarint(src)
+		d, n := wire.Uvarint(src)
 		if n <= 0 {
-			return nil, src, fmt.Errorf("tensor: truncated shape")
+			return nil, src, fmt.Errorf("tensor: truncated or padded shape")
 		}
 		src = src[n:]
 		if d > uint64(MaxEncodedBytes)/uint64(dt.Size()) {
@@ -134,9 +116,9 @@ func decode(src []byte, pooled bool) (*Tensor, []byte, error) {
 		shape = make(Shape, rank)
 		limit := uint64(MaxEncodedBytes) / uint64(dt.Size())
 		for i := range shape {
-			d, n := binary.Uvarint(src)
+			d, n := wire.Uvarint(src)
 			if n <= 0 {
-				return nil, src, fmt.Errorf("tensor: truncated shape")
+				return nil, src, fmt.Errorf("tensor: truncated or padded shape")
 			}
 			src = src[n:]
 			if d > limit || uint64(elems)*d > limit {
@@ -149,6 +131,15 @@ func decode(src []byte, pooled bool) (*Tensor, []byte, error) {
 	need := elems * dt.Size()
 	if len(src) < need {
 		return nil, src, fmt.Errorf("tensor: payload truncated: need %d bytes, have %d", need, len(src))
+	}
+	payload := src[:need]
+	if dt == Bool {
+		// A Go bool holding any other byte is not a valid value.
+		for _, c := range payload {
+			if c > 1 {
+				return nil, src, fmt.Errorf("tensor: bool byte %d", c)
+			}
+		}
 	}
 	var t *Tensor
 	switch {
@@ -163,47 +154,82 @@ func decode(src []byte, pooled bool) (*Tensor, []byte, error) {
 	default:
 		t = New(dt, shape...)
 	}
-	buf := src[:need]
-	switch dt {
-	case Float32:
-		d := t.F32()
-		for i := range d {
-			d[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[i*4:]))
-		}
-	case Float64:
-		d := t.F64()
-		for i := range d {
-			d[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
-		}
-	case Complex64:
-		d := t.C64()
-		for i := range d {
-			re := math.Float32frombits(binary.LittleEndian.Uint32(buf[i*8:]))
-			im := math.Float32frombits(binary.LittleEndian.Uint32(buf[i*8+4:]))
-			d[i] = complex(re, im)
-		}
-	case Complex128:
-		d := t.C128()
-		for i := range d {
-			re := math.Float64frombits(binary.LittleEndian.Uint64(buf[i*16:]))
-			im := math.Float64frombits(binary.LittleEndian.Uint64(buf[i*16+8:]))
-			d[i] = complex(re, im)
-		}
-	case Int32:
-		d := t.I32()
-		for i := range d {
-			d[i] = int32(binary.LittleEndian.Uint32(buf[i*4:]))
-		}
-	case Int64:
-		d := t.I64()
-		for i := range d {
-			d[i] = int64(binary.LittleEndian.Uint64(buf[i*8:]))
-		}
-	case Bool:
-		d := t.Bools()
-		for i := range d {
-			d[i] = buf[i] != 0
-		}
-	}
+	b := t.Bytes()
+	copy(b, payload)
+	SwapHostOrder(b, dt)
 	return t, src[need:], nil
+}
+
+// Elem is the Go type of a tensor's elements: one per DType.
+type Elem interface {
+	float32 | float64 | complex64 | complex128 | int32 | int64 | bool
+}
+
+// AsBytes returns the memory of s as bytes, aliasing it: writes through the
+// result change s. In little-endian order (SwapHostOrder) these are the
+// payload bytes of s's elements.
+func AsBytes[T Elem](s []T) []byte {
+	var zero T
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*int(unsafe.Sizeof(zero)))
+}
+
+// Bytes returns t's storage as bytes, aliasing it (AsBytes of its backing
+// slice).
+func (t *Tensor) Bytes() []byte {
+	switch d := t.data.(type) {
+	case []float32:
+		return AsBytes(d)
+	case []float64:
+		return AsBytes(d)
+	case []complex64:
+		return AsBytes(d)
+	case []complex128:
+		return AsBytes(d)
+	case []int32:
+		return AsBytes(d)
+	case []int64:
+		return AsBytes(d)
+	case []bool:
+		return AsBytes(d)
+	}
+	return nil
+}
+
+// Payload returns t's payload: its storage bytes in little-endian order.
+// On a little-endian host that is t's storage itself, aliased, so callers
+// must not write to it; on a big-endian host it is a swapped copy.
+func (t *Tensor) Payload() []byte {
+	b := t.Bytes()
+	if bigEndian {
+		b = slices.Clone(b)
+		SwapHostOrder(b, t.dtype)
+	}
+	return b
+}
+
+// bigEndian reports whether the host stores numbers big-endian, so storage
+// bytes must be swapped to and from payload bytes. Tests set it to run the
+// big-endian path on a little-endian host.
+var bigEndian = binary.NativeEndian.Uint16([]byte{0, 1}) == 1
+
+// SwapHostOrder converts b, the bytes of dt elements, between host order
+// and little-endian in place; the conversion is its own inverse. On a
+// big-endian host it reverses the bytes of every number (each half of a
+// complex element); on a little-endian host it does nothing.
+func SwapHostOrder(b []byte, dt DType) {
+	if !bigEndian {
+		return
+	}
+	size := dt.Size()
+	if dt.IsComplex() {
+		size /= 2
+	}
+	swapWords(b, size)
+}
+
+// swapWords reverses the bytes of every size-byte word of b in place.
+func swapWords(b []byte, size int) {
+	for i := 0; i+size <= len(b); i += size {
+		slices.Reverse(b[i : i+size])
+	}
 }

@@ -8,8 +8,8 @@ import (
 // FuzzTensorDecode walks arbitrary bytes through the wire/checkpoint tensor
 // decoder. Decode and DecodePooled must agree on the error, the dtype, the
 // shape, the payload bits and the bytes left over; an accepted tensor must
-// re-encode to bytes that decode to the same encoding again; and no input
-// may panic. Pooled results are recycled, so later iterations decode into
+// re-encode to exactly the bytes it was decoded from (only canonical
+// encodings decode); and no input may panic. Pooled results are recycled, so later iterations decode into
 // tensors holding stale contents.
 func FuzzTensorDecode(f *testing.F) {
 	for _, t := range []*Tensor{
@@ -35,6 +35,7 @@ func FuzzTensorDecode(f *testing.F) {
 	f.Add([]byte{byte(Float64), 0x21})                               // rank 33
 	f.Add([]byte{byte(Float64), 0x01, 0xff, 0xff, 0xff, 0xff, 0x0f}) // 2^32 elements claimed
 	f.Add([]byte{byte(Bool), 0x01, 0x02, 0x00, 0x07})                // non-0/1 bool byte
+	f.Add([]byte{byte(Int32), 0x01, 0x81, 0x00, 1, 2, 3, 4})         // padded dim
 	f.Fuzz(func(t *testing.T, src []byte) {
 		a, restA, errA := Decode(src)
 		p, restP, errP := DecodePooled(src)
@@ -65,19 +66,8 @@ func FuzzTensorDecode(f *testing.F) {
 		if !bytes.Equal(encA, encP) {
 			t.Fatal("Decode and DecodePooled payload bits differ")
 		}
-		again, rest, err := Decode(encA)
-		if err != nil {
-			t.Fatalf("re-encoded tensor fails to decode: %v", err)
-		}
-		if len(rest) != 0 {
-			t.Fatalf("re-encoded tensor leaves %d bytes", len(rest))
-		}
-		encAgain, err := again.Encode(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(encA, encAgain) {
-			t.Fatal("encode → decode → encode changed the bytes")
+		if used := src[:len(src)-len(restA)]; !bytes.Equal(encA, used) {
+			t.Fatalf("accepted %x re-encodes to %x", used, encA)
 		}
 	})
 }

@@ -314,22 +314,7 @@ func (t *Tensor) CopyFrom(src *Tensor) error {
 	if src.dtype != t.dtype || src.NumElements() != t.NumElements() {
 		return fmt.Errorf("tensor: cannot copy %v%v into %v%v", src.dtype, src.shape, t.dtype, t.shape)
 	}
-	switch d := t.data.(type) {
-	case []float32:
-		copy(d, src.F32())
-	case []float64:
-		copy(d, src.F64())
-	case []complex64:
-		copy(d, src.C64())
-	case []complex128:
-		copy(d, src.C128())
-	case []int32:
-		copy(d, src.I32())
-	case []int64:
-		copy(d, src.I64())
-	case []bool:
-		copy(d, src.Bools())
-	}
+	copy(t.Bytes(), src.Bytes())
 	return nil
 }
 

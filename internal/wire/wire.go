@@ -30,6 +30,17 @@ const MaxMessageSize = int64(2) << 30
 // ceiling with unrolled-loop graphs.
 var ErrMessageTooLarge = fmt.Errorf("wire: message exceeds 2 GiB limit")
 
+// Uvarint is binary.Uvarint refusing padded (non-minimal) encodings, so
+// every value has exactly one accepted form: n ≤ 0 unless b starts with
+// the minimal uvarint of v.
+func Uvarint(b []byte) (v uint64, n int) {
+	v, n = binary.Uvarint(b)
+	if n > 1 && b[n-1] == 0 {
+		return 0, -1
+	}
+	return v, n
+}
+
 // Encoder accumulates tagged fields into a byte buffer.
 type Encoder struct {
 	buf []byte

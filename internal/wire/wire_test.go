@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math"
 	"testing"
@@ -216,5 +217,28 @@ func TestEncoderReset(t *testing.T) {
 	e.Reset()
 	if e.Len() != 0 {
 		t.Fatal("Reset should clear")
+	}
+}
+
+// TestUvarintCanonical: Uvarint reads exactly the minimal encodings
+// binary.AppendUvarint writes and refuses padded, truncated and overlong
+// ones.
+func TestUvarintCanonical(t *testing.T) {
+	for _, v := range []uint64{0, 1, 127, 128, 300, 1 << 35, math.MaxUint64} {
+		b := binary.AppendUvarint(nil, v)
+		if got, n := Uvarint(b); got != v || n != len(b) {
+			t.Errorf("Uvarint(%x) = %d, %d; want %d, %d", b, got, n, v, len(b))
+		}
+	}
+	for name, b := range map[string][]byte{
+		"padded zero": {0x80, 0x00},
+		"padded one":  {0x81, 0x80, 0x00},
+		"truncated":   {0x80},
+		"empty":       {},
+		"overlong":    {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02},
+	} {
+		if _, n := Uvarint(b); n > 0 {
+			t.Errorf("%s: Uvarint(%x) accepted %d bytes", name, b, n)
+		}
 	}
 }
