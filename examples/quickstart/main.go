@@ -1,6 +1,7 @@
 // Quickstart: the paper's Listing 1 in Go — two random matrices generated
 // on the CPU, multiplied on the GPU, fetched through a session, with the
-// resulting execution trace written in TensorFlow-Timeline form.
+// Run's spans written in TensorFlow-Timeline form (Fig. 3): one span per
+// node under the Run's, one lane per device.
 package main
 
 import (
@@ -23,8 +24,8 @@ func main() {
 		c = g.AddOp("MatMul", nil, a, b)
 	})
 
-	trace := tf.NewTimeline()
-	sess, err := tf.NewSession(g, nil, tf.Options{Trace: trace})
+	tf.EnableTracing()
+	sess, err := tf.NewSession(g, nil, tf.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,8 +51,8 @@ func main() {
 	fmt.Printf("graph round-trips through %d bytes of GraphDef (%d nodes)\n",
 		len(buf), g2.NumNodes())
 
-	if err := trace.WriteFile("quickstart_timeline.json"); err != nil {
+	if err := tf.WriteTraceFile("quickstart_trace.json"); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("timeline written to quickstart_timeline.json (chrome://tracing)")
+	fmt.Println("trace written to quickstart_trace.json (chrome://tracing, Perfetto)")
 }

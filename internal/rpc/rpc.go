@@ -380,6 +380,12 @@ func (c *Client) CallContext(ctx context.Context, method string, req []byte) ([]
 		if retry && ctx.Err() == nil {
 			continue
 		}
+		// The server's deadline is never earlier than ours, so a call that
+		// failed once ours has passed failed by it — even when the server's
+		// error came back before ctx's timer fired.
+		if dl, ok := ctx.Deadline(); ok && err != nil && !time.Now().Before(dl) {
+			err = context.DeadlineExceeded
+		}
 		return resp, err
 	}
 }

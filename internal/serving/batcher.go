@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"slices"
@@ -330,10 +331,8 @@ func (b *Batcher) flush(mv *ModelVersion, batch []*request, now time.Time) {
 		return
 	}
 
-	in := stackRows(live, sig)
-	runSpan := span.Child("session_run").Arg("rows", strconv.Itoa(len(live)))
-	out, err := mv.Predict(in)
-	runSpan.End()
+	span.Arg("rows", strconv.Itoa(len(live)))
+	out, err := mv.PredictContext(telemetry.ContextWith(context.Background(), span), stackRows(live, sig))
 	if err == nil && (out.Rank() < 1 || out.Shape()[0] != len(live)) {
 		err = fmt.Errorf("serving: model %s v%d returned %v for a %d-row batch",
 			mv.model, mv.version, out.Shape(), len(live))

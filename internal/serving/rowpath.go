@@ -71,10 +71,11 @@ func (s *Service) PredictRowInto(model string, row, out *tensor.Tensor, deadline
 	if !deadline.IsZero() && !time.Now().Before(deadline) {
 		mv.release()
 		b.stats.expired.Add(1)
+		mBatchExpired.Inc()
 		return ErrDeadline
 	}
 	mv.rowKernel(row, out)
 	mv.release()
-	b.stats.recordBatch(1)
+	b.recordBatch(1)
 	return nil
 }

@@ -26,6 +26,7 @@
 package serving
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -152,13 +153,19 @@ func (mv *ModelVersion) State() string {
 // through the Registry must hold an acquire ref (Registry.Acquire) so a
 // concurrent hot-swap drains gracefully instead of unloading underneath us.
 func (mv *ModelVersion) Predict(in *tensor.Tensor) (*tensor.Tensor, error) {
+	return mv.PredictContext(context.Background(), in)
+}
+
+// PredictContext is Predict whose session run records its spans under the
+// span ctx carries (Session.RunContext).
+func (mv *ModelVersion) PredictContext(ctx context.Context, in *tensor.Tensor) (*tensor.Tensor, error) {
 	if in == nil || in.Rank() != 2 || in.Shape()[1] != mv.sig.Features {
 		return nil, fmt.Errorf("%w: want [n, %d], got %v", ErrBadInput, mv.sig.Features, shapeOf(in))
 	}
 	if in.DType() != mv.sig.DType {
 		return nil, fmt.Errorf("%w: want %v, got %v", ErrBadInput, mv.sig.DType, in.DType())
 	}
-	out, err := mv.sess.Run(map[string]*tensor.Tensor{mv.sig.InputName: in},
+	out, err := mv.sess.RunContext(ctx, map[string]*tensor.Tensor{mv.sig.InputName: in},
 		[]string{mv.sig.OutputName}, nil)
 	if err != nil {
 		return nil, err

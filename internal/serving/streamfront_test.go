@@ -264,3 +264,44 @@ func TestStreamPredictAllocs(t *testing.T) {
 		t.Fatalf("streaming predict allocates %.2f allocs/op, want 0", avg)
 	}
 }
+
+// TestStreamPredictCountsInMetricz: rows a streaming predict serves through
+// the row kernel, and rows it finds expired, count in the batcher's
+// /metricz series exactly as in its /statsz counters.
+func TestStreamPredictCountsInMetricz(t *testing.T) {
+	const d, n = 16, 7
+	addr, svc := startStreamServer(t, d, 1)
+	c := rpc.Dial(addr)
+	defer c.Close()
+	ps, err := OpenPredictStream(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Close()
+
+	rows, batches, sizes, expired := mBatchRows.Value(), mBatchBatches.Value(), mBatchSizeRows.Count(), mBatchExpired.Value()
+	row := sliceRow(randRows(1, d, 3), 0)
+	for i := 0; i < n; i++ {
+		if _, err := ps.Predict("lin", row, time.Time{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A client drops a row that expired before it was sent, so the expired
+	// row goes to the front's row path directly.
+	mv, err := svc.reg.acquireRef("lin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := tensor.New(mv.sig.DType, mv.rowOutShape...)
+	mv.release()
+	if err := svc.PredictRowInto("lin", row, out, time.Now().Add(-time.Second)); !errors.Is(err, ErrDeadline) {
+		t.Fatalf("expired row: want ErrDeadline, got %v", err)
+	}
+	got := [4]int64{mBatchRows.Value() - rows, mBatchBatches.Value() - batches, mBatchSizeRows.Count() - sizes, mBatchExpired.Value() - expired}
+	if want := [4]int64{n, n, n, 1}; got != want {
+		t.Fatalf("rows, batches, batch_rows count, expired moved by %v, want %v", got, want)
+	}
+	if s := svc.Snapshots()[0]; s.Rows != n || s.Expired != 1 {
+		t.Fatalf("statsz %+v, want %d rows and 1 expired", s, n)
+	}
+}

@@ -122,15 +122,12 @@ func (hs *hostStream) lookup(run uint64) *rendezvous {
 	return hs.runs[run]
 }
 
-// hostOptions is how partitions execute on a task: untraced, unthrottled.
-var hostOptions Options
-
 // run executes one run of a partition and reports it done.
 func (hs *hostStream) run(id uint64, part *hostPart, rv *rendezvous) {
 	defer hs.wg.Done()
 	err := part.err
 	if err == nil {
-		err = part.prog.run(hs.h.res, &hostOptions, rv, func(key uint64, t *tensor.Tensor) error {
+		err = part.prog.run(hs.h.res, 0, nil, rv, func(key uint64, t *tensor.Tensor) error {
 			return sendValue(hs.st.Send, id, key, t)
 		})
 	}

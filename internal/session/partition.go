@@ -12,8 +12,8 @@ import (
 
 	"tfhpc/internal/graph"
 	"tfhpc/internal/rpc"
+	"tfhpc/internal/telemetry"
 	"tfhpc/internal/tensor"
-	"tfhpc/internal/timeline"
 )
 
 // The edge nodes partitioning inserts. Each carries an int "key" attr, the
@@ -331,14 +331,13 @@ func (s *Session) buildPlan(feeds map[string]*tensor.Tensor, fetches, targets []
 
 // runPlan executes one Run of a plan: a run frame to every part, the local
 // partition here, then the fetched values out of the rendezvous.
-func (s *Session) runPlan(p *plan, feeds map[string]*tensor.Tensor) ([]*tensor.Tensor, error) {
+func (s *Session) runPlan(p *plan, feeds map[string]*tensor.Tensor, trace *runTrace) ([]*tensor.Tensor, error) {
 	n := len(p.parts)
 	r := &clientRun{
 		p:        p,
 		rv:       newRendezvous(),
 		conns:    make([]*taskConn, n),
-		trace:    s.opts.Trace,
-		begin:    make([]float64, n),
+		trace:    trace,
 		started:  make(chan struct{}),
 		sent:     make([]bool, n),
 		done:     make([]bool, n),
@@ -347,6 +346,9 @@ func (s *Session) runPlan(p *plan, feeds map[string]*tensor.Tensor) ([]*tensor.T
 	}
 	if n == 0 {
 		r.finishLocked() // no part to wait for
+	}
+	if trace != nil {
+		r.spans = make([]*telemetry.Span, n)
 	}
 	for name, k := range p.feedKeys {
 		if feeds[name] == nil {
@@ -362,7 +364,7 @@ func (s *Session) runPlan(p *plan, feeds map[string]*tensor.Tensor) ([]*tensor.T
 	err := r.start(s)
 	close(r.started)
 	if err == nil {
-		err = p.local.run(s.res, &s.opts, r.rv, r.localSend)
+		err = p.local.run(s.res, s.opts.Parallelism, trace, r.rv, r.localSend)
 	}
 	if err != nil {
 		r.fail(err)
@@ -397,8 +399,8 @@ type clientRun struct {
 	p       *plan
 	rv      *rendezvous
 	conns   []*taskConn // per part
-	trace   *timeline.Trace
-	begin   []float64 // per part, when its run frame went out (traced Runs)
+	trace   *runTrace
+	spans   []*telemetry.Span // per part, from its run frame out to its done frame in (traced Runs)
 	started chan struct{}
 
 	mu       sync.Mutex
@@ -489,12 +491,11 @@ func (r *clientRun) partDone(i int, msg string) {
 		r.finishLocked()
 	}
 	r.mu.Unlock()
-	part := r.p.parts[i]
-	if r.trace != nil {
-		r.trace.AddSpan(part.name, "Partition", part.device, r.begin[i], r.trace.Now())
+	if r.spans != nil {
+		r.spans[i].End()
 	}
 	if msg != "" {
-		r.fail(fmt.Errorf("session: partition on %s: %s", part.device, msg))
+		r.fail(fmt.Errorf("session: partition on %s: %s", r.p.parts[i].device, msg))
 	}
 }
 
@@ -599,7 +600,7 @@ func (c *taskConn) alive() bool {
 func (c *taskConn) startRun(r *clientRun, i int) error {
 	part := r.p.parts[i]
 	if r.trace != nil {
-		r.begin[i] = r.trace.Now()
+		r.spans[i] = r.trace.child(part.name, "Partition", part.device)
 	}
 	c.mu.Lock()
 	if c.err != nil {

@@ -11,7 +11,6 @@ import (
 	"tfhpc/internal/graph"
 	"tfhpc/internal/rpc"
 	"tfhpc/internal/tensor"
-	"tfhpc/internal/timeline"
 )
 
 // testTasks is a cluster in miniature: one rpc server per task, each
@@ -318,30 +317,6 @@ func TestPartitionCloseReleasesGoroutines(t *testing.T) {
 		}
 	}
 	waitFor(t, "goroutines to exit", func() bool { return runtime.NumGoroutine() <= base })
-}
-
-func TestPartitionTraceSpans(t *testing.T) {
-	tt := startTasks(t, taskA, taskB)
-	trace := timeline.New()
-	sess, err := New(chainGraph(), nil, Options{LocalJob: "client", Remote: tt, Trace: trace})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	if _, err := runWithin(t, sess, map[string]*tensor.Tensor{"x": tensor.ScalarF64(1)}, []string{"e"}, nil); err != nil {
-		t.Fatal(err)
-	}
-	lanes := map[string]int{}
-	for _, ev := range trace.Events() {
-		if ev.Op == "Partition" {
-			lanes[ev.Device]++
-		} else if ev.Name != "e" {
-			t.Fatalf("unexpected span %q (%s): only local ops and partition runs are traced", ev.Name, ev.Op)
-		}
-	}
-	if lanes["/job:worker/task:0"] != 1 || lanes["/job:worker/task:1"] != 1 {
-		t.Fatalf("partition spans by task: %v, want one per task", lanes)
-	}
 }
 
 // A Run whose needed nodes are all here compiles to a plan with no remote

@@ -19,6 +19,7 @@
 package session
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"slices"
@@ -28,8 +29,8 @@ import (
 	"tfhpc/internal/ops"
 	"tfhpc/internal/queue"
 	"tfhpc/internal/rpc"
+	"tfhpc/internal/telemetry"
 	"tfhpc/internal/tensor"
-	"tfhpc/internal/timeline"
 	"tfhpc/internal/vars"
 )
 
@@ -142,9 +143,6 @@ type Options struct {
 	LocalTask int
 	// Remote reaches the tasks; required only in distributed runs.
 	Remote Dialer
-	// Trace, when non-nil, records per-op spans (TensorFlow Timeline) for
-	// the ops run here, and one span per remote partition run.
-	Trace *timeline.Trace
 	// Parallelism bounds concurrent op dispatch; 0 = unlimited (the executor
 	// is already throttled by dependencies; kernels self-limit to NumCPU).
 	//
@@ -217,14 +215,49 @@ func (s *Session) Graph() *graph.Graph { return s.g }
 // paper's STREAM trick of passing an op as a target with no fetches so that
 // no tensor value is returned to the client.
 func (s *Session) Run(feeds map[string]*tensor.Tensor, fetches, targets []string) ([]*tensor.Tensor, error) {
+	return s.RunContext(context.Background(), feeds, fetches, targets)
+}
+
+// RunContext is Run under the span ctx carries. With tracing on
+// (telemetry.Enable) the Run records a session_run span, parented to that
+// span or a root when ctx carries none, with one child per node it
+// evaluates here — named after the node, with args op and device, on one
+// lane per device — and one per partition it runs on a task. ctx does not
+// bound the Run.
+func (s *Session) RunContext(ctx context.Context, feeds map[string]*tensor.Tensor, fetches, targets []string) ([]*tensor.Tensor, error) {
 	if len(fetches)+len(targets) == 0 {
 		return nil, fmt.Errorf("session: Run needs at least one fetch or target")
+	}
+	var trace *runTrace
+	if span := telemetry.StartChild(telemetry.SpanFromContext(ctx).Context(), "session_run"); span != nil {
+		trace = &runTrace{span: span, lanes: make(map[string]uint32)}
+		defer span.End()
 	}
 	p, err := s.plan(feeds, fetches, targets)
 	if err != nil {
 		return nil, err
 	}
-	return s.runPlan(p, feeds)
+	return s.runPlan(p, feeds, trace)
+}
+
+// runTrace is a traced Run: its span, and the lane of each device its
+// nodes and partitions ran on.
+type runTrace struct {
+	span  *telemetry.Span
+	mu    sync.Mutex
+	lanes map[string]uint32
+}
+
+// child starts a span under the Run's, on device's lane.
+func (t *runTrace) child(name, op, device string) *telemetry.Span {
+	t.mu.Lock()
+	l, ok := t.lanes[device]
+	if !ok {
+		l = telemetry.NewLane(device)
+		t.lanes[device] = l
+	}
+	t.mu.Unlock()
+	return t.span.Child(name).OnLane(l).Arg("op", op).Arg("device", device)
 }
 
 // program is a partition graph compiled once for all its Runs. A node's
@@ -311,7 +344,7 @@ func compile(g *graph.Graph) (*program, error) {
 type execution struct {
 	p       *program
 	res     *Resources
-	opts    *Options
+	trace   *runTrace // nil when the Run is not traced
 	scratch *ops.Scratch
 	// rv holds the values arriving over partition edges for _Recv nodes,
 	// and send ships a _Send node's value out.
@@ -328,12 +361,13 @@ type execution struct {
 	err     error
 }
 
-// run executes every node of the program once against res.
-func (p *program) run(res *Resources, opts *Options, rv *rendezvous, send func(uint64, *tensor.Tensor) error) error {
+// run executes every node of the program once against res, at most
+// parallelism nodes at a time (0: unbounded).
+func (p *program) run(res *Resources, parallelism int, trace *runTrace, rv *rendezvous, send func(uint64, *tensor.Tensor) error) error {
 	e := &execution{
 		p:       p,
 		res:     res,
-		opts:    opts,
+		trace:   trace,
 		scratch: ops.NewScratch(),
 		rv:      rv,
 		send:    send,
@@ -342,8 +376,8 @@ func (p *program) run(res *Resources, opts *Options, rv *rendezvous, send func(u
 		pending: slices.Clone(p.pending),
 		values:  make([]*tensor.Tensor, len(p.nodes)),
 	}
-	if n := opts.Parallelism; n > 0 {
-		e.sem = make(chan struct{}, n)
+	if parallelism > 0 {
+		e.sem = make(chan struct{}, parallelism)
 	}
 	// Work-first dispatch: the goroutine that finishes a node goes on to
 	// run the first successor that node made ready, and starts a goroutine
@@ -436,10 +470,13 @@ func (e *execution) evalNode(i int32, in []*tensor.Tensor) (*tensor.Tensor, erro
 		return nil, e.sendValue(n, in[0])
 	}
 
-	opts := e.opts
-	var start float64
-	if opts.Trace != nil {
-		start = opts.Trace.Now()
+	var span *telemetry.Span
+	if e.trace != nil {
+		dev := n.Device().String()
+		if dev == "" {
+			dev = "/device:CPU:0"
+		}
+		span = e.trace.child(n.Name(), n.Op(), dev)
 	}
 	lo, hi := e.p.argOff[i], e.p.argOff[i+1]
 	ctx := &e.ctxs[i]
@@ -452,12 +489,6 @@ func (e *execution) evalNode(i int32, in []*tensor.Tensor) (*tensor.Tensor, erro
 		AdoptInput: e.p.adopt[i],
 	}
 	out, err := ops.Run(n.Op(), ctx, in)
-	if opts.Trace != nil {
-		devStr := n.Device().String()
-		if devStr == "" {
-			devStr = "/device:CPU:0"
-		}
-		opts.Trace.AddSpan(n.Name(), n.Op(), devStr, start, opts.Trace.Now())
-	}
+	span.End()
 	return out, err
 }

@@ -11,7 +11,6 @@ import (
 	"tfhpc/internal/collective"
 	"tfhpc/internal/graph"
 	"tfhpc/internal/tensor"
-	"tfhpc/internal/timeline"
 )
 
 // buildListing1 reproduces the paper's Listing 1: two random matrices
@@ -197,37 +196,6 @@ func TestRemoteOpRequiresRunner(t *testing.T) {
 	if _, err := sess.Run(nil, []string{remote.Name()}, nil); err == nil ||
 		!strings.Contains(err.Error(), "no remote runner") {
 		t.Fatalf("want remote-runner error, got %v", err)
-	}
-}
-
-func TestTimelineCollection(t *testing.T) {
-	g := graph.New()
-	c := buildListing1(g)
-	trace := timeline.New()
-	sess, _ := New(g, nil, Options{Trace: trace})
-	if _, err := sess.Run(nil, []string{c.Name()}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if trace.Len() != 3 {
-		t.Fatalf("trace has %d events, want 3", trace.Len())
-	}
-	events := trace.Events()
-	devices := map[string]bool{}
-	for _, ev := range events {
-		if ev.End < ev.Start {
-			t.Fatal("event ends before it starts")
-		}
-		devices[ev.Device] = true
-	}
-	if !devices["/device:CPU:0"] || !devices["/device:GPU:0"] {
-		t.Fatalf("expected CPU and GPU lanes, got %v", devices)
-	}
-	b, err := trace.MarshalChrome()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(b), "traceEvents") || !strings.Contains(string(b), "MatMul") {
-		t.Fatal("chrome JSON missing content")
 	}
 }
 

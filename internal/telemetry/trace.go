@@ -2,7 +2,7 @@
 // trace/span ids ride the rpc request frame (fields 4/5, next to the PR 4
 // deadline budget in field 3) and the collective stream-edge header (after
 // the PR 7 epoch), so one routed predict or one allreduce renders as a
-// single cross-process timeline. Export is Chrome trace-event JSON: each
+// single cross-process trace. Export is Chrome trace-event JSON: each
 // process dumps its own file (-trace-out on the binaries), the files
 // concatenate into one {"traceEvents": [...]} document, and Perfetto draws
 // the cross-process edges from flow events ("s"/"f" pairs sharing an id).
@@ -37,12 +37,13 @@ type Span struct {
 	sc     SpanContext
 	parent uint64
 	start  time.Time
+	lane   uint32 // from NewLane; 0 draws the span on its trace's lane
 	args   [][2]string
 }
 
 type traceEvent struct {
 	name   string
-	ph     byte // 'X' span, 'i' instant, 's'/'f' flow
+	ph     byte // 'X' span, 'i' instant, 's'/'f' flow, 'M' lane name
 	ts     time.Time
 	dur    time.Duration
 	tid    uint32
@@ -57,6 +58,7 @@ const maxTraceEvents = 1 << 20
 var tracer struct {
 	enabled  atomic.Bool
 	ids      atomic.Uint64
+	lanes    atomic.Uint32
 	mu       sync.Mutex
 	events   []traceEvent
 	dropped  int64
@@ -131,6 +133,19 @@ func lane(trace uint64) uint32 {
 	return uint32(trace%999983) + 1
 }
 
+// NewLane returns a lane of its own, labelled name in the Chrome file, for
+// spans that draw apart from their trace's lane: a Session draws each device
+// of a Run on one. Lanes from NewLane start above every lane a trace id
+// folds onto, so no other span shares them. Returns 0 when disabled.
+func NewLane(name string) uint32 {
+	if !tracer.enabled.Load() {
+		return 0
+	}
+	l := 1<<20 + tracer.lanes.Add(1)
+	record(traceEvent{name: "thread_name", ph: 'M', ts: time.Now(), tid: l, args: [][2]string{{"name", name}}})
+	return l
+}
+
 func record(ev traceEvent) {
 	tracer.mu.Lock()
 	if len(tracer.events) >= maxTraceEvents {
@@ -170,6 +185,15 @@ func (s *Span) Child(name string) *Span {
 	return StartChild(s.sc, name)
 }
 
+// OnLane draws s on lane l (from NewLane) instead of its trace's lane.
+// Nil-safe; returns s for chaining.
+func (s *Span) OnLane(l uint32) *Span {
+	if s != nil {
+		s.lane = l
+	}
+	return s
+}
+
 // Arg attaches one key/value annotation. Nil-safe; returns s for chaining.
 func (s *Span) Arg(k, v string) *Span {
 	if s != nil {
@@ -183,9 +207,13 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
+	tid := s.lane
+	if tid == 0 {
+		tid = lane(s.sc.Trace)
+	}
 	record(traceEvent{
 		name: s.name, ph: 'X', ts: s.start, dur: time.Since(s.start),
-		tid: lane(s.sc.Trace), sc: s.sc, parent: s.parent, args: s.args,
+		tid: tid, sc: s.sc, parent: s.parent, args: s.args,
 	})
 }
 

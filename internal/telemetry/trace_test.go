@@ -43,7 +43,7 @@ func TestDisabledFastPath(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(1000, func() {
 		s := StartRoot("hot")
-		s.Child("child").End()
+		s.Child("child").OnLane(NewLane("lane")).End()
 		s.End()
 		Instant("i")
 	}); n != 0 {
@@ -105,6 +105,35 @@ func TestSpanHierarchyAndChrome(t *testing.T) {
 	}
 	if args["size"] != "4" {
 		t.Fatalf("batch lost its Arg: %v", args)
+	}
+}
+
+// TestNewLane: a span OnLane draws on that lane, which is named in the
+// file and lies above every lane a trace id folds onto, and a second
+// NewLane is a different lane.
+func TestNewLane(t *testing.T) {
+	Enable()
+	resetTracer()
+	l := NewLane("/device:GPU:0")
+	if l < 1<<20 || NewLane("/device:GPU:0") == l {
+		t.Fatalf("NewLane gave %d, then the same again or one a trace id folds onto", l)
+	}
+	root := StartRoot("run")
+	root.Child("node").OnLane(l).End()
+	root.End()
+
+	tracer.mu.Lock()
+	events := append([]traceEvent(nil), tracer.events...)
+	tracer.mu.Unlock()
+	tids := map[string]uint32{}
+	for _, ev := range events {
+		if ev.ph == 'M' && ev.tid == l && ev.args[0] != [2]string{"name", "/device:GPU:0"} {
+			t.Fatalf("lane %d named %v", l, ev.args)
+		}
+		tids[ev.name] = ev.tid
+	}
+	if tids["node"] != l || tids["run"] != lane(root.Context().Trace) {
+		t.Fatalf("lanes %v: node wants %d, run its trace's lane", tids, l)
 	}
 }
 

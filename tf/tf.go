@@ -25,8 +25,8 @@ import (
 	"tfhpc/internal/graph"
 	"tfhpc/internal/queue"
 	"tfhpc/internal/session"
+	"tfhpc/internal/telemetry"
 	"tfhpc/internal/tensor"
-	"tfhpc/internal/timeline"
 )
 
 // Tensor types.
@@ -93,7 +93,7 @@ var (
 type (
 	// Session executes a graph against task-local resources.
 	Session = session.Session
-	// Options configures locality, remote forwarding and tracing.
+	// Options configures locality, remote forwarding and parallelism.
 	Options = session.Options
 	// Resources hosts a task's variables and queues.
 	Resources = session.Resources
@@ -158,14 +158,10 @@ var (
 	NewQueue = queue.New
 )
 
-// State and tooling.
-type (
-	// Checkpoint is a saved variable snapshot with graph identity and step.
-	Checkpoint = checkpoint.Checkpoint
-	// Timeline collects per-op spans in Chrome trace format (Fig. 3).
-	Timeline = timeline.Trace
-)
+// Checkpoint is a saved variable snapshot with graph identity and step.
+type Checkpoint = checkpoint.Checkpoint
 
+// State and tooling.
 var (
 	// CaptureCheckpoint snapshots a session's variables.
 	CaptureCheckpoint = checkpoint.Capture
@@ -173,6 +169,11 @@ var (
 	LoadCheckpoint = checkpoint.Load
 	// RestoreCheckpoint loads and applies a checkpoint file.
 	RestoreCheckpoint = checkpoint.Restore
-	// NewTimeline starts an empty trace.
-	NewTimeline = timeline.New
+	// EnableTracing turns span recording on for the whole process: every
+	// Session.Run then records a span per node it runs, one lane per device
+	// (the TensorFlow Timeline view of Fig. 3).
+	EnableTracing = telemetry.Enable
+	// WriteTraceFile writes every span recorded so far as Chrome
+	// trace-event JSON (chrome://tracing, Perfetto).
+	WriteTraceFile = telemetry.WriteTraceFile
 )

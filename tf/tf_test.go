@@ -1,7 +1,9 @@
 package tf_test
 
 import (
+	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -32,7 +34,7 @@ func TestListing1(t *testing.T) {
 }
 
 // TestDistributedFacade stands up a ps/worker cluster through the facade
-// and runs remote variable updates with a timeline attached.
+// and runs remote variable updates with tracing on.
 func TestDistributedFacade(t *testing.T) {
 	lc, err := tf.StartLocalCluster(map[string]int{"ps": 1, "worker": 2})
 	if err != nil {
@@ -42,7 +44,7 @@ func TestDistributedFacade(t *testing.T) {
 	peers := tf.NewPeers(lc.Spec())
 	defer peers.Close()
 
-	trace := tf.NewTimeline()
+	tf.EnableTracing()
 	runWorker := func(task int) error {
 		g := tf.NewGraph()
 		var push, init *tf.Node
@@ -54,7 +56,7 @@ func TestDistributedFacade(t *testing.T) {
 			push.AddControlDep(init)
 		})
 		sess, err := tf.NewSession(g, nil, tf.Options{
-			LocalJob: "worker", LocalTask: task, Remote: peers, Trace: trace,
+			LocalJob: "worker", LocalTask: task, Remote: peers,
 		})
 		if err != nil {
 			return err
@@ -104,8 +106,12 @@ func TestDistributedFacade(t *testing.T) {
 	if got.F64()[0] != 3 {
 		t.Fatalf("w = %v, want 3 pushes", got.F64())
 	}
-	if trace.Len() == 0 {
-		t.Fatal("timeline collected nothing")
+	path := filepath.Join(t.TempDir(), "trace.json")
+	if err := tf.WriteTraceFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if b, err := os.ReadFile(path); err != nil || !strings.Contains(string(b), `"op":"Partition"`) {
+		t.Fatalf("trace file holds no partition span: %v", err)
 	}
 }
 
