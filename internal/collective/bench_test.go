@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"tfhpc/internal/collective"
+	"tfhpc/internal/rpc"
 	"tfhpc/internal/tensor"
 )
 
@@ -81,6 +83,62 @@ func BenchmarkDoublingAllReduceSmall(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+		}
+	}
+}
+
+// BenchmarkStreamAllReduceSmall is the allreduce workload's gated
+// operation under go test: a 1 KiB (recursive doubling) allreduce between 2
+// ranks whose edges are rpc streams through real servers on 127.0.0.1, each
+// rank calling back to back on its own goroutine.
+func BenchmarkStreamAllReduceSmall(b *testing.B) {
+	const p, n = 2, 128
+	hubs := make([]*collective.Hub, p)
+	addrs := make([]string, p)
+	for i := range hubs {
+		hubs[i] = collective.NewHub()
+		srv := rpc.NewServer()
+		srv.HandleStream(collective.StreamMethod, hubs[i].HandleStream)
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer srv.Close()
+		addrs[i] = addr
+	}
+	groups := make([]*collective.Group, p)
+	ins := make([]*tensor.Tensor, p)
+	for r := range groups {
+		tr, err := collective.NewNetTransport("bench", r, addrs, hubs[r], 30*time.Second, 1,
+			collective.TransportConfig{DisableShm: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		groups[r] = collective.NewGroup(tr, collective.Options{})
+		defer groups[r].Close()
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = float64((i + r) % 97)
+		}
+		ins[r] = tensor.FromF64(tensor.Shape{n}, v)
+	}
+	b.SetBytes(n * 8)
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	errs := make([]error, p)
+	for r := range groups {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; i < b.N && errs[r] == nil; i++ {
+				_, errs[r] = groups[r].AllReduce("small", ins[r], collective.OpSum)
+			}
+		}(r)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			b.Fatal(err)
 		}
 	}
 }

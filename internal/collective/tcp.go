@@ -1,10 +1,8 @@
 package collective
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 	"sync"
@@ -22,10 +20,10 @@ import (
 // stays silent this long has almost certainly died rather than fallen behind.
 const DefaultRecvTimeout = 2 * time.Minute
 
-// Hub is a task's collective inbox: stream edges (HandleStream, registered
-// under StreamMethod), a rank's own sends and in-process peers' sends all
-// land in its lanes, and every NetTransport on the task takes its group's
-// chunks from here.
+// Hub is a task's collective inbox: a rank's own sends and in-process
+// peers' sends land in its lanes, stream edges from other processes
+// (HandleStream, registered under StreamMethod) attach to them, and every
+// NetTransport on the task takes its group's chunks from here.
 type Hub struct {
 	mu     sync.Mutex
 	groups map[string]*hubGroup
@@ -154,10 +152,11 @@ func (h *Hub) Close() {
 	}
 }
 
-// deliver lands one message in the group's epoch incarnation: the lookup
-// runs per message because a CollInit replacement swaps the group object
-// out, and a lane cached at edge setup would feed the poisoned old one.
-// The lookup is two map hits under short mutexes — no allocation.
+// deliver lands one message from a local edge in the group's epoch
+// incarnation: the lookup runs per message because a CollInit replacement
+// swaps the group object out, and a send into a superseded or closed epoch
+// must fail rather than feed a poisoned lane. The lookup is two map hits
+// under short mutexes — no allocation.
 func (h *Hub) deliver(group string, epoch uint64, from int, m message) error {
 	g, err := h.groupAt(group, epoch)
 	if err != nil {
@@ -220,20 +219,19 @@ func appendChunk(b []byte, key string, tg uint64, t *tensor.Tensor) ([]byte, err
 // HandleStream is the rpc.StreamHandler for StreamMethod: one persistent
 // inbound edge from a peer rank. The first frame identifies the edge
 // (uvarint group length | group | uvarint sender rank | uvarint epoch);
-// every later frame is one chunk record. Chunks land in the same lanes
-// local edges fill, so receivers are transport-agnostic. An edge that ends,
-// cleanly or not, poisons the sender's lane, cascading the failure to
-// blocked receivers instead of leaving them to wait out the receive timeout
-// (a no-op once the epoch is closed or superseded). An edge
-// whose epoch has been superseded gets a StaleEpochError back instead, and
-// one whose epoch has been closed an error saying so: the handler error
-// resets the stream, the sender's next Send fails with its text, and no
-// lane of a dead or newer incarnation is touched.
-//
-// The loop is allocation-free in the steady state: frames recycle through
-// the wire buffer pool, tensors through the rank-1 pool, and the interned
-// key string is reused while consecutive chunks carry the same key (they do,
-// within one collective).
+// every later frame is one chunk record. The handler attaches the stream to
+// the sender's lane in that (group, epoch) and pumps nothing: the lane's
+// takers take the chunks off the stream and decode them themselves, so
+// receivers are transport-agnostic and a small chunk crosses no goroutine
+// on its way to the rank that waits for it (the rpc layer reads a bulk one
+// ahead of its taker). An edge that ends, cleanly or not, poisons the
+// sender's lane once the chunks still queued on it are in the lane,
+// cascading the failure to blocked receivers instead of leaving them to
+// wait out the receive timeout. An edge whose epoch has been superseded gets
+// a StaleEpochError back instead, and one whose epoch has been closed an
+// error saying so — at the header, or as soon as its lane is poisoned — the
+// handler error resets the stream, the sender's next Send fails with its
+// text, and no lane of a dead or newer incarnation is touched.
 func (h *Hub) HandleStream(st *rpc.Stream) error {
 	buf, err := st.Recv(nil)
 	if err != nil {
@@ -271,32 +269,20 @@ func (h *Hub) HandleStream(st *rpc.Stream) error {
 			}
 		}
 	}
-	var keyBuf []byte
-	var key string
-	for {
-		b, err := st.Recv(buf)
-		if err != nil {
-			if err == io.EOF {
-				h.failLane(group, epoch, from, errLeft(from))
-				return nil
-			}
-			h.failLane(group, epoch, from, fmt.Errorf("collective: edge from rank %d lost: %w", from, err))
-			return err
-		}
-		buf = b
-		kb, tg, ten, err := parseChunk(b)
-		if err != nil {
-			h.failLane(group, epoch, from, err)
-			return err
-		}
-		if !bytes.Equal(kb, keyBuf) {
-			keyBuf = append(keyBuf[:0], kb...)
-			key = string(kb)
-		}
-		if err := h.deliver(group, epoch, from, message{key: key, tag: tg, t: ten}); err != nil {
-			tensor.Recycle(ten)
-			return err
-		}
+	g, err := h.groupAt(group, epoch)
+	if err != nil {
+		return err
+	}
+	l := g.lane(from)
+	failed, err := l.attach(st, from)
+	if err != nil {
+		return err
+	}
+	select {
+	case <-failed:
+		return l.err // set before failed was closed
+	case <-st.Done():
+		return l.drainEdge(st)
 	}
 }
 

@@ -11,17 +11,20 @@
 //
 // One transport carries every group: each rank reads a Hub inbox, and each
 // edge picks its carrier by where the peer is — a persistent internal/rpc
-// stream to another process, a pooled copy handed straight to the peer's
-// Hub in this one. A cluster task builds it over the addresses of a cluster
+// stream to another process, read by the receiving rank itself when it
+// waits for a chunk, or a pooled copy handed straight to the peer's Hub in
+// this one. A cluster task builds it over the addresses of a cluster
 // spec (NewNetTransport); tests and single-node runs build it with every
 // rank in this process (NewLoopbackGroups).
 package collective
 
 import (
 	"fmt"
+	"io"
 	"sync"
 	"time"
 
+	"tfhpc/internal/rpc"
 	"tfhpc/internal/tensor"
 )
 
@@ -69,7 +72,13 @@ type message struct {
 }
 
 // lane is the per-sender inbox: an unbounded FIFO with tag-matched takes.
-// Puts never block, so senders cannot deadlock against receivers.
+// Puts never block, so senders cannot deadlock against receivers. A sender
+// in another process reaches the lane over a stream edge that
+// Hub.HandleStream attaches to it: the edge is read by the lane's takers
+// themselves, so a chunk is decoded by the goroutine that waits for it, and
+// such a sender runs at most the stream's credit window ahead of the takes.
+// No collective waits on a peer that is itself blocked sending to it — each
+// ring step receives while it sends — so the window cannot deadlock them.
 type lane struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -80,6 +89,14 @@ type lane struct {
 	// allocation-free. timerAt is when it is armed to fire (zero = unarmed).
 	timer   *time.Timer
 	timerAt time.Time
+
+	// The attached stream edge and its sender. One taker at a time reads
+	// it (reading); the others wait on cond as for a put.
+	edge    *rpc.Stream
+	from    int
+	reading bool
+	failed  chan struct{} // closed by fail once an edge is attached
+	key     string        // the last key read off edge, reused while it repeats
 }
 
 func newLane() *lane {
@@ -100,17 +117,43 @@ func (l *lane) put(m message) {
 // fail poisons the lane: pending and future takes return err.
 func (l *lane) fail(err error) {
 	l.mu.Lock()
-	if l.err == nil {
-		l.err = err
-	}
+	l.failLocked(err)
 	l.mu.Unlock()
 	l.cond.Broadcast()
 }
 
+func (l *lane) failLocked(err error) {
+	if l.err != nil {
+		return
+	}
+	l.err = err
+	if l.failed != nil {
+		close(l.failed)
+	}
+}
+
+// attach hands the lane the stream edge from sender from and returns the
+// channel that fail closes. A lane takes one edge, and none once poisoned.
+func (l *lane) attach(st *rpc.Stream, from int) (<-chan struct{}, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.err != nil {
+		return nil, l.err
+	}
+	if l.edge != nil {
+		return nil, fmt.Errorf("collective: a second edge from rank %d", from)
+	}
+	l.edge, l.from, l.failed = st, from, make(chan struct{})
+	l.cond.Broadcast() // takers already waiting read it from now on
+	return l.failed, nil
+}
+
 // take removes and returns the message matching (key, tag), waiting up to
-// timeout (0 = wait forever). Waiters share the lane's one timer: each
-// checks its own deadline against the wall clock on wakeup and keeps the
-// timer pointed at the earliest outstanding deadline.
+// timeout (0 = wait forever). A taker that finds no match while no other
+// taker is reading the lane's edge reads the edge itself; the others wait
+// and share the lane's one timer: each checks its own deadline against the
+// wall clock on wakeup and keeps the timer pointed at the earliest
+// outstanding deadline.
 func (l *lane) take(key string, tg uint64, timeout time.Duration) (*tensor.Tensor, error) {
 	var deadline time.Time
 	if timeout > 0 {
@@ -128,15 +171,111 @@ func (l *lane) take(key string, tg uint64, timeout time.Duration) (*tensor.Tenso
 		if l.err != nil {
 			return nil, l.err
 		}
-		if !deadline.IsZero() {
-			now := time.Now()
-			if !now.Before(deadline) {
-				return nil, fmt.Errorf("collective: timed out after %v waiting for %q tag %#x", timeout, key, tg)
+		now := time.Now()
+		if !deadline.IsZero() && !now.Before(deadline) {
+			return nil, fmt.Errorf("collective: timed out after %v waiting for %q tag %#x", timeout, key, tg)
+		}
+		if l.edge != nil && !l.reading {
+			if t := l.readEdgeLocked(key, tg, deadline); t != nil {
+				return t, nil
 			}
+			continue
+		}
+		if !deadline.IsZero() {
 			l.armLocked(now, deadline)
 		}
 		l.cond.Wait()
 	}
+}
+
+// readEdgeLocked reads one chunk off the edge with l.mu released, up to
+// deadline, and returns it when it is (key, tg); any other chunk is queued
+// for the takers waiting for it. The end of the edge poisons the lane.
+func (l *lane) readEdgeLocked(key string, tg uint64, deadline time.Time) *tensor.Tensor {
+	st := l.edge
+	l.reading = true
+	l.mu.Unlock()
+	st.SetRecvDeadline(deadline)
+	m, err := l.recvChunk(st, key)
+	l.mu.Lock()
+	l.reading = false
+	l.cond.Broadcast() // the next taker reads, or finds the chunk it waits for
+	switch {
+	case err == nil && m.key == key && m.tag == tg:
+		return m.t
+	case err == nil:
+		l.msgs = append(l.msgs, m)
+	case err == rpc.ErrStreamTimeout:
+		// take's deadline check reports it
+	default:
+		l.failLocked(l.edgeErr(err))
+	}
+	return nil
+}
+
+// recvChunk receives one chunk record from the edge, decoding it straight
+// out of the transport's frame. The key string is want when the record
+// carries it, else the lane's last key, so a steady stream of one
+// collective's chunks allocates none. Only the edge's reader calls it.
+func (l *lane) recvChunk(st *rpc.Stream, want string) (message, error) {
+	var m message
+	err := st.RecvFunc(func(p []byte) error {
+		kb, tg, t, err := parseChunk(p)
+		if err != nil {
+			return err
+		}
+		switch {
+		case string(kb) == want:
+			m.key = want
+		case string(kb) != l.key:
+			l.key = string(kb)
+			fallthrough
+		default:
+			m.key = l.key
+		}
+		m.tag, m.t = tg, t
+		return nil
+	})
+	return m, err
+}
+
+// edgeErr is what an edge's end leaves in the lane.
+func (l *lane) edgeErr(err error) error {
+	if err == io.EOF {
+		return errLeft(l.from)
+	}
+	return fmt.Errorf("collective: edge from rank %d lost: %w", l.from, err)
+}
+
+// drainEdge runs once the edge's receive side has ended. As its last reader
+// it moves the chunks still queued on the stream into the lane, then
+// poisons the lane as the end of the edge — so takers blocked on this
+// sender fail fast — and reports how the edge ended: nil when the sender
+// closed it.
+func (l *lane) drainEdge(st *rpc.Stream) error {
+	l.mu.Lock()
+	for l.reading {
+		l.cond.Wait()
+	}
+	l.reading = true
+	l.mu.Unlock()
+	st.SetRecvDeadline(time.Time{})
+	var err error
+	for err == nil {
+		var m message
+		if m, err = l.recvChunk(st, ""); err == nil {
+			l.put(m)
+		}
+	}
+	l.mu.Lock()
+	l.reading = false
+	l.failLocked(l.edgeErr(err))
+	l.mu.Unlock()
+	l.cond.Broadcast()
+	if err == io.EOF {
+		return nil
+	}
+	return err
 }
 
 // armLocked points the lane timer at deadline unless it is already armed to

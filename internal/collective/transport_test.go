@@ -358,3 +358,48 @@ func TestCloseFailsPeersFast(t *testing.T) {
 		})
 	}
 }
+
+// TestLaneTakersOutOfOrder: two receivers wait on one sender's lane for
+// different tags and the chunks arrive in the reverse order. On a stream
+// edge the first receiver reads the edge and must queue the chunk it does
+// not want for the other and hand the edge on; otherwise one of them never
+// returns.
+func TestLaneTakersOutOfOrder(t *testing.T) {
+	for _, f := range edgeFabrics {
+		t.Run(f.name, func(t *testing.T) {
+			groups := f.build(t, collective.Options{})
+			send, recv := groups[0].Transport(), groups[1].Transport()
+			type result struct {
+				tg  uint64
+				got *tensor.Tensor
+				err error
+			}
+			results := make(chan result, 2)
+			// The receiver for tag 1 comes first, so on a stream edge it is
+			// the one reading when tag 2 arrives.
+			for _, tg := range []uint64{1, 2} {
+				go func(tg uint64) {
+					got, err := recv.Recv(0, "k", tg)
+					results <- result{tg, got, err}
+				}(tg)
+				time.Sleep(20 * time.Millisecond)
+			}
+			for _, tg := range []uint64{2, 1} {
+				if err := send.Send(1, "k", tg, randVec(tg, 64)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 2; i++ {
+				select {
+				case r := <-results:
+					if r.err != nil {
+						t.Fatalf("recv tag %d: %v", r.tg, r.err)
+					}
+					requireSameF64(t, fmt.Sprintf("tag %d", r.tg), randVec(r.tg, 64), r.got)
+				case <-time.After(5 * time.Second):
+					t.Fatal("a receiver never got its chunk")
+				}
+			}
+		})
+	}
+}

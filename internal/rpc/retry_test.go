@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -98,9 +99,11 @@ func TestCallRetryRidesThroughRestart(t *testing.T) {
 // must not be retried.
 func TestCallRetryStopsOnRemoteError(t *testing.T) {
 	srv := NewServer()
-	calls := 0
+	// Atomic: the response reaches this goroutine over TCP, which the race
+	// detector does not see as synchronisation.
+	var calls atomic.Int32
 	srv.Handle("Fail", func(req []byte) ([]byte, error) {
-		calls++
+		calls.Add(1)
 		return nil, errors.New("boom")
 	})
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -115,8 +118,8 @@ func TestCallRetryStopsOnRemoteError(t *testing.T) {
 	if !IsRemote(err) {
 		t.Fatalf("err = %v, want remote error", err)
 	}
-	if calls != 1 {
-		t.Fatalf("handler ran %d times, want 1 (no retry on remote error)", calls)
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("handler ran %d times, want 1 (no retry on remote error)", n)
 	}
 }
 

@@ -9,12 +9,31 @@
 // the application consumes frames, so one slow stream backpressures its
 // sender without stalling the connection for its siblings.
 //
+// The reader role: the goroutine that waits for a frame is the one that
+// reads it. One goroutine at a time holds a connection's reader role and
+// reads through the connection's one buffered reader, so a small frame costs
+// one read syscall. A receiver whose queue is empty takes the role when it
+// is free; while it holds it, it routes every frame it reads — other
+// streams' frames go to their queues and wake their receivers — until its
+// own arrives, then hands the role to the longest-waiting receiver, or
+// leaves it free. The connection's readLoop reads only while no receiver
+// does: it holds the role from the start, gives it up once a receiver that
+// keeps receiving small frames is waiting, and takes it back after the role
+// has stayed free for readIdle, so OPENs, credits and a dead peer are still
+// seen on a connection nobody waits on. Bulk frames (larger than the read
+// buffer) are read ahead by readLoop: their receiver hands the role back to
+// it, so the next one comes off the socket while the last is consumed. A receiver that gives up while it reads (its
+// deadline, Close, a cancelled call, Client.Close) is interrupted between
+// reads, never inside the frame: the part of a frame already read stays
+// with the connection, and the next reader finishes it.
+//
 // Buffer ownership: frames are read into pooled buffers (wire.GetBuf) owned
 // by the mux until delivery; Stream.Recv copies the payload into the
 // caller's buffer and recycles the frame immediately, so callers own what
 // Recv returns and must not retain transport buffers; RecvFunc instead lends
 // the pooled payload to a callback and recycles it when the callback
-// returns. Send fully writes the payload before returning, so callers may
+// returns. The connection's read buffer belongs to whoever holds the reader
+// role. Send fully writes the payload before returning, so callers may
 // reuse their buffer at once.
 package rpc
 
@@ -25,6 +44,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,6 +68,22 @@ const (
 // frames. Receivers re-grant after consuming half a window, so a steadily
 // drained stream never stalls.
 const streamWindow = 64
+
+// readIdle is how long the reader role must stay free before readLoop takes
+// it back. It bounds how late a frame no receiver waits for (an OPEN, a
+// credit, a dead peer's EOF) is read, and how often readLoop looks at a
+// connection whose receivers keep the role busy. A receiver that is back
+// within it reads its next frame itself; one that stays away longer finds
+// the frame already read for it.
+const readIdle = 250 * time.Microsecond
+
+// readBufSize is a connection's read buffer: a frame up to this size that
+// has arrived whole costs one read syscall, and larger (bulk) frames are
+// read straight into their pooled buffer.
+const readBufSize = 32 << 10
+
+// aLongTimeAgo is the read deadline that interrupts the reader.
+var aLongTimeAgo = time.Unix(1, 0)
 
 // ErrStreamTimeout reports an expired Recv deadline. The frame may still
 // arrive later, so after a timeout the caller should either keep receiving
@@ -88,7 +124,9 @@ func (c *Client) OpenStream(method string) (*Stream, error) {
 // dialed. One caller dials at a time; the others wait for its mux. The dial
 // and the wait for the server's preface end with ctx or with Close — a
 // SYN-blackholing peer must fail a call at its deadline, not after the OS
-// connect timeout — and the mux is registered before its first read.
+// connect timeout — and the mux is registered only once the preface has
+// arrived, so a dial that one caller's ctx cuts short fails no other
+// caller's streams.
 func (c *Client) streamMux(ctx context.Context) (*mux, bool, error) {
 	if m := c.liveMux(); m != nil {
 		return m, false, nil
@@ -118,22 +156,28 @@ func (c *Client) streamMux(ctx context.Context) (*mux, bool, error) {
 		c.mu.Unlock()
 		return nil, false, err
 	}
-	nm := newMux(conn, nil)
-	c.smux = nm
 	c.mu.Unlock()
+	nm := newMux(conn, nil)
 	// Wait for the server's preface (serveConn), so a stream opened on this
 	// mux is on a connection the server has accepted and tracks — TCP
 	// completes a dial before the server's Accept returns.
 	stop := context.AfterFunc(dctx, func() { nm.fail(dctx.Err()) })
-	buf, err := wire.ReadFramePooled(conn)
+	buf, err := nm.fr.Next() // readLoop's role, before readLoop starts
 	stop()
 	if err == nil {
 		err = nm.dispatch(buf)
 	}
+	c.mu.Lock()
+	if err == nil && c.closed.Err() != nil {
+		err = errClientClosed
+	}
 	if err != nil {
+		c.mu.Unlock()
 		nm.fail(err)
 		return nil, false, err
 	}
+	c.smux = nm
+	c.mu.Unlock()
 	go nm.readLoop()
 	return nm, true, nil
 }
@@ -161,14 +205,39 @@ type mux struct {
 	warr    [2][]byte
 	wbufs   net.Buffers
 
+	// fr is read by the holder of the reader role only.
+	fr *wire.FrameReader
+
+	// mu guards the stream table, every stream's receive side and the
+	// reader role, so routing a frame and waking its receiver take one lock.
 	mu      sync.Mutex
 	streams map[uint64]*Stream
 	nextID  uint64
 	failed  error
+
+	// The reader role. While reading is set, leader reads fr, or readLoop
+	// does when leader is nil; gen counts every change of hands.
+	reading bool
+	leader  *Stream
+	gen     uint64
+	waiters []*Stream // receivers parked on an empty queue, oldest first
+	// yield: readLoop's last frame was a small one for a waiting receiver
+	// that has received before, so it will come back to read for itself.
+	yield bool
+	// interrupted: a past read deadline is set on conn to stop a reader
+	// that gave up; the next reader clears it.
+	interrupted bool
+	parked      bool          // readLoop waits for the role to be let go
+	kick        chan struct{} // wakes readLoop: the role came back, let go, or the mux failed
 }
 
 func newMux(conn net.Conn, srv *Server) *mux {
-	return &mux{conn: conn, srv: srv, streams: make(map[uint64]*Stream)}
+	return &mux{
+		conn: conn, srv: srv, streams: make(map[uint64]*Stream),
+		fr:      wire.NewFrameReader(conn, readBufSize),
+		reading: true, // readLoop's, until a receiver takes over
+		kick:    make(chan struct{}, 1),
+	}
 }
 
 func (m *mux) alive() bool {
@@ -246,12 +315,6 @@ func (m *mux) lookup(id uint64) *Stream {
 	return m.streams[id]
 }
 
-func (m *mux) remove(id uint64) {
-	m.mu.Lock()
-	delete(m.streams, id)
-	m.mu.Unlock()
-}
-
 // fail marks the connection dead and aborts every stream on it.
 func (m *mux) fail(err error) {
 	m.mu.Lock()
@@ -264,6 +327,7 @@ func (m *mux) fail(err error) {
 	for _, st := range m.streams {
 		streams = append(streams, st)
 	}
+	m.kickLocked()
 	m.mu.Unlock()
 	m.conn.Close()
 	for _, st := range streams {
@@ -271,20 +335,157 @@ func (m *mux) fail(err error) {
 	}
 }
 
-// readLoop pulls frames off the connection and routes them until the
-// connection dies. Runs on the serveConn goroutine server-side and on a
-// dedicated goroutine client-side.
+// readLoop reads the connection while no receiver does, until the
+// connection dies. It runs on the serveConn goroutine server-side and on a
+// goroutine of its own client-side. Holding the reader role, it routes
+// frames and lets the role go once a receiver is waiting that either has
+// received before (it will come back to read for itself) or waits behind
+// another; free, it takes the role back once it has stayed free for
+// readIdle, and while one receiver holds it that long, it sleeps until the
+// role is let go.
 func (m *mux) readLoop() {
-	for {
-		buf, err := wire.ReadFramePooled(m.conn)
-		if err != nil {
-			m.fail(fmt.Errorf("rpc: stream connection lost: %w", err))
-			return
+	idle := time.NewTimer(readIdle)
+	idle.Stop()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	lastGen := m.gen - 1
+	for m.failed == nil {
+		if m.reading && m.leader == nil {
+			m.yield = false
+			if err := m.readLocked(); err != nil {
+				m.mu.Unlock()
+				m.fail(err)
+				m.mu.Lock()
+				return
+			}
+			if m.yield || len(m.waiters) > 0 {
+				m.releaseLocked(true)
+			}
+			continue
 		}
-		if err := m.dispatch(buf); err != nil {
+		held := m.reading && m.gen == lastGen
+		lastGen = m.gen
+		m.parked = held
+		m.mu.Unlock()
+		expired := false
+		if held {
+			<-m.kick
+		} else {
+			idle.Reset(readIdle)
+			select {
+			case <-idle.C:
+				expired = true
+			case <-m.kick:
+				idle.Stop()
+			}
+		}
+		m.mu.Lock()
+		m.parked = false
+		if expired && !m.reading && m.gen == lastGen {
+			m.reading = true
+			m.gen++
+		}
+	}
+}
+
+// kickLocked wakes readLoop without blocking; a kick it finds stale only
+// makes it look again.
+func (m *mux) kickLocked() {
+	select {
+	case m.kick <- struct{}{}:
+	default:
+	}
+}
+
+// readLocked reads and routes one frame, with mu released around the read.
+// A read that an interrupt cut short routes nothing and returns nil: the
+// caller re-checks why it is reading.
+func (m *mux) readLocked() error {
+	if m.interrupted {
+		m.interrupted = false
+		m.conn.SetReadDeadline(time.Time{})
+	}
+	m.mu.Unlock()
+	buf, err := m.fr.Next()
+	switch {
+	case err == nil:
+		err = m.dispatch(buf)
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		err = nil
+	default:
+		err = fmt.Errorf("rpc: stream connection lost: %w", err)
+	}
+	m.mu.Lock()
+	return err
+}
+
+// leadLocked makes s's receiver the reader — the role is free or was handed
+// to it — until s has a frame queued or a reason to stop waiting, then
+// passes the role on.
+func (m *mux) leadLocked(s *Stream) {
+	if s.granted {
+		s.granted = false
+	} else {
+		m.reading, m.leader = true, s
+		m.gen++
+	}
+	m.unqueueLocked(s)
+	for s.rhead == len(s.rq) && s.recvErrLocked() == nil {
+		if err := m.readLocked(); err != nil {
+			m.mu.Unlock()
 			m.fail(err)
+			m.mu.Lock()
+		}
+	}
+	m.releaseLocked(s.comesBackLocked())
+}
+
+// releaseLocked passes the reader role on: to the longest-waiting receiver,
+// else free when free is set, else back to readLoop.
+func (m *mux) releaseLocked(free bool) {
+	m.gen++
+	if len(m.waiters) > 0 {
+		w := m.waiters[0]
+		m.unqueueLocked(w)
+		w.granted = true
+		m.leader = w
+		w.rcond.Signal()
+		return
+	}
+	m.leader = nil
+	if !free {
+		m.kickLocked()
+		return
+	}
+	m.reading = false
+	if m.parked {
+		m.kickLocked()
+	}
+}
+
+// unqueueLocked drops s from the waiters.
+func (m *mux) unqueueLocked(s *Stream) {
+	if !s.waiting {
+		return
+	}
+	s.waiting = false
+	for i, w := range m.waiters {
+		if w == s {
+			n := copy(m.waiters[i:], m.waiters[i+1:])
+			m.waiters[i+n] = nil
+			m.waiters = m.waiters[:i+n]
 			return
 		}
+	}
+}
+
+// interruptLocked stops s's receiver if it is reading the connection: a
+// read deadline in the past ends its read, and fr keeps the part of a frame
+// it had read.
+func (m *mux) interruptLocked(s *Stream) {
+	if m.reading && m.leader == s && !s.granted {
+		m.interrupted = true
+		m.conn.SetReadDeadline(aLongTimeAgo)
 	}
 }
 
@@ -303,11 +504,15 @@ func (m *mux) dispatch(buf []byte) error {
 		wire.PutBuf(buf)
 		return m.accept(id, method)
 	case kindData:
-		if st := m.lookup(id); st != nil {
-			st.deliver(buf, payload)
-		} else {
-			wire.PutBuf(buf) // stream already gone; drop
+		m.mu.Lock()
+		st := m.streams[id]
+		if st == nil || !st.deliverLocked(buf, payload) {
+			m.mu.Unlock()
+			wire.PutBuf(buf) // stream gone or its receiver done; drop
+			return nil
 		}
+		m.mu.Unlock()
+		st.rcond.Signal()
 	case kindCredit:
 		grant, k := binary.Uvarint(payload)
 		wire.PutBuf(buf)
@@ -339,9 +544,10 @@ func (m *mux) dispatch(buf []byte) error {
 }
 
 // accept handles an OPEN on the server side: register the stream and run
-// its handler on its own goroutine (tracked by the server waitgroup — the
-// goroutine calling Add holds the connection's own count, so it cannot race
-// a finishing Close.Wait).
+// its handler on its own goroutine, tracked by the server waitgroup. Add runs
+// under mu while the mux is alive, so the connection's serveConn, still in
+// readLoop, holds a count: whichever goroutine reads the OPEN, the Add
+// cannot race a finishing Close.Wait.
 func (m *mux) accept(id uint64, method string) error {
 	if m.srv == nil {
 		return errors.New("rpc: unexpected stream OPEN from server")
@@ -360,12 +566,14 @@ func (m *mux) accept(id uint64, method string) error {
 	}
 	st := newStream(m, id, method)
 	m.streams[id] = st
+	if h != nil {
+		m.srv.wg.Add(1)
+	}
 	m.mu.Unlock()
 	if h == nil {
 		st.finish(fmt.Errorf("rpc: no handler for %q: no stream handler registered", method))
 		return nil
 	}
-	m.srv.wg.Add(1)
 	go func() {
 		defer m.srv.wg.Done()
 		st.finish(invokeStream(h, st))
@@ -399,30 +607,34 @@ type Stream struct {
 	id     uint64
 	method string
 
-	mu    sync.Mutex
-	rcond sync.Cond // receive side: frame arrival, close, deadline
-	scond sync.Cond // send side: credit arrival, close
+	// Send side, under mu.
+	mu        sync.Mutex
+	scond     sync.Cond // credit arrival, close
+	credit    int
+	sendErr   error
+	sentClose bool
 
-	// Receive state. rq[rhead:] are undelivered frames.
+	// Receive side, under m.mu. rq[rhead:] are undelivered frames.
+	rcond      sync.Cond // frame arrival, close, deadline, the reader role handed over
 	rq         []rframe
 	rhead      int
 	consumed   int // frames consumed since the last credit re-grant
 	recvErr    error
 	recvEOF    bool
 	recvClosed bool // peer finished its direction (CLOSE, RESET or conn loss)
+	recvd      bool // a frame has been consumed: the receiver comes back for more
+	waiting    bool // parked in m.waiters
+	granted    bool // handed the reader role while parked
 	deadline   time.Time
 	dlTimer    *time.Timer
-
-	// Send state.
-	credit    int
-	sendErr   error
-	sentClose bool
-	removed   bool
+	dlAt       time.Time     // when dlTimer fires; zero when it is not armed
+	done       chan struct{} // Done's channel, made on first use
+	removed    bool
 }
 
 func newStream(m *mux, id uint64, method string) *Stream {
 	st := &Stream{m: m, id: id, method: method, credit: streamWindow}
-	st.rcond.L = &st.mu
+	st.rcond.L = &m.mu
 	st.scond.L = &st.mu
 	return st
 }
@@ -494,29 +706,32 @@ func (s *Stream) RecvFunc(fn func(p []byte) error) error {
 	return ferr
 }
 
-// next dequeues the next data frame, waiting for one, and reports how much
-// credit consuming it re-grants to the peer.
+// next dequeues the next data frame, reading the connection for it when no
+// one else is, and reports how much credit consuming it re-grants to the
+// peer.
 func (s *Stream) next() (rframe, int, error) {
-	s.mu.Lock()
+	m := s.m
+	m.mu.Lock()
 	for s.rhead == len(s.rq) {
-		if s.recvErr != nil {
-			err := s.recvErr
-			s.mu.Unlock()
+		if err := s.recvErrLocked(); err != nil {
+			s.unwaitLocked()
+			m.mu.Unlock()
 			return rframe{}, 0, err
 		}
-		if s.recvEOF {
-			s.mu.Unlock()
-			return rframe{}, 0, io.EOF
-		}
 		if !s.deadline.IsZero() {
-			if !time.Now().Before(s.deadline) {
-				s.mu.Unlock()
-				return rframe{}, 0, ErrStreamTimeout
-			}
 			s.armTimerLocked()
+		}
+		if s.granted || !m.reading {
+			m.leadLocked(s)
+			continue
+		}
+		if !s.waiting {
+			s.waiting = true
+			m.waiters = append(m.waiters, s)
 		}
 		s.rcond.Wait()
 	}
+	s.unwaitLocked()
 	f := s.rq[s.rhead]
 	s.rq[s.rhead] = rframe{}
 	s.rhead++
@@ -524,14 +739,56 @@ func (s *Stream) next() (rframe, int, error) {
 		s.rq = s.rq[:0]
 		s.rhead = 0
 	}
+	s.recvd = true
 	s.consumed++
 	grant := 0
 	if s.consumed >= streamWindow/2 {
 		grant, s.consumed = s.consumed, 0
 	}
-	s.mu.Unlock()
+	m.mu.Unlock()
 	return f, grant, nil
 }
+
+// recvErrLocked is why a receive that finds no frame queued ends now, or
+// nil while it should wait.
+func (s *Stream) recvErrLocked() error {
+	switch {
+	case s.recvErr != nil:
+		return s.recvErr
+	case s.recvEOF:
+		return io.EOF
+	case s.m.failed != nil:
+		return s.m.failed
+	case !s.deadline.IsZero() && !time.Now().Before(s.deadline):
+		return ErrStreamTimeout
+	}
+	return nil
+}
+
+// unwaitLocked takes a receiver that stops waiting out of the waiters, and
+// passes on the reader role if it was handed it.
+func (s *Stream) unwaitLocked() {
+	s.m.unqueueLocked(s)
+	if s.granted {
+		s.granted = false
+		s.m.releaseLocked(s.comesBackLocked())
+	}
+}
+
+// comesBackLocked reports whether s's receiver, leaving with the frame it
+// waited for, will soon be back to read the next one itself, so it may leave
+// the reader role free: it has received before, and the frame is small. A
+// one-frame receiver (a unary call) and one whose stream ended hand the role
+// back to readLoop instead, so the frames nobody waits on yet are read at
+// once; so does the receiver of a bulk frame, which is busy with it for a
+// while, so that readLoop reads the next one off the socket meanwhile.
+func (s *Stream) comesBackLocked() bool {
+	return s.recvd && s.rhead < len(s.rq) && !bulk(s.rq[s.rhead].buf)
+}
+
+// bulk reports whether a frame is larger than the connection's read buffer:
+// a bulk frame is read ahead by readLoop rather than by its receiver.
+func bulk(frame []byte) bool { return len(frame) > readBufSize }
 
 // release recycles a consumed frame and sends the credit it re-grants.
 func (s *Stream) release(f rframe, grant int) {
@@ -546,20 +803,30 @@ func (s *Stream) release(f rframe, grant int) {
 // SetRecvDeadline bounds subsequent Recv calls; the zero time clears the
 // bound.
 func (s *Stream) SetRecvDeadline(t time.Time) {
-	s.mu.Lock()
+	m := s.m
+	m.mu.Lock()
 	s.deadline = t
-	if t.IsZero() && s.dlTimer != nil {
-		s.dlTimer.Stop()
+	switch {
+	case t.IsZero():
+		if s.dlTimer != nil {
+			s.dlTimer.Stop()
+		}
+		s.dlAt = time.Time{}
+	case s.waiting || s.granted || m.leader == s:
+		s.armTimerLocked() // a receive in progress: bound it now
 	}
-	s.mu.Unlock()
-	if !t.IsZero() {
-		s.rcond.Broadcast() // waiters re-arm against the new deadline
-	}
+	m.mu.Unlock()
 }
 
-// armTimerLocked (re)points the stream's single reusable timer at the
-// current deadline, so waiting never allocates a timer per call.
+// armTimerLocked points the stream's single reusable timer at the current
+// deadline unless it is already armed to fire no later, so waiting never
+// allocates a timer per call and a stream that keeps pushing its deadline
+// out re-arms once per timer period, not once per receive.
 func (s *Stream) armTimerLocked() {
+	if !s.dlAt.IsZero() && !s.dlAt.After(s.deadline) {
+		return
+	}
+	s.dlAt = s.deadline
 	d := time.Until(s.deadline)
 	if s.dlTimer == nil {
 		s.dlTimer = time.AfterFunc(d, s.onDeadline)
@@ -568,18 +835,29 @@ func (s *Stream) armTimerLocked() {
 	}
 }
 
+// onDeadline wakes a receiver whose deadline has passed, interrupting its
+// read if it holds the reader role, or re-arms for a deadline pushed later.
 func (s *Stream) onDeadline() {
-	s.rcond.Broadcast() // waiters check the wall clock themselves
+	m := s.m
+	m.mu.Lock()
+	s.dlAt = time.Time{}
+	if !s.deadline.IsZero() {
+		if !time.Now().Before(s.deadline) {
+			m.interruptLocked(s)
+		} else if s.waiting || s.granted || m.leader == s {
+			s.armTimerLocked()
+		}
+	}
+	m.mu.Unlock()
+	s.rcond.Broadcast()
 }
 
-// deliver hands an arrived data frame to the stream, taking ownership of
-// the pooled buf.
-func (s *Stream) deliver(buf, payload []byte) {
-	s.mu.Lock()
+// deliverLocked queues an arrived data frame, taking ownership of the
+// pooled buf, and reports false when the receiver is done with the stream
+// (buf stays the caller's).
+func (s *Stream) deliverLocked(buf, payload []byte) bool {
 	if s.recvErr != nil || s.recvEOF {
-		s.mu.Unlock()
-		wire.PutBuf(buf) // receiver gone; drop
-		return
+		return false
 	}
 	if s.rhead > 0 && s.rhead == len(s.rq) {
 		s.rq = s.rq[:0]
@@ -590,8 +868,13 @@ func (s *Stream) deliver(buf, payload []byte) {
 		s.rhead = 0
 	}
 	s.rq = append(s.rq, rframe{buf: buf, payload: payload})
-	s.mu.Unlock()
-	s.rcond.Signal()
+	if s.waiting {
+		s.m.unqueueLocked(s)
+		if s.recvd && s.m.leader == nil && !bulk(buf) {
+			s.m.yield = true
+		}
+	}
+	return true
 }
 
 func (s *Stream) addCredit(n int) {
@@ -600,6 +883,24 @@ func (s *Stream) addCredit(n int) {
 	s.mu.Unlock()
 	s.scond.Broadcast()
 }
+
+// Done returns a channel that is closed once the stream's receive direction
+// has ended: the peer closed or reset it, the connection failed, or the
+// stream was closed here. Frames still queued can be received after it is
+// closed.
+func (s *Stream) Done() <-chan struct{} {
+	s.m.mu.Lock()
+	defer s.m.mu.Unlock()
+	if s.done == nil {
+		s.done = make(chan struct{})
+		if s.recvEndedLocked() {
+			close(s.done)
+		}
+	}
+	return s.done
+}
+
+func (s *Stream) recvEndedLocked() bool { return s.recvClosed || s.recvErr != nil }
 
 // CloseSend half-closes the stream: the peer's Recv sees io.EOF once the
 // frames in flight drain. Receiving stays possible.
@@ -633,26 +934,37 @@ func (s *Stream) finish(err error) {
 	}
 }
 
-// end finishes the stream locally, dropping inbound frames still queued,
-// and tells the peer with one frame of kind (none when kind is 0) unless
-// its send direction has already ended.
+// end finishes the stream locally, dropping inbound frames still queued and
+// interrupting its receiver if it is reading the connection, and tells the
+// peer with one frame of kind (none when kind is 0) unless its send
+// direction has already ended.
 func (s *Stream) end(kind byte, payload []byte) error {
 	s.mu.Lock()
 	send := kind != 0 && !s.sentClose && s.sendErr == nil
 	s.sentClose = true
+	s.mu.Unlock()
+	m := s.m
+	m.mu.Lock()
+	ended := s.recvEndedLocked()
 	if s.recvErr == nil {
 		s.recvErr = ErrStreamClosed
 	}
 	s.drainLocked()
 	if s.dlTimer != nil {
 		s.dlTimer.Stop()
+		s.dlAt = time.Time{}
 	}
-	s.mu.Unlock()
+	m.interruptLocked(s)
+	m.unqueueLocked(s)
+	if !ended && s.done != nil {
+		close(s.done)
+	}
+	m.mu.Unlock()
 	s.rcond.Broadcast()
 	s.scond.Broadcast()
 	var err error
 	if send {
-		err = s.m.writeFrame(s.id, kind, payload)
+		err = m.writeFrame(s.id, kind, payload)
 	}
 	s.maybeRemove()
 	return err
@@ -662,7 +974,9 @@ func (s *Stream) end(kind byte, payload []byte) error {
 // (err == nil, Recv drains then reports io.EOF) or abnormally (both
 // directions fail with err).
 func (s *Stream) remoteClose(err error) {
-	s.mu.Lock()
+	m := s.m
+	m.mu.Lock()
+	ended := s.recvEndedLocked()
 	s.recvClosed = true
 	switch {
 	case err == nil:
@@ -672,21 +986,26 @@ func (s *Stream) remoteClose(err error) {
 		// connection being torn down after the CLOSE) must not clobber the
 		// clean EOF or drop frames still queued ahead of it. Only sending is
 		// dead.
-		if s.sendErr == nil {
-			s.sendErr = err
-		}
 	default:
 		if s.recvErr == nil {
 			s.recvErr = err
 		}
+		s.drainLocked()
+	}
+	m.unqueueLocked(s)
+	if !ended && s.done != nil {
+		close(s.done)
+	}
+	m.mu.Unlock()
+	s.rcond.Broadcast()
+	if err != nil {
+		s.mu.Lock()
 		if s.sendErr == nil {
 			s.sendErr = err
 		}
-		s.drainLocked()
+		s.mu.Unlock()
+		s.scond.Broadcast()
 	}
-	s.mu.Unlock()
-	s.rcond.Broadcast()
-	s.scond.Broadcast()
 	s.maybeRemove()
 }
 
@@ -704,13 +1023,18 @@ func (s *Stream) drainLocked() {
 // finished, so ids don't leak on long-lived connections.
 func (s *Stream) maybeRemove() {
 	s.mu.Lock()
-	done := (s.sentClose || s.sendErr != nil) && (s.recvClosed || s.recvErr != nil)
-	already := s.removed
-	if done {
-		s.removed = true
-	}
+	sendDone := s.sentClose || s.sendErr != nil
 	s.mu.Unlock()
-	if done && !already {
-		s.m.remove(s.id)
+	if !sendDone {
+		return
 	}
+	m := s.m
+	m.mu.Lock()
+	if !s.removed && s.recvEndedLocked() {
+		s.removed = true
+		if m.streams[s.id] == s {
+			delete(m.streams, s.id)
+		}
+	}
+	m.mu.Unlock()
 }

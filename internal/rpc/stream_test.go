@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -464,7 +465,8 @@ func TestStreamEchoAllocs(t *testing.T) {
 
 // BenchmarkStreamEcho and BenchmarkCallEcho compare one message round-trip
 // over a persistent stream against a unary call, which opens and ends a
-// stream of its own each time.
+// stream of its own each time; BenchmarkTCPPingPong/4KiB is the same
+// exchange on a bare socket.
 func BenchmarkStreamEcho(b *testing.B) {
 	srv := NewServer()
 	srv.HandleStream("echo", func(s *Stream) error {
@@ -505,6 +507,53 @@ func BenchmarkStreamEcho(b *testing.B) {
 		if recv, err = st.Recv(recv); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkTCPPingPong is the floor BenchmarkStreamEcho is read against: the
+// same round trip as a raw TCP exchange on 127.0.0.1, one goroutine echoing
+// fixed-size messages back, with no framing, multiplexing or credit.
+func BenchmarkTCPPingPong(b *testing.B) {
+	for _, size := range []int{1 << 10, 4 << 10} {
+		b.Run(fmt.Sprintf("%dKiB", size>>10), func(b *testing.B) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer ln.Close()
+			go func() {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				defer conn.Close()
+				buf := make([]byte, size)
+				for {
+					if _, err := io.ReadFull(conn, buf); err != nil {
+						return
+					}
+					if _, err := conn.Write(buf); err != nil {
+						return
+					}
+				}
+			}()
+			conn, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer conn.Close()
+			msg := make([]byte, size)
+			b.ResetTimer()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := conn.Write(msg); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := io.ReadFull(conn, msg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -2,21 +2,27 @@ package telemetry
 
 import (
 	"bytes"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
 )
 
+// TestRegistryHandlesAndExposition checks each handle and its exposition
+// line. The registry is process-global and keeps its values across tests
+// and -count repeats, so every value is read before this test moves it and
+// checked for the exact change the test makes.
 func TestRegistryHandlesAndExposition(t *testing.T) {
 	c := NewCounter("tfhpc_unittest_events_total", "Unit-test counter.")
 	c2 := NewCounter("tfhpc_unittest_events_total", "Unit-test counter.")
 	if c != c2 {
 		t.Fatalf("duplicate registration returned a different handle")
 	}
+	c0 := c.Value()
 	c.Inc()
 	c.Add(2)
-	if got := c.Value(); got != 3 {
-		t.Fatalf("counter = %d, want 3", got)
+	if got := c.Value(); got != c0+3 {
+		t.Fatalf("counter = %d, want %d", got, c0+3)
 	}
 
 	g := NewGauge("tfhpc_unittest_depth", "Unit-test gauge.")
@@ -27,14 +33,26 @@ func TestRegistryHandlesAndExposition(t *testing.T) {
 	}
 
 	h := NewHistogram("tfhpc_unittest_latency_seconds", "Unit-test histogram.", []float64{0.01, 0.1, 1})
+	n0, sum := h.Count(), h.Sum()
+	cum := make([]int64, len(h.counts)) // cumulative bucket counts, as exposed
+	for i := range cum {
+		cum[i] = h.counts[i].Load()
+		if i > 0 {
+			cum[i] += cum[i-1]
+		}
+	}
 	for _, v := range []float64{0.005, 0.05, 0.5, 5} {
 		h.Observe(v)
+		sum += v
 	}
-	if h.Count() != 4 {
-		t.Fatalf("histogram count = %d, want 4", h.Count())
+	for i := range cum {
+		cum[i] += int64(i + 1) // one observation lands in each bucket
 	}
-	if h.Sum() != 5.555 {
-		t.Fatalf("histogram sum = %g, want 5.555", h.Sum())
+	if h.Count() != n0+4 {
+		t.Fatalf("histogram count = %d, want %d", h.Count(), n0+4)
+	}
+	if h.Sum() != sum {
+		t.Fatalf("histogram sum = %g, want %g", h.Sum(), sum)
 	}
 
 	lc := NewCounter("tfhpc_unittest_labeled_total", "Labeled unit-test counter.", "algo", "ring")
@@ -42,6 +60,7 @@ func TestRegistryHandlesAndExposition(t *testing.T) {
 	if lc == ld {
 		t.Fatalf("distinct label sets shared a handle")
 	}
+	lc0, ld0 := lc.Value(), ld.Value()
 	lc.Inc()
 
 	var buf bytes.Buffer
@@ -50,20 +69,20 @@ func TestRegistryHandlesAndExposition(t *testing.T) {
 	}
 	text := buf.String()
 	for _, want := range []string{
-		"# HELP tfhpc_unittest_events_total Unit-test counter.",
-		"# TYPE tfhpc_unittest_events_total counter",
-		"tfhpc_unittest_events_total 3",
-		"# TYPE tfhpc_unittest_depth gauge",
-		"tfhpc_unittest_depth 5",
-		"# TYPE tfhpc_unittest_latency_seconds histogram",
-		`tfhpc_unittest_latency_seconds_bucket{le="0.01"} 1`,
-		`tfhpc_unittest_latency_seconds_bucket{le="0.1"} 2`,
-		`tfhpc_unittest_latency_seconds_bucket{le="1"} 3`,
-		`tfhpc_unittest_latency_seconds_bucket{le="+Inf"} 4`,
-		"tfhpc_unittest_latency_seconds_sum 5.555",
-		"tfhpc_unittest_latency_seconds_count 4",
-		`tfhpc_unittest_labeled_total{algo="ring"} 1`,
-		`tfhpc_unittest_labeled_total{algo="doubling"} 0`,
+		"# HELP tfhpc_unittest_events_total Unit-test counter.\n",
+		"# TYPE tfhpc_unittest_events_total counter\n",
+		fmt.Sprintf("tfhpc_unittest_events_total %d\n", c0+3),
+		"# TYPE tfhpc_unittest_depth gauge\n",
+		"tfhpc_unittest_depth 5\n",
+		"# TYPE tfhpc_unittest_latency_seconds histogram\n",
+		fmt.Sprintf("tfhpc_unittest_latency_seconds_bucket{le=\"0.01\"} %d\n", cum[0]),
+		fmt.Sprintf("tfhpc_unittest_latency_seconds_bucket{le=\"0.1\"} %d\n", cum[1]),
+		fmt.Sprintf("tfhpc_unittest_latency_seconds_bucket{le=\"1\"} %d\n", cum[2]),
+		fmt.Sprintf("tfhpc_unittest_latency_seconds_bucket{le=\"+Inf\"} %d\n", cum[3]),
+		"tfhpc_unittest_latency_seconds_sum " + string(appendFloat(nil, sum)) + "\n",
+		fmt.Sprintf("tfhpc_unittest_latency_seconds_count %d\n", n0+4),
+		fmt.Sprintf("tfhpc_unittest_labeled_total{algo=\"ring\"} %d\n", lc0+1),
+		fmt.Sprintf("tfhpc_unittest_labeled_total{algo=\"doubling\"} %d\n", ld0),
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q\n%s", want, text)
@@ -115,7 +134,9 @@ func TestMetricUpdatesAllocationFree(t *testing.T) {
 }
 
 func TestHandler(t *testing.T) {
-	NewCounter("tfhpc_unittest_handler_total", "Handler test counter.").Inc()
+	c := NewCounter("tfhpc_unittest_handler_total", "Handler test counter.")
+	want := fmt.Sprintf("tfhpc_unittest_handler_total %d\n", c.Value()+1)
+	c.Inc()
 	rec := httptest.NewRecorder()
 	Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metricz", nil))
 	if rec.Code != 200 {
@@ -124,7 +145,7 @@ func TestHandler(t *testing.T) {
 	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Fatalf("content type %q", ct)
 	}
-	if !strings.Contains(rec.Body.String(), "tfhpc_unittest_handler_total 1") {
+	if !strings.Contains(rec.Body.String(), want) {
 		t.Fatalf("handler output missing counter:\n%s", rec.Body.String())
 	}
 	rec = httptest.NewRecorder()

@@ -16,6 +16,7 @@ import (
 	"context"
 	"encoding/json"
 	"os"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,7 +54,16 @@ type traceEvent struct {
 	args   [][2]string
 }
 
+// maxTraceEvents bounds the events a process keeps; each one past it is
+// dropped and counted, in tfhpc_trace_dropped_total and in the dumped file.
 const maxTraceEvents = 1 << 20
+
+// traceCap is the bound record enforces, under tracer.mu: maxTraceEvents,
+// lowered only by tests.
+var traceCap = maxTraceEvents
+
+var mTraceDropped = NewCounter("tfhpc_trace_dropped_total",
+	"Trace events not recorded because the trace buffer was full.")
 
 var tracer struct {
 	enabled  atomic.Bool
@@ -61,7 +71,7 @@ var tracer struct {
 	lanes    atomic.Uint32
 	mu       sync.Mutex
 	events   []traceEvent
-	dropped  int64
+	dropped  int64 // events the full buffer refused
 	procName string
 	outPath  string
 }
@@ -148,8 +158,9 @@ func NewLane(name string) uint32 {
 
 func record(ev traceEvent) {
 	tracer.mu.Lock()
-	if len(tracer.events) >= maxTraceEvents {
+	if len(tracer.events) >= traceCap {
 		tracer.dropped++
+		mTraceDropped.Inc()
 	} else {
 		tracer.events = append(tracer.events, ev)
 	}
@@ -328,10 +339,13 @@ type chromeEvent struct {
 // MarshalChromeTrace renders everything recorded so far as a Chrome
 // trace-event JSON document. Timestamps are absolute wall-clock
 // microseconds, so documents from different processes merge on one axis.
+// The process_name event's dropped_events arg counts the events the full
+// buffer refused, so a truncated trace says so.
 func MarshalChromeTrace() ([]byte, error) {
 	tracer.mu.Lock()
 	events := append([]traceEvent(nil), tracer.events...)
 	procName := tracer.procName
+	dropped := tracer.dropped
 	tracer.mu.Unlock()
 
 	pid := os.Getpid()
@@ -341,7 +355,7 @@ func MarshalChromeTrace() ([]byte, error) {
 	}
 	out = append(out, chromeEvent{
 		Name: "process_name", Cat: "__metadata", Ph: "M", PID: pid,
-		Args: map[string]string{"name": procName},
+		Args: map[string]string{"name": procName, "dropped_events": strconv.FormatInt(dropped, 10)},
 	})
 	for _, ev := range events {
 		ce := chromeEvent{

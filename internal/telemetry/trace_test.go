@@ -1,8 +1,13 @@
 package telemetry
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -184,5 +189,57 @@ func TestFlowIDDeterministicNonzero(t *testing.T) {
 	}
 	if FlowID(0) == 0 || FlowID() == 0 {
 		t.Fatal("FlowID minted the reserved zero id")
+	}
+}
+
+// TestTraceDropsAreCounted overflows a lowered buffer bound: the events past
+// it are not kept, and both /metricz and the dumped file count them.
+func TestTraceDropsAreCounted(t *testing.T) {
+	Enable()
+	resetTracer()
+	defer setTraceCap(8)()
+	before := mTraceDropped.Value()
+	for i := 0; i < 20; i++ {
+		Instant("overflow")
+	}
+	tracer.mu.Lock()
+	kept := len(tracer.events)
+	tracer.mu.Unlock()
+	if kept != 8 {
+		t.Fatalf("buffer holds %d events, want the 8 its bound allows", kept)
+	}
+	if got := mTraceDropped.Value() - before; got != 12 {
+		t.Fatalf("tfhpc_trace_dropped_total rose by %d, want 12", got)
+	}
+	var exp bytes.Buffer
+	if err := WriteTo(&exp); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("tfhpc_trace_dropped_total %d\n", before+12); !strings.Contains(exp.String(), want) {
+		t.Fatalf("exposition lacks %q", want)
+	}
+
+	path := filepath.Join(t.TempDir(), "trace.json")
+	if err := WriteTraceFile(path); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string            `json:"name"`
+			Args map[string]string `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(b, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.TraceEvents) == 0 || doc.TraceEvents[0].Name != "process_name" {
+		t.Fatal("trace file does not open with its process_name event")
+	}
+	if got := doc.TraceEvents[0].Args["dropped_events"]; got != "12" {
+		t.Fatalf("trace file records %q dropped events, want 12", got)
 	}
 }

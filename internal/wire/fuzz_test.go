@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"testing"
+	"testing/iotest"
 )
 
 // seedMessages is the fuzz seed corpus: well-formed encodings of each wire
@@ -164,21 +165,28 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		if err != nil || !bytes.Equal(got, payload) {
 			t.Fatalf("ReadFrame: %v (got %d bytes, want %d)", err, len(got), len(payload))
 		}
-		pooled, err := ReadFramePooled(bytes.NewReader(framed))
+		pooled, err := NewFrameReader(bytes.NewReader(framed), 16).Next()
 		if err != nil || !bytes.Equal(pooled, payload) {
-			t.Fatalf("ReadFramePooled: %v", err)
+			t.Fatalf("FrameReader: %v", err)
 		}
 		PutBuf(pooled)
-		reused, err := ReadFrameInto(bytes.NewReader(framed), make([]byte, 0, 16))
-		if err != nil || !bytes.Equal(reused, payload) {
-			t.Fatalf("ReadFrameInto: %v", err)
+		// A byte at a time, with a timeout after the first byte: the failed
+		// call keeps what it read, and the next one returns the whole frame.
+		fr := NewFrameReader(iotest.TimeoutReader(iotest.OneByteReader(bytes.NewReader(framed))), 16)
+		if _, err := fr.Next(); err != iotest.ErrTimeout {
+			t.Fatalf("FrameReader over a timing-out reader: %v, want ErrTimeout", err)
 		}
+		resumed, err := fr.Next()
+		if err != nil || !bytes.Equal(resumed, payload) {
+			t.Fatalf("FrameReader after a timeout: %v (got %d bytes, want %d)", err, len(resumed), len(payload))
+		}
+		PutBuf(resumed)
 	})
 }
 
 // FuzzReadFrame feeds raw bytes to the frame readers: truncated headers,
-// bogus lengths and short payloads must error, never panic, and the pooled
-// and plain readers must agree on accept/reject.
+// bogus lengths and short payloads must error, never panic, and
+// FrameReader and the plain reader must agree on accept/reject.
 func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0})
@@ -189,7 +197,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 2, 9, 8, 7})       // trailing garbage after frame
 	f.Fuzz(func(t *testing.T, data []byte) {
 		plain, errPlain := ReadFrame(bytes.NewReader(data))
-		pooled, errPooled := ReadFramePooled(bytes.NewReader(data))
+		pooled, errPooled := NewFrameReader(bytes.NewReader(data), 16).Next()
 		if (errPlain == nil) != (errPooled == nil) {
 			t.Fatalf("readers disagree: plain err=%v pooled err=%v", errPlain, errPooled)
 		}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"io"
 	"math/bits"
@@ -86,49 +87,59 @@ func capClass(c int) int {
 	return k
 }
 
-// ReadFramePooled reads one length-prefixed frame into a pooled buffer. The
-// caller owns the result and should hand it back with PutBuf once consumed.
-func ReadFramePooled(r io.Reader) ([]byte, error) {
-	n, err := readFrameLen(r)
-	if err != nil {
-		return nil, err
-	}
-	buf := GetBuf(n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		PutBuf(buf)
-		return nil, err
-	}
-	return buf, nil
+// FrameReader reads length-prefixed frames into pooled buffers through a
+// buffered reader of its own, so a small frame that has already arrived
+// costs one read of the underlying reader, and a large one is read straight
+// into its buffer. A read that fails part way — a deadline that interrupts
+// it, say — leaves the frame in progress with the FrameReader, and the next
+// call carries on where it stopped: a frame is never torn. One goroutine at
+// a time may use it.
+type FrameReader struct {
+	br   *bufio.Reader
+	hdr  [4]byte
+	nh   int    // length-prefix bytes read
+	body []byte // the frame being read (pooled), nil between frames
+	nb   int    // body bytes read
 }
 
-// ReadFrameInto reads one length-prefixed frame, reusing buf's capacity when
-// it suffices; the result aliases buf only in that case.
-func ReadFrameInto(r io.Reader, buf []byte) ([]byte, error) {
-	n, err := readFrameLen(r)
-	if err != nil {
-		return nil, err
-	}
-	if cap(buf) < n {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	_, err = io.ReadFull(r, buf)
-	return buf, err
+// NewFrameReader returns a FrameReader over r with a size-byte buffer.
+func NewFrameReader(r io.Reader, size int) *FrameReader {
+	return &FrameReader{br: bufio.NewReaderSize(r, size)}
 }
 
-// readFrameLen reads the 4-byte length prefix. The scratch comes from the
-// buffer pool: a stack array would escape to the heap through the
-// io.ReadFull interface call, putting an allocation on every frame.
-func readFrameLen(r io.Reader) (int, error) {
-	hdr := GetBuf(4)
-	_, err := io.ReadFull(r, hdr)
-	n := binary.BigEndian.Uint32(hdr)
-	PutBuf(hdr)
-	if err != nil {
-		return 0, err
+// Next returns the next whole frame in a pooled buffer the caller owns and
+// should hand back with PutBuf once consumed. io.EOF means the stream ended
+// between frames, io.ErrUnexpectedEOF inside one.
+func (r *FrameReader) Next() ([]byte, error) {
+	for r.nh < len(r.hdr) {
+		n, err := r.br.Read(r.hdr[r.nh:])
+		r.nh += n
+		if err != nil {
+			return nil, r.readErr(err)
+		}
 	}
-	if int64(n) > MaxMessageSize {
-		return 0, ErrMessageTooLarge
+	if r.body == nil {
+		n := binary.BigEndian.Uint32(r.hdr[:])
+		if int64(n) > MaxMessageSize {
+			return nil, ErrMessageTooLarge
+		}
+		r.body, r.nb = GetBuf(int(n)), 0
 	}
-	return int(n), nil
+	for r.nb < len(r.body) {
+		n, err := r.br.Read(r.body[r.nb:])
+		r.nb += n
+		if err != nil {
+			return nil, r.readErr(err)
+		}
+	}
+	b := r.body
+	r.body, r.nh = nil, 0
+	return b, nil
+}
+
+func (r *FrameReader) readErr(err error) error {
+	if err == io.EOF && r.nh > 0 {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
