@@ -21,8 +21,6 @@ type ClusterOptions struct {
 	// HealthWait bounds how long to wait for the tasks to come up (default
 	// 10s) — CI boots them as separate racing processes.
 	HealthWait time.Duration
-	// ChunkBytes is the ring pipelining granularity (0 = engine default).
-	ChunkBytes int
 }
 
 // RunCluster solves A·x = b on an already-running cluster: worker w's graph
@@ -55,7 +53,7 @@ func RunCluster(cfg Config, a, b *tensor.Tensor, peers *cluster.Peers, opts Clus
 		return nil, err
 	}
 	const group = "cg"
-	if err := peers.InitCollective(job, group, cluster.CollectiveOptions{ChunkBytes: opts.ChunkBytes}); err != nil {
+	if err := peers.InitCollective(job, group, cluster.CollectiveOptions{}); err != nil {
 		return nil, err
 	}
 

@@ -15,8 +15,6 @@ type ClusterOptions struct {
 	// HealthWait bounds how long to wait for the tasks to come up (default
 	// 10s).
 	HealthWait time.Duration
-	// ChunkBytes is the ring pipelining granularity (0 = engine default).
-	ChunkBytes int
 }
 
 // RunCluster trains over an already-running cluster: replica w's graph runs
@@ -44,10 +42,7 @@ func RunCluster(cfg Config, peers *cluster.Peers, opts ClusterOptions) (*Result,
 		return nil, err
 	}
 	const group = "sgd"
-	if err := peers.InitCollective(job, group, cluster.CollectiveOptions{
-		ChunkBytes: opts.ChunkBytes,
-		Fusion:     cfg.fusionOptions(),
-	}); err != nil {
+	if err := peers.InitCollective(job, group, cluster.CollectiveOptions{Fusion: cfg.fusionOptions()}); err != nil {
 		return nil, err
 	}
 

@@ -22,7 +22,6 @@ const elasticClusterGroup = "sgd"
 
 type clusterElastic struct {
 	cfg   Config
-	copts ClusterOptions
 	eopts ElasticOptions
 	peers *cluster.Peers
 	job   string
@@ -33,14 +32,9 @@ type clusterElastic struct {
 	sessions []*session.Session
 }
 
-func newClusterElastic(cfg Config, peers *cluster.Peers, copts ClusterOptions, eopts ElasticOptions) *clusterElastic {
-	job := copts.Job
-	if job == "" {
-		job = "worker"
-	}
+func newClusterElastic(cfg Config, peers *cluster.Peers, job string, eopts ElasticOptions) *clusterElastic {
 	return &clusterElastic{
 		cfg:   cfg,
-		copts: copts,
 		eopts: eopts,
 		peers: peers,
 		job:   job,
@@ -50,10 +44,7 @@ func newClusterElastic(cfg Config, peers *cluster.Peers, copts ClusterOptions, e
 }
 
 func (b *clusterElastic) setup(active []int, gen int) ([]*session.Session, error) {
-	if _, err := b.coord.Init(elasticClusterGroup, active, cluster.CollectiveOptions{
-		ChunkBytes: b.copts.ChunkBytes,
-		Fusion:     b.cfg.fusionOptions(),
-	}); err != nil {
+	if _, err := b.coord.Init(elasticClusterGroup, active, cluster.CollectiveOptions{Fusion: b.cfg.fusionOptions()}); err != nil {
 		return nil, err
 	}
 	// The previous generation's partitions go with its sessions.
@@ -141,7 +132,7 @@ func RunElasticCluster(cfg Config, peers *cluster.Peers, copts ClusterOptions, e
 	if err := peers.WaitHealthy(job, wait); err != nil {
 		return nil, err
 	}
-	be := newClusterElastic(cfg, peers, copts, eopts)
+	be := newClusterElastic(cfg, peers, job, eopts)
 	defer be.close()
 	return runElastic(cfg, be, eopts)
 }

@@ -189,8 +189,8 @@ func (s *Server) Close() error {
 // CollInit request encoding:
 //
 //	1 group, 2 rank, 4 repeated peer address, 5 chunk bytes, 6 timeout ms,
-//	7 epoch, 8 algorithm, 9 switch bytes, 10 fusion flush bytes,
-//	11 fusion flush tensors, 12 fusion flush interval µs
+//	7 epoch, 10 fusion flush bytes, 11 fusion flush tensors,
+//	12 fusion flush interval µs
 func encodeCollInit(group string, rank int, addrs []string, opts CollectiveOptions, epoch uint64) []byte {
 	e := wire.NewEncoder()
 	e.String(1, group)
@@ -201,10 +201,6 @@ func encodeCollInit(group string, rank int, addrs []string, opts CollectiveOptio
 	e.Int(5, int64(opts.ChunkBytes))
 	e.Int(6, int64(opts.RecvTimeout/time.Millisecond))
 	e.Uint(7, epoch)
-	if opts.Algorithm != "" {
-		e.String(8, opts.Algorithm)
-	}
-	e.Int(9, int64(opts.SwitchBytes))
 	e.Int(10, opts.Fusion.FlushBytes)
 	e.Int(11, int64(opts.Fusion.FlushTensors))
 	e.Int(12, int64(opts.Fusion.FlushInterval/time.Microsecond))
@@ -260,16 +256,6 @@ func (s *Server) handleCollInit(req []byte) ([]byte, error) {
 			if epoch, err = d.Uint(); err != nil {
 				return nil, err
 			}
-		case 8:
-			if opts.Algorithm, err = d.StringVal(); err != nil {
-				return nil, err
-			}
-		case 9:
-			v, err := d.Int()
-			if err != nil {
-				return nil, err
-			}
-			opts.SwitchBytes = int(v)
 		case 10:
 			if opts.Fusion.FlushBytes, err = d.Int(); err != nil {
 				return nil, err
@@ -300,10 +286,8 @@ func (s *Server) handleCollInit(req []byte) ([]byte, error) {
 		return nil, err
 	}
 	s.Res.Colls.Register(group, collective.NewGroup(tr, collective.Options{
-		ChunkBytes:  opts.ChunkBytes,
-		Algorithm:   opts.Algorithm,
-		SwitchBytes: opts.SwitchBytes,
-		Fusion:      opts.Fusion,
+		ChunkBytes: opts.ChunkBytes,
+		Fusion:     opts.Fusion,
 	}))
 	return []byte("ok"), nil
 }
@@ -549,19 +533,14 @@ func (p *Peers) WaitHealthy(job string, deadline time.Duration) error {
 	return nil
 }
 
-// CollectiveOptions tune InitCollective. Algorithm/SwitchBytes/Fusion map
-// onto collective.Options and ship to every task, so the whole ring agrees
-// on the message pattern.
+// CollectiveOptions tune InitCollective. ChunkBytes and Fusion map onto
+// collective.Options and ship to every task, so the whole ring agrees on the
+// message pattern; the allreduce algorithm is the engine's per-call picker.
 type CollectiveOptions struct {
 	// ChunkBytes is the ring pipelining granularity (0 = engine default).
 	ChunkBytes int
 	// RecvTimeout bounds each receive on the servers (0 = engine default).
 	RecvTimeout time.Duration
-	// Algorithm forces one allreduce algorithm ("" = auto picker); it does
-	// not touch Broadcast, which is always the binomial tree.
-	Algorithm string
-	// SwitchBytes is the picker's bytes/p threshold (0 = engine default).
-	SwitchBytes int
 	// Fusion tunes each task's fusion buffer (AllReduceFused ops).
 	Fusion collective.FusionOptions
 }

@@ -9,6 +9,7 @@ import (
 	"tfhpc/internal/graph"
 	"tfhpc/internal/session"
 	"tfhpc/internal/tensor"
+	"tfhpc/internal/wire"
 )
 
 // TestInitCollectiveAndRemoteAllReduce stands up a 4-task cluster, joins the
@@ -84,7 +85,8 @@ func TestInitCollectiveAndRemoteAllReduce(t *testing.T) {
 
 // TestCollInitReplacesGroup re-initialises the same group name and checks
 // the new membership works (drivers that restart must be able to rebuild
-// their rings on living servers).
+// their rings on living servers). Round 1's requests still carry the retired
+// algorithm (8) and switch-bytes (9) fields, which a task skips.
 func TestCollInitReplacesGroup(t *testing.T) {
 	const p = 2
 	lc, err := StartLocal(map[string]int{"worker": p})
@@ -94,8 +96,21 @@ func TestCollInitReplacesGroup(t *testing.T) {
 	defer lc.Close()
 	peers := NewPeers(lc.Spec())
 	defer peers.Close()
+	opts := CollectiveOptions{RecvTimeout: 5 * time.Second}
+	retired := wire.NewEncoder()
+	retired.String(8, "ring")
+	retired.Int(9, 1<<20)
 	for round := 0; round < 2; round++ {
-		if err := peers.InitCollective("worker", "grp", CollectiveOptions{RecvTimeout: 5 * time.Second}); err != nil {
+		var err error
+		if round == 0 {
+			err = peers.InitCollective("worker", "grp", opts)
+		}
+		epoch := uint64(time.Now().UnixNano())
+		for i := 0; round == 1 && err == nil && i < p; i++ {
+			req := append(encodeCollInit("grp", i, lc.Spec()["worker"], opts, epoch), retired.Bytes()...)
+			_, err = lc.Server("worker", i).handleCollInit(req)
+		}
+		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		var wg sync.WaitGroup

@@ -62,17 +62,36 @@ func (r *request) answer(out *tensor.Tensor, err error) {
 }
 
 // call is one Predict in flight — its rows' envelopes, the channel they come
-// back on, the deadline timer — recycled once every row is resolved.
+// back on, the deadline timer, the batch slice it seals when it leads —
+// recycled once every row is resolved.
 type call struct {
 	reqs  []request
 	resp  chan *request // cap >= len(reqs): a row is delivered at most once at a time, so no send blocks
 	timer *time.Timer
+	batch []*request // a call leads at most one batch at a time, on its own goroutine
 }
 
-var callPool = sync.Pool{New: func() any { return new(call) }}
+// callPool is a plain-mutex free list, like the tensor pool's: a sync.Pool
+// drops Puts at random under the race detector, where the streaming
+// predict's allocation gate runs too. Calls over maxPooledCallRows rows are
+// left to the GC.
+var callPool struct {
+	sync.Mutex
+	free []*call
+}
+
+const maxPooledCalls, maxPooledCallRows = 256, 1024
 
 func newCall(n int) *call {
-	c := callPool.Get().(*call)
+	var c *call
+	callPool.Lock()
+	if k := len(callPool.free) - 1; k >= 0 {
+		c, callPool.free[k] = callPool.free[k], nil
+		callPool.free = callPool.free[:k]
+	} else {
+		c = new(call)
+	}
+	callPool.Unlock()
 	if cap(c.reqs) < n {
 		c.reqs, c.resp = make([]request, n), make(chan *request, n)
 	}
@@ -82,7 +101,11 @@ func newCall(n int) *call {
 
 func (c *call) recycle() {
 	clear(c.reqs) // drop the tensor refs
-	callPool.Put(c)
+	callPool.Lock()
+	if len(callPool.free) < maxPooledCalls && cap(c.reqs) <= maxPooledCallRows {
+		callPool.free = append(callPool.free, c)
+	}
+	callPool.Unlock()
 }
 
 // Batcher coalesces single-row predictions for one model into batched
@@ -175,8 +198,8 @@ func (b *Batcher) serve(c *call, deadline time.Time) {
 	for i := range rest[:queued] {
 		b.queue = append(b.queue, &rest[i])
 	}
-	b.mu.Unlock()
 	mBatchQueueDepth.Add(int64(queued))
+	b.mu.Unlock()
 	if rejected := rest[queued:]; len(rejected) > 0 {
 		for i := range rejected {
 			rejected[i].err = ErrOverloaded
@@ -189,7 +212,7 @@ func (b *Batcher) serve(c *call, deadline time.Time) {
 	var expire <-chan time.Time // a leader that queued nothing arms no timer
 	if own != nil {
 		unresolved++
-		b.lead(own)
+		b.lead(c, own)
 	}
 	if queued > 0 {
 		if d := time.Until(deadline); c.timer == nil {
@@ -205,7 +228,7 @@ func (b *Batcher) serve(c *call, deadline time.Time) {
 		case r := <-c.resp:
 			if r.lead {
 				r.lead = false
-				b.lead(r)
+				b.lead(c, r)
 				continue
 			}
 			unresolved--
@@ -239,8 +262,8 @@ func (b *Batcher) expire(c *call) int {
 		return true
 	})
 	n := admitted - len(b.queue)
-	b.mu.Unlock()
 	mBatchQueueDepth.Add(int64(-n))
+	b.mu.Unlock()
 	b.stats.expired.Add(int64(n))
 	mBatchExpired.Add(int64(n))
 	wait := time.Since(c.reqs[0].enq).Seconds()
@@ -250,9 +273,9 @@ func (b *Batcher) expire(c *call) int {
 	return n
 }
 
-// lead runs one batch on the caller's goroutine — own, then up to
+// lead runs one batch on the goroutine of own's call c — own, then up to
 // MaxBatch-1 rows off the head of the queue — and passes the slot on.
-func (b *Batcher) lead(own *request) {
+func (b *Batcher) lead(c *call, own *request) {
 	mv, err := b.reg.acquireRef(b.model)
 
 	b.mu.Lock()
@@ -267,10 +290,10 @@ func (b *Batcher) lead(own *request) {
 		b.mu.Lock()
 	}
 	k := min(len(b.queue), b.opts.MaxBatch-1)
-	batch := append(append(make([]*request, 0, 1+k), own), b.queue[:k]...)
+	batch := append(append(c.batch[:0], own), b.queue[:k]...)
 	b.queue = slices.Delete(b.queue, 0, k)
-	b.mu.Unlock()
 	mBatchQueueDepth.Add(int64(-k))
+	b.mu.Unlock()
 	now := time.Now()
 	for _, r := range batch {
 		mBatchQueueWait.Observe(now.Sub(r.enq).Seconds())
@@ -282,18 +305,20 @@ func (b *Batcher) lead(own *request) {
 		b.flush(mv, batch, now)
 		mv.release()
 	}
+	clear(batch)
+	c.batch = batch[:0]
 
 	var next *request
 	b.mu.Lock()
 	if len(b.queue) > 0 {
 		next = b.queue[0]
 		b.queue = slices.Delete(b.queue, 0, 1)
+		mBatchQueueDepth.Add(-1)
 	} else if b.running--; b.running == 0 {
 		b.idle.Broadcast()
 	}
 	b.mu.Unlock()
 	if next != nil {
-		mBatchQueueDepth.Add(-1)
 		next.lead = true
 		next.resp <- next
 	}
@@ -324,7 +349,14 @@ func (b *Batcher) flush(mv *ModelVersion, batch []*request, now time.Time) {
 		return
 	}
 	if r := live[0]; len(live) == 1 && mv.rowKernel != nil && r.row.DType() == sig.DType {
-		out := tensor.New(sig.DType, mv.rowOutShape...)
+		// A scalar answer comes from the tensor pool: the stream front
+		// recycles it once encoded, so a lone streamed row allocates nothing.
+		var out *tensor.Tensor
+		if len(mv.rowOutShape) == 0 {
+			out = tensor.GetPooledScalar(sig.DType)
+		} else {
+			out = tensor.New(sig.DType, mv.rowOutShape...)
+		}
 		mv.rowKernel(r.row, out)
 		b.recordBatch(1)
 		r.answer(out, nil)

@@ -31,7 +31,7 @@ func NewLinear(model string, version int, w *tensor.Tensor) (*ModelVersion, erro
 	if err != nil {
 		return nil, err
 	}
-	// Streaming fast path: one row is one dot product. Dot32/Dot64 use the
+	// Row kernel: one row is one dot product. Dot32/Dot64 use the
 	// exact split-accumulator reduction MatVec32/MatVec64 apply per row, so
 	// this is bitwise the same answer a 1-row (or coalesced) batch produces.
 	mv.rowOutShape = tensor.Shape{}

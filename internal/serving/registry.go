@@ -49,29 +49,18 @@ func (r *Registry) Unload(model string) *ModelVersion {
 }
 
 // Active returns the current version without acquiring it (signature
-// inspection, status pages). It may start draining at any moment; use
-// Acquire for prediction.
+// inspection, status pages). It may start draining at any moment; a
+// prediction pins its version with acquireRef.
 func (r *Registry) Active(model string) *ModelVersion {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.active[model]
 }
 
-// Acquire pins the model's active version for one prediction; the release
-// func must be called exactly once. A concurrent swap can retire the
-// version between lookup and pin, so the lookup retries onto the fresh
+// acquireRef pins the model's active version for one batch or row; the
+// caller must call mv.release() exactly once. A concurrent swap can retire
+// the version between lookup and pin, so the lookup retries onto the fresh
 // active version (bounded: each retry means another swap won the race).
-func (r *Registry) Acquire(model string) (*ModelVersion, func(), error) {
-	mv, err := r.acquireRef(model)
-	if err != nil {
-		return nil, nil, err
-	}
-	return mv, func() { mv.release() }, nil
-}
-
-// acquireRef is Acquire without the release closure: the caller must call
-// mv.release() itself. The streaming fast path uses this form because the
-// closure would be its only per-request allocation.
 func (r *Registry) acquireRef(model string) (*ModelVersion, error) {
 	for attempt := 0; attempt < 8; attempt++ {
 		r.mu.RLock()

@@ -154,14 +154,14 @@ func TestRegistryAcquireDuringSwapRace(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 2000; i++ {
-		mv, release, err := reg.Acquire("m")
+		mv, err := reg.acquireRef("m")
 		if err != nil {
 			t.Fatalf("acquire %d: %v", i, err)
 		}
 		if mv.State() == "unloaded" {
 			t.Fatalf("acquired an unloaded version")
 		}
-		release()
+		mv.release()
 	}
 	stop.Store(true)
 	wg.Wait()
@@ -171,7 +171,7 @@ func TestUnloadDrains(t *testing.T) {
 	reg := NewRegistry()
 	mv, _ := NewLinear("m", 1, constWeights(4, 1))
 	reg.Serve(mv)
-	got, release, err := reg.Acquire("m")
+	got, err := reg.acquireRef("m")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,13 +184,13 @@ func TestUnloadDrains(t *testing.T) {
 		t.Fatal("drained while a ref was held")
 	case <-time.After(20 * time.Millisecond):
 	}
-	release()
+	got.release()
 	select {
 	case <-old.Drained():
 	case <-time.After(time.Second):
 		t.Fatal("drain did not complete after release")
 	}
-	if _, _, err := reg.Acquire("m"); err != ErrNotFound {
+	if _, err := reg.acquireRef("m"); err != ErrNotFound {
 		t.Fatalf("want ErrNotFound after unload, got %v", err)
 	}
 }

@@ -28,12 +28,6 @@ type RouterOptions struct {
 	// replica — and it is what makes the router's replica view reliable
 	// enough for an autoscaler to act on.
 	BenchUntilHealthy bool
-	// MaxAttempts bounds the replicas tried per request (default: all
-	// replicas present at pick time).
-	MaxAttempts int
-	// StreamsPerReplica caps the pooled predict streams kept per replica
-	// (default 8). Bursts beyond it open short-lived extra streams.
-	StreamsPerReplica int
 	// Observer, when set, is called exactly once per Predict with the
 	// requested model (before any canary rewrite), whether the request was
 	// routed to the canary arm, the end-to-end latency, and the outcome.
@@ -48,11 +42,12 @@ func (o RouterOptions) withDefaults() RouterOptions {
 	if o.FailBackoff <= 0 {
 		o.FailBackoff = 500 * time.Millisecond
 	}
-	if o.StreamsPerReplica <= 0 {
-		o.StreamsPerReplica = 8
-	}
 	return o
 }
+
+// streamsPerReplica caps the pooled predict streams kept per replica; bursts
+// beyond it open short-lived extra streams.
+const streamsPerReplica = 8
 
 // benchForever is the failUntil sentinel for health-driven benching: far
 // enough out that only an explicit Unbench restores the replica.
@@ -208,7 +203,7 @@ func (r *Router) AddReplica(addr string) error {
 	r.replicas = append(next, &replica{
 		addr:    addr,
 		client:  rpc.Dial(addr),
-		streams: make(chan *PredictStream, r.opts.StreamsPerReplica),
+		streams: make(chan *PredictStream, streamsPerReplica),
 	})
 	mRouterReplicas.Set(int64(len(r.replicas)))
 	return nil
@@ -433,20 +428,17 @@ func (r *Router) arm(model string) (string, bool) {
 }
 
 // attempt is the failover loop predict and generate share. It picks the
-// least-loaded untried replica, takes an outstanding slot on it and calls
-// try there; a transport failure benches the replica and moves on while the
-// deadline allows, any other outcome ends the loop. On success the chosen
-// replica comes back still holding its slot: the caller releases it
-// (track(-1)) when the request is done.
+// least-loaded untried replica (each one present at pick time at most once),
+// takes an outstanding slot on it and calls try there; a transport failure
+// benches the replica and moves on while the deadline allows, any other
+// outcome ends the loop. On success the chosen replica comes back still
+// holding its slot: the caller releases it (track(-1)) when the request is
+// done.
 func (r *Router) attempt(span *telemetry.Span, deadline time.Time, try func(rep *replica) error) (*replica, error) {
 	reps := r.snapshot()
-	maxAttempts := r.opts.MaxAttempts
-	if maxAttempts <= 0 || maxAttempts > len(reps) {
-		maxAttempts = len(reps)
-	}
-	tried := make(map[*replica]bool, maxAttempts)
+	tried := make(map[*replica]bool, len(reps))
 	var lastErr error
-	for attempt := 0; attempt < maxAttempts; attempt++ {
+	for attempt := range reps {
 		rep := r.pick(reps, tried)
 		if rep == nil {
 			break

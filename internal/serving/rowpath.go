@@ -1,45 +1,34 @@
 package serving
 
 import (
-	"errors"
+	"fmt"
 	"time"
 
 	"tfhpc/internal/tensor"
 )
 
-// errNoFastPath reports that a model (or its current version) has no direct
-// row kernel; callers fall back to the batcher path. It is a routing signal,
-// not a request outcome, so it never crosses the wire.
-var errNoFastPath = errors.New("serving: no row fast path")
-
-// The row path is the streaming front-end's allocation-free fast path on a
-// local Service: one row answered synchronously into a caller-owned output
-// tensor, bypassing the batcher queue. Results are bit-identical to the same
-// row served through Predict. A Router has no row path (its rows cross the
-// wire anyway).
+// The row path answers one row synchronously into a caller-owned output
+// tensor, straight through the version's row kernel and past the batcher's
+// queue. No front-end uses it: every served row is admitted by the batcher.
+// It is the benchmark's batcher-free reference — the bits a batched answer
+// must equal, and the serving.row_us probe's cost of one row kernel. Its
+// errors are the canonical serving set.
 
 // NewRowOutput returns a fresh tensor shaped and typed like one row's output,
-// for reuse across PredictRowInto calls. errNoFastPath (an unexported
-// sentinel — treat any error as "use Predict") means the model's current
-// version cannot serve rows directly.
+// for reuse across PredictRowInto calls. ErrNotFound means the model, or a
+// row kernel for its current version, is missing.
 func (s *Service) NewRowOutput(model string) (*tensor.Tensor, error) {
 	mv := s.reg.Active(model)
-	if mv == nil {
-		return nil, ErrNotFound
-	}
-	if mv.rowKernel == nil {
-		return nil, errNoFastPath
+	if mv == nil || mv.rowKernel == nil {
+		return nil, fmt.Errorf("%w: no row kernel for %q", ErrNotFound, model)
 	}
 	return tensor.New(mv.sig.DType, mv.rowOutShape...), nil
 }
 
-// PredictRowInto serves one [features] row into out: validate, pin the
-// version, run its row kernel. The row and out tensors stay caller-owned.
-// Deadline semantics match Predict except that a zero deadline means "no
-// deadline" (the caller is already synchronous, there is no queue to bound).
-// The whole path is allocation-free — acquireRef instead of Acquire's release
-// closure, no goroutines, no channels — which is what lets the streaming
-// front-end's steady state stay at zero allocs per request.
+// PredictRowInto serves one [features] row of the signature's dtype into
+// out: validate, pin the version, run its row kernel. The row and out
+// tensors stay caller-owned, and a zero deadline means none. Rows and
+// expiries count in the model's batcher stats; nothing is allocated.
 func (s *Service) PredictRowInto(model string, row, out *tensor.Tensor, deadline time.Time) error {
 	b, err := s.batcher(model)
 	if err != nil {
@@ -49,33 +38,21 @@ func (s *Service) PredictRowInto(model string, row, out *tensor.Tensor, deadline
 	if err != nil {
 		return err
 	}
-	if mv.rowKernel == nil {
-		mv.release()
-		return errNoFastPath
-	}
+	defer mv.release()
 	sig := mv.sig
-	if row == nil || row.Rank() != 1 || row.Shape()[0] != sig.Features || row.DType() != sig.DType {
-		// Rows needing dtype conversion take the batcher path, which owns
-		// that deterministic conversion; the fast path serves wire-native
-		// rows only.
-		mv.release()
-		if row == nil || row.Rank() != 1 || row.Shape()[0] != sig.Features || !row.DType().IsFloat() {
-			return ErrBadInput
-		}
-		return errNoFastPath
-	}
-	if out == nil || out.DType() != sig.DType || !out.Shape().Equal(mv.rowOutShape) {
-		mv.release()
-		return errNoFastPath // stale scratch after a hot-swap: caller refreshes
-	}
-	if !deadline.IsZero() && !time.Now().Before(deadline) {
-		mv.release()
+	switch {
+	case mv.rowKernel == nil:
+		return fmt.Errorf("%w: %s v%d has no row kernel", ErrNotFound, model, mv.version)
+	case row == nil || row.Rank() != 1 || row.Shape()[0] != sig.Features || row.DType() != sig.DType:
+		return fmt.Errorf("%w: want [%d] %v row, got %v %v", ErrBadInput, sig.Features, sig.DType, shapeOf(row), dtypeOf(row))
+	case out == nil || out.DType() != sig.DType || !out.Shape().Equal(mv.rowOutShape):
+		return fmt.Errorf("%w: want a %v %v output, got %v %v", ErrBadInput, mv.rowOutShape, sig.DType, shapeOf(out), dtypeOf(out))
+	case !deadline.IsZero() && !time.Now().Before(deadline):
 		b.stats.expired.Add(1)
 		mBatchExpired.Inc()
 		return ErrDeadline
 	}
 	mv.rowKernel(row, out)
-	mv.release()
 	b.recordBatch(1)
 	return nil
 }

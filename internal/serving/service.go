@@ -15,7 +15,9 @@ import (
 // remote replicas, interchangeably.
 type Predictor interface {
 	// Predict serves a [features] row or [n, features] batch; a zero
-	// deadline applies the implementation's default.
+	// deadline applies the implementation's default. It returns only once
+	// nothing else holds in, and the result belongs to the caller, which
+	// may Recycle both.
 	Predict(model string, in *tensor.Tensor, deadline time.Time) (*tensor.Tensor, error)
 	// Generate admits one generation request and returns its token stream.
 	// The request deadline bounds time-to-first-token; errors are the

@@ -15,7 +15,8 @@
 //     per-request deadlines. The precedence is reject > queue > time out,
 //     and all three outcomes are counted.
 //   - Front-ends: a KServe-style HTTP/JSON predictor API and a framed
-//     binary endpoint over internal/rpc, both driving the same Service.
+//     binary endpoint over internal/rpc, both driving the same Predictor:
+//     every row they carry is admitted, queued and counted by the batcher.
 //   - Router: spreads requests across model replicas hosted on cluster
 //     worker tasks — least-loaded pick, failure-aware retry.
 //
@@ -77,11 +78,11 @@ type ModelVersion struct {
 	sess    *session.Session
 
 	// rowKernel, when set, computes one row's outputs directly into a
-	// caller-owned tensor of shape rowOutShape — the streaming front-end's
-	// allocation-free fast path. It must be bit-identical to a 1-row batch
-	// through the session (the linear model's dot product is the MatVec
-	// kernel's own per-row reduction). Versions without one serve rows
-	// through the batcher only.
+	// tensor of shape rowOutShape: the batcher runs a lone row through it
+	// instead of a session run, and the benchmark's batcher-free reference
+	// (rowpath.go) calls it straight. It must be bit-identical to a 1-row
+	// batch through the session (the linear model's dot product is the
+	// MatVec kernel's own per-row reduction).
 	rowKernel   func(row, out *tensor.Tensor)
 	rowOutShape tensor.Shape
 

@@ -84,18 +84,18 @@ func errOfStatus(status byte, text []byte) error {
 }
 
 // servePredictStream serves one client's predict stream until it closes.
+// Every request reaches the model through p.Predict — a local Service's
+// batcher admits, queues and counts streamed rows exactly as HTTP ones.
 // Everything per-request is reused across the loop: the receive buffer, the
-// response scratch, the interned model name, and the fast-path output
-// tensor — with a local Service's row path behind it, the steady state
-// allocates nothing.
+// response scratch and the interned model name; the decoded input and the
+// answer go back to the tensor pool once the response is encoded (Predict
+// returns only when no runner still holds the row), so with a row kernel
+// behind the batcher the steady state allocates nothing.
 func servePredictStream(p Predictor, st *rpc.Stream) error {
-	svc, _ := p.(*Service)
 	var (
 		buf, resp []byte
 		modelBuf  []byte
 		model     string
-		scratch   *tensor.Tensor // fast-path row output; nil until first use
-		scratchOK bool           // scratch matches the current model
 	)
 	for {
 		var err error
@@ -113,7 +113,6 @@ func servePredictStream(p Predictor, st *rpc.Stream) error {
 		if !bytes.Equal(mb, modelBuf) {
 			modelBuf = append(modelBuf[:0], mb...)
 			model = string(mb)
-			scratch, scratchOK = nil, false
 		}
 		deadline := budgetDeadline(budget, time.Microsecond)
 		var span *telemetry.Span
@@ -128,14 +127,7 @@ func servePredictStream(p Predictor, st *rpc.Stream) error {
 		in, rest, err := tensor.DecodePooled(tb)
 		if err != nil || len(rest) != 0 {
 			err = ErrBadInput
-		} else if row, rowErr, fast := rowFastPath(svc, model, in, deadline, &scratch, &scratchOK); fast {
-			// Fast path took it (ok or a definite outcome); the input row is
-			// ours again.
-			tensor.Recycle(in)
-			out, err = row, rowErr
 		} else {
-			// Batcher / general path. The input is NOT recycled: on a
-			// deadline the batcher's runner may still hold the row.
 			out, err = p.Predict(model, in, deadline)
 		}
 		if err == nil {
@@ -146,46 +138,14 @@ func servePredictStream(p Predictor, st *rpc.Stream) error {
 		if err != nil {
 			resp = appendStatus(resp, err)
 		}
+		tensor.Recycle(in)
+		tensor.Recycle(out)
 		err = st.Send(resp)
 		span.End()
 		if err != nil {
 			return err
 		}
 	}
-}
-
-// rowFastPath tries a local Service's row path (rowpath.go) for a rank-1
-// request; svc is nil behind a Router. fast=false means "not handled here,
-// use Predict"; fast=true means the outcome (out or err) is final. The
-// caller's scratch output is (re)built on model change or after a hot-swap
-// invalidates its shape.
-func rowFastPath(svc *Service, model string, in *tensor.Tensor, deadline time.Time,
-	scratch **tensor.Tensor, scratchOK *bool) (*tensor.Tensor, error, bool) {
-	if svc == nil || in == nil || in.Rank() != 1 {
-		return nil, nil, false
-	}
-	for attempt := 0; attempt < 2; attempt++ {
-		if *scratch == nil {
-			if *scratchOK {
-				return nil, nil, false // memoized: model has no fast path
-			}
-			sc, err := svc.NewRowOutput(model)
-			*scratchOK = true
-			if err != nil {
-				return nil, nil, false
-			}
-			*scratch = sc
-		}
-		err := svc.PredictRowInto(model, in, *scratch, deadline)
-		if errors.Is(err, errNoFastPath) {
-			// Hot-swap made the scratch stale (or removed the kernel):
-			// rebuild once, then give up to the general path.
-			*scratch, *scratchOK = nil, false
-			continue
-		}
-		return *scratch, err, true
-	}
-	return nil, nil, false
 }
 
 // parseStreamPredict splits one predict request frame; all byte slices

@@ -15,7 +15,6 @@ import (
 // serving endpoints attached.
 func startStreamServer(t testing.TB, d int, scale float64) (string, *Service) {
 	t.Helper()
-	srv := rpc.NewServer()
 	svc := NewService(NewRegistry(), BatchOptions{MaxBatch: 8})
 	mv, err := NewLinear("lin", 1, linearWeights(d, scale))
 	if err != nil {
@@ -24,16 +23,22 @@ func startStreamServer(t testing.TB, d int, scale float64) (string, *Service) {
 	if _, err := svc.ServeModel(mv); err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(svc.Close)
+	return serveStream(t, svc), svc
+}
+
+// serveStream attaches svc's serving endpoints to a fresh rpc.Server and
+// returns its address; the server closes before svc does.
+func serveStream(t testing.TB, svc *Service) string {
+	t.Helper()
+	srv := rpc.NewServer()
 	Attach(srv, svc)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		svc.Close()
-		srv.Close()
-	})
-	return addr, svc
+	t.Cleanup(func() { srv.Close() })
+	return addr
 }
 
 // TestStreamPredictMatchesLocal drives rows and a batch through the
@@ -158,7 +163,7 @@ func TestStreamPredictStatusRoundTrip(t *testing.T) {
 }
 
 // TestStreamPredictHotSwap checks that an open stream tracks a hot-swap: the
-// fast-path kernel must come from the swapped-in version.
+// row kernel must come from the swapped-in version.
 func TestStreamPredictHotSwap(t *testing.T) {
 	const d = 16
 	addr, svc := startStreamServer(t, d, 1)
@@ -303,5 +308,79 @@ func TestStreamPredictCountsInMetricz(t *testing.T) {
 	}
 	if s := svc.Snapshots()[0]; s.Rows != n || s.Expired != 1 {
 		t.Fatalf("statsz %+v, want %d rows and 1 expired", s, n)
+	}
+}
+
+// TestStreamPredictAdmitted: a streamed row on a model with a row kernel is
+// admitted by the batcher like any other — it queues while every runner is
+// busy, a zero budget takes DefaultDeadline and expires there, a full queue
+// rejects, and every row records its queue wait.
+func TestStreamPredictAdmitted(t *testing.T) {
+	const d, n = 8, 5
+	// The default deadline must outlast the checks made while the row is
+	// queued, on a loaded machine too.
+	svc, _ := newLinearService(t, d, BatchOptions{Runners: 1, QueueDepth: 1, DefaultDeadline: 500 * time.Millisecond})
+	b, _ := svc.batcher("lin")
+	c := rpc.Dial(serveStream(t, svc))
+	defer c.Close()
+	ps, err := OpenPredictStream(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Close()
+
+	// An in-process leader holds the only runner slot inside the row kernel.
+	blocker, gt := idRow(d, 1), &gate{entered: make(chan []float64, 1), release: make(chan struct{})}
+	t.Cleanup(gt.open) // runs first: a failed test must not leave Close waiting on the leader
+	mv := svc.Registry().Active("lin")
+	kernel := mv.rowKernel
+	mv.rowKernel = func(row, out *tensor.Tensor) {
+		if row == blocker {
+			gt.entered <- nil
+			<-gt.release
+		}
+		kernel(row, out)
+	}
+	held := predictAsync(svc, blocker, time.Time{})
+	<-gt.entered
+
+	before := svc.Snapshots()[0]
+	done := make(chan error, 1)
+	go func() {
+		_, err := ps.Predict("lin", idRow(d, 2), time.Time{})
+		done <- err
+	}()
+	waitFor(t, "the streamed row to queue", func() bool { return b.Pending() == 1 || len(done) > 0 })
+	if b.Pending() != 1 {
+		t.Fatalf("streamed row answered without queueing: %v", <-done)
+	}
+	ps2, err := OpenPredictStream(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps2.Close()
+	if _, err := ps2.Predict("lin", idRow(d, 3), time.Time{}); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("streamed row on a full queue: %v, want ErrOverloaded", err)
+	}
+	if err := <-done; !errors.Is(err, ErrDeadline) {
+		t.Fatalf("queued streamed row past DefaultDeadline: %v, want ErrDeadline", err)
+	}
+	if s := svc.Snapshots()[0]; s.Expired-before.Expired != 1 || s.Rejected-before.Rejected != 1 {
+		t.Fatalf("expired moved by %d, rejected by %d, want 1 and 1", s.Expired-before.Expired, s.Rejected-before.Rejected)
+	}
+	gt.open()
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "batcher idle", b.idleNow)
+
+	waits := mBatchQueueWait.Count()
+	for i := range n {
+		if _, err := ps.Predict("lin", idRow(d, float64(i)), time.Time{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := mBatchQueueWait.Count() - waits; got != n {
+		t.Fatalf("%d streamed rows recorded %d queue waits", n, got)
 	}
 }
