@@ -17,9 +17,9 @@ func TestIterationAllocs(t *testing.T) {
 	cfg := Config{N: 64, Workers: 1, MaxIters: 1}
 	res := session.NewResources()
 	groups := collective.NewLoopbackGroups(1, collective.Options{})
-	res.Colls.Register(collGroup(0), groups[0])
+	res.Colls.Register(group, groups[0])
 	defer res.Colls.CloseAll()
-	sess, err := session.New(buildWorker(cfg, 0, collGroup(0), ""), res, session.Options{})
+	sess, err := session.New(buildWorker(cfg, 0, ""), res, session.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestIterationAllocs(t *testing.T) {
 	// the values it leaves behind.
 	rr := b.F64()[0]*b.F64()[0] + 1
 	got := testing.AllocsPerRun(100, func() {
-		if out := driveWorker(cfg, sess, 0, 0, rr, nil); out.err != nil || out.iter != 1 {
+		if out := driveWorker(cfg, sess, 0, 1, rr); out.err != nil || out.iter != 1 {
 			t.Fatalf("iteration: %+v", out)
 		}
 	})

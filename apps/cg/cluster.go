@@ -6,28 +6,38 @@ import (
 	"sync"
 	"time"
 
+	"tfhpc/internal/checkpoint"
 	"tfhpc/internal/cluster"
 	"tfhpc/internal/core"
 	"tfhpc/internal/gemm"
-	"tfhpc/internal/graph"
 	"tfhpc/internal/session"
 	"tfhpc/internal/tensor"
 )
 
-// ClusterOptions tune a distributed solve over running task servers.
+// ClusterOptions tune a solve over running task servers.
 type ClusterOptions struct {
 	// Job is the worker job name in the cluster spec (default "worker").
 	Job string
 	// HealthWait bounds how long to wait for the tasks to come up (default
 	// 10s) — CI boots them as separate racing processes.
 	HealthWait time.Duration
+	// RealOptions checkpoint the solve and resume it.
+	RealOptions
 }
 
-// RunCluster solves A·x = b on an already-running cluster: worker w's graph
-// is placed on /job:<job>/task:<w> and runs there as a registered partition,
-// and the allgather/allreduce collectives run ring steps directly between
-// the task servers — the driver only moves the initial blocks, scalars and
-// the final solution.
+// RunCluster solves A·x = b on an already-running cluster; it is the one
+// CG driver. Worker w's graph is placed on /job:<job>/task:<w> and opened
+// with cluster.Peers.Session: a task serving in this process runs it in the
+// driver's session against the task's resources, any other task as a
+// registered partition. The collectives run ring steps directly between the
+// tasks; the driver moves the initial blocks, the scalars, the checkpointed
+// state and the solution. A task in this process keeps its block of A, a
+// view of a, without a copy, so a must not change until RunCluster returns.
+//
+// With a CheckpointPath, every worker stops after each CheckpointEvery
+// iterations while the driver saves their x, r and p with ‖r‖², and the
+// state is saved once more on completion. Resume loads that state with the
+// Run that otherwise loads x = 0 and r = p = b.
 func RunCluster(cfg Config, a, b *tensor.Tensor, peers *cluster.Peers, opts ClusterOptions) (*RealResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -45,6 +55,13 @@ func RunCluster(cfg Config, a, b *tensor.Tensor, peers *cluster.Peers, opts Clus
 	if got := peers.Spec().NumTasks(job); got != cfg.Workers {
 		return nil, fmt.Errorf("cg: %d workers requested but job %q has %d tasks (counts must match)", cfg.Workers, job, got)
 	}
+	var ck *checkpoint.Checkpoint
+	if opts.Resume {
+		var err error
+		if ck, err = loadCheckpoint(cfg, opts.CheckpointPath); err != nil {
+			return nil, err
+		}
+	}
 	wait := opts.HealthWait
 	if wait <= 0 {
 		wait = 10 * time.Second
@@ -52,75 +69,61 @@ func RunCluster(cfg Config, a, b *tensor.Tensor, peers *cluster.Peers, opts Clus
 	if err := peers.WaitHealthy(job, wait); err != nil {
 		return nil, err
 	}
-	const group = "cg"
 	if err := peers.InitCollective(job, group, cluster.CollectiveOptions{}); err != nil {
 		return nil, err
 	}
 
-	// Worker w's graph is one partition on task w, plus an init/<v>
-	// placeholder feeding an assign/<v> node per variable: the first Run
-	// loads the task's A block, x=0 and r=p=b slice as feeds over the
-	// task's partition stream.
 	rows := cfg.RowsPerWorker()
-	vars := []string{"A", "x", "r", "p"}
+	startIter, rr := 0, gemm.Dot64(b.F64(), b.F64())
+	if ck != nil {
+		startIter, rr = int(ck.Step), ck.Vars["__rr"].ScalarFloat()
+	}
 	sessions := make([]*session.Session, cfg.Workers)
 	for w := range sessions {
-		dev := fmt.Sprintf("/job:%s/task:%d", job, w)
-		g := buildWorker(cfg, w, group, dev)
-		g.WithDevice(dev, func() {
-			for _, v := range vars {
-				g.AddNamedOp("assign/"+v, "Assign", graph.Attrs{"var_name": fmt.Sprintf("w%d/%s", w, v)},
-					g.Placeholder("init/"+v, tensor.Float64, nil))
-			}
-		})
-		sess, err := session.New(g, nil, session.Options{LocalJob: "client", Remote: peers})
+		sess, err := peers.Session(buildWorker(cfg, w, fmt.Sprintf("/job:%s/task:%d", job, w)), job, w)
 		if err != nil {
 			return nil, err
 		}
 		defer sess.Close()
 		sessions[w] = sess
 
-		bSlice := tensor.FromF64(tensor.Shape{rows}, b.F64()[w*rows:(w+1)*rows])
-		if _, err := sess.Run(map[string]*tensor.Tensor{
+		feeds := map[string]*tensor.Tensor{
 			"init/A": tensor.FromF64(tensor.Shape{rows, cfg.N}, a.F64()[w*rows*cfg.N:(w+1)*rows*cfg.N]),
-			"init/x": tensor.New(tensor.Float64, rows),
-			"init/r": bSlice,
-			"init/p": bSlice,
-		}, nil, []string{"assign/A", "assign/x", "assign/r", "assign/p"}); err != nil {
+		}
+		if ck != nil {
+			for _, v := range stateVars {
+				feeds["init/"+v] = ck.Vars[stateName(w, v)]
+			}
+		} else {
+			bSlice := tensor.FromF64(tensor.Shape{rows}, b.F64()[w*rows:(w+1)*rows])
+			feeds["init/x"], feeds["init/r"], feeds["init/p"] = tensor.New(tensor.Float64, rows), bSlice, bSlice
+		}
+		if _, err := sess.Run(feeds, nil, initTargets); err != nil {
 			return nil, fmt.Errorf("cg: init worker %d: %w", w, err)
 		}
 	}
-	rr := gemm.Dot64(b.F64(), b.F64())
 
+	// Segments end at each checkpoint, where every worker has stopped.
 	start := time.Now()
-	var wg sync.WaitGroup
-	results := make([]iterOut, cfg.Workers)
-	for w := range sessions {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			results[w] = driveWorker(cfg, sessions[w], w, 0, rr, nil)
-			if results[w].err != nil {
-				// Poison the ring on the servers so the other ranks cascade
-				// the failure instead of blocking until the receive timeout.
-				peers.AbortCollective(job, group)
+	iter := startIter
+	for iter < cfg.MaxIters && !cfg.converged(rr) {
+		to := cfg.MaxIters
+		if opts.CheckpointPath != "" && opts.CheckpointEvery > 0 {
+			to = min(to, (iter/opts.CheckpointEvery+1)*opts.CheckpointEvery)
+		}
+		out := iterate(cfg, sessions, iter, to, rr, func() { peers.AbortCollective(job, group) })
+		if out.err != nil {
+			return nil, out.err
+		}
+		iter, rr = out.iter, out.rr
+		if iter < cfg.MaxIters && !cfg.converged(rr) {
+			if err := saveCheckpoint(cfg, sessions, opts.CheckpointPath, iter, rr); err != nil {
+				return nil, err
 			}
-		}(w)
+		}
 	}
-	wg.Wait()
 	elapsed := time.Since(start).Seconds()
 
-	finalRR := rr
-	itersRun := 0
-	for _, r := range results {
-		if r.err != nil {
-			return nil, r.err
-		}
-		finalRR = r.rr
-		itersRun = r.iter
-	}
-
-	// Fetch and assemble the solution from the tasks.
 	x := tensor.New(tensor.Float64, cfg.N)
 	for w, sess := range sessions {
 		xw, err := sess.Run(nil, []string{"x"}, nil)
@@ -129,11 +132,79 @@ func RunCluster(cfg Config, a, b *tensor.Tensor, peers *cluster.Peers, opts Clus
 		}
 		copy(x.F64()[w*rows:(w+1)*rows], xw[0].F64())
 	}
+	if opts.CheckpointPath != "" {
+		if err := saveCheckpoint(cfg, sessions, opts.CheckpointPath, iter, rr); err != nil {
+			return nil, err
+		}
+	}
 	return &RealResult{
 		X:            x,
-		Iters:        itersRun,
-		ResidualNorm: math.Sqrt(finalRR),
+		Iters:        iter,
+		ResidualNorm: math.Sqrt(rr),
 		Seconds:      elapsed,
-		Gflops:       core.Gflops(core.CGFlops(cfg.N, itersRun), elapsed),
+		Gflops:       core.Gflops(core.CGFlops(cfg.N, iter-startIter), elapsed),
 	}, nil
+}
+
+// iterate drives every worker from iteration from towards to and returns
+// where they stopped, alike on all of them. A worker that fails calls
+// abort, which poisons the ring so the others fail too instead of blocking
+// until the receive timeout.
+func iterate(cfg Config, sessions []*session.Session, from, to int, rr float64, abort func()) iterOut {
+	outs := make([]iterOut, len(sessions))
+	var wg sync.WaitGroup
+	for w, sess := range sessions {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if outs[w] = driveWorker(cfg, sess, from, to, rr); outs[w].err != nil {
+				abort()
+			}
+		}()
+	}
+	wg.Wait()
+	for _, o := range outs {
+		if o.err != nil {
+			return o
+		}
+	}
+	return outs[0]
+}
+
+// stateName is the checkpoint's name for worker w's variable v.
+func stateName(w int, v string) string { return fmt.Sprintf("w%d/%s", w, v) }
+
+// saveCheckpoint fetches every worker's x, r and p through its session and
+// saves them with ‖r‖² as the state after iteration step.
+func saveCheckpoint(cfg Config, sessions []*session.Session, path string, step int, rr float64) error {
+	ck := &checkpoint.Checkpoint{
+		GraphID: graphID(cfg),
+		Step:    int64(step),
+		Vars:    map[string]*tensor.Tensor{"__rr": tensor.ScalarF64(rr)},
+	}
+	for w, sess := range sessions {
+		vals, err := sess.Run(nil, stateVars, nil)
+		if err != nil {
+			return fmt.Errorf("cg: checkpoint worker %d: %w", w, err)
+		}
+		for i, v := range stateVars {
+			ck.Vars[stateName(w, v)] = vals[i]
+		}
+	}
+	return ck.Save(path)
+}
+
+// loadCheckpoint reads a checkpoint of cfg's solve.
+func loadCheckpoint(cfg Config, path string) (*checkpoint.Checkpoint, error) {
+	ck, err := checkpoint.Load(path)
+	if err != nil {
+		return nil, fmt.Errorf("cg: resume: %w", err)
+	}
+	if ck.GraphID != graphID(cfg) {
+		return nil, fmt.Errorf("cg: checkpoint is for %q, want %q", ck.GraphID, graphID(cfg))
+	}
+	if rr := ck.Vars["__rr"]; rr == nil || rr.NumElements() != 1 || ck.Step < 0 {
+		return nil, fmt.Errorf("cg: checkpoint missing residual state")
+	}
+	return ck, nil
 }

@@ -57,3 +57,51 @@ func TestClusterRejectsSmallJob(t *testing.T) {
 		t.Fatal("4-worker solve on a 2-task job should fail")
 	}
 }
+
+// RunCluster over tasks in this process runs each worker's graph in the
+// driver's session, so no task ever holds a registered partition; under
+// TFHPC_NO_SHM=1 the same solve registers its partitions on every task.
+func TestColocatedTasksRunInTheDriversSession(t *testing.T) {
+	cfg, a, b := goldenProblem()
+	for _, noShm := range []string{"", "1"} {
+		t.Setenv("TFHPC_NO_SHM", noShm)
+		lc, err := cluster.StartLocal(map[string]int{"worker": cfg.Workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		peers := cluster.NewPeers(lc.Spec())
+		// Every task's partitions live from a session's first Run to its
+		// Close, so polling through the solve sees them.
+		held := make([]int, cfg.Workers)
+		stop, polled := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(polled)
+			for {
+				for w := range held {
+					held[w] = max(held[w], lc.Server("worker", w).Partitions())
+				}
+				select {
+				case <-stop:
+					return
+				case <-time.After(50 * time.Microsecond):
+				}
+			}
+		}()
+		_, err = RunCluster(cfg, a, b, peers, ClusterOptions{HealthWait: 5 * time.Second})
+		close(stop)
+		<-polled
+		peers.Close()
+		lc.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w, n := range held {
+			if noShm != "" && n == 0 {
+				t.Errorf("TFHPC_NO_SHM=1: task %d held no partition during the solve", w)
+			}
+			if noShm == "" && n != 0 {
+				t.Errorf("co-located task %d held %d partitions during the solve, want 0", w, n)
+			}
+		}
+	}
+}

@@ -5,29 +5,14 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
 	"tfhpc/internal/cluster"
 	"tfhpc/internal/tensor"
 )
-
-// laplacian1D is the 1-D Laplacian shifted by diag−2 on its diagonal:
-// diag on the diagonal, −1 beside it. For diag > 2 it is SPD.
-func laplacian1D(n int, diag float64) *tensor.Tensor {
-	a := tensor.New(tensor.Float64, n, n)
-	d := a.F64()
-	for i := 0; i < n; i++ {
-		d[i*n+i] = diag
-		if i > 0 {
-			d[i*n+i-1] = -1
-		}
-		if i+1 < n {
-			d[i*n+i+1] = -1
-		}
-	}
-	return a
-}
 
 // f64Hash is the sha256 of v's little-endian bytes.
 func f64Hash(v []float64) string {
@@ -39,40 +24,110 @@ func f64Hash(v []float64) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// TestSolveGolden pins the bits of one CG solve in RunReal and RunCluster
-// alike. RunCluster moves A, the scalars and X through encoded run frames
-// between tasks, so any change to the tensor encoding, the collectives'
-// fold order or the kernels that alters a single bit of X fails here.
-func TestSolveGolden(t *testing.T) {
-	const (
-		wantIters = 141
-		wantHash  = "60d87df8ed213ee25f11bbdc9282a0c685bf882f260712c730a4689c3c44c4ea"
-	)
+// goldenProblem is the solve TestSolveGolden pins: the documented test
+// problem at N = 256 on 2 workers, with b_i = sin(0.37·(i+1)).
+func goldenProblem() (Config, *tensor.Tensor, *tensor.Tensor) {
 	cfg := Config{N: 256, Workers: 2, MaxIters: 500, Tol: 1e-9}
-	a := laplacian1D(cfg.N, 2.0225)
 	b := tensor.New(tensor.Float64, cfg.N)
 	for i := range b.F64() {
 		b.F64()[i] = math.Sin(float64(i+1) * 0.37)
 	}
+	return cfg, Laplacian1D(cfg.N, LaplacianDiag), b
+}
 
-	local, err := RunReal(cfg, a, b, RealOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+// The golden solve's iteration count and X.
+const (
+	goldenIters = 141
+	goldenHash  = "60d87df8ed213ee25f11bbdc9282a0c685bf882f260712c730a4689c3c44c4ea"
+)
+
+// localSolve runs RunCluster over a cluster of tasks started in this
+// process for the call.
+func localSolve(cfg Config, a, b *tensor.Tensor, opts RealOptions) (*RealResult, error) {
 	lc, err := cluster.StartLocal(map[string]int{"worker": cfg.Workers})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	defer lc.Close()
 	peers := cluster.NewPeers(lc.Spec())
 	defer peers.Close()
-	dist, err := RunCluster(cfg, a, b, peers, ClusterOptions{HealthWait: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
+	return RunCluster(cfg, a, b, peers, ClusterOptions{HealthWait: 5 * time.Second, RealOptions: opts})
+}
+
+// TestSolveGolden pins the bits of one CG solve three ways: RunReal;
+// RunCluster over tasks in this process, which runs each worker's graph in
+// the driver's session against its task's resources; and RunCluster under
+// TFHPC_NO_SHM=1, which runs it as a partition on each task and moves A,
+// the scalars, X and every collective chunk through the tensor codec. Any
+// change to that codec, the collectives' fold order or the kernels that
+// alters one bit of X fails here. RunReal must leave nothing behind, after
+// a solve and after a resume that fails: no goroutine it started, and no
+// task published in this process.
+func TestSolveGolden(t *testing.T) {
+	t.Setenv("TFHPC_NO_SHM", "")
+	cfg, a, b := goldenProblem()
+	check := func(name string, r *RealResult, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if h := f64Hash(r.X.F64()); r.Iters != goldenIters || h != goldenHash {
+			t.Errorf("%s: %d iterations, X sha256 %s; want %d, %s", name, r.Iters, h, goldenIters, goldenHash)
+		}
 	}
-	for name, r := range map[string]*RealResult{"RunReal": local, "RunCluster": dist} {
-		if h := f64Hash(r.X.F64()); r.Iters != wantIters || h != wantHash {
-			t.Errorf("%s: %d iterations, X sha256 %s; want %d, %s", name, r.Iters, h, wantIters, wantHash)
+	r, err := RunReal(cfg, a, b, RealOptions{})
+	check("RunReal", r, err)
+	r, err = localSolve(cfg, a, b, RealOptions{})
+	check("RunCluster", r, err)
+
+	base := runtime.NumGoroutine()
+	ckpt := filepath.Join(t.TempDir(), "cg.ckpt")
+	for _, opts := range []RealOptions{
+		{CheckpointPath: ckpt, CheckpointEvery: 50},
+		{CheckpointPath: ckpt + ".missing", Resume: true},
+	} {
+		if _, err := RunReal(cfg, a, b, opts); (err != nil) != opts.Resume {
+			t.Fatalf("RunReal(%+v): error %v", opts, err)
+		}
+		if n := cluster.Published(); n != 0 {
+			t.Fatalf("RunReal(%+v) left tasks published under %d addresses", opts, n)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<20)
+				t.Fatalf("RunReal(%+v) left %d goroutines, %d before:\n%s",
+					opts, runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+
+	t.Setenv("TFHPC_NO_SHM", "1")
+	r, err = localSolve(cfg, a, b, RealOptions{})
+	check("RunCluster over partitions", r, err)
+}
+
+// A solve stopped at iteration 100, with checkpoints every 30 on the way,
+// and resumed from its checkpoint file takes the uninterrupted solve's
+// iterations and gives its X to the bit, with the workers' graphs in the
+// driver's session and, under TFHPC_NO_SHM=1, as partitions on the tasks.
+func TestResumeMatchesUninterruptedSolve(t *testing.T) {
+	cfg, a, b := goldenProblem()
+	for _, noShm := range []string{"", "1"} {
+		t.Setenv("TFHPC_NO_SHM", noShm)
+		ckpt := filepath.Join(t.TempDir(), "cg.ckpt")
+		half := cfg
+		half.MaxIters = 100
+		if r, err := localSolve(half, a, b, RealOptions{CheckpointPath: ckpt, CheckpointEvery: 30}); err != nil || r.Iters != 100 {
+			t.Fatalf("TFHPC_NO_SHM=%q: first half: %v", noShm, err)
+		}
+		r, err := localSolve(cfg, a, b, RealOptions{CheckpointPath: ckpt, Resume: true})
+		if err != nil {
+			t.Fatalf("TFHPC_NO_SHM=%q: resume: %v", noShm, err)
+		}
+		if h := f64Hash(r.X.F64()); r.Iters != goldenIters || h != goldenHash {
+			t.Errorf("TFHPC_NO_SHM=%q: resumed solve: %d iterations, X sha256 %s; want %d, %s", noShm, r.Iters, h, goldenIters, goldenHash)
 		}
 	}
 }

@@ -18,8 +18,9 @@ type ClusterOptions struct {
 }
 
 // RunCluster trains over an already-running cluster: replica w's graph runs
-// on /job:<job>/task:<w> and the per-step gradient allreduce rings over TCP
-// directly between the task servers — the paper's Horovod deployment shape.
+// on /job:<job>/task:<w> (see cluster.Peers.Session) and the per-step
+// gradient allreduce rings directly between the task servers — the paper's
+// Horovod deployment shape.
 func RunCluster(cfg Config, peers *cluster.Peers, opts ClusterOptions) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -46,12 +47,13 @@ func RunCluster(cfg Config, peers *cluster.Peers, opts ClusterOptions) (*Result,
 		return nil, err
 	}
 
-	// Replica w's whole graph is one partition on task w: each step is one
-	// run message there, and the variables load as feeds of the first Run.
+	// Replica w's whole graph runs on task w: in this session when the
+	// task serves in this process, otherwise as one partition there, where
+	// each step is one run message. The variables load as feeds of the
+	// first Run.
 	sessions := make([]*session.Session, cfg.Workers)
 	for w := range sessions {
-		g := buildWorker(cfg, w, group, fmt.Sprintf("/job:%s/task:%d", job, w))
-		sess, err := session.New(g, nil, session.Options{LocalJob: "client", Remote: peers})
+		sess, err := peers.Session(buildWorker(cfg, w, group, fmt.Sprintf("/job:%s/task:%d", job, w)), job, w)
 		if err != nil {
 			return nil, err
 		}

@@ -53,7 +53,7 @@ func (b *clusterElastic) setup(active []int, gen int) ([]*session.Session, error
 	for slot, task := range active {
 		g := buildWorkerPre(b.cfg, elasticPre(gen, slot), elasticClusterGroup,
 			fmt.Sprintf("/job:%s/task:%d", b.job, task))
-		sess, err := session.New(g, nil, session.Options{LocalJob: "client", Remote: b.peers})
+		sess, err := b.peers.Session(g, b.job, task)
 		if err != nil {
 			return nil, err
 		}

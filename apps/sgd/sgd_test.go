@@ -174,7 +174,10 @@ func TestClusterTrainingMatchesInProcess(t *testing.T) {
 	// differ only in step count price a step free of the init and read-back
 	// they share. It must issue at most 4 rpc calls and move no variable:
 	// each worker's X and Xᵀ are 256 KiB here, and per-op remote execution
-	// shipped both out and back every step.
+	// shipped both out and back every step. These tasks serve in this
+	// process, so their graphs reach them over partition streams only with
+	// co-located edges off.
+	t.Setenv("TFHPC_NO_SHM", "1")
 	big := cfg
 	big.Features, big.RowsPerWorker, big.LR = 2048, 16, 1e-4
 	varBytes := int64(2 * big.Features * big.RowsPerWorker * 8 * big.Workers)

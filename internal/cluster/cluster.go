@@ -8,6 +8,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -80,8 +81,23 @@ type Server struct {
 	srv       *rpc.Server
 	addr      string
 	advertise string
-	shmAddrs  []string
+	published []string // the addresses it is published under
 	mu        sync.Mutex
+}
+
+// colocated maps every address a Server in this process answers on to
+// that Server, from Start to Close.
+var colocated = struct {
+	mu sync.Mutex
+	m  map[string]*Server
+}{m: make(map[string]*Server)}
+
+// Published reports how many addresses Servers in this process are
+// published under: 0 once every started Server is closed.
+func Published() int {
+	colocated.mu.Lock()
+	defer colocated.mu.Unlock()
+	return len(colocated.m)
 }
 
 // NewServer creates a task server with fresh resources.
@@ -113,9 +129,10 @@ func (s *Server) HandleCtx(method string, h rpc.CtxHandler) { s.srv.HandleCtx(me
 func (s *Server) HandleStream(method string, h rpc.StreamHandler) { s.srv.HandleStream(method, h) }
 
 // Start binds addr ("host:0" allocates a port) and begins serving; returns
-// the bound address. The task's Hub is published under the bound address,
-// so a peer rank in this process hands its chunks straight to the Hub
-// instead of crossing the TCP stack (see collective.RegisterShm).
+// the bound address. The task is published under the bound address, so
+// this process reaches it without crossing the TCP stack: a peer rank hands
+// its chunks straight to the task's Hub (see collective.RegisterShm), and
+// Peers.Session runs the task's graphs against its resources.
 func (s *Server) Start(addr string) (string, error) {
 	bound, err := s.srv.Listen(addr)
 	if err != nil {
@@ -123,23 +140,21 @@ func (s *Server) Start(addr string) (string, error) {
 	}
 	s.mu.Lock()
 	s.addr = bound
-	s.registerShmLocked(bound)
+	s.publishLocked(bound)
 	s.mu.Unlock()
 	return bound, nil
 }
 
-// registerShmLocked publishes the Hub under addr (idempotent).
-func (s *Server) registerShmLocked(addr string) {
-	if addr == "" {
+// publishLocked publishes the task under addr (idempotent).
+func (s *Server) publishLocked(addr string) {
+	if addr == "" || slices.Contains(s.published, addr) {
 		return
 	}
-	for _, a := range s.shmAddrs {
-		if a == addr {
-			return
-		}
-	}
 	collective.RegisterShm(addr, s.Hub)
-	s.shmAddrs = append(s.shmAddrs, addr)
+	colocated.mu.Lock()
+	colocated.m[addr] = s
+	colocated.mu.Unlock()
+	s.published = append(s.published, addr)
 }
 
 // SetAdvertise overrides the address this task reports as its identity —
@@ -151,9 +166,9 @@ func (s *Server) SetAdvertise(addr string) {
 	if addr != "" {
 		s.advertise = addr
 		// Peers dial the advertised form, so co-located discovery must find
-		// the Hub under it too.
+		// the task under it too.
 		if s.addr != "" {
-			s.registerShmLocked(addr)
+			s.publishLocked(addr)
 		}
 	}
 }
@@ -175,11 +190,16 @@ func (s *Server) Addr() string {
 // closing the listener and connections.
 func (s *Server) Close() error {
 	s.mu.Lock()
-	addrs := s.shmAddrs
-	s.shmAddrs = nil
+	addrs := s.published
+	s.published = nil
 	s.mu.Unlock()
 	for _, a := range addrs {
 		collective.UnregisterShm(a, s.Hub)
+		colocated.mu.Lock()
+		if colocated.m[a] == s {
+			delete(colocated.m, a)
+		}
+		colocated.mu.Unlock()
 	}
 	s.Res.Colls.CloseAll()
 	s.Hub.Close()
@@ -460,6 +480,26 @@ func (p *Peers) client(job string, task int) (*rpc.Client, error) {
 		p.clients[addr] = c
 	}
 	return c, nil
+}
+
+// Session opens a session on g that runs g's nodes placed on
+// /job:<job>/task:<task> on that task. A task serving in this process runs
+// them in the session itself, against the task's own resources, with no
+// stream, partition or encoding between them, unless co-located edges are
+// off (collective.TransportConfig.LocalEdges: TFHPC_NO_SHM=1). Any other
+// task runs them as a partition registered over its rpc stream.
+func (p *Peers) Session(g *graph.Graph, job string, task int) (*session.Session, error) {
+	addr, err := p.spec.Address(job, task)
+	if err != nil {
+		return nil, err
+	}
+	colocated.mu.Lock()
+	srv := colocated.m[addr]
+	colocated.mu.Unlock()
+	if srv != nil && (collective.TransportConfig{}).LocalEdges() {
+		return session.New(g, srv.Res, session.Options{LocalJob: job, LocalTask: task, Remote: p})
+	}
+	return session.New(g, nil, session.Options{LocalJob: "client", Remote: p})
 }
 
 // DialTask implements session.Dialer: a fresh partition stream to the

@@ -226,3 +226,42 @@ func TestSessionRedialsAfterFailedSend(t *testing.T) {
 		t.Fatalf("Run after a failed send: %v", err)
 	}
 }
+
+// Peers.Session runs a graph placed on a task that serves in this process
+// in the caller's session, against that task's resources and with no
+// partition registered there; under TFHPC_NO_SHM=1 it registers the graph
+// on the task as a partition. Closing the task unpublishes it.
+func TestPeersSessionOnColocatedTask(t *testing.T) {
+	for _, noShm := range []string{"", "1"} {
+		t.Setenv("TFHPC_NO_SHM", noShm)
+		lc, err := StartLocal(map[string]int{"worker": 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := lc.Server("worker", 0)
+		peers := NewPeers(lc.Spec())
+		g := graph.New()
+		g.WithDevice("/job:worker/task:0", func() {
+			g.AddNamedOp("set", "Assign", graph.Attrs{"var_name": "v"}, g.Const(tensor.ScalarF64(3)))
+		})
+		sess, err := peers.Session(g, "worker", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Run(nil, nil, []string{"set"}); err != nil {
+			t.Fatal(err)
+		}
+		if v, err := srv.Res.Vars.Get("v").Read(); err != nil || v.ScalarFloat() != 3 {
+			t.Fatalf("TFHPC_NO_SHM=%q: the task's variable reads %v (%v), want 3", noShm, v, err)
+		}
+		if want := len(noShm); srv.Partitions() != want {
+			t.Fatalf("TFHPC_NO_SHM=%q: the task holds %d partitions, want %d", noShm, srv.Partitions(), want)
+		}
+		sess.Close()
+		peers.Close()
+		lc.Close()
+		if n := Published(); n != 0 {
+			t.Fatalf("closed tasks are still published under %d addresses", n)
+		}
+	}
+}

@@ -307,6 +307,12 @@ type TransportConfig struct {
 	DisableShm bool
 }
 
+// LocalEdges reports whether co-located peers are reached in process: not
+// when DisableShm or TFHPC_NO_SHM says otherwise.
+func (c TransportConfig) LocalEdges() bool {
+	return !c.DisableShm && os.Getenv("TFHPC_NO_SHM") == ""
+}
+
 // edge is one rank's sending half of a peer link. The edge carries its
 // epoch, which picks the receiving lane set, so key is the collective's own
 // key; the tensor is only read during the call.
@@ -484,7 +490,7 @@ func NewNetTransport(group string, rank int, addrs []string, hub *Hub, timeout t
 		timeout = DefaultRecvTimeout
 	}
 	var own *Hub
-	if !cfg.DisableShm && os.Getenv("TFHPC_NO_SHM") == "" {
+	if cfg.LocalEdges() {
 		own = lookupShm(addrs[rank])
 	}
 	t, err := newNetTransport(group, rank, len(addrs), hub, own, timeout, epoch)

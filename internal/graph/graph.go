@@ -158,6 +158,14 @@ func (g *Graph) Placeholder(name string, dt tensor.DType, shape tensor.Shape) *N
 	return g.AddNamedOp(name, "Placeholder", Attrs{"dtype": dt, "shape": shape})
 }
 
+// DonatedPlaceholder adds a feed point whose fed tensors the caller gives
+// away: an Assign that is a fed value's one keeper stores that tensor
+// itself instead of a copy, so the caller must not change a tensor it fed
+// here. Any other feed is copied where the graph keeps it.
+func (g *Graph) DonatedPlaceholder(name string, dt tensor.DType, shape tensor.Shape) *Node {
+	return g.AddNamedOp(name, "Placeholder", Attrs{"dtype": dt, "shape": shape, "donated": true})
+}
+
 // TopoSort returns the nodes in a dependency-respecting order (data and
 // control edges), or an error naming a cycle participant.
 func (g *Graph) TopoSort() ([]*Node, error) {

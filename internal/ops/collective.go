@@ -11,9 +11,7 @@ func init() {
 	// must never be pruned, cached or reordered across control deps) and
 	// GPU-capable: the placer may pin them next to the compute they feed,
 	// exactly as TensorFlow places Horovod's allreduce. They BLOCK until
-	// peers issue the matching call, so sessions running graphs with K
-	// independent collective nodes must not cap Options.Parallelism below
-	// K (0 = unlimited is safe; see session.Options).
+	// peers issue the matching call.
 	Register(&OpDef{Name: "AllReduce", MinInputs: 1, MaxInputs: 1, GPUCapable: true, Stateful: true, Kernel: allReduceKernel})
 	Register(&OpDef{Name: "AllGather", MinInputs: 1, MaxInputs: 1, GPUCapable: true, Stateful: true, Kernel: allGatherKernel})
 	Register(&OpDef{Name: "Broadcast", MinInputs: 0, MaxInputs: 1, GPUCapable: true, Stateful: true, Kernel: broadcastKernel})

@@ -10,6 +10,7 @@ import (
 
 	"tfhpc/internal/graph"
 	"tfhpc/internal/ops"
+	"tfhpc/internal/rpc"
 	"tfhpc/internal/tensor"
 )
 
@@ -64,6 +65,7 @@ type randGraph struct {
 	g       *graph.Graph
 	vars    map[string]bool // name → is a vector
 	feeds   []string
+	donated map[string]bool // the feeds of DonatedPlaceholders
 	fetches []string
 	targets []string
 }
@@ -82,7 +84,7 @@ func randTensor(r *rand.Rand, vec bool) *tensor.Tensor {
 }
 
 func newRandGraph(r *rand.Rand) *randGraph {
-	rg := &randGraph{g: graph.New(), vars: make(map[string]bool)}
+	rg := &randGraph{g: graph.New(), vars: make(map[string]bool), donated: make(map[string]bool)}
 	g := rg.g
 	pools := map[bool][]*graph.Node{}
 	add := func(n *graph.Node, vec bool) { pools[vec] = append(pools[vec], n) }
@@ -101,6 +103,12 @@ func newRandGraph(r *rand.Rand) *randGraph {
 		add(g.Const(randTensor(r, vec)), vec)
 		ph := g.Placeholder(fmt.Sprintf("in%d", len(rg.feeds)), tensor.Float64, nil)
 		rg.feeds = append(rg.feeds, ph.Name())
+		add(ph, vec)
+	}
+	for _, vec := range []bool{true, false} {
+		ph := g.DonatedPlaceholder(fmt.Sprintf("in%d", len(rg.feeds)), tensor.Float64, nil)
+		rg.feeds = append(rg.feeds, ph.Name())
+		rg.donated[ph.Name()] = true
 		add(ph, vec)
 	}
 	write := func(op, name string, vec bool) *graph.Node {
@@ -203,30 +211,59 @@ func scribble(t *tensor.Tensor) {
 
 // Runs on random graphs give the fetches and variable contents of a
 // reference that copies at every Assign, bit for bit, and leave every fed
-// tensor as it was. The caller then overwrites what it fed and fetched,
-// which must not reach any variable or constant of later Runs. The
-// reference evaluates its own build of the same graph.
+// tensor as it was, a donated one too. The caller then overwrites what it
+// fed and did not donate, and what it fetched, which must not reach any
+// variable or constant of later Runs. The reference evaluates its own build
+// of the same graph. The graphs run in three places in turn: in a plain
+// session, in a session that is a co-located task (every node placed on
+// it, its resources the task's), and as a partition on a task behind an
+// rpc stream, where feeds arrive decoded.
 func TestAdoptMatchesCopyingReference(t *testing.T) {
-	adopted, copied := 0, 0
+	const (
+		plain = iota
+		colocated
+		remote
+	)
+	adopted, copied, donations := 0, 0, 0
 	for seed := int64(1); seed <= 300; seed++ {
 		rg := newRandGraph(rand.New(rand.NewSource(seed)))
 		refG := newRandGraph(rand.New(rand.NewSource(seed))).g
 		r := rand.New(rand.NewSource(-seed))
-		sess, err := New(rg.g, nil, Options{})
+		place := int(seed % 3)
+		if place != plain {
+			for _, n := range rg.g.Nodes() {
+				n.SetDevice(graph.DeviceSpec{Job: taskA.job, Task: taskA.task, DeviceIndex: -1})
+			}
+		}
+		taskRes, sessRes := NewResources(), (*Resources)(nil)
+		var opts Options
+		stop := func() {}
+		switch place {
+		case plain:
+			sessRes = taskRes
+		case colocated:
+			sessRes, opts = taskRes, Options{LocalJob: taskA.job, LocalTask: taskA.task}
+		case remote:
+			var d Dialer
+			d, stop = serveTask(t, taskRes)
+			opts = Options{LocalJob: "client", Remote: d}
+		}
+		sess, err := New(rg.g, sessRes, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ref := NewResources()
 		for _, name := range slices.Sorted(maps.Keys(rg.vars)) {
 			init := randTensor(r, rg.vars[name])
-			sess.Resources().Vars.Get(name).Assign(init)
+			taskRes.Vars.Get(name).Assign(init)
 			ref.Vars.Get(name).Assign(init)
 		}
+		var given, givenBits []*tensor.Tensor // donated feeds, and their bits when fed
 		for run := 0; run < 3; run++ {
 			feeds := make(map[string]*tensor.Tensor)
 			refFeeds := make(map[string]*tensor.Tensor)
 			for i, name := range rg.feeds {
-				feeds[name] = randTensor(r, i == 0)
+				feeds[name] = randTensor(r, i%2 == 0)
 				refFeeds[name] = feeds[name].Clone()
 			}
 			got, err := sess.Run(feeds, rg.fetches, rg.targets)
@@ -243,7 +280,7 @@ func TestAdoptMatchesCopyingReference(t *testing.T) {
 				}
 			}
 			for name := range rg.vars {
-				a, _ := sess.Resources().Vars.Get(name).Read()
+				a, _ := taskRes.Vars.Get(name).Read()
 				b, _ := ref.Vars.Get(name).Read()
 				if !sameBits(a, b) {
 					t.Fatalf("seed %d run %d: variable %s = %v, reference %v", seed, run, name, a, b)
@@ -253,26 +290,70 @@ func TestAdoptMatchesCopyingReference(t *testing.T) {
 				if !sameBits(f, refFeeds[name]) {
 					t.Fatalf("seed %d run %d: feed %s changed to %v", seed, run, name, f)
 				}
-				scribble(f)
+				if rg.donated[name] {
+					given, givenBits = append(given, f), append(givenBits, refFeeds[name])
+				} else {
+					scribble(f)
+				}
 			}
 			for _, f := range got {
-				scribble(f)
+				if !slices.Contains(given, f) {
+					scribble(f)
+				}
 			}
 		}
+		// Later Runs' AssignAdds copy a variable's adopted tensor before
+		// they change it, so a donated feed keeps its bits for good.
+		for i, f := range given {
+			if !sameBits(f, givenBits[i]) {
+				t.Fatalf("seed %d: a donated feed changed to %v after later Runs", seed, f)
+			}
+		}
+		sess.Close()
+		stop()
 		for _, p := range sess.plans {
 			for i, n := range p.local.nodes {
-				if n.Op() == opAssign {
-					if p.local.adopt[i] {
-						adopted++
-					} else {
-						copied++
-					}
+				if n.Op() != opAssign {
+					continue
+				}
+				if !p.local.adopt[i] {
+					copied++
+					continue
+				}
+				adopted++
+				if src := n.Inputs()[0]; src.Op() == opRecv {
+					donations++
 				}
 			}
 		}
 	}
-	if adopted == 0 || copied == 0 {
-		t.Fatalf("the random graphs adopted %d and copied %d Assign inputs; want some of each", adopted, copied)
+	if adopted == 0 || copied == 0 || donations == 0 {
+		t.Fatalf("the random graphs adopted %d Assign inputs (%d of them donated feeds) and copied %d; want some of each",
+			adopted, donations, copied)
 	}
-	t.Logf("%d Assigns adopted their input, %d copied it", adopted, copied)
+	t.Logf("%d Assigns adopted their input (%d a donated feed), %d copied it", adopted, donations, copied)
+}
+
+// taskDialer opens partition streams to one task.
+type taskDialer struct{ c *rpc.Client }
+
+func (d taskDialer) DialTask(string, int) (*rpc.Stream, error) {
+	return d.c.OpenStream(PartitionMethod)
+}
+
+// serveTask serves partitions over res on an rpc server, as a task does,
+// and returns a Dialer onto it and the function that shuts it down.
+func serveTask(t *testing.T, res *Resources) (Dialer, func()) {
+	t.Helper()
+	srv := rpc.NewServer()
+	srv.HandleStream(PartitionMethod, NewHost(res).Serve)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := rpc.Dial(addr)
+	return taskDialer{c}, func() {
+		c.Close()
+		srv.Close()
+	}
 }

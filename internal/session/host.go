@@ -127,7 +127,7 @@ func (hs *hostStream) run(id uint64, part *hostPart, rv *rendezvous) {
 	defer hs.wg.Done()
 	err := part.err
 	if err == nil {
-		err = part.prog.run(hs.h.res, 0, nil, rv, func(key uint64, t *tensor.Tensor) error {
+		err = part.prog.run(hs.h.res, nil, rv, func(key uint64, t *tensor.Tensor) error {
 			return sendValue(hs.st.Send, id, key, t)
 		})
 	}

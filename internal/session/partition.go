@@ -30,6 +30,10 @@ const (
 	opAssignAdd = "AssignAdd"
 )
 
+// attrDonated marks a graph.DonatedPlaceholder, and the _Recv that brings
+// its feed into a partition.
+const attrDonated = "donated"
+
 // controlMarker is what a control-only _Send ships.
 var controlMarker = tensor.New(tensor.Bool)
 
@@ -248,7 +252,11 @@ func (s *Session) buildPlan(feeds map[string]*tensor.Tensor, fetches, targets []
 		if n := b.copies[src.ID()]; n != nil {
 			return n
 		}
-		n := b.g.AddNamedOp(src.Name(), opRecv, graph.Attrs{"key": int(k)})
+		attrs := graph.Attrs{"key": int(k)}
+		if donated, _ := src.Attr(attrDonated).(bool); donated && fed(src) {
+			attrs[attrDonated] = true
+		}
+		n := b.g.AddNamedOp(src.Name(), opRecv, attrs)
 		b.copies[src.ID()] = n
 		if at != here {
 			p.consumers[k] = append(p.consumers[k], at)
@@ -364,7 +372,7 @@ func (s *Session) runPlan(p *plan, feeds map[string]*tensor.Tensor, trace *runTr
 	err := r.start(s)
 	close(r.started)
 	if err == nil {
-		err = p.local.run(s.res, s.opts.Parallelism, trace, r.rv, r.localSend)
+		err = p.local.run(s.res, trace, r.rv, r.localSend)
 	}
 	if err != nil {
 		r.fail(err)

@@ -143,18 +143,6 @@ type Options struct {
 	LocalTask int
 	// Remote reaches the tasks; required only in distributed runs.
 	Remote Dialer
-	// Parallelism bounds concurrent op dispatch; 0 = unlimited (the executor
-	// is already throttled by dependencies; kernels self-limit to NumCPU).
-	//
-	// Caution: collective kernels (AllReduce, AllReduceFused, ...) block
-	// inside the executor until peer ranks issue the matching call, and the
-	// executor seeds ready nodes in nondeterministic order — so a graph
-	// with K independent collective nodes needs Parallelism 0 or >= K on
-	// every rank, or two ranks can each fill all their slots with
-	// collectives the other has not dispatched yet and deadlock. Leave it 0
-	// for graphs that use collectives (the default everywhere in this
-	// repo).
-	Parallelism int
 }
 
 // Session executes a fixed graph repeatedly. Run is safe for concurrent
@@ -295,7 +283,9 @@ func compile(g *graph.Graph) (*program, error) {
 	keeps := make([]int32, len(nodes))
 	for i, n := range nodes {
 		def, err := ops.Lookup(n.Op())
-		fresh[i] = err == nil && def.FreshOutput
+		// A donated feed is the Run's to keep, like an op's fresh output.
+		donated, _ := n.Attr(attrDonated).(bool)
+		fresh[i] = err == nil && def.FreshOutput || n.Op() == opRecv && donated
 		// A value is the Run's own when no variable, constant or queue
 		// holds it: an op made it fresh, it was fed or arrived over an
 		// edge, or an op that stores nothing made it from owned values.
@@ -350,7 +340,6 @@ type execution struct {
 	// and send ships a _Send node's value out.
 	rv   *rendezvous
 	send func(key uint64, t *tensor.Tensor) error
-	sem  chan struct{} // dispatch slots when Parallelism bounds them
 	wg   sync.WaitGroup
 	ctxs []ops.Context    // per node, written by the goroutine running it
 	args []*tensor.Tensor // argument slots, each filled as its node starts
@@ -361,9 +350,8 @@ type execution struct {
 	err     error
 }
 
-// run executes every node of the program once against res, at most
-// parallelism nodes at a time (0: unbounded).
-func (p *program) run(res *Resources, parallelism int, trace *runTrace, rv *rendezvous, send func(uint64, *tensor.Tensor) error) error {
+// run executes every node of the program once against res.
+func (p *program) run(res *Resources, trace *runTrace, rv *rendezvous, send func(uint64, *tensor.Tensor) error) error {
 	e := &execution{
 		p:       p,
 		res:     res,
@@ -375,9 +363,6 @@ func (p *program) run(res *Resources, parallelism int, trace *runTrace, rv *rend
 		args:    make([]*tensor.Tensor, len(p.args)),
 		pending: slices.Clone(p.pending),
 		values:  make([]*tensor.Tensor, len(p.nodes)),
-	}
-	if parallelism > 0 {
-		e.sem = make(chan struct{}, parallelism)
 	}
 	// Work-first dispatch: the goroutine that finishes a node goes on to
 	// run the first successor that node made ready, and starts a goroutine
@@ -428,15 +413,8 @@ func (e *execution) chain(i int32) {
 	}
 }
 
-// eval runs node i under a dispatch slot; false means the Run has failed.
+// eval runs node i; false means the Run has failed.
 func (e *execution) eval(i int32) (*tensor.Tensor, bool) {
-	n := e.p.nodes[i]
-	// A _Recv only waits for a value; holding a dispatch slot while it
-	// waits could starve the nodes that produce that value.
-	if e.sem != nil && n.Op() != opRecv {
-		e.sem <- struct{}{}
-		defer func() { <-e.sem }()
-	}
 	lo, hi := e.p.argOff[i], e.p.argOff[i+1]
 	in := e.args[lo:hi:hi]
 	e.mu.Lock()

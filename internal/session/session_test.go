@@ -199,24 +199,6 @@ func TestRemoteOpRequiresRunner(t *testing.T) {
 	}
 }
 
-func TestParallelismLimit(t *testing.T) {
-	g := graph.New()
-	var outs []string
-	for i := 0; i < 20; i++ {
-		n := g.AddOp("RandomUniform", graph.Attrs{
-			"dtype": tensor.Float64, "shape": tensor.Shape{64}, "seed": i})
-		outs = append(outs, n.Name())
-	}
-	sess, _ := New(g, nil, Options{Parallelism: 2})
-	res, err := sess.Run(nil, outs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 20 {
-		t.Fatal("wrong fetch count")
-	}
-}
-
 // TestExecutorCoalescesFusedAllReduces builds, per rank, a graph holding
 // several independent AllReduceFused nodes: the parallel executor
 // dispatches them concurrently, so the group's fusion buffer must coalesce
@@ -411,63 +393,62 @@ func TestAsyncAllReduceSpansRuns(t *testing.T) {
 
 // TestWorkFirstRunsIndependentAllReduces gives each of two ranks Runs
 // holding two independent AllReduce nodes (distinct keys) made ready by the
-// same node, with and without a Parallelism bound. Under work-first
-// dispatch the goroutine that ran that node continues with the first of the
-// two in graph order, the same one on both ranks; the ranks pick different
-// ones in TestWorkFirstStartsEveryReadyNode.
+// same node. Under work-first dispatch the goroutine that ran that node
+// continues with the first of the two in graph order, the same one on both
+// ranks; the ranks pick different ones in TestWorkFirstStartsEveryReadyNode.
 func TestWorkFirstRunsIndependentAllReduces(t *testing.T) {
 	const p, runs = 2, 20
-	for _, par := range []int{0, 2} {
-		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
-			res := NewResources()
-			groups := collective.NewLoopbackGroups(p, collective.Options{})
-			for r, grp := range groups {
-				res.Colls.Register(fmt.Sprintf("wf%d", r), grp)
-			}
-			defer res.Colls.CloseAll()
+	// Dispatch has no bound on concurrent nodes; the subtest keeps the
+	// name of the unbounded case, parallelism=0.
+	t.Run("parallelism=0", func(t *testing.T) {
+		res := NewResources()
+		groups := collective.NewLoopbackGroups(p, collective.Options{})
+		for r, grp := range groups {
+			res.Colls.Register(fmt.Sprintf("wf%d", r), grp)
+		}
+		defer res.Colls.CloseAll()
 
-			done := make(chan error, p)
-			for r := 0; r < p; r++ {
-				g := graph.New()
-				x := g.Placeholder("x", tensor.Float64, nil)
-				y := g.AddNamedOp("y", "Identity", nil, x)
-				for _, k := range []string{"a", "b"} {
-					g.AddNamedOp("sum_"+k, "AllReduce", graph.Attrs{"group": fmt.Sprintf("wf%d", r), "key": k}, y)
+		done := make(chan error, p)
+		for r := 0; r < p; r++ {
+			g := graph.New()
+			x := g.Placeholder("x", tensor.Float64, nil)
+			y := g.AddNamedOp("y", "Identity", nil, x)
+			for _, k := range []string{"a", "b"} {
+				g.AddNamedOp("sum_"+k, "AllReduce", graph.Attrs{"group": fmt.Sprintf("wf%d", r), "key": k}, y)
+			}
+			sess, err := New(g, res, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			go func(r int) {
+				for i := 0; i < runs; i++ {
+					out, err := sess.Run(map[string]*tensor.Tensor{"x": tensor.ScalarF64(float64(r + 1))},
+						[]string{"sum_a", "sum_b"}, nil)
+					if err != nil {
+						done <- err
+						return
+					}
+					for k, v := range out {
+						if v.ScalarFloat() != 3 { // 1 + 2
+							done <- fmt.Errorf("run %d fetch %d = %g, want 3", i, k, v.ScalarFloat())
+							return
+						}
+					}
 				}
-				sess, err := New(g, res, Options{Parallelism: par})
+				done <- nil
+			}(r)
+		}
+		for r := 0; r < p; r++ {
+			select {
+			case err := <-done:
 				if err != nil {
 					t.Fatal(err)
 				}
-				go func(r int) {
-					for i := 0; i < runs; i++ {
-						out, err := sess.Run(map[string]*tensor.Tensor{"x": tensor.ScalarF64(float64(r + 1))},
-							[]string{"sum_a", "sum_b"}, nil)
-						if err != nil {
-							done <- err
-							return
-						}
-						for k, v := range out {
-							if v.ScalarFloat() != 3 { // 1 + 2
-								done <- fmt.Errorf("run %d fetch %d = %g, want 3", i, k, v.ScalarFloat())
-								return
-							}
-						}
-					}
-					done <- nil
-				}(r)
+			case <-time.After(10 * time.Second):
+				t.Fatal("Run hung: an independent collective was not started")
 			}
-			for r := 0; r < p; r++ {
-				select {
-				case err := <-done:
-					if err != nil {
-						t.Fatal(err)
-					}
-				case <-time.After(10 * time.Second):
-					t.Fatal("Run hung: an independent collective was not started")
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestRunsLeaveNoGoroutines runs a fan-out/fan-in graph 100 times and
@@ -504,43 +485,43 @@ func TestRunsLeaveNoGoroutines(t *testing.T) {
 // completes only if that second one starts at once beside the first.
 func TestWorkFirstStartsEveryReadyNode(t *testing.T) {
 	const p = 2
-	for _, par := range []int{0, 2} {
-		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
-			res := NewResources()
-			groups := collective.NewLoopbackGroups(p, collective.Options{})
-			for r, grp := range groups {
-				res.Colls.Register(fmt.Sprintf("wo%d", r), grp)
-			}
-			defer res.Colls.CloseAll()
+	// Dispatch has no bound on concurrent nodes; the subtest keeps the
+	// name of the unbounded case, parallelism=0.
+	t.Run("parallelism=0", func(t *testing.T) {
+		res := NewResources()
+		groups := collective.NewLoopbackGroups(p, collective.Options{})
+		for r, grp := range groups {
+			res.Colls.Register(fmt.Sprintf("wo%d", r), grp)
+		}
+		defer res.Colls.CloseAll()
 
-			done := make(chan error, p)
-			for r, keys := range [][]string{{"a", "b"}, {"b", "a"}} {
-				g := graph.New()
-				y := g.AddNamedOp("y", "Identity", nil, g.Placeholder("x", tensor.Float64, nil))
-				for _, k := range keys {
-					g.AddNamedOp("sum_"+k, "AllReduce", graph.Attrs{"group": fmt.Sprintf("wo%d", r), "key": k}, y)
-				}
-				sess, err := New(g, res, Options{Parallelism: par})
+		done := make(chan error, p)
+		for r, keys := range [][]string{{"a", "b"}, {"b", "a"}} {
+			g := graph.New()
+			y := g.AddNamedOp("y", "Identity", nil, g.Placeholder("x", tensor.Float64, nil))
+			for _, k := range keys {
+				g.AddNamedOp("sum_"+k, "AllReduce", graph.Attrs{"group": fmt.Sprintf("wo%d", r), "key": k}, y)
+			}
+			sess, err := New(g, res, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			go func() {
+				_, err := sess.Run(map[string]*tensor.Tensor{"x": tensor.ScalarF64(1)}, []string{"sum_a", "sum_b"}, nil)
+				done <- err
+			}()
+		}
+		for r := 0; r < p; r++ {
+			select {
+			case err := <-done:
 				if err != nil {
 					t.Fatal(err)
 				}
-				go func() {
-					_, err := sess.Run(map[string]*tensor.Tensor{"x": tensor.ScalarF64(1)}, []string{"sum_a", "sum_b"}, nil)
-					done <- err
-				}()
+			case <-time.After(10 * time.Second):
+				t.Fatal("Run hung: a ready collective was not started")
 			}
-			for r := 0; r < p; r++ {
-				select {
-				case err := <-done:
-					if err != nil {
-						t.Fatal(err)
-					}
-				case <-time.After(10 * time.Second):
-					t.Fatal("Run hung: a ready collective was not started")
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // negChain is a session whose graph is a placeholder followed by eight

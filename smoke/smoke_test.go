@@ -74,11 +74,18 @@ func TestSmoke(t *testing.T) {
 
 // core: CG and SGD over a 4-task TCP cluster — tfcg enforces the residual
 // tolerance and tfsgd loss decrease and replica equality, both through their
-// exit status — then fused ≡ unfused final weights, then train → checkpoint
-// → serve with concurrent predicts that coalesce.
+// exit status, and a CG solve stopped at a checkpoint and resumed takes the
+// uninterrupted solve's iterations — then fused ≡ unfused final weights,
+// then train → checkpoint → serve with concurrent predicts that coalesce.
 func core(h *harness) {
 	spec, _ := h.cluster("tfserver", 4, false)
-	h.run("tfcg", "-mode", "cluster", "-spec", spec, "-workers", "4", "-n", "256", "-iters", "300", "-tol", "1e-6")
+	cg := []string{"tfcg", "-mode", "cluster", "-spec", spec, "-workers", "4", "-n", "256"}
+	full := cgIterations(h, h.run(append(cg, "-iters", "300", "-tol", "1e-6")...))
+	cgCkpt := h.path("cg.ckpt")
+	h.run(append(cg, "-iters", "60", "-tol", "0", "-checkpoint", cgCkpt, "-checkpoint-every", "25")...)
+	if got := cgIterations(h, h.run(append(cg, "-iters", "300", "-tol", "1e-6", "-checkpoint", cgCkpt, "-resume")...)); got != full {
+		h.Fatalf("the resumed CG solve took %d iterations, the uninterrupted one %d", got, full)
+	}
 	sgd := []string{"tfsgd", "-mode", "cluster", "-spec", spec, "-workers", "4", "-features", "128", "-rows", "256", "-steps", "25", "-lr", "0.3"}
 	h.run(sgd...)
 	h.run(append(sgd, "-param-tensors", "4", "-fuse")...)
@@ -127,6 +134,29 @@ func elastic(h *harness) {
 		h.Fatalf("elastic loss %g vs uninterrupted %g: relative difference %g, want <= 1e-3",
 			got["final_loss"], want["final_loss"], rel)
 	}
+}
+
+// cgIterations parses the iteration count from tfcg's "cg cluster: … in N
+// iterations" line.
+func cgIterations(h *harness, out string) int {
+	h.Helper()
+	for _, line := range strings.Split(out, "\n") {
+		if !strings.HasPrefix(line, "cg cluster: ") {
+			continue
+		}
+		f := strings.Fields(line)
+		for i := 1; i < len(f); i++ {
+			if f[i] == "iterations," {
+				n, err := strconv.Atoi(f[i-1])
+				if err != nil {
+					h.Fatalf("iteration count in %q: %v", line, err)
+				}
+				return n
+			}
+		}
+	}
+	h.Fatalf("no cg cluster report line in:\n%s", out)
+	return 0
 }
 
 // summary parses tfsgd's "sgd elastic: final_loss=… shrinks=…" line.
