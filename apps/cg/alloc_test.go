@@ -3,26 +3,35 @@ package cg
 import (
 	"testing"
 
-	"tfhpc/internal/collective"
-	"tfhpc/internal/session"
+	"tfhpc/internal/cluster"
+	"tfhpc/internal/graph"
 	"tfhpc/internal/tensor"
 )
 
 // TestIterationAllocs pins the allocations of one warm single-worker
-// iteration: the three Runs of driveWorker with their op outputs and
-// collectives. The Assigns of q, x, r and p adopt their values and add
+// iteration on a task in this process (the RunReal path): the three Runs
+// of driveWorker with their op outputs and collectives. The Assigns of q, x, r and p adopt their values and add
 // none (the iteration made 126 when they copied).
 func TestIterationAllocs(t *testing.T) {
 	const want = 110
+	// The co-located route; a partition behind an rpc stream adds the
+	// stream's frames.
+	t.Setenv("TFHPC_NO_SHM", "")
 	cfg := Config{N: 64, Workers: 1, MaxIters: 1}
-	res := session.NewResources()
-	groups := collective.NewLoopbackGroups(1, collective.Options{})
-	res.Colls.Register(group, groups[0])
-	defer res.Colls.CloseAll()
-	sess, err := session.New(buildWorker(cfg, 0, ""), res, session.Options{})
+	lc, err := cluster.StartLocal(map[string]int{"worker": 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer lc.Close()
+	peers := cluster.NewPeers(lc.Spec())
+	defer peers.Close()
+	job, err := peers.OpenJob("", group, 1, cluster.CollectiveOptions{},
+		func(w int, device string) *graph.Graph { return buildWorker(cfg, w, device) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer job.Close()
+	sess, res := job.Sessions()[0], lc.Server("worker", 0).Res
 	b := tensor.RandomUniform(tensor.Float64, 3, cfg.N)
 	for name, v := range map[string]*tensor.Tensor{
 		"A": SPDMatrix(cfg.N, 5), "x": tensor.New(tensor.Float64, cfg.N), "r": b, "p": b,

@@ -3,13 +3,13 @@ package cg
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"tfhpc/internal/checkpoint"
 	"tfhpc/internal/cluster"
 	"tfhpc/internal/core"
 	"tfhpc/internal/gemm"
+	"tfhpc/internal/graph"
 	"tfhpc/internal/session"
 	"tfhpc/internal/tensor"
 )
@@ -18,16 +18,13 @@ import (
 type ClusterOptions struct {
 	// Job is the worker job name in the cluster spec (default "worker").
 	Job string
-	// HealthWait bounds how long to wait for the tasks to come up (default
-	// 10s) — CI boots them as separate racing processes.
-	HealthWait time.Duration
 	// RealOptions checkpoint the solve and resume it.
 	RealOptions
 }
 
 // RunCluster solves A·x = b on an already-running cluster; it is the one
 // CG driver. Worker w's graph is placed on /job:<job>/task:<w> and opened
-// with cluster.Peers.Session: a task serving in this process runs it in the
+// with cluster.Peers.OpenJob: a task serving in this process runs it in the
 // driver's session against the task's resources, any other task as a
 // registered partition. The collectives run ring steps directly between the
 // tasks; the driver moves the initial blocks, the scalars, the checkpointed
@@ -45,16 +42,6 @@ func RunCluster(cfg Config, a, b *tensor.Tensor, peers *cluster.Peers, opts Clus
 	if a.Rank() != 2 || a.Shape()[0] != cfg.N || a.Shape()[1] != cfg.N {
 		return nil, fmt.Errorf("cg: matrix shape %v does not match N=%d", a.Shape(), cfg.N)
 	}
-	job := opts.Job
-	if job == "" {
-		job = "worker"
-	}
-	// The ring spans every task of the job, so the driver count must match
-	// exactly: a partial set of drivers would leave un-driven ranks blocking
-	// the collectives until the receive timeout.
-	if got := peers.Spec().NumTasks(job); got != cfg.Workers {
-		return nil, fmt.Errorf("cg: %d workers requested but job %q has %d tasks (counts must match)", cfg.Workers, job, got)
-	}
 	var ck *checkpoint.Checkpoint
 	if opts.Resume {
 		var err error
@@ -62,31 +49,20 @@ func RunCluster(cfg Config, a, b *tensor.Tensor, peers *cluster.Peers, opts Clus
 			return nil, err
 		}
 	}
-	wait := opts.HealthWait
-	if wait <= 0 {
-		wait = 10 * time.Second
-	}
-	if err := peers.WaitHealthy(job, wait); err != nil {
+	job, err := peers.OpenJob(opts.Job, group, cfg.Workers, cluster.CollectiveOptions{},
+		func(w int, device string) *graph.Graph { return buildWorker(cfg, w, device) })
+	if err != nil {
 		return nil, err
 	}
-	if err := peers.InitCollective(job, group, cluster.CollectiveOptions{}); err != nil {
-		return nil, err
-	}
+	defer job.Close()
+	sessions := job.Sessions()
 
 	rows := cfg.RowsPerWorker()
 	startIter, rr := 0, gemm.Dot64(b.F64(), b.F64())
 	if ck != nil {
 		startIter, rr = int(ck.Step), ck.Vars["__rr"].ScalarFloat()
 	}
-	sessions := make([]*session.Session, cfg.Workers)
-	for w := range sessions {
-		sess, err := peers.Session(buildWorker(cfg, w, fmt.Sprintf("/job:%s/task:%d", job, w)), job, w)
-		if err != nil {
-			return nil, err
-		}
-		defer sess.Close()
-		sessions[w] = sess
-
+	for w, sess := range sessions {
 		feeds := map[string]*tensor.Tensor{
 			"init/A": tensor.FromF64(tensor.Shape{rows, cfg.N}, a.F64()[w*rows*cfg.N:(w+1)*rows*cfg.N]),
 		}
@@ -103,19 +79,23 @@ func RunCluster(cfg Config, a, b *tensor.Tensor, peers *cluster.Peers, opts Clus
 		}
 	}
 
-	// Segments end at each checkpoint, where every worker has stopped.
+	// Segments end at each checkpoint, where every worker has stopped; the
+	// workers stop alike, at the same iteration with the same ‖r‖².
 	start := time.Now()
 	iter := startIter
+	outs := make([]iterOut, cfg.Workers)
 	for iter < cfg.MaxIters && !cfg.converged(rr) {
 		to := cfg.MaxIters
 		if opts.CheckpointPath != "" && opts.CheckpointEvery > 0 {
 			to = min(to, (iter/opts.CheckpointEvery+1)*opts.CheckpointEvery)
 		}
-		out := iterate(cfg, sessions, iter, to, rr, func() { peers.AbortCollective(job, group) })
-		if out.err != nil {
-			return nil, out.err
+		if err := job.Each(func(w int, sess *session.Session) error {
+			outs[w] = driveWorker(cfg, sess, iter, to, rr)
+			return outs[w].err
+		}); err != nil {
+			return nil, err
 		}
-		iter, rr = out.iter, out.rr
+		iter, rr = outs[0].iter, outs[0].rr
 		if iter < cfg.MaxIters && !cfg.converged(rr) {
 			if err := saveCheckpoint(cfg, sessions, opts.CheckpointPath, iter, rr); err != nil {
 				return nil, err
@@ -141,34 +121,10 @@ func RunCluster(cfg Config, a, b *tensor.Tensor, peers *cluster.Peers, opts Clus
 		X:            x,
 		Iters:        iter,
 		ResidualNorm: math.Sqrt(rr),
+		Converged:    cfg.converged(rr),
 		Seconds:      elapsed,
 		Gflops:       core.Gflops(core.CGFlops(cfg.N, iter-startIter), elapsed),
 	}, nil
-}
-
-// iterate drives every worker from iteration from towards to and returns
-// where they stopped, alike on all of them. A worker that fails calls
-// abort, which poisons the ring so the others fail too instead of blocking
-// until the receive timeout.
-func iterate(cfg Config, sessions []*session.Session, from, to int, rr float64, abort func()) iterOut {
-	outs := make([]iterOut, len(sessions))
-	var wg sync.WaitGroup
-	for w, sess := range sessions {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if outs[w] = driveWorker(cfg, sess, from, to, rr); outs[w].err != nil {
-				abort()
-			}
-		}()
-	}
-	wg.Wait()
-	for _, o := range outs {
-		if o.err != nil {
-			return o
-		}
-	}
-	return outs[0]
 }
 
 // stateName is the checkpoint's name for worker w's variable v.

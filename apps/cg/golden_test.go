@@ -4,13 +4,14 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"path/filepath"
 	"runtime"
 	"testing"
-	"time"
 
 	"tfhpc/internal/cluster"
+	"tfhpc/internal/cluster/clustertest"
 	"tfhpc/internal/tensor"
 )
 
@@ -43,15 +44,12 @@ const (
 
 // localSolve runs RunCluster over a cluster of tasks started in this
 // process for the call.
-func localSolve(cfg Config, a, b *tensor.Tensor, opts RealOptions) (*RealResult, error) {
-	lc, err := cluster.StartLocal(map[string]int{"worker": cfg.Workers})
-	if err != nil {
-		return nil, err
-	}
-	defer lc.Close()
-	peers := cluster.NewPeers(lc.Spec())
-	defer peers.Close()
-	return RunCluster(cfg, a, b, peers, ClusterOptions{HealthWait: 5 * time.Second, RealOptions: opts})
+func localSolve(cfg Config, a, b *tensor.Tensor, opts RealOptions) (r *RealResult, err error) {
+	err = cluster.RunLocal(cfg.Workers, func(peers *cluster.Peers) error {
+		r, err = RunCluster(cfg, a, b, peers, ClusterOptions{RealOptions: opts})
+		return err
+	})
+	return r, err
 }
 
 // TestSolveGolden pins the bits of one CG solve three ways: RunReal;
@@ -89,18 +87,7 @@ func TestSolveGolden(t *testing.T) {
 		if _, err := RunReal(cfg, a, b, opts); (err != nil) != opts.Resume {
 			t.Fatalf("RunReal(%+v): error %v", opts, err)
 		}
-		if n := cluster.Published(); n != 0 {
-			t.Fatalf("RunReal(%+v) left tasks published under %d addresses", opts, n)
-		}
-		deadline := time.Now().Add(5 * time.Second)
-		for runtime.NumGoroutine() > base {
-			if time.Now().After(deadline) {
-				buf := make([]byte, 1<<20)
-				t.Fatalf("RunReal(%+v) left %d goroutines, %d before:\n%s",
-					opts, runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
+		clustertest.CheckNothingLeft(t, fmt.Sprintf("RunReal(%+v)", opts), base)
 	}
 
 	t.Setenv("TFHPC_NO_SHM", "1")

@@ -24,6 +24,7 @@ type RealResult struct {
 	X            *tensor.Tensor // solution vector
 	Iters        int
 	ResidualNorm float64
+	Converged    bool // ‖r‖ fell below Tol (or to 0) within MaxIters
 	Seconds      float64
 	Gflops       float64
 }
@@ -151,20 +152,17 @@ func driveWorker(cfg Config, sess *session.Session, from, to int, rr float64) it
 }
 
 // RunReal solves A·x = b on a cluster of cfg.Workers tasks it starts in
-// this process (cluster.StartLocal) and closes before it returns: it is
+// this process and closes before it returns (cluster.RunLocal): it is
 // RunCluster over that cluster, so each worker's graph runs in the driver's
 // own session against its task's resources, and the ring collectives hand
 // chunks between the tasks' hubs. Under TFHPC_NO_SHM=1 the same tasks are
 // reached over loopback rpc instead. A must be SPD. RunReal reads a and b
 // for the duration of the call and does not copy A: each worker's A block
 // is a view of a, so neither may change until it returns.
-func RunReal(cfg Config, a, b *tensor.Tensor, opts RealOptions) (*RealResult, error) {
-	lc, err := cluster.StartLocal(map[string]int{"worker": cfg.Workers})
-	if err != nil {
-		return nil, err
-	}
-	defer lc.Close()
-	peers := cluster.NewPeers(lc.Spec())
-	defer peers.Close()
-	return RunCluster(cfg, a, b, peers, ClusterOptions{RealOptions: opts})
+func RunReal(cfg Config, a, b *tensor.Tensor, opts RealOptions) (res *RealResult, err error) {
+	err = cluster.RunLocal(cfg.Workers, func(peers *cluster.Peers) error {
+		res, err = RunCluster(cfg, a, b, peers, ClusterOptions{RealOptions: opts})
+		return err
+	})
+	return res, err
 }

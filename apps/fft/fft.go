@@ -7,8 +7,10 @@
 // deployment), and the tiles are combined with twiddle factors on the host
 // — the merge the paper runs serially in Python and excludes from its
 // scaling figures, here one cache-blocked pass over the gathered tiles,
-// in place, spread over the worker pool. Complex double precision
-// throughout, as in the paper.
+// in place, spread over the worker pool. RunCluster is the one driver:
+// each worker is a cluster task running one graph that the driver feeds
+// the worker's tiles, and RunReal runs it over tasks in this process.
+// Complex double precision throughout, as in the paper.
 package fft
 
 import (

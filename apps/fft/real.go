@@ -3,10 +3,9 @@ package fft
 import (
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
-	"tfhpc/internal/collective"
+	"tfhpc/internal/cluster"
 	"tfhpc/internal/core"
 	"tfhpc/internal/dataset"
 	"tfhpc/internal/graph"
@@ -24,18 +23,18 @@ type RealResult struct {
 	Gflops         float64 // over the collection phase, paper-style
 }
 
-// collGroup names worker w's membership in the in-process collective group.
-func collGroup(w int) string { return fmt.Sprintf("fft/w%d", w) }
+// group names the transform's collective group on every task.
+const group = "fft"
 
-// RunReal executes the full pipeline with real numerics: pre-processes the
-// signal into interleaved .npy tiles under dir in one pass, transforms each
-// worker's shard through an FFT session — the shard selects its files
-// before any is read, so a worker loads only its own tiles — then collects
-// with a pair of in-graph GatherV passes to rank 0, the merger: tile
-// indices and tile payloads, both ragged since the tile count rarely
-// divides the worker count. Only the merger receives the transformed
-// tiles, and it combines them on the host.
-func RunReal(dir string, cfg Config, signal []complex128) (*RealResult, error) {
+// RunCluster executes the full pipeline with real numerics on an
+// already-running cluster (see cluster.Peers.OpenJob; an empty job is
+// "worker"): it pre-processes the signal into interleaved .npy tiles under
+// dir in one pass, transforms each worker's shard through its session (the
+// driver loads only that shard's tiles and feeds them), and collects with a
+// pair of in-graph GatherV passes to rank 0, the merger: tile indices and
+// tile payloads, both ragged since the tile count rarely divides the worker
+// count. The driver combines the gathered tiles on the host.
+func RunCluster(dir string, cfg Config, signal []complex128, peers *cluster.Peers, job string) (*RealResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -46,46 +45,28 @@ func RunReal(dir string, cfg Config, signal []complex128) (*RealResult, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	res := session.NewResources()
-	groups := collective.NewLoopbackGroups(cfg.Workers, collective.Options{})
-	for w, grp := range groups {
-		res.Colls.Register(collGroup(w), grp)
+	j, err := peers.OpenJob(job, group, cfg.Workers, cluster.CollectiveOptions{},
+		func(_ int, device string) *graph.Graph { return buildWorker(cfg, device) })
+	if err != nil {
+		return nil, err
 	}
-	defer res.Colls.CloseAll()
+	defer j.Close()
 
 	shared := dataset.FromFiles(paths)
 	start := time.Now()
-
-	var wg sync.WaitGroup
-	errCh := make(chan error, cfg.Workers)
-	abort := func() {
-		for _, grp := range groups {
-			grp.Close()
-		}
-	}
-
 	// Rank 0 is the merger: its gathers return every rank's (indices,
 	// tiles); the other ranks' return zero rows.
 	var idxT, tilesT *tensor.Tensor
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			idx, tiles, err := runWorker(cfg, res, shared, w)
-			if err != nil {
-				errCh <- fmt.Errorf("fft worker %d: %w", w, err)
-				abort()
-				return
-			}
-			if w == mergeRank {
-				idxT, tilesT = idx, tiles
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errCh)
-	if err := <-errCh; err != nil {
+	if err := j.Each(func(w int, sess *session.Session) error {
+		idx, tiles, err := runWorker(cfg, sess, shared, w)
+		if err != nil {
+			return fmt.Errorf("fft worker %d: %w", w, err)
+		}
+		if w == mergeRank {
+			idxT, tilesT = idx, tiles
+		}
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 	collectSeconds := time.Since(start).Seconds()
@@ -126,23 +107,47 @@ func RunReal(dir string, cfg Config, signal []complex128) (*RealResult, error) {
 	}, nil
 }
 
+// RunReal is RunCluster under cluster.RunLocal: on cfg.Workers tasks in
+// this process, each worker's graph runs in the driver's own session
+// against its task's resources (as a partition on the task under
+// TFHPC_NO_SHM=1).
+func RunReal(dir string, cfg Config, signal []complex128) (res *RealResult, err error) {
+	err = cluster.RunLocal(cfg.Workers, func(peers *cluster.Peers) error {
+		res, err = RunCluster(dir, cfg, signal, peers, "")
+		return err
+	})
+	return res, err
+}
+
 // mergeRank is the rank the tiles are gathered to and merged on.
 const mergeRank = 0
 
-// runWorker transforms the worker's tile shard through an FFT session and
-// returns the gathers of tile indices and tile payloads: every rank's on
-// mergeRank, zero rows elsewhere.
-func runWorker(cfg Config, res *session.Resources, shared dataset.Dataset, w int) (idx, tiles *tensor.Tensor, err error) {
+// buildWorker constructs one worker's graph on device: a tile placeholder
+// → FFT ("fft"), and the ragged gathers of the worker's tile indices ("idx"
+// → "gather_idx") and transformed tiles ("tiles" → "gather_tiles") to
+// mergeRank, whose placeholders have no fixed length: workers own
+// different tile counts, zero when they outnumber the tiles.
+func buildWorker(cfg Config, device string) *graph.Graph {
 	g := graph.New()
-	ph := g.Placeholder("tile", tensor.Complex128, tensor.Shape{cfg.TileLen()})
-	var out *graph.Node
-	g.WithDevice("/device:GPU:0", func() {
-		out = g.AddNamedOp("fft", "FFT", nil, ph)
+	g.WithDevice(device, func() {
+		ph := g.Placeholder("tile", tensor.Complex128, tensor.Shape{cfg.TileLen()})
+		g.WithDevice("/device:GPU:0", func() {
+			g.AddNamedOp("fft", "FFT", nil, ph)
+		})
+		attrs := func(key string) graph.Attrs {
+			return graph.Attrs{"group": group, "key": key, "root": mergeRank}
+		}
+		g.AddNamedOp("gather_idx", "GatherV", attrs("idx"), g.Placeholder("idx", tensor.Int64, nil))
+		g.AddNamedOp("gather_tiles", "GatherV", attrs("tiles"), g.Placeholder("tiles", tensor.Complex128, nil))
 	})
-	sess, err := session.New(g, res, session.Options{})
-	if err != nil {
-		return nil, nil, err
-	}
+	return g
+}
+
+// runWorker transforms the worker's tile shard through its session and
+// returns the gathers of tile indices and tile payloads: every rank's on
+// mergeRank, zero rows elsewhere. The gathers concatenate in rank order, so
+// the index gather labels the payload gather positionally.
+func runWorker(cfg Config, sess *session.Session, shared dataset.Dataset, w int) (idx, tiles *tensor.Tensor, err error) {
 	// The round-robin shard gives worker w every Workers-th tile from w on:
 	// ⌈(Tiles−w)/Workers⌉ of them, zero when w ≥ Tiles.
 	owned := (cfg.Tiles - w + cfg.Workers - 1) / cfg.Workers
@@ -158,34 +163,17 @@ func runWorker(cfg Config, res *session.Resources, shared dataset.Dataset, w int
 		if err != nil {
 			return nil, nil, err
 		}
-		outs, err := sess.Run(map[string]*tensor.Tensor{"tile": elem[1]},
-			[]string{out.Name()}, nil)
+		outs, err := sess.Run(map[string]*tensor.Tensor{"tile": elem[1]}, []string{"fft"}, nil)
 		if err != nil {
 			return nil, nil, err
 		}
 		myIdx = append(myIdx, elem[0].ScalarInt())
 		myTiles = append(myTiles, outs[0].C128()...)
 	}
-
-	// Collection: two ragged gathers to the merger (this worker may own
-	// zero tiles when workers outnumber tiles), concatenated in rank order
-	// so the index gather labels the payload gather positionally.
-	cg := graph.New()
-	phI := cg.Placeholder("idx", tensor.Int64, tensor.Shape{len(myIdx)})
-	phT := cg.Placeholder("tiles", tensor.Complex128, tensor.Shape{len(myTiles)})
-	attrs := func(key string) graph.Attrs {
-		return graph.Attrs{"group": collGroup(w), "key": key, "root": mergeRank}
-	}
-	gatherI := cg.AddNamedOp("gather_idx", "GatherV", attrs("idx"), phI)
-	gatherT := cg.AddNamedOp("gather_tiles", "GatherV", attrs("tiles"), phT)
-	csess, err := session.New(cg, res, session.Options{})
-	if err != nil {
-		return nil, nil, err
-	}
-	outs, err := csess.Run(map[string]*tensor.Tensor{
+	outs, err := sess.Run(map[string]*tensor.Tensor{
 		"idx":   tensor.FromI64(tensor.Shape{len(myIdx)}, myIdx),
 		"tiles": tensor.FromC128(tensor.Shape{len(myTiles)}, myTiles),
-	}, []string{gatherI.Name(), gatherT.Name()}, nil)
+	}, []string{"gather_idx", "gather_tiles"}, nil)
 	if err != nil {
 		return nil, nil, err
 	}

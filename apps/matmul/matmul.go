@@ -1,12 +1,14 @@
 // Package matmul implements the paper's tiled matrix-matrix multiplication
 // (Fig. 4): two large matrices are pre-processed into .npy tiles; a shared
 // dataset lists the (i, k, j) tile products; workers stream their shard of
-// the list and multiply tile pairs on their GPU. In real mode each worker
-// accumulates its products into a local partial of C and the partials are
-// summed with one in-graph ReduceScatter + AllGatherV pass over the
-// collective engine — the balanced replacement for the paper's two reducer
+// the list and multiply tile pairs on their GPU. RunCluster is the one
+// driver: each worker is a cluster task running one graph, fed tile pairs
+// by the driver, and accumulates its products into a local partial of C;
+// the partials are summed with one in-graph ReduceScatter + AllGatherV pass
+// between the tasks — the balanced replacement for the paper's two reducer
 // queues, which sim mode still models faithfully (Fig. 4 prices the
-// queue-and-reducer deployment). Single precision as in the paper.
+// queue-and-reducer deployment). RunReal runs it over tasks in this
+// process. Single precision as in the paper.
 package matmul
 
 import "fmt"

@@ -3,10 +3,9 @@ package matmul
 import (
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
-	"tfhpc/internal/collective"
+	"tfhpc/internal/cluster"
 	"tfhpc/internal/core"
 	"tfhpc/internal/dataset"
 	"tfhpc/internal/gemm"
@@ -15,7 +14,7 @@ import (
 	"tfhpc/internal/tensor"
 )
 
-// RealResult is the outcome of an actual in-process run.
+// RealResult is the outcome of an actual run.
 type RealResult struct {
 	Seconds float64
 	Gflops  float64
@@ -23,19 +22,20 @@ type RealResult struct {
 	C *tensor.Tensor
 }
 
-// collGroup names worker w's membership in the in-process collective group.
-func collGroup(w int) string { return fmt.Sprintf("matmul/w%d", w) }
+// group names the product's collective group on every task.
+const group = "matmul"
 
-// RunReal executes the full pipeline with real numerics: pre-processes A
-// and B into .npy tiles under dir, streams the shared task list through
-// worker sessions (one graph per worker: two tile placeholders → MatMul),
-// each worker accumulating its products into a local partial of C, then
-// reduces the partials with one in-graph ReduceScatter + AllGatherV pass —
-// the balanced collective that replaced the two central reducer queues
-// (every worker reduces an even share instead of two tasks ingesting
-// everything). Timing covers the map-reduce phase only, matching the paper
-// (pre-processing is excluded).
-func RunReal(dir string, cfg Config, a, b *tensor.Tensor) (*RealResult, error) {
+// RunCluster executes the full pipeline with real numerics on an
+// already-running cluster (see cluster.Peers.OpenJob; an empty job is
+// "worker"): it pre-processes A and B into .npy tiles under dir, then
+// streams the shared task list through the workers' sessions, the driver
+// loading each tile pair and feeding it to the worker's MatMul. Each worker
+// accumulates its products into a local partial of C, and the partials are
+// reduced with one in-graph ReduceScatter + AllGatherV pass between the
+// tasks — the balanced collective that replaced the two central reducer
+// queues. Timing covers the map-reduce phase only, matching the paper
+// (pre-processing and task bring-up are excluded).
+func RunCluster(dir string, cfg Config, a, b *tensor.Tensor, peers *cluster.Peers, job string) (*RealResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -47,15 +47,12 @@ func RunReal(dir string, cfg Config, a, b *tensor.Tensor) (*RealResult, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	// One collective group spans the workers; the reduction rings between
-	// them with no designated reducer task.
-	res := session.NewResources()
-	groups := collective.NewLoopbackGroups(cfg.Workers, collective.Options{})
-	for w, grp := range groups {
-		res.Colls.Register(collGroup(w), grp)
+	j, err := peers.OpenJob(job, group, cfg.Workers, cluster.CollectiveOptions{},
+		func(_ int, device string) *graph.Graph { return buildWorker(cfg, device) })
+	if err != nil {
+		return nil, err
 	}
-	defer res.Colls.CloseAll()
+	defer j.Close()
 
 	// The shared dataset of tasks, sharded per worker.
 	tasks := cfg.Tasks()
@@ -66,33 +63,13 @@ func RunReal(dir string, cfg Config, a, b *tensor.Tensor) (*RealResult, error) {
 	shared := dataset.FromElements(elems...)
 
 	start := time.Now()
-	var wg sync.WaitGroup
-	errCh := make(chan error, cfg.Workers)
-	// On any failure, close every membership so peers blocked in the
-	// reduction unwind instead of deadlocking.
-	abort := func() {
-		for _, grp := range groups {
-			grp.Close()
-		}
-	}
-
 	outs := make([]*tensor.Tensor, cfg.Workers)
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			out, err := runWorker(cfg, res, storeA, storeB, shared, w)
-			if err != nil {
-				errCh <- fmt.Errorf("worker %d: %w", w, err)
-				abort()
-				return
-			}
-			outs[w] = out
-		}(w)
-	}
-	wg.Wait()
-	close(errCh)
-	if err := <-errCh; err != nil {
+	if err := j.Each(func(w int, sess *session.Session) (err error) {
+		if outs[w], err = runWorker(cfg, sess, storeA, storeB, shared, w); err != nil {
+			return fmt.Errorf("matmul worker %d: %w", w, err)
+		}
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 	elapsed := time.Since(start).Seconds()
@@ -109,25 +86,42 @@ func RunReal(dir string, cfg Config, a, b *tensor.Tensor) (*RealResult, error) {
 	}, nil
 }
 
-// runWorker builds the worker's map graph once, feeds it tile pairs from
-// the worker's dataset shard while accumulating products into a local
-// partial of C, then runs the reduce graph: ReduceScatter sums the partials
-// across workers leaving this rank one (generally uneven) segment, and
-// AllGatherV reassembles the full matrix on every rank.
-func runWorker(cfg Config, res *session.Resources, storeA, storeB *core.TileStore,
-	shared dataset.Dataset, w int) (*tensor.Tensor, error) {
-	g := graph.New()
-	phA := g.Placeholder("a", tensor.Float32, tensor.Shape{cfg.Tile, cfg.Tile})
-	phB := g.Placeholder("b", tensor.Float32, tensor.Shape{cfg.Tile, cfg.Tile})
-	var mm *graph.Node
-	g.WithDevice("/device:GPU:0", func() {
-		mm = g.AddNamedOp("mm", "MatMul", nil, phA, phB)
+// RunReal is RunCluster under cluster.RunLocal: on cfg.Workers tasks in
+// this process, each worker's graph runs in the driver's own session
+// against its task's resources (as a partition on the task under
+// TFHPC_NO_SHM=1).
+func RunReal(dir string, cfg Config, a, b *tensor.Tensor) (res *RealResult, err error) {
+	err = cluster.RunLocal(cfg.Workers, func(peers *cluster.Peers) error {
+		res, err = RunCluster(dir, cfg, a, b, peers, "")
+		return err
 	})
-	sess, err := session.New(g, res, session.Options{})
-	if err != nil {
-		return nil, err
-	}
+	return res, err
+}
 
+// buildWorker constructs one worker's graph on device: two tile
+// placeholders → MatMul ("mm"), and the reduction of its partial of C
+// ("partial"): ReduceScatter leaves this rank one (generally uneven)
+// segment of the sum and AllGatherV ("ag") reassembles C on every rank.
+func buildWorker(cfg Config, device string) *graph.Graph {
+	g := graph.New()
+	g.WithDevice(device, func() {
+		phA := g.Placeholder("a", tensor.Float32, tensor.Shape{cfg.Tile, cfg.Tile})
+		phB := g.Placeholder("b", tensor.Float32, tensor.Shape{cfg.Tile, cfg.Tile})
+		g.WithDevice("/device:GPU:0", func() {
+			g.AddNamedOp("mm", "MatMul", nil, phA, phB)
+		})
+		ph := g.Placeholder("partial", tensor.Float32, tensor.Shape{cfg.N * cfg.N})
+		rs := g.AddNamedOp("rs", "ReduceScatter", graph.Attrs{"group": group, "key": "c_rs"}, ph)
+		g.AddNamedOp("ag", "AllGatherV", graph.Attrs{"group": group, "key": "c_ag"}, rs)
+	})
+	return g
+}
+
+// runWorker feeds the worker's session tile pairs from its dataset shard,
+// accumulating the products into a local partial of C, then runs the
+// reduction and returns the reduced C.
+func runWorker(cfg Config, sess *session.Session, storeA, storeB *core.TileStore,
+	shared dataset.Dataset, w int) (*tensor.Tensor, error) {
 	partial := make([]float32, cfg.N*cfg.N)
 	tpd := cfg.TilesPerDim()
 	it := dataset.Prefetch(dataset.Shard(shared, cfg.Workers, w), 2).Iterator()
@@ -150,8 +144,7 @@ func runWorker(cfg Config, res *session.Resources, storeA, storeB *core.TileStor
 		if err != nil {
 			return nil, err
 		}
-		out, err := sess.Run(map[string]*tensor.Tensor{"a": tileA, "b": tileB},
-			[]string{mm.Name()}, nil)
+		out, err := sess.Run(map[string]*tensor.Tensor{"a": tileA, "b": tileB}, []string{"mm"}, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -164,18 +157,9 @@ func runWorker(cfg Config, res *session.Resources, storeA, storeB *core.TileStor
 			gemm.Add32(dst[:cfg.Tile], src[row*cfg.Tile:(row+1)*cfg.Tile])
 		}
 	}
-
-	rg := graph.New()
-	ph := rg.Placeholder("partial", tensor.Float32, tensor.Shape{cfg.N * cfg.N})
-	rs := rg.AddNamedOp("rs", "ReduceScatter", graph.Attrs{"group": collGroup(w), "key": "c_rs"}, ph)
-	ag := rg.AddNamedOp("ag", "AllGatherV", graph.Attrs{"group": collGroup(w), "key": "c_ag"}, rs)
-	rsess, err := session.New(rg, res, session.Options{})
-	if err != nil {
-		return nil, err
-	}
-	out, err := rsess.Run(map[string]*tensor.Tensor{
+	out, err := sess.Run(map[string]*tensor.Tensor{
 		"partial": tensor.FromF32(tensor.Shape{cfg.N * cfg.N}, partial),
-	}, []string{ag.Name()}, nil)
+	}, []string{"ag"}, nil)
 	if err != nil {
 		return nil, err
 	}

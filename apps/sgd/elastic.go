@@ -2,10 +2,10 @@ package sgd
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"tfhpc/internal/checkpoint"
+	"tfhpc/internal/cluster"
 	"tfhpc/internal/collective"
 	"tfhpc/internal/gemm"
 	"tfhpc/internal/simnet"
@@ -162,26 +162,6 @@ func elasticTargets(cfg Config) []string {
 	return ts
 }
 
-// eachSlot runs f concurrently for every slot and returns the first error.
-func eachSlot(n int, f func(slot int) error) error {
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = f(i)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func elasticGraphID(cfg Config) string {
 	return fmt.Sprintf("sgd-elastic:d%d:T%d", cfg.Features, cfg.paramTensors())
 }
@@ -292,9 +272,9 @@ func runElastic(cfg Config, be *clusterElastic, opts ElasticOptions) (*ElasticRe
 		p := len(active)
 		sessions, err := be.setup(active, gen)
 		if err == nil {
-			err = eachSlot(p, func(slot int) error {
+			err = cluster.Each(p, func(slot int) error {
 				return initVars(sessions[slot], elasticInit(cfg, gx, gy, p, slot, ckptW))
-			})
+			}, nil)
 		}
 		if err != nil {
 			if ferr := shrink(gen, err); ferr != nil {
@@ -304,11 +284,10 @@ func runElastic(cfg Config, be *clusterElastic, opts ElasticOptions) (*ElasticRe
 		}
 		opts.logf("sgd: elastic: generation %d over tasks %v from step %d", gen, active, ckptStep)
 
-		// First slot to fail poisons the whole group right away, so peers
-		// blocked mid-collective cascade instead of waiting out the receive
-		// timeout (same contract as runReplicas).
-		var abortOnce sync.Once
-		failFast := func() { abortOnce.Do(func() { be.abort(gen) }) }
+		// The first slot to fail poisons the whole group right away, so
+		// peers blocked mid-collective cascade instead of waiting out the
+		// receive timeout.
+		failFast := func() { be.abort(gen) }
 
 		rebuilt := false
 		for step := ckptStep; step < cfg.Steps; step++ {
@@ -320,15 +299,14 @@ func runElastic(cfg Config, be *clusterElastic, opts ElasticOptions) (*ElasticRe
 				time.Sleep(opts.StepDelay)
 			}
 			losses := make([]float64, p)
-			err := eachSlot(p, func(slot int) error {
+			err := cluster.Each(p, func(slot int) error {
 				out, rerr := sessions[slot].Run(feeds, []string{"loss"}, targets)
 				if rerr != nil {
-					failFast()
 					return rerr
 				}
 				losses[slot] = out[0].ScalarFloat()
 				return nil
-			})
+			}, failFast)
 			if err != nil {
 				if ferr := shrink(gen, err); ferr != nil {
 					return nil, ferr
@@ -348,13 +326,10 @@ func runElastic(cfg Config, be *clusterElastic, opts ElasticOptions) (*ElasticRe
 			}
 			// Checkpoint boundary: barrier so every rank has applied the
 			// step's update, then snapshot rank 0's weights.
-			err = eachSlot(p, func(slot int) error {
+			err = cluster.Each(p, func(slot int) error {
 				_, berr := sessions[slot].Run(nil, nil, []string{"ckpt_barrier"})
-				if berr != nil {
-					failFast()
-				}
 				return berr
-			})
+			}, failFast)
 			var w *tensor.Tensor
 			if err == nil {
 				w, err = readWeights(cfg, sessions[0])
@@ -398,10 +373,10 @@ func runElastic(cfg Config, be *clusterElastic, opts ElasticOptions) (*ElasticRe
 			// Training finished: verify the replica invariant on the final
 			// membership before tearing it down.
 			weights := make([]*tensor.Tensor, p)
-			err := eachSlot(p, func(slot int) (rerr error) {
+			err := cluster.Each(p, func(slot int) (rerr error) {
 				weights[slot], rerr = readWeights(cfg, sessions[slot])
 				return rerr
-			})
+			}, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -1,9 +1,9 @@
 package sgd
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
-	"time"
 
 	"tfhpc/internal/cluster"
 	"tfhpc/internal/session"
@@ -118,18 +118,8 @@ func RunElasticCluster(cfg Config, peers *cluster.Peers, copts ClusterOptions, e
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	job := copts.Job
-	if job == "" {
-		job = "worker"
-	}
-	if got := peers.Spec().NumTasks(job); got != cfg.Workers {
-		return nil, fmt.Errorf("sgd: %d workers requested but job %q has %d tasks (counts must match)", cfg.Workers, job, got)
-	}
-	wait := copts.HealthWait
-	if wait <= 0 {
-		wait = 10 * time.Second
-	}
-	if err := peers.WaitHealthy(job, wait); err != nil {
+	job := cmp.Or(copts.Job, "worker")
+	if err := peers.CheckJob(job, cfg.Workers); err != nil {
 		return nil, err
 	}
 	be := newClusterElastic(cfg, peers, job, eopts)

@@ -57,7 +57,7 @@ func elasticLocal(t *testing.T, cfg Config, opts ElasticOptions, revive bool) (*
 		}
 		lc.Servers[job][task] = srv
 	}
-	return RunElasticCluster(cfg, peers, ClusterOptions{HealthWait: 5 * time.Second}, opts)
+	return RunElasticCluster(cfg, peers, ClusterOptions{}, opts)
 }
 
 // baselineLoss is the final loss of the uninterrupted non-elastic driver.
@@ -253,7 +253,7 @@ func TestElasticClusterShrinkGrow(t *testing.T) {
 			restarted.Close()
 		}
 	}()
-	res, err := RunElasticCluster(cfg, peers, ClusterOptions{HealthWait: 5 * time.Second}, ElasticOptions{
+	res, err := RunElasticCluster(cfg, peers, ClusterOptions{}, ElasticOptions{
 		CkptPath:  filepath.Join(t.TempDir(), "cluster.ckpt"),
 		CkptEvery: 3,
 		// Pace the steps so the restarted server is back before the run

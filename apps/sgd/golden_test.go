@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"math"
 	"testing"
-	"time"
 
 	"tfhpc/internal/cluster"
 )
@@ -35,7 +34,7 @@ func TestTrainingGolden(t *testing.T) {
 	defer lc.Close()
 	peers := cluster.NewPeers(lc.Spec())
 	defer peers.Close()
-	dist, err := RunCluster(cfg, peers, ClusterOptions{HealthWait: 5 * time.Second})
+	dist, err := RunCluster(cfg, peers, ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

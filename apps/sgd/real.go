@@ -2,9 +2,9 @@ package sgd
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
+	"tfhpc/internal/cluster"
 	"tfhpc/internal/collective"
 	"tfhpc/internal/gemm"
 	"tfhpc/internal/session"
@@ -172,46 +172,36 @@ func RunReal(cfg Config) (*Result, error) {
 			return nil, err
 		}
 	}
-	return runReplicas(cfg, sessions, func(w int) { groups[w].Close() }) // cascade failure to blocked peers
+	return runReplicas(cfg, sessions, func() {
+		for _, g := range groups {
+			g.Close()
+		}
+	})
 }
 
-// runReplicas fans the per-replica training loops out, aggregates their
-// outcomes (invoking abort on the first failure so peers blocked in a
-// collective cascade instead of hanging), reads every replica's final
-// weights back and assembles the Result — including the synchronous
-// allreduce invariant that all replicas ended bit-for-bit equal.
-func runReplicas(cfg Config, sessions []*session.Session, abort func(w int)) (*Result, error) {
-	type out struct {
-		first, last float64
-		err         error
-	}
+// runReplicas runs the per-replica training loops at once (cluster.Each),
+// the first failure calling abort so peers blocked in a collective fail
+// too instead of hanging; then it reads every replica's final weights back
+// and assembles the Result, including the synchronous allreduce invariant
+// that all replicas ended bit-for-bit equal.
+func runReplicas(cfg Config, sessions []*session.Session, abort func()) (*Result, error) {
+	type out struct{ first, last float64 }
 	start := time.Now()
 	outs := make([]out, cfg.Workers)
-	var wg sync.WaitGroup
-	for w := range sessions {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			first, last, err := driveWorker(cfg, sessions[w])
-			outs[w] = out{first, last, err}
-			if err != nil {
-				abort(w)
-			}
-		}(w)
-	}
-	wg.Wait()
+	err := cluster.Each(cfg.Workers, func(w int) (err error) {
+		outs[w].first, outs[w].last, err = driveWorker(cfg, sessions[w])
+		return err
+	}, abort)
 	elapsed := time.Since(start).Seconds()
-	for _, o := range outs {
-		if o.err != nil {
-			return nil, o.err
-		}
+	if err != nil {
+		return nil, err
 	}
 
 	weights := make([]*tensor.Tensor, cfg.Workers)
-	if err := eachSlot(cfg.Workers, func(w int) (err error) {
+	if err := cluster.Each(cfg.Workers, func(w int) (err error) {
 		weights[w], err = readWeights(cfg, sessions[w])
 		return err
-	}); err != nil {
+	}, nil); err != nil {
 		return nil, err
 	}
 	equal := true

@@ -2,7 +2,6 @@ package sgd
 
 import (
 	"testing"
-	"time"
 
 	"tfhpc/internal/cluster"
 	"tfhpc/internal/hw"
@@ -153,7 +152,7 @@ func TestClusterTrainingMatchesInProcess(t *testing.T) {
 	peers := cluster.NewPeers(lc.Spec())
 	defer peers.Close()
 
-	dist, err := RunCluster(cfg, peers, ClusterOptions{HealthWait: 5 * time.Second})
+	dist, err := RunCluster(cfg, peers, ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +193,7 @@ func TestClusterTrainingMatchesInProcess(t *testing.T) {
 	measure := func(steps int) (int64, int64) {
 		big.Steps = steps
 		c0, b0 := calls.Value(), moved.Value()
-		res, err := RunCluster(big, bpeers, ClusterOptions{HealthWait: 5 * time.Second})
+		res, err := RunCluster(big, bpeers, ClusterOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,7 +245,7 @@ func TestClusterFusedMultiTensor(t *testing.T) {
 	peers := cluster.NewPeers(lc.Spec())
 	defer peers.Close()
 
-	dist, err := RunCluster(cfg, peers, ClusterOptions{HealthWait: 5 * time.Second})
+	dist, err := RunCluster(cfg, peers, ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

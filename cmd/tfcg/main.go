@@ -87,9 +87,15 @@ func main() {
 	}
 }
 
+// report prints the solve's outcome; a solve that ends at -iters short of
+// -tol (every solve with -tol 0) says that it stopped at the limit.
 func report(mode string, n, workers int, res *cg.RealResult) {
-	fmt.Printf("cg %s: N=%d workers=%d: converged to ‖r‖=%.3g in %d iterations, %.3fs, %.2f Gflop/s\n",
-		mode, n, workers, res.ResidualNorm, res.Iters, res.Seconds, res.Gflops)
+	outcome := "converged to"
+	if !res.Converged {
+		outcome = "stopped at the iteration limit:"
+	}
+	fmt.Printf("cg %s: N=%d workers=%d: %s ‖r‖=%.3g in %d iterations, %.3fs, %.2f Gflop/s\n",
+		mode, n, workers, outcome, res.ResidualNorm, res.Iters, res.Seconds, res.Gflops)
 }
 
 // checkTol turns a missed tolerance into a nonzero exit — the contract the

@@ -1,8 +1,17 @@
 // tffft runs the distributed 1-D FFT application.
 //
-// Real mode transforms a synthetic signal through the interleaved-tile
-// pipeline and verifies it against a direct FFT; sim mode evaluates a
-// paper-scale configuration on the virtual platform.
+// Cluster mode transforms a synthetic signal through the interleaved-tile
+// pipeline over running tfserver tasks, one per worker: the driver saves
+// and loads the tiles and feeds them, each task transforms its shard, and
+// the tasks gather the transformed tiles to task 0 with ragged collectives
+// for the driver's merge. Real mode starts that many tasks in this process
+// and runs the same driver over them, each worker's graph in the driver's
+// own session. Both verify X against the planned engine (-verify). Sim
+// mode evaluates a paper-scale configuration on the virtual platform.
+//
+//	tffft -mode real -logn 18
+//	tffft -mode cluster -spec 127.0.0.1:7000,127.0.0.1:7001 -workers 2
+//	tffft -mode sim -node k80
 package main
 
 import (
@@ -10,10 +19,11 @@ import (
 	"fmt"
 	"math/cmplx"
 	"os"
-
+	"strings"
 	"time"
 
 	appfft "tfhpc/apps/fft"
+	"tfhpc/internal/cluster"
 	"tfhpc/internal/core"
 	"tfhpc/internal/fft"
 	"tfhpc/internal/hw"
@@ -21,19 +31,21 @@ import (
 )
 
 func main() {
-	mode := flag.String("mode", "real", "real|sim")
+	mode := flag.String("mode", "real", "real|cluster|sim")
 	logN := flag.Int("logn", 14, "log2 of the signal length")
 	tiles := flag.Int("tiles", 8, "interleaved tile count")
 	workers := flag.Int("workers", 4, "worker count (GPUs)")
 	dir := flag.String("dir", "", "tile directory (default: temp)")
 	node := flag.String("node", "k80", "sim: Tegner node type (k420|k80)")
-	verify := flag.Bool("verify", true, "real: check against direct FFT")
+	verify := flag.Bool("verify", true, "real, cluster: check against direct FFT")
+	spec := flag.String("spec", "", "cluster: comma-separated worker addresses host:port,...")
+	job := flag.String("job", "worker", "cluster: worker job name")
 	flag.Parse()
 
 	n := 1 << *logN
 	cfg := appfft.Config{N: n, Tiles: *tiles, Workers: *workers}
 	switch *mode {
-	case "real":
+	case "real", "cluster":
 		d := *dir
 		if d == "" {
 			var err error
@@ -47,12 +59,23 @@ func main() {
 		for i := range signal {
 			signal[i] = complex(r.Float64()*2-1, r.Float64()*2-1)
 		}
-		res, err := appfft.RunReal(d, cfg, signal)
+		var res *appfft.RealResult
+		var err error
+		if *mode == "real" {
+			res, err = appfft.RunReal(d, cfg, signal)
+		} else {
+			if *spec == "" {
+				fatal(fmt.Errorf("cluster mode needs -spec host:port,host:port,..."))
+			}
+			peers := cluster.NewPeers(cluster.Spec{*job: strings.Split(*spec, ",")})
+			defer peers.Close()
+			res, err = appfft.RunCluster(d, cfg, signal, peers, *job)
+		}
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("fft real: N=2^%d tiles=%d workers=%d: collect %.3fs (%.2f Gflop/s), merge %.3fs\n",
-			*logN, *tiles, *workers, res.CollectSeconds, res.Gflops, res.MergeSeconds)
+		fmt.Printf("fft %s: N=2^%d tiles=%d workers=%d: collect %.3fs (%.2f Gflop/s), merge %.3fs\n",
+			*mode, *logN, *tiles, *workers, res.CollectSeconds, res.Gflops, res.MergeSeconds)
 		if *verify {
 			want := append([]complex128(nil), signal...)
 			start := time.Now()

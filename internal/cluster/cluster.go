@@ -482,21 +482,45 @@ func (p *Peers) client(job string, task int) (*rpc.Client, error) {
 	return c, nil
 }
 
-// Session opens a session on g that runs g's nodes placed on
-// /job:<job>/task:<task> on that task. A task serving in this process runs
-// them in the session itself, against the task's own resources, with no
-// stream, partition or encoding between them, unless co-located edges are
-// off (collective.TransportConfig.LocalEdges: TFHPC_NO_SHM=1). Any other
-// task runs them as a partition registered over its rpc stream.
-func (p *Peers) Session(g *graph.Graph, job string, task int) (*session.Session, error) {
+// local returns the task's Server when it serves in this process and
+// co-located edges are on (collective.TransportConfig.LocalEdges, off with
+// TFHPC_NO_SHM=1), and nil otherwise: such a task is reached by calling it,
+// with no rpc between the caller and the task.
+func (p *Peers) local(job string, task int) *Server {
 	addr, err := p.spec.Address(job, task)
-	if err != nil {
-		return nil, err
+	if err != nil || !(collective.TransportConfig{}).LocalEdges() {
+		return nil
 	}
 	colocated.mu.Lock()
-	srv := colocated.m[addr]
-	colocated.mu.Unlock()
-	if srv != nil && (collective.TransportConfig{}).LocalEdges() {
+	defer colocated.mu.Unlock()
+	return colocated.m[addr]
+}
+
+// call makes one control call on a task: a task in this process (local)
+// runs the handler itself, any other task answers over rpc.
+func (p *Peers) call(job string, task int, method string, h func(*Server, []byte) ([]byte, error), req []byte) error {
+	if srv := p.local(job, task); srv != nil {
+		_, err := h(srv, req)
+		return err
+	}
+	c, err := p.client(job, task)
+	if err != nil {
+		return err
+	}
+	_, err = c.Call(method, req)
+	return err
+}
+
+// Session opens a session on g that runs g's nodes placed on
+// /job:<job>/task:<task> on that task. A task serving in this process
+// (local) runs them in the session itself, against the task's own
+// resources, with no stream, partition or encoding between them. Any other
+// task runs them as a partition registered over its rpc stream.
+func (p *Peers) Session(g *graph.Graph, job string, task int) (*session.Session, error) {
+	if _, err := p.spec.Address(job, task); err != nil {
+		return nil, err
+	}
+	if srv := p.local(job, task); srv != nil {
 		return session.New(g, srv.Res, session.Options{LocalJob: job, LocalTask: task, Remote: p})
 	}
 	return session.New(g, nil, session.Options{LocalJob: "client", Remote: p})
@@ -557,22 +581,6 @@ func (p *Peers) HealthRetry(ctx context.Context, job string, task int, pol rpc.R
 	return err
 }
 
-// WaitHealthy waits for every task of a job to answer Health, retrying
-// transient failures with exponential backoff + jitter until the deadline —
-// the client-side readiness gate for clusters whose tasks are separate
-// processes racing the driver (CI boots them with &).
-func (p *Peers) WaitHealthy(job string, deadline time.Duration) error {
-	ctx, cancel := context.WithTimeout(context.Background(), deadline)
-	defer cancel()
-	pol := rpc.RetryPolicy{Attempts: 1 << 20, Base: 20 * time.Millisecond, Max: 500 * time.Millisecond}
-	for task := 0; task < p.spec.NumTasks(job); task++ {
-		if err := p.HealthRetry(ctx, job, task, pol); err != nil {
-			return fmt.Errorf("cluster: task /job:%s/task:%d not healthy after %v: %w", job, task, deadline, err)
-		}
-	}
-	return nil
-}
-
 // CollectiveOptions tune InitCollective. ChunkBytes and Fusion map onto
 // collective.Options and ship to every task, so the whole ring agrees on the
 // message pattern; the allreduce algorithm is the engine's per-call picker.
@@ -623,12 +631,8 @@ func (p *Peers) InitCollectiveTasks(job, group string, tasks []int, opts Collect
 		addrs[i] = a
 	}
 	for i, task := range tasks {
-		c, err := p.client(job, task)
-		if err != nil {
-			return err
-		}
 		req := encodeCollInit(group, i, addrs, opts, epoch)
-		if _, err := c.Call("CollInit", req); err != nil {
+		if err := p.call(job, task, "CollInit", (*Server).handleCollInit, req); err != nil {
 			return fmt.Errorf("cluster: CollInit on /job:%s/task:%d: %w", job, task, err)
 		}
 	}
@@ -644,9 +648,7 @@ func (p *Peers) AbortCollective(job, group string) {
 	e.String(1, group)
 	req := e.Bytes()
 	for task := 0; task < p.spec.NumTasks(job); task++ {
-		if c, err := p.client(job, task); err == nil {
-			c.Call("CollClose", req)
-		}
+		p.call(job, task, "CollClose", (*Server).handleCollClose, req)
 	}
 }
 
@@ -684,6 +686,20 @@ func StartLocal(jobs map[string]int) (*Local, error) {
 		}
 	}
 	return l, nil
+}
+
+// RunLocal starts a job "worker" of workers tasks in this process, runs f
+// over it and closes it again: each application's RunReal is its
+// RunCluster under RunLocal.
+func RunLocal(workers int, f func(*Peers) error) error {
+	lc, err := StartLocal(map[string]int{"worker": workers})
+	if err != nil {
+		return err
+	}
+	defer lc.Close()
+	peers := NewPeers(lc.Spec())
+	defer peers.Close()
+	return f(peers)
 }
 
 // Spec returns the running cluster's spec.

@@ -25,7 +25,7 @@ func TestInitCollectiveAndRemoteAllReduce(t *testing.T) {
 	defer lc.Close()
 	peers := NewPeers(lc.Spec())
 	defer peers.Close()
-	if err := peers.WaitHealthy("worker", 5*time.Second); err != nil {
+	if err := peers.CheckJob("worker", p); err != nil {
 		t.Fatal(err)
 	}
 	if err := peers.InitCollective("worker", "grp", CollectiveOptions{

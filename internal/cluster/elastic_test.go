@@ -52,7 +52,7 @@ func TestCoordinatorSurvivorsAndRebuild(t *testing.T) {
 	defer lc.Close()
 	peers := NewPeers(lc.Spec())
 	defer peers.Close()
-	if err := peers.WaitHealthy("worker", 5*time.Second); err != nil {
+	if err := peers.CheckJob("worker", lc.Spec().NumTasks("worker")); err != nil {
 		t.Fatal(err)
 	}
 	coord := NewCoordinator(peers, "worker")

@@ -70,10 +70,13 @@ func NewGroup(tr Transport, opts Options) *Group {
 	return &Group{tr: tr, opts: opts, seq: make(map[string]uint64), pendings: make(map[string]*Pending)}
 }
 
-// NewLoopbackGroups is the single-call constructor tests and in-process runs
-// use: p ranks in this process, one group per rank. Each rank gets its own
-// Hub and the transport cluster tasks use, with a local edge into every
-// rank's hub, its own included — a cluster whose peers are all co-located.
+// NewLoopbackGroups is the single-call constructor for p ranks in this
+// process, one group per rank: tests and the benchmark's probes use it, and
+// of the applications only sgd.RunReal, whose replicas share one set of
+// resources; every other driver runs over cluster tasks
+// (cluster.Peers.OpenJob). Each rank gets its own Hub and the transport
+// cluster tasks use, with a local edge into every rank's hub, its own
+// included — a cluster whose peers are all co-located.
 // It has no addresses and dials nothing, and it never consults TFHPC_NO_SHM:
 // the groups stay in process whatever that variable says, which the
 // benchmark's sgd inproc_step_ms row (run with it set) depends on. Recv

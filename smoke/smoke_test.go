@@ -3,8 +3,9 @@
 // ports, drives them over TCP and HTTP, and fails on any broken contract.
 // The legs are the subtests of TestSmoke:
 //
-//   - core: CG and SGD over a 4-task TCP cluster, fused ≡ unfused final
-//     weights, and train → checkpoint → serve with batched ≡ single predicts;
+//   - core: CG, matmul, FFT and SGD over a 4-task TCP cluster, fused ≡
+//     unfused final weights, and train → checkpoint → serve with batched ≡
+//     single predicts;
 //   - elastic: a task killed mid-epoch and restarted; the run shrinks,
 //     resumes, grows back and lands within 1e-3 of an uninterrupted run;
 //   - rollout: scale-up, a canary rollout to promotion and scale-down under
@@ -52,7 +53,7 @@ func TestSmoke(t *testing.T) {
 		t.Skip("boots real processes; set TFHPC_SMOKE=1 to run")
 	}
 	bin := t.TempDir()
-	for _, cmd := range []string{"tfserver", "tfcg", "tfsgd", "tfserve"} {
+	for _, cmd := range []string{"tfserver", "tfcg", "tfmatmul", "tffft", "tfsgd", "tfserve"} {
 		out, err := exec.Command("go", "build", "-o", filepath.Join(bin, cmd), "tfhpc/cmd/"+cmd).CombinedOutput()
 		if err != nil {
 			t.Fatalf("go build %s: %v\n%s", cmd, err, out)
@@ -72,11 +73,13 @@ func TestSmoke(t *testing.T) {
 	}
 }
 
-// core: CG and SGD over a 4-task TCP cluster — tfcg enforces the residual
-// tolerance and tfsgd loss decrease and replica equality, both through their
-// exit status, and a CG solve stopped at a checkpoint and resumed takes the
-// uninterrupted solve's iterations — then fused ≡ unfused final weights,
-// then train → checkpoint → serve with concurrent predicts that coalesce.
+// core: CG, matmul, FFT and SGD over a 4-task TCP cluster — tfcg enforces
+// the residual tolerance, tfmatmul and tffft check C and X against a direct
+// product and transform, and tfsgd loss decrease and replica equality, all
+// through their exit status, and a CG solve stopped at a checkpoint and
+// resumed takes the uninterrupted solve's iterations — then fused ≡ unfused
+// final weights, then train → checkpoint → serve with concurrent predicts
+// that coalesce.
 func core(h *harness) {
 	spec, _ := h.cluster("tfserver", 4, false)
 	cg := []string{"tfcg", "-mode", "cluster", "-spec", spec, "-workers", "4", "-n", "256"}
@@ -86,6 +89,8 @@ func core(h *harness) {
 	if got := cgIterations(h, h.run(append(cg, "-iters", "300", "-tol", "1e-6", "-checkpoint", cgCkpt, "-resume")...)); got != full {
 		h.Fatalf("the resumed CG solve took %d iterations, the uninterrupted one %d", got, full)
 	}
+	h.run("tfmatmul", "-mode", "cluster", "-spec", spec, "-workers", "4", "-n", "256", "-tile", "64")
+	h.run("tffft", "-mode", "cluster", "-spec", spec, "-workers", "4", "-logn", "14", "-tiles", "8")
 	sgd := []string{"tfsgd", "-mode", "cluster", "-spec", spec, "-workers", "4", "-features", "128", "-rows", "256", "-steps", "25", "-lr", "0.3"}
 	h.run(sgd...)
 	h.run(append(sgd, "-param-tensors", "4", "-fuse")...)
