@@ -27,7 +27,7 @@ func RunCluster(cfg Config, peers *cluster.Peers, opts ClusterOptions) (*Result,
 	// each step is one run message. The variables load as feeds of the
 	// first Run.
 	const group = "sgd"
-	job, err := peers.OpenJob(opts.Job, group, cfg.Workers, cluster.CollectiveOptions{Fusion: cfg.fusionOptions()},
+	job, err := peers.OpenJob(opts.Job, group, cfg.Workers, cluster.CollectiveOptions{FlushTensors: cfg.flushTensors()},
 		func(w int, device string) *graph.Graph { return buildWorker(cfg, w, group, device) })
 	if err != nil {
 		return nil, err

@@ -1,13 +1,19 @@
 package sgd
 
 import (
+	"cmp"
+	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"tfhpc/internal/checkpoint"
 	"tfhpc/internal/cluster"
 	"tfhpc/internal/collective"
 	"tfhpc/internal/gemm"
+	"tfhpc/internal/graph"
+	"tfhpc/internal/rpc"
+	"tfhpc/internal/session"
 	"tfhpc/internal/simnet"
 	"tfhpc/internal/tensor"
 )
@@ -166,11 +172,31 @@ func elasticGraphID(cfg Config) string {
 	return fmt.Sprintf("sgd-elastic:d%d:T%d", cfg.Features, cfg.paramTensors())
 }
 
-// runElastic is the generation loop: be builds each membership (one session
-// per slot, through which variables load and weights read back), probes
-// liveness and injects crashes. active[i] is the task hosting rank/slot i.
-func runElastic(cfg Config, be *clusterElastic, opts ElasticOptions) (*ElasticResult, error) {
+// The elastic group: one collective group name across all generations,
+// each generation opened under a higher epoch (cluster.Peers.OpenJobTasks),
+// so the transports' epoch fences keep a zombie incarnation's traffic out
+// of the group that replaced it.
+const elasticGroup = "sgd"
+
+// Liveness probes after a failure retry a task mid-restart briefly; the
+// grow-back probe at a boundary is one Health call, where a refused
+// connection is the expected answer.
+var elasticProbe = rpc.RetryPolicy{Attempts: 4, Base: 25 * time.Millisecond, Max: 250 * time.Millisecond}
+
+const elasticProbeTimeout = 3 * time.Second
+
+// RunElasticCluster trains elastically over an already-running cluster
+// (separate processes, or cluster.StartLocal tasks in this one). The task
+// count of the job is the full width; the run starts over every task and
+// survives losing all but MinWorkers of them. Liveness is real (Health
+// RPCs), so a kill -9'd task that restarts on its old address is folded
+// back in at the next checkpoint boundary.
+func RunElasticCluster(cfg Config, peers *cluster.Peers, copts ClusterOptions, opts ElasticOptions) (*ElasticResult, error) {
 	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	job := cmp.Or(copts.Job, "worker")
+	if err := peers.CheckJob(job, cfg.Workers); err != nil {
 		return nil, err
 	}
 	if (opts.Plan == simnet.FaultPlan{}) {
@@ -180,6 +206,7 @@ func runElastic(cfg Config, be *clusterElastic, opts ElasticOptions) (*ElasticRe
 	graphID := elasticGraphID(cfg)
 	targets := elasticTargets(cfg)
 	feeds := map[string]*tensor.Tensor{"lr": tensor.ScalarF64(cfg.LR)}
+	collOpts := cluster.CollectiveOptions{FlushTensors: cfg.flushTensors()}
 
 	// The running checkpoint: weights + completed steps, mirrored to disk
 	// when a path is configured. Resume reads the file back so the on-disk
@@ -219,26 +246,32 @@ func runElastic(cfg Config, be *clusterElastic, opts ElasticOptions) (*ElasticRe
 		return nil, err
 	}
 
+	// active[i] is the task hosting rank/slot i, in ascending task order.
 	active := make([]int, cfg.Workers)
 	for i := range active {
 		active[i] = i
 	}
 	res := &ElasticResult{}
-	var firstLoss float64
+	var firstLoss, lastLoss float64
 	firstSeen := false
-	var lastLoss float64
-	killed := make(map[int]bool)
+	// crashed holds the tasks opts.Plan has crashed (once each); down the
+	// ones among them that no boundary probe has found answering since. A
+	// down task fails the probes after a failure at once, so their retries
+	// cannot race a test's instant restart into a no-op shrink.
+	crashed, down := map[int]bool{}, map[int]bool{}
 	start := time.Now()
 
 	// shrink handles one membership failure: unblock the group, find the
-	// survivors, restore the checkpoint. Returns the fatal error, if any.
-	shrink := func(gen int, cause error) error {
-		be.abort(gen)
+	// survivors, restore the checkpoint. It returns the fatal error, if any.
+	shrink := func(cause error) error {
+		peers.AbortCollective(job, elasticGroup)
 		alive := make([]int, 0, len(active))
 		for _, t := range active {
-			if be.probe(t) == nil {
+			ctx, cancel := context.WithTimeout(context.Background(), elasticProbeTimeout)
+			if !down[t] && peers.HealthRetry(ctx, job, t, elasticProbe) == nil {
 				alive = append(alive, t)
 			}
+			cancel()
 		}
 		if len(alive) < opts.minWorkers() {
 			return fmt.Errorf("sgd: %d live workers (< %d) after failure: %w", len(alive), opts.minWorkers(), cause)
@@ -246,7 +279,7 @@ func runElastic(cfg Config, be *clusterElastic, opts ElasticOptions) (*ElasticRe
 		if len(alive) == len(active) {
 			// Everyone answers but the step failed — a torn group (e.g. the
 			// casualty restarted fast enough to pass the probe). Rebuild at
-			// the same width; the retry guard bounds how often.
+			// the same width; the rebuild bound limits how often.
 			opts.logf("sgd: elastic: step failed with all %d tasks live (%v), rebuilding", len(active), cause)
 		} else {
 			res.Shrinks++
@@ -261,58 +294,43 @@ func runElastic(cfg Config, be *clusterElastic, opts ElasticOptions) (*ElasticRe
 		return nil
 	}
 
-	maxRebuilds := 8 + 4*cfg.Workers
-	gen := 0
-	for ckptStep < cfg.Steps {
-		gen++
-		if gen > maxRebuilds {
-			return nil, fmt.Errorf("sgd: elastic run did not stabilise after %d rebuilds", maxRebuilds)
-		}
-		res.Rebuilds++
-		p := len(active)
-		sessions, err := be.setup(active, gen)
-		if err == nil {
-			err = cluster.Each(p, func(slot int) error {
-				return initVars(sessions[slot], elasticInit(cfg, gx, gy, p, slot, ckptW))
-			}, nil)
-		}
+	// generation runs one membership from the checkpoint until training
+	// ends, a task fails (shrink) or a task rejoins. It returns only fatal
+	// errors; the membership's sessions close when it returns.
+	generation := func(gen int) error {
+		j, err := peers.OpenJobTasks(job, elasticGroup, active, collOpts, func(slot int, device string) *graph.Graph {
+			return buildWorkerPre(cfg, elasticPre(gen, slot), elasticGroup, device)
+		})
 		if err != nil {
-			if ferr := shrink(gen, err); ferr != nil {
-				return nil, ferr
-			}
-			continue
+			return shrink(err)
+		}
+		defer j.Close()
+		p := len(active)
+		if err := j.Each(func(slot int, sess *session.Session) error {
+			return initVars(sess, elasticInit(cfg, gx, gy, p, slot, ckptW))
+		}); err != nil {
+			return shrink(err)
 		}
 		opts.logf("sgd: elastic: generation %d over tasks %v from step %d", gen, active, ckptStep)
 
-		// The first slot to fail poisons the whole group right away, so
-		// peers blocked mid-collective cascade instead of waiting out the
-		// receive timeout.
-		failFast := func() { be.abort(gen) }
-
-		rebuilt := false
-		for step := ckptStep; step < cfg.Steps; step++ {
-			if ct := opts.Plan.CrashTaskAt(step); ct != simnet.NoRank && !killed[ct] {
-				killed[ct] = true
-				be.kill(ct)
+		for step := ckptStep; ; step++ {
+			if ct := opts.Plan.CrashTaskAt(step); ct != simnet.NoRank && opts.Kill != nil && !crashed[ct] {
+				crashed[ct], down[ct] = true, true
+				opts.Kill(ct)
 			}
 			if opts.StepDelay > 0 {
 				time.Sleep(opts.StepDelay)
 			}
 			losses := make([]float64, p)
-			err := cluster.Each(p, func(slot int) error {
-				out, rerr := sessions[slot].Run(feeds, []string{"loss"}, targets)
-				if rerr != nil {
-					return rerr
+			if err := j.Each(func(slot int, sess *session.Session) error {
+				out, err := sess.Run(feeds, []string{"loss"}, targets)
+				if err != nil {
+					return err
 				}
 				losses[slot] = out[0].ScalarFloat()
 				return nil
-			}, failFast)
-			if err != nil {
-				if ferr := shrink(gen, err); ferr != nil {
-					return nil, ferr
-				}
-				rebuilt = true
-				break
+			}); err != nil {
+				return shrink(err)
 			}
 			if step == 0 && !firstSeen {
 				firstSeen = true
@@ -326,104 +344,60 @@ func runElastic(cfg Config, be *clusterElastic, opts ElasticOptions) (*ElasticRe
 			}
 			// Checkpoint boundary: barrier so every rank has applied the
 			// step's update, then snapshot rank 0's weights.
-			err = cluster.Each(p, func(slot int) error {
-				_, berr := sessions[slot].Run(nil, nil, []string{"ckpt_barrier"})
-				return berr
-			}, failFast)
-			var w *tensor.Tensor
-			if err == nil {
-				w, err = readWeights(cfg, sessions[0])
+			if err := j.Each(func(_ int, sess *session.Session) error {
+				_, err := sess.Run(nil, nil, []string{"ckpt_barrier"})
+				return err
+			}); err != nil {
+				return shrink(err)
 			}
-			if err != nil {
-				if ferr := shrink(gen, err); ferr != nil {
-					return nil, ferr
+			if done == cfg.Steps {
+				// Training finished: check the replica invariant on the
+				// final membership.
+				r, err := result(cfg, j.Sessions(), firstLoss, lastLoss, time.Since(start))
+				if err != nil {
+					return shrink(err)
 				}
-				rebuilt = true
-				break
+				res.Result, res.FinalWorkers = *r, p
+				ckptW, ckptStep = r.Weights, done
+				return saveCkpt()
+			}
+			w, err := readWeights(cfg, j.Sessions()[0])
+			if err != nil {
+				return shrink(err)
 			}
 			ckptW, ckptStep = w, done
 			if err := saveCkpt(); err != nil {
-				return nil, err
+				return err
 			}
 
 			// Grow-back: fold returned tasks in at the boundary.
-			if len(active) < cfg.Workers && done < cfg.Steps {
-				var back []int
-				for t := 0; t < cfg.Workers; t++ {
-					if !contains(active, t) && be.announced(t) {
-						back = append(back, t)
-					}
-				}
-				if len(back) > 0 {
-					res.Grows++
-					active = mergeSorted(active, back)
-					opts.logf("sgd: elastic: grow back to %d tasks (%v rejoined) at step %d", len(active), back, done)
-					rebuilt = true
-					break
+			var back []int
+			for t := range cfg.Workers {
+				if !slices.Contains(active, t) && peers.Health(job, t) == nil {
+					back = append(back, t)
+					delete(down, t)
 				}
 			}
-		}
-		if !rebuilt && ckptStep < cfg.Steps {
-			// The step loop ended without a rebuild request but short of the
-			// step target — can only mean cfg.Steps isn't a boundary, which
-			// the boundary condition above rules out.
-			return nil, fmt.Errorf("sgd: elastic loop stalled at step %d", ckptStep)
-		}
-		if ckptStep == cfg.Steps {
-			// Training finished: verify the replica invariant on the final
-			// membership before tearing it down.
-			weights := make([]*tensor.Tensor, p)
-			err := cluster.Each(p, func(slot int) (rerr error) {
-				weights[slot], rerr = readWeights(cfg, sessions[slot])
-				return rerr
-			}, nil)
-			if err != nil {
-				return nil, err
+			if len(back) > 0 {
+				res.Grows++
+				// Every task derives its rank from its place in active, so
+				// active stays in task order.
+				active = slices.Sorted(slices.Values(append(active, back...)))
+				opts.logf("sgd: elastic: grow back to %d tasks (%v rejoined) at step %d", len(active), back, done)
+				return nil
 			}
-			equal := true
-			for s := 1; s < p; s++ {
-				if !weights[s].Equal(weights[0]) {
-					equal = false
-				}
-			}
-			elapsed := time.Since(start).Seconds()
-			res.Result = Result{
-				InitialLoss:   firstLoss,
-				FinalLoss:     lastLoss,
-				WeightErr:     relWeightErr(weights[0], TrueWeights(cfg)),
-				Steps:         cfg.Steps,
-				Seconds:       elapsed,
-				StepSeconds:   elapsed / float64(cfg.Steps),
-				GradBytes:     int64(cfg.Features) * 8,
-				ReplicasEqual: equal,
-				Weights:       weights[0],
-			}
-			res.FinalWorkers = p
-			return res, nil
 		}
 	}
-	return nil, fmt.Errorf("sgd: elastic loop exited without a result")
-}
 
-func contains(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
+	maxRebuilds := 8 + 4*cfg.Workers
+	for gen := 1; ckptStep < cfg.Steps; gen++ {
+		if gen > maxRebuilds {
+			return nil, fmt.Errorf("sgd: elastic run did not stabilise after %d rebuilds", maxRebuilds)
+		}
+		res.Rebuilds++
+		if err := generation(gen); err != nil {
+			return nil, err
 		}
 	}
-	return false
-}
-
-// mergeSorted merges two ascending task lists (rank order must be stable so
-// every task derives the same slot assignment).
-func mergeSorted(a, b []int) []int {
-	out := make([]int, 0, len(a)+len(b))
-	out = append(out, a...)
-	out = append(out, b...)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
+	return res, nil
 }

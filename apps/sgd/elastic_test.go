@@ -37,6 +37,14 @@ func crashPlan(task, step int) simnet.FaultPlan {
 // in at the next checkpoint boundary whose probe finds it answering.
 func elasticLocal(t *testing.T, cfg Config, opts ElasticOptions, revive bool) (*ElasticResult, error) {
 	t.Helper()
+	_, res, err := elasticTasks(t, cfg, opts, revive)
+	return res, err
+}
+
+// elasticTasks is elasticLocal that also returns the tasks, restarted ones
+// in their victims' places.
+func elasticTasks(t *testing.T, cfg Config, opts ElasticOptions, revive bool) (*cluster.Local, *ElasticResult, error) {
+	t.Helper()
 	const job = "worker"
 	lc, err := cluster.StartLocal(map[string]int{job: cfg.Workers})
 	if err != nil {
@@ -57,7 +65,8 @@ func elasticLocal(t *testing.T, cfg Config, opts ElasticOptions, revive bool) (*
 		}
 		lc.Servers[job][task] = srv
 	}
-	return RunElasticCluster(cfg, peers, ClusterOptions{}, opts)
+	res, err := RunElasticCluster(cfg, peers, ClusterOptions{}, opts)
+	return lc, res, err
 }
 
 // baselineLoss is the final loss of the uninterrupted non-elastic driver.
@@ -158,6 +167,35 @@ func TestElasticShrinkThenGrow(t *testing.T) {
 		t.Fatal("replicas diverged after grow-back")
 	}
 	lossWithin(t, res.FinalLoss, baselineLoss(t, cfg), 1e-3)
+}
+
+// TestElasticReleasesSessions: every generation's sessions close with it.
+// Over partitions (TFHPC_NO_SHM=1) each session holds one on its task, so
+// once a shrink-then-grow run returns no live task may hold any. A task
+// drops a stream's partitions once it sees the stream close, so the check
+// allows it a moment.
+func TestElasticReleasesSessions(t *testing.T) {
+	t.Setenv("TFHPC_NO_SHM", "1")
+	cfg := elasticConfig(3)
+	lc, res, err := elasticTasks(t, cfg, ElasticOptions{
+		CkptEvery: 3,
+		Plan:      crashPlan(1, 4),
+	}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Shrinks < 1 || res.Grows < 1 {
+		t.Fatalf("want a shrink and a grow: %+v", res)
+	}
+	for task, srv := range lc.Servers["worker"] {
+		deadline := time.Now().Add(2 * time.Second)
+		for srv.Partitions() != 0 && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+		}
+		if n := srv.Partitions(); n != 0 {
+			t.Fatalf("task %d holds %d partitions 2 s after the run", task, n)
+		}
+	}
 }
 
 // TestElasticShrinkDuringFusion: the crash lands while the per-step gradient

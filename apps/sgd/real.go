@@ -48,14 +48,15 @@ func workerInit(cfg Config, w int) []varInit {
 	return out
 }
 
-// fusionOptions returns the collective fusion tuning of one run: a count
-// trigger equal to the per-step post set, so a step's gradients flush as
-// one pass the moment the last one lands, with the deadline as fallback.
-func (c Config) fusionOptions() collective.FusionOptions {
+// flushTensors returns the collective fusion count trigger of one run: the
+// per-step post set, so a step's gradients flush as one pass the moment the
+// last one lands, with the deadline as fallback. 0 when the run does not
+// fuse.
+func (c Config) flushTensors() int {
 	if !c.Fuse {
-		return collective.FusionOptions{}
+		return 0
 	}
-	return collective.FusionOptions{FlushTensors: c.paramTensors()}
+	return c.paramTensors()
 }
 
 // initVars loads one replica's variables in one Run: each value feeds the
@@ -155,7 +156,7 @@ func RunReal(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	res := session.NewResources()
-	groups := collective.NewLoopbackGroups(cfg.Workers, collective.Options{Fusion: cfg.fusionOptions()})
+	groups := collective.NewLoopbackGroups(cfg.Workers, collective.Options{Fusion: collective.FusionOptions{FlushTensors: cfg.flushTensors()}})
 	for w, grp := range groups {
 		res.Colls.Register(collGroup(w), grp)
 	}
@@ -181,9 +182,7 @@ func RunReal(cfg Config) (*Result, error) {
 
 // runReplicas runs the per-replica training loops at once (cluster.Each),
 // the first failure calling abort so peers blocked in a collective fail
-// too instead of hanging; then it reads every replica's final weights back
-// and assembles the Result, including the synchronous allreduce invariant
-// that all replicas ended bit-for-bit equal.
+// too instead of hanging, and then assembles the Result.
 func runReplicas(cfg Config, sessions []*session.Session, abort func()) (*Result, error) {
 	type out struct{ first, last float64 }
 	start := time.Now()
@@ -192,31 +191,36 @@ func runReplicas(cfg Config, sessions []*session.Session, abort func()) (*Result
 		outs[w].first, outs[w].last, err = driveWorker(cfg, sessions[w])
 		return err
 	}, abort)
-	elapsed := time.Since(start).Seconds()
+	elapsed := time.Since(start)
 	if err != nil {
 		return nil, err
 	}
+	return result(cfg, sessions, outs[0].first, outs[0].last, elapsed)
+}
 
-	weights := make([]*tensor.Tensor, cfg.Workers)
-	if err := cluster.Each(cfg.Workers, func(w int) (err error) {
+// result reads every replica's final weights back and assembles the Result
+// of a run whose replica 0 saw losses first and last: it includes the
+// synchronous allreduce invariant that all replicas ended bit-for-bit
+// equal.
+func result(cfg Config, sessions []*session.Session, first, last float64, elapsed time.Duration) (*Result, error) {
+	weights := make([]*tensor.Tensor, len(sessions))
+	if err := cluster.Each(len(sessions), func(w int) (err error) {
 		weights[w], err = readWeights(cfg, sessions[w])
 		return err
 	}, nil); err != nil {
 		return nil, err
 	}
 	equal := true
-	for w := 1; w < cfg.Workers; w++ {
-		if !weights[w].Equal(weights[0]) {
-			equal = false
-		}
+	for _, w := range weights[1:] {
+		equal = equal && w.Equal(weights[0])
 	}
 	return &Result{
-		InitialLoss:   outs[0].first,
-		FinalLoss:     outs[0].last,
+		InitialLoss:   first,
+		FinalLoss:     last,
 		WeightErr:     relWeightErr(weights[0], TrueWeights(cfg)),
 		Steps:         cfg.Steps,
-		Seconds:       elapsed,
-		StepSeconds:   elapsed / float64(cfg.Steps),
+		Seconds:       elapsed.Seconds(),
+		StepSeconds:   elapsed.Seconds() / float64(cfg.Steps),
 		GradBytes:     int64(cfg.Features) * 8,
 		ReplicasEqual: equal,
 		Weights:       weights[0],

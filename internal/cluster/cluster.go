@@ -12,7 +12,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"tfhpc/internal/collective"
 	"tfhpc/internal/graph"
@@ -208,35 +207,34 @@ func (s *Server) Close() error {
 
 // CollInit request encoding:
 //
-//	1 group, 2 rank, 4 repeated peer address, 5 chunk bytes, 6 timeout ms,
-//	7 epoch, 10 fusion flush bytes, 11 fusion flush tensors,
-//	12 fusion flush interval µs
-func encodeCollInit(group string, rank int, addrs []string, opts CollectiveOptions, epoch uint64) []byte {
+//	1 group, 2 rank, 4 repeated peer address, 7 epoch,
+//	11 fusion flush tensors
+//
+// Fields 5, 6, 8, 9, 10 and 12 are retired (chunk bytes, receive timeout,
+// algorithm, switch bytes, fusion flush bytes and interval); a task skips
+// them.
+type collInit struct {
+	group string
+	rank  int
+	addrs []string
+	epoch uint64
+	opts  CollectiveOptions
+}
+
+func encodeCollInit(r *collInit) []byte {
 	e := wire.NewEncoder()
-	e.String(1, group)
-	e.Int(2, int64(rank))
-	for _, a := range addrs {
+	e.String(1, r.group)
+	e.Int(2, int64(r.rank))
+	for _, a := range r.addrs {
 		e.String(4, a)
 	}
-	e.Int(5, int64(opts.ChunkBytes))
-	e.Int(6, int64(opts.RecvTimeout/time.Millisecond))
-	e.Uint(7, epoch)
-	e.Int(10, opts.Fusion.FlushBytes)
-	e.Int(11, int64(opts.Fusion.FlushTensors))
-	e.Int(12, int64(opts.Fusion.FlushInterval/time.Microsecond))
+	e.Uint(7, r.epoch)
+	e.Int(11, int64(r.opts.FlushTensors))
 	return e.Bytes()
 }
 
-// handleCollInit joins this task to a TCP collective group: it builds the
-// transport endpoint over the advertised peer addresses and registers the
-// group membership in the task's resources under the group name, replacing
-// (and closing) any previous membership.
-func (s *Server) handleCollInit(req []byte) ([]byte, error) {
-	var group string
-	var rank int
-	var addrs []string
-	var opts CollectiveOptions
-	var epoch uint64
+func decodeCollInit(req []byte) (*collInit, error) {
+	r := &collInit{}
 	d := wire.NewDecoder(req)
 	for d.More() {
 		f, wt, err := d.Next()
@@ -245,7 +243,7 @@ func (s *Server) handleCollInit(req []byte) ([]byte, error) {
 		}
 		switch f {
 		case 1:
-			if group, err = d.StringVal(); err != nil {
+			if r.group, err = d.StringVal(); err != nil {
 				return nil, err
 			}
 		case 2:
@@ -253,31 +251,15 @@ func (s *Server) handleCollInit(req []byte) ([]byte, error) {
 			if err != nil {
 				return nil, err
 			}
-			rank = int(v)
+			r.rank = int(v)
 		case 4:
 			a, err := d.StringVal()
 			if err != nil {
 				return nil, err
 			}
-			addrs = append(addrs, a)
-		case 5:
-			v, err := d.Int()
-			if err != nil {
-				return nil, err
-			}
-			opts.ChunkBytes = int(v)
-		case 6:
-			v, err := d.Int()
-			if err != nil {
-				return nil, err
-			}
-			opts.RecvTimeout = time.Duration(v) * time.Millisecond
+			r.addrs = append(r.addrs, a)
 		case 7:
-			if epoch, err = d.Uint(); err != nil {
-				return nil, err
-			}
-		case 10:
-			if opts.Fusion.FlushBytes, err = d.Int(); err != nil {
+			if r.epoch, err = d.Uint(); err != nil {
 				return nil, err
 			}
 		case 11:
@@ -285,29 +267,34 @@ func (s *Server) handleCollInit(req []byte) ([]byte, error) {
 			if err != nil {
 				return nil, err
 			}
-			opts.Fusion.FlushTensors = int(v)
-		case 12:
-			v, err := d.Int()
-			if err != nil {
-				return nil, err
-			}
-			opts.Fusion.FlushInterval = time.Duration(v) * time.Microsecond
+			r.opts.FlushTensors = int(v)
 		default:
 			if err := d.Skip(wt); err != nil {
 				return nil, err
 			}
 		}
 	}
-	if group == "" || len(addrs) == 0 {
+	if r.group == "" || len(r.addrs) == 0 {
 		return nil, fmt.Errorf("cluster: malformed CollInit")
 	}
-	tr, err := collective.NewNetTransport(group, rank, addrs, s.Hub, opts.RecvTimeout, epoch, collective.TransportConfig{})
+	return r, nil
+}
+
+// handleCollInit joins this task to a TCP collective group: it builds the
+// transport endpoint over the advertised peer addresses and registers the
+// group membership in the task's resources under the group name, replacing
+// (and closing) any previous membership.
+func (s *Server) handleCollInit(req []byte) ([]byte, error) {
+	r, err := decodeCollInit(req)
 	if err != nil {
 		return nil, err
 	}
-	s.Res.Colls.Register(group, collective.NewGroup(tr, collective.Options{
-		ChunkBytes: opts.ChunkBytes,
-		Fusion:     opts.Fusion,
+	tr, err := collective.NewNetTransport(r.group, r.rank, r.addrs, s.Hub, 0, r.epoch, collective.TransportConfig{})
+	if err != nil {
+		return nil, err
+	}
+	s.Res.Colls.Register(r.group, collective.NewGroup(tr, collective.Options{
+		Fusion: collective.FusionOptions{FlushTensors: r.opts.FlushTensors},
 	}))
 	return []byte("ok"), nil
 }
@@ -457,6 +444,7 @@ type Peers struct {
 
 	mu      sync.Mutex
 	clients map[string]*rpc.Client
+	epoch   uint64 // the last collective epoch issued (nextEpoch)
 }
 
 // NewPeers creates a client set over a spec.
@@ -571,7 +559,8 @@ func (p *Peers) Health(job string, task int) error {
 
 // HealthRetry pings a task under a retry policy: transient connection
 // failures (the task is mid-restart) back off and retry, handler errors and
-// context expiry are final. The elastic coordinator's liveness probe.
+// context expiry are final. The elastic driver's and the serving fleet's
+// liveness probe.
 func (p *Peers) HealthRetry(ctx context.Context, job string, task int, pol rpc.RetryPolicy) error {
 	c, err := p.client(job, task)
 	if err != nil {
@@ -581,62 +570,13 @@ func (p *Peers) HealthRetry(ctx context.Context, job string, task int, pol rpc.R
 	return err
 }
 
-// CollectiveOptions tune InitCollective. ChunkBytes and Fusion map onto
-// collective.Options and ship to every task, so the whole ring agrees on the
-// message pattern; the allreduce algorithm is the engine's per-call picker.
+// CollectiveOptions tune a job's collective group (OpenJob). They ship to
+// every task, so the whole ring agrees on the message pattern.
 type CollectiveOptions struct {
-	// ChunkBytes is the ring pipelining granularity (0 = engine default).
-	ChunkBytes int
-	// RecvTimeout bounds each receive on the servers (0 = engine default).
-	RecvTimeout time.Duration
-	// Fusion tunes each task's fusion buffer (AllReduceFused ops).
-	Fusion collective.FusionOptions
-}
-
-// InitCollective joins every task of a job into one TCP collective group:
-// task i becomes rank i over the job's advertised addresses. Re-initialising
-// an existing group name replaces (and closes) the old membership, so a
-// restarted driver can rebuild its rings.
-func (p *Peers) InitCollective(job, group string, opts CollectiveOptions) error {
-	if _, ok := p.spec[job]; !ok {
-		return fmt.Errorf("cluster: unknown job %q", job)
-	}
-	tasks := make([]int, p.spec.NumTasks(job))
-	for i := range tasks {
-		tasks[i] = i
-	}
-	// One epoch per incarnation: every rank's transport fences its traffic
-	// with it, so chunks still in flight from an aborted predecessor can
-	// never be reduced into this membership's collectives.
-	return p.InitCollectiveTasks(job, group, tasks, opts, uint64(time.Now().UnixNano()))
-}
-
-// InitCollectiveTasks joins a subset of a job's tasks into one collective
-// group: the i-th entry of tasks becomes rank i, over that subset's
-// addresses. This is the elastic rebuild primitive — after a task loss the
-// coordinator re-runs it over the survivors with a higher epoch (shrink),
-// and again over the full set when a replacement answers probes (grow).
-// The epoch must be strictly greater than the group's previous one; every
-// task's transport fences out traffic from older incarnations.
-func (p *Peers) InitCollectiveTasks(job, group string, tasks []int, opts CollectiveOptions, epoch uint64) error {
-	if len(tasks) == 0 {
-		return fmt.Errorf("cluster: InitCollectiveTasks %q with no tasks", group)
-	}
-	addrs := make([]string, len(tasks))
-	for i, task := range tasks {
-		a, err := p.spec.Address(job, task)
-		if err != nil {
-			return err
-		}
-		addrs[i] = a
-	}
-	for i, task := range tasks {
-		req := encodeCollInit(group, i, addrs, opts, epoch)
-		if err := p.call(job, task, "CollInit", (*Server).handleCollInit, req); err != nil {
-			return fmt.Errorf("cluster: CollInit on /job:%s/task:%d: %w", job, task, err)
-		}
-	}
-	return nil
+	// FlushTensors is each task's fusion count trigger (AllReduceFused
+	// ops): a fused pass starts once this many tensors are pending.
+	// 0 leaves only the byte and deadline triggers.
+	FlushTensors int
 }
 
 // AbortCollective poisons the named group on every reachable task of a job:

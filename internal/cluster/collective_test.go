@@ -12,6 +12,17 @@ import (
 	"tfhpc/internal/wire"
 )
 
+// joinGroup joins the p tasks of job "worker" into the collective group
+// "grp" through OpenJob, whose sessions it does not use.
+func joinGroup(t *testing.T, peers *Peers, p int) {
+	t.Helper()
+	job, err := peers.OpenJob("", "grp", p, CollectiveOptions{}, func(int, string) *graph.Graph { return graph.New() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	job.Close()
+}
+
 // TestInitCollectiveAndRemoteAllReduce stands up a 4-task cluster, joins the
 // tasks into a TCP collective group, and drives an AllReduce graph op on
 // each task from client-side sessions — the full distributed path the CG and
@@ -25,15 +36,7 @@ func TestInitCollectiveAndRemoteAllReduce(t *testing.T) {
 	defer lc.Close()
 	peers := NewPeers(lc.Spec())
 	defer peers.Close()
-	if err := peers.CheckJob("worker", p); err != nil {
-		t.Fatal(err)
-	}
-	if err := peers.InitCollective("worker", "grp", CollectiveOptions{
-		ChunkBytes:  64,
-		RecvTimeout: 10 * time.Second,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	joinGroup(t, peers, p)
 
 	n := 33
 	var wg sync.WaitGroup
@@ -86,7 +89,9 @@ func TestInitCollectiveAndRemoteAllReduce(t *testing.T) {
 // TestCollInitReplacesGroup re-initialises the same group name and checks
 // the new membership works (drivers that restart must be able to rebuild
 // their rings on living servers). Round 1's requests still carry the retired
-// algorithm (8) and switch-bytes (9) fields, which a task skips.
+// chunk-bytes (5), receive-timeout (6), algorithm (8), switch-bytes (9),
+// fusion flush-bytes (10) and flush-interval (12) fields, which a task
+// skips.
 func TestCollInitReplacesGroup(t *testing.T) {
 	const p = 2
 	lc, err := StartLocal(map[string]int{"worker": p})
@@ -96,22 +101,23 @@ func TestCollInitReplacesGroup(t *testing.T) {
 	defer lc.Close()
 	peers := NewPeers(lc.Spec())
 	defer peers.Close()
-	opts := CollectiveOptions{RecvTimeout: 5 * time.Second}
 	retired := wire.NewEncoder()
+	retired.Int(5, 64)
+	retired.Int(6, 5000)
 	retired.String(8, "ring")
 	retired.Int(9, 1<<20)
+	retired.Int(10, 1<<16)
+	retired.Int(12, 1000)
 	for round := 0; round < 2; round++ {
-		var err error
 		if round == 0 {
-			err = peers.InitCollective("worker", "grp", opts)
+			joinGroup(t, peers, p)
 		}
 		epoch := uint64(time.Now().UnixNano())
-		for i := 0; round == 1 && err == nil && i < p; i++ {
-			req := append(encodeCollInit("grp", i, lc.Spec()["worker"], opts, epoch), retired.Bytes()...)
-			_, err = lc.Server("worker", i).handleCollInit(req)
-		}
-		if err != nil {
-			t.Fatalf("round %d: %v", round, err)
+		for i := 0; round == 1 && i < p; i++ {
+			req := append(encodeCollInit(&collInit{group: "grp", rank: i, addrs: lc.Spec()["worker"], epoch: epoch}), retired.Bytes()...)
+			if _, err := lc.Server("worker", i).handleCollInit(req); err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
 		}
 		var wg sync.WaitGroup
 		errs := make([]error, p)
@@ -152,9 +158,7 @@ func TestAbortCollectiveUnblocksRanks(t *testing.T) {
 	defer lc.Close()
 	peers := NewPeers(lc.Spec())
 	defer peers.Close()
-	if err := peers.InitCollective("worker", "grp", CollectiveOptions{RecvTimeout: 30 * time.Second}); err != nil {
-		t.Fatal(err)
-	}
+	joinGroup(t, peers, p)
 	// Task 0 enters the collective alone (task 1's driver "failed").
 	done := make(chan error, 1)
 	go func() {
@@ -190,9 +194,7 @@ func TestServerCloseUnblocksCollective(t *testing.T) {
 	defer lc.Close()
 	peers := NewPeers(lc.Spec())
 	defer peers.Close()
-	if err := peers.InitCollective("worker", "grp", CollectiveOptions{RecvTimeout: 30 * time.Second}); err != nil {
-		t.Fatal(err)
-	}
+	joinGroup(t, peers, p)
 	// Task 0 enters the collective alone; task 1 never joins. Closing task 0
 	// must surface an error instead of hanging until the recv timeout.
 	done := make(chan error, 1)

@@ -54,3 +54,38 @@ func FuzzHandleRunOp(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCollInit: arbitrary bytes through the CollInit request decoder must
+// never panic, and an accepted request must re-encode to a canonical form
+// that decodes and re-encodes to itself. Only the decode is fuzzed: joining
+// a group dials the addresses the request names.
+func FuzzCollInit(f *testing.F) {
+	addrs := []string{"127.0.0.1:40001", "127.0.0.1:40002", "127.0.0.1:40003"}
+	for _, r := range []*collInit{
+		// OpenJob over a whole 3-task job, with and without the fusion
+		// count trigger sgd sets.
+		{group: "cg", rank: 0, addrs: addrs, epoch: 1760000000000000000},
+		{group: "sgd", rank: 2, addrs: addrs, epoch: 1760000000000000001, opts: CollectiveOptions{FlushTensors: 4}},
+		// A subset open over the survivors of task 1.
+		{group: "sgd", rank: 1, addrs: []string{addrs[0], addrs[2]}, epoch: 1760000000000000002},
+	} {
+		b := encodeCollInit(r)
+		f.Add(b)
+		f.Add(b[:len(b)-1])
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := decodeCollInit(data)
+		if err != nil {
+			return
+		}
+		canon := encodeCollInit(r)
+		r2, err := decodeCollInit(canon)
+		if err != nil {
+			t.Fatalf("canonical form rejected: %v", err)
+		}
+		if again := encodeCollInit(r2); !bytes.Equal(again, canon) {
+			t.Fatalf("canonical form is not a fixpoint:\n got %x\nwant %x", again, canon)
+		}
+	})
+}

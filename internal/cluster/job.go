@@ -37,30 +37,62 @@ func (p *Peers) CheckJob(job string, workers int) error {
 	return nil
 }
 
-// Job is a driver's hold on a job's tasks: one collective group over them,
-// and one session per worker running that worker's graph on its task.
+// Job is a driver's hold on tasks of a job: one collective group over them,
+// and one session per slot running that slot's graph on its task.
 type Job struct {
 	peers    *Peers
 	name     string
 	group    string
+	epoch    uint64
 	sessions []*session.Session
 }
 
 // OpenJob brings a job up for workers workers (an empty job is "worker"):
-// CheckJob, InitCollective of group, then worker w's Session on
-// build(w, "/job:<job>/task:<w>"), a graph placed on that device.
+// CheckJob, then OpenJobTasks over tasks 0..workers-1, so worker w runs on
+// task w.
 func (p *Peers) OpenJob(job, group string, workers int, opts CollectiveOptions,
 	build func(w int, device string) *graph.Graph) (*Job, error) {
 	job = cmp.Or(job, "worker")
 	if err := p.CheckJob(job, workers); err != nil {
 		return nil, err
 	}
-	if err := p.InitCollective(job, group, opts); err != nil {
-		return nil, err
+	tasks := make([]int, workers)
+	for i := range tasks {
+		tasks[i] = i
 	}
-	j := &Job{peers: p, name: job, group: group}
-	for w := range workers {
-		sess, err := p.Session(build(w, fmt.Sprintf("/job:%s/task:%d", job, w)), job, w)
+	return p.OpenJobTasks(job, group, tasks, opts, build)
+}
+
+// OpenJobTasks brings a group up over some of a job's tasks, which it does
+// not health-check: the i-th of tasks becomes the group's rank i and slot
+// i, whose Session runs build(i, "/job:<job>/task:<task>"), a graph placed
+// on that device. An elastic driver reopens its group this way over the
+// tasks still alive. The group (re)joins every task under a fresh epoch
+// (nextEpoch), which replaces and closes the task's previous membership of
+// that group and fences out its traffic.
+func (p *Peers) OpenJobTasks(job, group string, tasks []int, opts CollectiveOptions,
+	build func(slot int, device string) *graph.Graph) (*Job, error) {
+	job = cmp.Or(job, "worker")
+	if len(tasks) == 0 {
+		return nil, fmt.Errorf("cluster: group %q of job %q opened over no tasks", group, job)
+	}
+	addrs := make([]string, len(tasks))
+	for i, task := range tasks {
+		a, err := p.spec.Address(job, task)
+		if err != nil {
+			return nil, err
+		}
+		addrs[i] = a
+	}
+	j := &Job{peers: p, name: job, group: group, epoch: p.nextEpoch()}
+	for i, task := range tasks {
+		req := encodeCollInit(&collInit{group: group, rank: i, addrs: addrs, epoch: j.epoch, opts: opts})
+		if err := p.call(job, task, "CollInit", (*Server).handleCollInit, req); err != nil {
+			return nil, fmt.Errorf("cluster: CollInit on /job:%s/task:%d: %w", job, task, err)
+		}
+	}
+	for i, task := range tasks {
+		sess, err := p.Session(build(i, fmt.Sprintf("/job:%s/task:%d", job, task)), job, task)
 		if err != nil {
 			j.Close()
 			return nil, err
@@ -70,14 +102,27 @@ func (p *Peers) OpenJob(job, group string, workers int, opts CollectiveOptions,
 	return j, nil
 }
 
-// Sessions returns the workers' sessions, worker w's at index w.
+// nextEpoch issues a collective epoch: strictly greater than every epoch
+// this Peers issued before, and never behind the wall clock, so a restarted
+// driver's groups still supersede its predecessor's. Every rank's transport
+// fences its traffic with it: chunks still in flight from an aborted
+// incarnation are never reduced into its successor's collectives.
+func (p *Peers) nextEpoch() uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.epoch = max(p.epoch+1, uint64(time.Now().UnixNano()))
+	return p.epoch
+}
+
+// Sessions returns the slots' sessions, slot i's at index i.
 func (j *Job) Sessions() []*session.Session { return j.sessions }
 
-// Abort poisons the job's collective group on every task (AbortCollective).
+// Abort poisons the job's collective group on every task of the job,
+// opened or not (AbortCollective).
 func (j *Job) Abort() { j.peers.AbortCollective(j.name, j.group) }
 
-// Each runs f for every worker at once (see Each); the first failure
-// aborts the job.
+// Each runs f for every slot at once (see Each); the first failure aborts
+// the job.
 func (j *Job) Each(f func(w int, sess *session.Session) error) error {
 	return Each(len(j.sessions), func(w int) error { return f(w, j.sessions[w]) }, j.Abort)
 }
@@ -109,7 +154,7 @@ func Each(n int, f func(i int) error, abort func()) error {
 	return first
 }
 
-// Close closes every worker's session.
+// Close closes every slot's session.
 func (j *Job) Close() {
 	for _, s := range j.sessions {
 		s.Close()

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -82,5 +83,73 @@ func TestEachAbortsBlockedPeers(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("Each still running 2 s after worker 0 failed: the blocked peer was not aborted")
+	}
+}
+
+// Every open on one Peers issues a strictly larger epoch, never behind the
+// wall clock, whether it opens a subset of the job's tasks or all of them
+// (OpenJob after subset opens of the same group), and an open over no tasks
+// is rejected.
+func TestOpenJobEpochsIncrease(t *testing.T) {
+	lc, err := StartLocal(map[string]int{"worker": 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	peers := NewPeers(lc.Spec())
+	defer peers.Close()
+	last := uint64(time.Now().UnixNano())
+	for i, tasks := range [][]int{{0, 1}, {1}, {0, 1}, nil} {
+		var job *Job
+		if tasks == nil {
+			job, err = peers.OpenJob("", "g", 2, CollectiveOptions{}, allReduceGraph)
+		} else {
+			job, err = peers.OpenJobTasks("", "g", tasks, CollectiveOptions{}, allReduceGraph)
+		}
+		if err != nil {
+			t.Fatalf("open %d: %v", i, err)
+		}
+		job.Close()
+		if job.epoch <= last {
+			t.Fatalf("open %d: epoch %d did not advance past %d", i, job.epoch, last)
+		}
+		last = job.epoch
+	}
+	if _, err := peers.OpenJobTasks("", "g", nil, CollectiveOptions{}, allReduceGraph); err == nil {
+		t.Fatal("open over zero tasks succeeded")
+	}
+}
+
+// With one task of three dead, an open over the survivors makes a group of
+// width 2: the i-th survivor is rank and slot i, and an AllReduce over the
+// group sums two ranks, not three.
+func TestOpenJobTasksOverSurvivors(t *testing.T) {
+	lc, err := StartLocal(map[string]int{"worker": 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	peers := NewPeers(lc.Spec())
+	defer peers.Close()
+	lc.Server("worker", 1).Close()
+	if err := peers.Health("worker", 1); err == nil {
+		t.Fatal("closed task 1 still answers Health")
+	}
+	job, err := peers.OpenJobTasks("", "g", []int{0, 2}, CollectiveOptions{}, allReduceGraph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer job.Close()
+	if n := len(job.Sessions()); n != 2 {
+		t.Fatalf("%d sessions, want 2", n)
+	}
+	if err := job.Each(func(w int, sess *session.Session) error {
+		out, err := sess.Run(map[string]*tensor.Tensor{"x": tensor.ScalarF64(1)}, []string{"sum"}, nil)
+		if err == nil && out[0].ScalarFloat() != 2 {
+			err = fmt.Errorf("slot %d: sum = %g, want 2", w, out[0].ScalarFloat())
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
 	}
 }

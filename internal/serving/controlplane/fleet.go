@@ -105,22 +105,17 @@ type FleetOptions struct {
 	// DrainTimeout bounds how long a retiring replica may finish in-flight
 	// requests before its connection closes anyway (default 5s).
 	DrainTimeout time.Duration
-	// ProbePolicy drives liveness and recovery probes (default: 2 attempts,
-	// 20ms base backoff — a dead loopback task fails fast).
-	ProbePolicy rpc.RetryPolicy
-	// ProbeTimeout bounds one probe end to end (default 2s).
-	ProbeTimeout time.Duration
 }
+
+// Liveness probes make 2 attempts with a 20ms base backoff (a dead loopback
+// task fails fast), each probe bounded end to end by probeTimeout.
+var probePolicy = rpc.RetryPolicy{Attempts: 2, Base: 20 * time.Millisecond, Max: 200 * time.Millisecond}
+
+const probeTimeout = 2 * time.Second
 
 func (o FleetOptions) withDefaults() FleetOptions {
 	if o.DrainTimeout <= 0 {
 		o.DrainTimeout = 5 * time.Second
-	}
-	if o.ProbePolicy.Attempts <= 0 {
-		o.ProbePolicy = rpc.RetryPolicy{Attempts: 2, Base: 20 * time.Millisecond, Max: 200 * time.Millisecond}
-	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = 2 * time.Second
 	}
 	return o
 }
@@ -353,16 +348,17 @@ func (f *Fleet) peers(addrs []string) *cluster.Peers {
 	return cluster.NewPeers(cluster.Spec{f.job: addrs})
 }
 
-// probe checks one member's liveness with the fleet's retry policy.
+// probe checks one member's liveness under probePolicy.
 func (f *Fleet) probe(p *cluster.Peers, task int) error {
-	ctx, cancel := context.WithTimeout(context.Background(), f.opts.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
-	return p.HealthRetry(ctx, f.job, task, f.opts.ProbePolicy)
+	return p.HealthRetry(ctx, f.job, task, probePolicy)
 }
 
-// ReapDead probes every member (the Coordinator's liveness probe, reused:
-// Health RPCs under a retry policy) and replaces the ones that fail —
-// membership shrank underneath us, so re-balance back to the size we had.
+// ReapDead probes every member (Peers.HealthRetry: Health RPCs under a
+// retry policy, the elastic sgd driver's probe too) and replaces the ones
+// that fail — membership shrank underneath us, so re-balance back to the
+// size we had.
 // Returns how many members were replaced.
 func (f *Fleet) ReapDead() (int, error) {
 	f.mu.Lock()
