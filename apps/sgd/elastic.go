@@ -10,7 +10,6 @@ import (
 	"tfhpc/internal/checkpoint"
 	"tfhpc/internal/cluster"
 	"tfhpc/internal/collective"
-	"tfhpc/internal/gemm"
 	"tfhpc/internal/graph"
 	"tfhpc/internal/rpc"
 	"tfhpc/internal/session"
@@ -120,52 +119,15 @@ func globalData(cfg Config) (x, y *tensor.Tensor) {
 		tensor.FromF64(tensor.Shape{cfg.TotalRows()}, yv)
 }
 
-// varInit is one Variable node's initial value.
-type varInit struct {
-	Node string
-	Val  *tensor.Tensor
-}
-
 // elasticInit lists slot's variables for a p-member generation: its segment
-// of the global dataset (rows SegBounds(M, p, slot)), the packed transpose,
-// and the carried weight vector.
+// of the global dataset (rows SegBounds(M, p, slot)) and the carried weight
+// vector.
 func elasticInit(cfg Config, gx, gy *tensor.Tensor, p, slot int, w *tensor.Tensor) []varInit {
 	d := cfg.Features
 	lo, hi := collective.SegBounds(cfg.TotalRows(), p, slot)
-	m := hi - lo
-	x := tensor.FromF64(tensor.Shape{m, d}, gx.F64()[lo*d:hi*d])
-	y := tensor.FromF64(tensor.Shape{m}, gy.F64()[lo:hi])
-	xtv := make([]float64, d*m)
-	gemm.Transpose64(m, d, x.F64(), xtv)
-
-	out := []varInit{{"X", x}, {"y", y}}
-	if !cfg.multiTensor() {
-		out = append(out,
-			varInit{"Xt", tensor.FromF64(tensor.Shape{d, m}, xtv)},
-			varInit{"w", w.Clone()})
-		return out
-	}
-	T := cfg.paramTensors()
-	wv := w.F64()
-	for t := 0; t < T; t++ {
-		tlo, thi := chunkBounds(d, T, t)
-		out = append(out,
-			varInit{fmt.Sprintf("Xt%d", t), tensor.FromF64(tensor.Shape{thi - tlo, m}, xtv[tlo*m:thi*m])},
-			varInit{fmt.Sprintf("w%d", t), tensor.FromF64(tensor.Shape{thi - tlo}, append([]float64(nil), wv[tlo:thi]...))})
-	}
-	return out
-}
-
-// elasticTargets are the per-step assign targets of either graph shape.
-func elasticTargets(cfg Config) []string {
-	if !cfg.multiTensor() {
-		return []string{"save_w"}
-	}
-	ts := make([]string, cfg.paramTensors())
-	for t := range ts {
-		ts[t] = saveTarget(t)
-	}
-	return ts
+	x := tensor.FromF64(tensor.Shape{hi - lo, d}, gx.F64()[lo*d:hi*d])
+	y := tensor.FromF64(tensor.Shape{hi - lo}, gy.F64()[lo:hi])
+	return replicaVars(cfg, x, y, w.F64())
 }
 
 func elasticGraphID(cfg Config) string {
@@ -204,7 +166,7 @@ func RunElasticCluster(cfg Config, peers *cluster.Peers, copts ClusterOptions, o
 	}
 	gx, gy := globalData(cfg)
 	graphID := elasticGraphID(cfg)
-	targets := elasticTargets(cfg)
+	targets := saveTargets(cfg)
 	feeds := map[string]*tensor.Tensor{"lr": tensor.ScalarF64(cfg.LR)}
 	collOpts := cluster.CollectiveOptions{FlushTensors: cfg.flushTensors()}
 

@@ -14,36 +14,34 @@ import (
 // collGroup names worker w's ring membership in the shared in-process store.
 func collGroup(w int) string { return fmt.Sprintf("sgd/w%d", w) }
 
-// shardTensors materialises worker w's variables: the shard, its transpose
-// (packed once, so the gradient matvec streams rows), labels, and w = 0.
-func shardTensors(cfg Config, w int) (x, xt, y, w0 *tensor.Tensor) {
-	x, y = Shard(cfg, w)
-	m, d := cfg.RowsPerWorker, cfg.Features
-	xtv := make([]float64, d*m)
-	gemm.Transpose64(m, d, x.F64(), xtv)
-	xt = tensor.FromF64(tensor.Shape{d, m}, xtv)
-	w0 = tensor.New(tensor.Float64, d)
-	return
+// varInit is one Variable node's initial value.
+type varInit struct {
+	Node string
+	Val  *tensor.Tensor
 }
 
-// workerInit lists worker w's variables for either graph shape: the
-// multi-tensor graph splits Xt and w into per-parameter-tensor chunks (rows
-// of Xt align with weight indices, so chunk t of Xt feeds gradient tensor
-// t).
+// workerInit lists worker w's variables: its Shard and zero weights.
 func workerInit(cfg Config, w int) []varInit {
-	x, xt, y, w0 := shardTensors(cfg, w)
-	if !cfg.multiTensor() {
-		return []varInit{{"X", x}, {"Xt", xt}, {"y", y}, {"w", w0}}
-	}
+	x, y := Shard(cfg, w)
+	return replicaVars(cfg, x, y, make([]float64, cfg.Features))
+}
+
+// replicaVars lays out one replica's variables for its rows x, labels y and
+// weights w: Xᵀ is packed once, so the gradient matvec streams rows, and Xᵀ
+// and w split into the T parameter tensors (rows of Xᵀ align with weight
+// indices, so chunk t of Xᵀ feeds gradient tensor t). The chunks alias x's
+// transpose and w; the init Run's Assigns copy them.
+func replicaVars(cfg Config, x, y *tensor.Tensor, w []float64) []varInit {
+	m, d := x.Shape()[0], cfg.Features
+	xt := make([]float64, d*m)
+	gemm.Transpose64(m, d, x.F64(), xt)
 	T := cfg.paramTensors()
-	m, d := cfg.RowsPerWorker, cfg.Features
 	out := []varInit{{"X", x}, {"y", y}}
-	xtv := xt.F64()
-	for t := 0; t < T; t++ {
-		lo, hi := chunkBounds(d, T, t)
+	for t := range T {
+		lo, hi := collective.SegBounds(d, T, t)
 		out = append(out,
-			varInit{fmt.Sprintf("Xt%d", t), tensor.FromF64(tensor.Shape{hi - lo, m}, xtv[lo*m:hi*m])},
-			varInit{fmt.Sprintf("w%d", t), tensor.New(tensor.Float64, hi-lo)})
+			varInit{xtNode(t), tensor.FromF64(tensor.Shape{hi - lo, m}, xt[lo*m:hi*m])},
+			varInit{weightNode(t), tensor.FromF64(tensor.Shape{hi - lo}, w[lo:hi])})
 	}
 	return out
 }
@@ -75,7 +73,11 @@ func initVars(sess *session.Session, inits []varInit) error {
 // readWeights fetches one replica's weight vector, reassembled across
 // parameter tensors.
 func readWeights(cfg Config, sess *session.Session) (*tensor.Tensor, error) {
-	chunks, err := sess.Run(nil, weightNodes(cfg), nil)
+	names := make([]string, cfg.paramTensors())
+	for t := range names {
+		names[t] = weightNode(t)
+	}
+	chunks, err := sess.Run(nil, names, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -91,61 +93,35 @@ func readWeights(cfg Config, sess *session.Session) (*tensor.Tensor, error) {
 	return out, nil
 }
 
-// driveWorker runs one replica's training loop: per step one session Run
-// fetching the allreduced loss and applying the identical weight update.
-//
-// Multi-tensor mode pipelines the loss: step k's Run only *starts* the loss
-// allreduce (async handle, parity-alternating), and step k+1's Run joins it
-// — so the loss collective for step k is on the wire while step k's weight
-// assigns and step k+1's forward pass execute. A drain Run after the loop
-// joins the final step's loss.
+// driveWorker runs one replica's training loop, pipelining the loss: step
+// k's Run applies the weight update and only *starts* step k's loss
+// allreduce (an async handle, parity-alternating), and fetches step k−1's
+// loss — so each loss collective is on the wire while its step's assigns
+// and the next step's forward pass execute. A drain Run after the last step
+// fetches its loss.
 func driveWorker(cfg Config, sess *session.Session) (first, last float64, err error) {
-	lr := tensor.ScalarF64(cfg.LR)
-	feeds := map[string]*tensor.Tensor{"lr": lr}
-	if !cfg.multiTensor() {
-		for step := 0; step < cfg.Steps; step++ {
-			out, err := sess.Run(feeds, []string{"loss"}, []string{"save_w"})
-			if err != nil {
-				return 0, 0, err
-			}
-			loss := out[0].ScalarFloat()
-			if step == 0 {
-				first = loss
-			}
-			last = loss
-		}
-		return first, last, nil
-	}
-
-	targetsBase := make([]string, cfg.paramTensors())
-	for t := range targetsBase {
-		targetsBase[t] = saveTarget(t)
-	}
-	record := func(step int, loss float64) {
-		if step == 0 {
-			first = loss
-		}
-		last = loss
-	}
-	for step := 0; step < cfg.Steps; step++ {
-		targets := append(append([]string{}, targetsBase...), "loss_start_"+lossParity(step))
-		var fetches []string
+	lr := map[string]*tensor.Tensor{"lr": tensor.ScalarF64(cfg.LR)}
+	saves := saveTargets(cfg)
+	for step := 0; step <= cfg.Steps; step++ {
+		var feeds map[string]*tensor.Tensor
+		var fetches, targets []string
 		if step > 0 {
 			fetches = []string{"loss_" + lossParity(step-1)}
+		}
+		if step < cfg.Steps {
+			feeds, targets = lr, append(saves[:len(saves):len(saves)], "loss_start_"+lossParity(step))
 		}
 		out, err := sess.Run(feeds, fetches, targets)
 		if err != nil {
 			return 0, 0, err
 		}
 		if step > 0 {
-			record(step-1, out[0].ScalarFloat())
+			last = out[0].ScalarFloat()
+		}
+		if step == 1 {
+			first = last
 		}
 	}
-	out, err := sess.Run(nil, []string{"loss_" + lossParity(cfg.Steps-1)}, nil)
-	if err != nil {
-		return 0, 0, err
-	}
-	record(cfg.Steps-1, out[0].ScalarFloat())
 	return first, last, nil
 }
 

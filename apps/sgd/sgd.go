@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 
-	"tfhpc/internal/collective"
 	"tfhpc/internal/graph"
 	"tfhpc/internal/tensor"
 )
@@ -26,11 +25,9 @@ type Config struct {
 	// Noise is the observation-noise amplitude of the synthetic labels.
 	Noise float64
 	// ParamTensors splits the weight vector into this many parameter
-	// tensors (0/1 = one tensor, the classic graph). Multi-tensor mode is
-	// the Horovod shape — one gradient allreduce per parameter tensor, all
-	// dispatched concurrently by the executor — and switches the loss
-	// reduction to the double-buffered async handles, so step k's loss
-	// collective overlaps step k's update and step k+1's forward pass.
+	// tensors (0 counts as 1): one gradient allreduce each, all dispatched
+	// concurrently by the executor — the Horovod shape. It splits only the
+	// gradient; every run double-buffers its loss (see buildWorker).
 	ParamTensors int
 	// Fuse routes the per-tensor gradient allreduces through the group's
 	// fusion buffer: the ParamTensors concurrent posts coalesce into one
@@ -66,17 +63,6 @@ func (c Config) paramTensors() int {
 	return c.ParamTensors
 }
 
-// multiTensor reports whether the multi-tensor graph (and its async loss
-// double-buffering) is in effect.
-func (c Config) multiTensor() bool { return c.paramTensors() > 1 }
-
-// chunkBounds splits d weights into T near-equal parameter tensors using
-// the collective engine's segment layout (first d%T tensors one element
-// larger), so the weight split mirrors how the engine itself shards.
-func chunkBounds(d, T, t int) (lo, hi int) {
-	return collective.SegBounds(d, T, t)
-}
-
 // TotalRows is the full dataset size across shards.
 func (c Config) TotalRows() int { return c.Workers * c.RowsPerWorker }
 
@@ -110,27 +96,27 @@ func Shard(cfg Config, w int) (x, y *tensor.Tensor) {
 		tensor.FromF64(tensor.Shape{m}, yv)
 }
 
-// buildWorker constructs worker w's training graph. Per step:
+// buildWorker constructs worker w's training graph. The weight vector is T
+// parameter tensors w0..w<T-1> (T = ParamTensors, 0 counting as 1), each
+// with its own gradient allreduce — the Horovod shape. Per step:
 //
-//	resid  = X·w − y                     (local)
-//	g_sum  = allreduce( Xᵀ·resid )       (ring/doubling, the Horovod step)
-//	loss   = allreduce( resid·resid )/M  (ordered after g_sum)
-//	w     −= lr · (2/M) · g_sum          (identical on every replica)
+//	resid    = X·w − y                      (local; w = w0‖…‖w<T-1>)
+//	g_sum<t> = allreduce( Xt<t>·resid )     (ring/doubling, the Horovod step)
+//	loss     = allreduce( resid·resid )/M
+//	w<t>    −= lr · (2/M) · g_sum<t>        (identical on every replica)
 //
-// The two allreduces share the group, so a control edge fixes their issue
-// order — the executor would otherwise race them and ranks could disagree.
-// group names the collective membership; device places the nodes (cluster).
-//
-// In multi-tensor mode (ParamTensors > 1) the weight vector splits into T
-// parameter tensors with one gradient allreduce each — plain AllReduce
-// nodes, or AllReduceFused when cfg.Fuse routes them through the fusion
-// buffer so the executor's concurrent dispatch coalesces them into one
-// pass. The per-tensor chains are independent, so tensor t's weight update
-// overlaps tensor u's reduction, and the loss moves to double-buffered
-// AllReduceStart/AllReduceJoin handles (even/odd), letting step k's loss
-// collective overlap step k's update and step k+1's forward pass; the
-// driver fetches each loss one step late and drains the last after the
-// loop.
+// The gradient allreduces are plain AllReduce nodes, or AllReduceFused when
+// cfg.Fuse routes them through the fusion buffer so the executor's
+// concurrent dispatch coalesces them into one pass. The per-tensor chains
+// are independent, so tensor t's weight update overlaps tensor u's
+// reduction. The loss has two forms, each ordered after every gradient
+// allreduce by control edges (they share the group). The synchronous
+// "loss" is for drivers that fetch it in its own step. The double-buffered
+// AllReduceStart/AllReduceJoin handles (even/odd) let step k's loss
+// collective overlap step k's update and step k+1's forward pass:
+// driveWorker fetches each loss one step late and drains the last after the
+// loop. group names the collective membership; device places the nodes
+// (cluster).
 func buildWorker(cfg Config, w int, group, device string) *graph.Graph {
 	return buildWorkerPre(cfg, fmt.Sprintf("w%d/", w), group, device)
 }
@@ -154,43 +140,82 @@ func buildWorkerPre(cfg Config, pre, group, device string) *graph.Graph {
 		g.AddNamedOp("ckpt_barrier", "AllReduce",
 			graph.Attrs{"group": group, "key": "ckpt_barrier"},
 			g.Const(tensor.ScalarF64(1)))
-		if cfg.multiTensor() {
-			buildMultiTensor(cfg, g, pre, group)
-			return
-		}
+		T := cfg.paramTensors()
 		lrPH := g.Placeholder("lr", tensor.Float64, nil)
 		xVar := g.AddNamedOp("X", "Variable", graph.Attrs{"var_name": pre + "X"})
-		xtVar := g.AddNamedOp("Xt", "Variable", graph.Attrs{"var_name": pre + "Xt"})
 		yVar := g.AddNamedOp("y", "Variable", graph.Attrs{"var_name": pre + "y"})
-		wVar := g.AddNamedOp("w", "Variable", graph.Attrs{"var_name": pre + "w"})
+		wVars := make([]*graph.Node, T)
+		xtVars := make([]*graph.Node, T)
+		for t := range T {
+			wVars[t] = g.AddNamedOp(weightNode(t), "Variable", graph.Attrs{"var_name": splitVar(pre, weightNode(t), T)})
+			xtVars[t] = g.AddNamedOp(xtNode(t), "Variable", graph.Attrs{"var_name": splitVar(pre, xtNode(t), T)})
+		}
+		// ConcatRows makes a fresh output, so one tensor feeds the forward
+		// pass directly rather than be copied every step.
+		wFull := wVars[0]
+		if T > 1 {
+			wFull = g.AddNamedOp("w_full", "ConcatRows", nil, wVars...)
+		}
 
 		var pred *graph.Node
 		g.WithDevice("/device:GPU:0", func() {
-			pred = g.AddNamedOp("pred", "MatVec", nil, xVar, wVar)
+			pred = g.AddNamedOp("pred", "MatVec", nil, xVar, wFull)
 		})
 		resid := g.AddNamedOp("resid", "Sub", nil, pred, yVar)
-		var gLocal *graph.Node
-		g.WithDevice("/device:GPU:0", func() {
-			gLocal = g.AddNamedOp("g_local", "MatVec", nil, xtVar, resid)
-		})
+
 		gradOp := "AllReduce"
 		if cfg.Fuse {
 			gradOp = "AllReduceFused"
 		}
-		gSum := g.AddNamedOp("g_sum", gradOp, graph.Attrs{"group": group, "key": "g_sum"}, gLocal)
+		gSums := make([]*graph.Node, T)
+		for t := range T {
+			var gLocal *graph.Node
+			g.WithDevice("/device:GPU:0", func() {
+				gLocal = g.AddNamedOp(fmt.Sprintf("g_local%d", t), "MatVec", nil, xtVars[t], resid)
+			})
+			gSums[t] = g.AddNamedOp(fmt.Sprintf("g_sum%d", t), gradOp,
+				graph.Attrs{"group": group, "key": fmt.Sprintf("g_sum%d", t)}, gLocal)
+		}
 
+		// The synchronous loss, for drivers that cannot carry an in-flight
+		// handle across a membership change (the elastic runner); pruned
+		// when unfetched. Emitted before the updates, it is each gradient
+		// allreduce's first successor, which the work-first executor runs
+		// inline.
 		partialLoss := g.AddNamedOp("partial_loss", "Dot", nil, resid, resid)
+		invM := g.Const(tensor.ScalarF64(1.0 / float64(cfg.TotalRows())))
 		lossSum := g.AddNamedOp("loss_sum", "AllReduce",
 			graph.Attrs{"group": group, "key": "loss_sum"}, partialLoss)
-		lossSum.AddControlDep(gSum)
-		invM := g.Const(tensor.ScalarF64(1.0 / float64(cfg.TotalRows())))
+		for _, gSum := range gSums {
+			lossSum.AddControlDep(gSum)
+		}
 		g.AddNamedOp("loss", "Scale", nil, invM, lossSum)
 
 		gradScale := g.Const(tensor.ScalarF64(2.0 / float64(cfg.TotalRows())))
-		gAvg := g.AddNamedOp("g_avg", "Scale", nil, gradScale, gSum)
 		negLR := g.AddNamedOp("neg_lr", "Neg", nil, lrPH)
-		wNew := g.AddNamedOp("w_new", "Axpy", nil, negLR, gAvg, wVar)
-		g.AddNamedOp("save_w", "Assign", graph.Attrs{"var_name": pre + "w"}, wNew)
+		saves := saveTargets(cfg)
+		for t, gSum := range gSums {
+			gAvg := g.AddNamedOp(fmt.Sprintf("g_avg%d", t), "Scale", nil, gradScale, gSum)
+			wNew := g.AddNamedOp(fmt.Sprintf("w_new%d", t), "Axpy", nil, negLR, gAvg, wVars[t])
+			g.AddNamedOp(saves[t], "Assign", graph.Attrs{"var_name": wVars[t].Attr("var_name")}, wNew)
+		}
+
+		// Double-buffered async loss: even/odd handles alternate across
+		// steps, so the join of step k−1 and the start of step k touch
+		// different in-flight collectives within one Run. A start waits for
+		// the gradient allreduces too: started beside them, its chunks
+		// share their peer edges, and the benchmark's sgd step (T = 1,
+		// stream edges, 2 vCPU) ran ~15% slower.
+		for _, par := range []string{"even", "odd"} {
+			start := g.AddNamedOp("loss_start_"+par, "AllReduceStart",
+				graph.Attrs{"group": group, "key": "loss_" + par, "handle": "loss_" + par}, partialLoss)
+			for _, gSum := range gSums {
+				start.AddControlDep(gSum)
+			}
+			join := g.AddNamedOp("loss_join_"+par, "AllReduceJoin",
+				graph.Attrs{"group": group, "handle": "loss_" + par})
+			g.AddNamedOp("loss_"+par, "Scale", nil, invM, join)
+		}
 	}
 	withLoaders := func() {
 		build()
@@ -209,93 +234,27 @@ func buildWorkerPre(cfg Config, pre, group, device string) *graph.Graph {
 	return g
 }
 
-// buildMultiTensor emits the per-parameter-tensor graph described on
-// buildWorker.
-func buildMultiTensor(cfg Config, g *graph.Graph, pre, group string) {
-	T := cfg.paramTensors()
-	lrPH := g.Placeholder("lr", tensor.Float64, nil)
-	xVar := g.AddNamedOp("X", "Variable", graph.Attrs{"var_name": pre + "X"})
-	yVar := g.AddNamedOp("y", "Variable", graph.Attrs{"var_name": pre + "y"})
-	wVars := make([]*graph.Node, T)
-	xtVars := make([]*graph.Node, T)
-	for t := 0; t < T; t++ {
-		wVars[t] = g.AddNamedOp(fmt.Sprintf("w%d", t), "Variable",
-			graph.Attrs{"var_name": weightVarName(pre, t)})
-		xtVars[t] = g.AddNamedOp(fmt.Sprintf("Xt%d", t), "Variable",
-			graph.Attrs{"var_name": fmt.Sprintf("%sXt%d", pre, t)})
-	}
-	wFull := g.AddNamedOp("w_full", "ConcatRows", nil, wVars...)
+// weightNode and xtNode name parameter tensor t's weight Variable and its
+// rows of Xᵀ.
+func weightNode(t int) string { return fmt.Sprintf("w%d", t) }
 
-	var pred *graph.Node
-	g.WithDevice("/device:GPU:0", func() {
-		pred = g.AddNamedOp("pred", "MatVec", nil, xVar, wFull)
-	})
-	resid := g.AddNamedOp("resid", "Sub", nil, pred, yVar)
+func xtNode(t int) string { return fmt.Sprintf("Xt%d", t) }
 
-	gradOp := "AllReduce"
-	if cfg.Fuse {
-		gradOp = "AllReduceFused"
-	}
-	gradScale := g.Const(tensor.ScalarF64(2.0 / float64(cfg.TotalRows())))
-	negLR := g.AddNamedOp("neg_lr", "Neg", nil, lrPH)
-	gSums := make([]*graph.Node, T)
-	for t := 0; t < T; t++ {
-		var gLocal *graph.Node
-		g.WithDevice("/device:GPU:0", func() {
-			gLocal = g.AddNamedOp(fmt.Sprintf("g_local%d", t), "MatVec", nil, xtVars[t], resid)
-		})
-		gSum := g.AddNamedOp(fmt.Sprintf("g_sum%d", t), gradOp,
-			graph.Attrs{"group": group, "key": fmt.Sprintf("g_sum%d", t)}, gLocal)
-		gSums[t] = gSum
-		gAvg := g.AddNamedOp(fmt.Sprintf("g_avg%d", t), "Scale", nil, gradScale, gSum)
-		wNew := g.AddNamedOp(fmt.Sprintf("w_new%d", t), "Axpy", nil, negLR, gAvg, wVars[t])
-		g.AddNamedOp(saveTarget(t), "Assign", graph.Attrs{"var_name": weightVarName(pre, t)}, wNew)
-	}
+// splitVar names the variable behind node, a chunk of a T-way split, under
+// worker prefix pre. The split is part of the name: a task keeps a
+// variable's shape for its lifetime, and one task may serve runs with
+// different splits.
+func splitVar(pre, node string, T int) string { return fmt.Sprintf("%s%sof%d", pre, node, T) }
 
-	// Double-buffered async loss: even/odd handles alternate across steps,
-	// so the join of step k−1 and the start of step k touch different
-	// in-flight collectives within one Run.
-	partialLoss := g.AddNamedOp("partial_loss", "Dot", nil, resid, resid)
-	invM := g.Const(tensor.ScalarF64(1.0 / float64(cfg.TotalRows())))
-
-	// Synchronous loss alongside the async pair, for drivers that cannot
-	// carry an in-flight handle across a membership change (the elastic
-	// runner): same reduction, ordered after every gradient allreduce, pruned
-	// when unfetched.
-	lossSync := g.AddNamedOp("loss_sum", "AllReduce",
-		graph.Attrs{"group": group, "key": "loss_sum"}, partialLoss)
-	for _, gSum := range gSums {
-		lossSync.AddControlDep(gSum)
+// saveTargets names the per-tensor weight assigns a driver targets each
+// step.
+func saveTargets(cfg Config) []string {
+	ts := make([]string, cfg.paramTensors())
+	for t := range ts {
+		ts[t] = "save_" + weightNode(t)
 	}
-	g.AddNamedOp("loss", "Scale", nil, invM, lossSync)
-
-	for _, par := range []string{"even", "odd"} {
-		g.AddNamedOp("loss_start_"+par, "AllReduceStart",
-			graph.Attrs{"group": group, "key": "loss_" + par, "handle": "loss_" + par}, partialLoss)
-		join := g.AddNamedOp("loss_join_"+par, "AllReduceJoin",
-			graph.Attrs{"group": group, "handle": "loss_" + par})
-		g.AddNamedOp("loss_"+par, "Scale", nil, invM, join)
-	}
+	return ts
 }
-
-// weightVarName is parameter tensor t's variable name under worker prefix
-// pre (single-tensor mode keeps the historic bare "w").
-func weightVarName(pre string, t int) string { return fmt.Sprintf("%sw%d", pre, t) }
-
-// weightNodes are the graph's weight Variable nodes, in vector order.
-func weightNodes(cfg Config) []string {
-	if !cfg.multiTensor() {
-		return []string{"w"}
-	}
-	names := make([]string, cfg.paramTensors())
-	for t := range names {
-		names[t] = fmt.Sprintf("w%d", t)
-	}
-	return names
-}
-
-// saveTarget names the per-tensor assign node the driver targets each step.
-func saveTarget(t int) string { return fmt.Sprintf("save_w%d", t) }
 
 // lossParity returns the even/odd suffix of a step's loss double buffer.
 func lossParity(step int) string {

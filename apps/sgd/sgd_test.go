@@ -83,10 +83,10 @@ func TestWorkerCountsAgree(t *testing.T) {
 }
 
 // TestMultiTensorMatchesSingle: splitting the weights into parameter
-// tensors changes the graph shape, not the math — same data, same updates,
-// so the trajectory and final weights must agree with the single-tensor
-// run to the last bit when both allreduce paths pick the same algorithm
-// (they do: these gradients sit below the doubling threshold).
+// tensors splits only the gradient, not the math — same data, same updates,
+// so the trajectory and final weights must agree with the one-tensor run to
+// the last bit when every gradient allreduce picks the same algorithm (they
+// do: these gradients sit below the doubling threshold).
 func TestMultiTensorMatchesSingle(t *testing.T) {
 	single := baseConfig()
 	single.Steps = 25
@@ -138,6 +138,30 @@ func TestFusedMatchesUnfusedBitwise(t *testing.T) {
 	}
 	if rf.FinalLoss != ru.FinalLoss {
 		t.Fatalf("fused loss %g != unfused loss %g", rf.FinalLoss, ru.FinalLoss)
+	}
+}
+
+// TestSingleTensorHasNoConcat: with one parameter tensor the weight
+// Variable feeds the forward MatVec directly. ConcatRows makes a fresh
+// output, so at T = 1 it would only copy the whole weight vector every step.
+func TestSingleTensorHasNoConcat(t *testing.T) {
+	for _, tensors := range []int{0, 1, 3} {
+		cfg := baseConfig()
+		cfg.ParamTensors = tensors
+		g := buildWorker(cfg, 0, "sgd", "")
+		concats := 0
+		for _, n := range g.Nodes() {
+			if n.Op() == "ConcatRows" {
+				concats++
+			}
+		}
+		want, wantIn := 1, "w_full"
+		if tensors <= 1 {
+			want, wantIn = 0, weightNode(0)
+		}
+		if in := g.Lookup("pred").Inputs()[1].Name(); concats != want || in != wantIn {
+			t.Errorf("ParamTensors %d: %d ConcatRows nodes, pred reads %q; want %d, %q", tensors, concats, in, want, wantIn)
+		}
 	}
 }
 

@@ -7,10 +7,12 @@
 // running over TCP between the tasks (algorithm picked per call: recursive
 // doubling below the payload threshold, ring above); sim mode prices a
 // deployment on the virtual platform and reports the ring-vs-central
-// communication comparison. -param-tensors splits the weights into several
-// parameter tensors (one gradient allreduce each, loss double-buffered
-// through async handles) and -fuse coalesces those allreduces through the
-// fusion buffer — bit-identical results, one collective pass per step.
+// communication comparison. Every run double-buffers its loss allreduce
+// through async handles, so each step's loss is fetched one step late.
+// -param-tensors only splits the gradient: the weights become several
+// parameter tensors with one gradient allreduce each, and -fuse coalesces
+// those allreduces through the fusion buffer — bit-identical results, one
+// collective pass per step.
 //
 // Elastic mode is cluster mode that survives rank loss: checkpoints every
 // -ckpt-every steps, shrinks the group around a dead task, resumes from the
@@ -55,7 +57,7 @@ func main() {
 	proto := flag.String("proto", "rdma", "sim: grpc|mpi|rdma")
 	ckpt := flag.String("checkpoint", "", "save the trained weights as a servable linear-model checkpoint (tfserve -model)")
 	genCkpt := flag.String("gen-checkpoint", "", "save the trained weights as a servable generative (autoregressive) checkpoint (tfserve -genmodel)")
-	paramTensors := flag.Int("param-tensors", 1, "split the weights into this many parameter tensors (Horovod shape: one gradient allreduce each, loss double-buffered async)")
+	paramTensors := flag.Int("param-tensors", 1, "split the weights into this many parameter tensors, one gradient allreduce each (Horovod shape; bit-identical to one tensor)")
 	fuse := flag.Bool("fuse", false, "coalesce the per-tensor gradient allreduces through the fusion buffer (bit-identical to unfused)")
 	ckptFile := flag.String("ckpt-file", "", "elastic: training checkpoint path (atomic, CRC-trailered; resume source after rank loss)")
 	ckptEvery := flag.Int("ckpt-every", 5, "elastic: checkpoint every K steps")

@@ -27,7 +27,9 @@ type Host struct {
 func NewHost(res *Resources) *Host { return &Host{res: res} }
 
 // Partitions reports how many partitions are registered over the host's
-// open streams.
+// open streams. A stream's partitions are dropped once the host sees the
+// stream end, which can be after the client's Session.Close has returned;
+// a leak check polls until the count settles.
 func (h *Host) Partitions() int { return int(h.live.Load()) }
 
 // Serve runs one session's partition stream until it closes; it is the

@@ -173,9 +173,10 @@ func New(g *graph.Graph, res *Resources, opts Options) (*Session, error) {
 }
 
 // Close releases the session's task streams and waits for their readers
-// to exit; each task drops the partitions registered over its stream,
-// aborting any still running. Runs that need a task fail after Close;
-// all-local Runs are unaffected.
+// in this process to exit. It does not wait for the tasks: a task drops
+// the partitions registered over a stream, aborting any still running,
+// once it sees that stream end, which may be after Close returns. Runs
+// that need a task fail after Close; all-local Runs are unaffected.
 func (s *Session) Close() error {
 	s.mu.Lock()
 	s.closed = true
